@@ -655,13 +655,20 @@ impl ArcaneLlc {
     fn handle_batch(&mut self, addr: u32, words: u32, _token: u32, now: u64) -> XifResponse {
         let crt = self.cfg.crt;
 
-        // Functional fetch of the encoded batch.
-        let mut bytes = vec![0u8; words as usize * 4];
-        if self.ext.read_bytes(addr, &mut bytes).is_err() {
-            return self.reject(KernelError::ShapeMismatch {
-                what: "descriptor batch lies outside external memory",
-            });
-        }
+        // Functional fetch of the encoded batch. `words` is an unchecked
+        // host register: bound the range before allocating for it.
+        let len = match words.checked_mul(4) {
+            Some(len) if self.ext.contains(addr, len) => len,
+            _ => {
+                return self.reject(KernelError::ShapeMismatch {
+                    what: "descriptor batch lies outside external memory",
+                })
+            }
+        };
+        let mut bytes = vec![0u8; len as usize];
+        self.ext
+            .read_bytes(addr, &mut bytes)
+            .expect("batch range checked against external memory");
         let stream: Vec<u32> = bytes
             .chunks_exact(4)
             .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
@@ -828,5 +835,38 @@ impl Coprocessor for ArcaneLlc {
                 ms3,
             } => self.handle_kernel(id, width, alpha, beta, md, ms1, ms2, ms3, now),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use arcane_isa::launch::pack_xmb;
+
+    #[test]
+    fn xmb_out_of_range_word_count_is_rejected_before_any_booking() {
+        let mut llc = ArcaneLlc::new(ArcaneConfig {
+            launch: LaunchMode::Descriptor,
+            ..ArcaneConfig::default()
+        });
+        let base = llc.ext().base();
+        let words_in_ext = (llc.ext().len() / 4) as u32;
+        for (addr, words) in [
+            (base, u32::MAX),         // ~16 GiB: must not be allocated
+            (base, u32::MAX / 4 + 1), // byte count overflows u32
+            (base, words_in_ext + 1), // one word past the end
+            (base + 4, words_in_ext), // in size, but runs off the end
+        ] {
+            let resp = llc.offload_xmnmc(FUNC5_XMB, Sew::Word, pack_xmb(addr, words, 0), 0);
+            assert!(matches!(resp, XifResponse::Reject), "words = {words:#x}");
+            assert!(matches!(
+                llc.last_error(),
+                Some(KernelError::ShapeMismatch { .. })
+            ));
+        }
+        assert!(llc.ecpu_channel().is_empty());
+        assert_eq!(llc.fabric().busy_cycles(), 0);
+        assert_eq!(llc.launch_stats().batches, 0);
+        assert!(llc.records().is_empty());
     }
 }

@@ -137,27 +137,37 @@ impl Memory for Sram {
     }
 }
 
+/// Bytes per lazily allocated [`ExtMem`] page.
+const PAGE: usize = 4096;
+
 /// Burst-modeled external memory (flash / pseudo-static RAM).
 ///
 /// Timing model: a random access costs [`ExtMem::first_word_cycles`],
 /// each subsequent sequential word in the same burst costs
 /// [`ExtMem::per_word_cycles`]. The cache controller and DMA use
 /// [`ExtMem::burst_cycles`] to price line refills and tile transfers.
+///
+/// Storage is paged lazily: a 4 KiB page is allocated by the first
+/// write that touches it, and a page never written reads as zeros. A
+/// 16 MiB device therefore costs nothing to build, and only the pages
+/// a run actually uses are ever resident.
 #[derive(Debug, Clone)]
 pub struct ExtMem {
     base: u32,
-    data: Vec<u8>,
+    size: usize,
+    pages: Vec<Option<Box<[u8; PAGE]>>>,
     first_word_cycles: u64,
     per_word_cycles: u64,
 }
 
 impl ExtMem {
     /// Creates an external memory of `size` bytes at `base` with the
-    /// given burst timing.
+    /// given burst timing. Every byte reads as zero until written.
     pub fn new(base: u32, size: usize, first_word_cycles: u64, per_word_cycles: u64) -> Self {
         ExtMem {
             base,
-            data: vec![0; size],
+            size,
+            pages: vec![None; size.div_ceil(PAGE)],
             first_word_cycles,
             per_word_cycles,
         }
@@ -189,19 +199,37 @@ impl Memory for ExtMem {
     }
 
     fn len(&self) -> usize {
-        self.data.len()
+        self.size
     }
 
     #[inline]
     fn read_bytes(&self, addr: u32, buf: &mut [u8]) -> Result<(), BusError> {
-        let off = offset_of(self.base, self.data.len(), addr, buf.len())?;
-        buf.copy_from_slice(&self.data[off..off + buf.len()]);
+        let mut off = offset_of(self.base, self.size, addr, buf.len())?;
+        let mut buf = buf;
+        while !buf.is_empty() {
+            let at = off % PAGE;
+            let (head, rest) = buf.split_at_mut(buf.len().min(PAGE - at));
+            match &self.pages[off / PAGE] {
+                Some(page) => head.copy_from_slice(&page[at..at + head.len()]),
+                None => head.fill(0),
+            }
+            off += head.len();
+            buf = rest;
+        }
         Ok(())
     }
 
     fn write_bytes(&mut self, addr: u32, buf: &[u8]) -> Result<(), BusError> {
-        let off = offset_of(self.base, self.data.len(), addr, buf.len())?;
-        self.data[off..off + buf.len()].copy_from_slice(buf);
+        let mut off = offset_of(self.base, self.size, addr, buf.len())?;
+        let mut buf = buf;
+        while !buf.is_empty() {
+            let at = off % PAGE;
+            let (head, rest) = buf.split_at(buf.len().min(PAGE - at));
+            let page = self.pages[off / PAGE].get_or_insert_with(|| Box::new([0; PAGE]));
+            page[at..at + head.len()].copy_from_slice(head);
+            off += head.len();
+            buf = rest;
+        }
         Ok(())
     }
 }
@@ -247,5 +275,39 @@ mod tests {
         m.read_bytes(0x2000_0010, &mut b).unwrap();
         assert_eq!(b, [9, 8, 7]);
         assert!(m.read_bytes(0x1fff_ffff, &mut b).is_err());
+    }
+
+    #[test]
+    fn extmem_untouched_reads_zero() {
+        let mut m = ExtMem::new(0x2000_0000, 3 * PAGE, 10, 1);
+        m.write_bytes(0x2000_0000 + PAGE as u32 + 5, &[0xaa; 4])
+            .unwrap();
+        let mut b = vec![0xffu8; 3 * PAGE];
+        m.read_bytes(0x2000_0000, &mut b).unwrap();
+        assert!(b[..PAGE + 5].iter().all(|&x| x == 0));
+        assert_eq!(b[PAGE + 5..PAGE + 9], [0xaa; 4]);
+        assert!(b[PAGE + 9..].iter().all(|&x| x == 0));
+        assert_eq!(m.pages.iter().flatten().count(), 1, "one page resident");
+    }
+
+    #[test]
+    fn extmem_new_allocates_no_pages() {
+        let m = ExtMem::new(0x2000_0000, 16 << 20, 10, 1);
+        assert_eq!(m.len(), 16 << 20);
+        assert_eq!(m.pages.len(), (16 << 20) / PAGE);
+        assert!(m.pages.iter().all(Option::is_none));
+        assert_eq!(m.read_u32(0x2000_0000 + (8 << 20)).unwrap(), 0);
+        assert!(
+            m.pages.iter().all(Option::is_none),
+            "reads allocate nothing"
+        );
+    }
+
+    #[test]
+    fn extmem_write_straddling_pages_allocates_both() {
+        let mut m = ExtMem::new(0, 2 * PAGE + 10, 10, 1);
+        m.write_u32(PAGE as u32 - 2, 0x0403_0201).unwrap();
+        assert_eq!(m.read_u32(PAGE as u32 - 2).unwrap(), 0x0403_0201);
+        assert_eq!(m.pages.iter().flatten().count(), 2);
     }
 }

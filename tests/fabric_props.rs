@@ -4,6 +4,9 @@
 //! * [`ResourceChannel`] windows stay disjoint, sorted and maximally
 //!   coalesced under arbitrary mixes of whole, fragmented and packed
 //!   reservations, and the booked busy set is conserved exactly;
+//! * the locality-hinted calendar search grants exactly what a full
+//!   binary search over the window list grants, under request streams
+//!   that jump backwards and forwards;
 //! * the `whole-phase` fabric grants are bit-identical to direct
 //!   [`ResourceChannel::reserve`] grants on the same request stream
 //!   (the cycle-exactness guarantee every committed baseline relies
@@ -199,5 +202,159 @@ proptest! {
             packed_end <= whole_end,
             "packed {packed_end} vs whole {whole_end}"
         );
+    }
+}
+
+/// The calendar as it stood before the locality-hinted search: every
+/// lookup binary-searches the whole window list. Kept verbatim as the
+/// grant oracle for [`ResourceChannel`].
+#[derive(Default)]
+struct FullSearchChannel {
+    windows: Vec<(u64, u64)>,
+}
+
+impl FullSearchChannel {
+    fn reserve(&mut self, earliest: u64, duration: u64) -> (u64, u64) {
+        if duration == 0 {
+            return (earliest, earliest);
+        }
+        let mut t = earliest;
+        let mut i = self.windows.partition_point(|&(_, e)| e <= t);
+        while i < self.windows.len() {
+            let (s, e) = self.windows[i];
+            if s >= t + duration {
+                break;
+            }
+            t = e;
+            i += 1;
+        }
+        let win = (t, t + duration);
+        let touches_prev = i > 0 && self.windows[i - 1].1 == win.0;
+        let touches_next = i < self.windows.len() && self.windows[i].0 == win.1;
+        match (touches_prev, touches_next) {
+            (true, true) => {
+                self.windows[i - 1].1 = self.windows[i].1;
+                self.windows.remove(i);
+            }
+            (true, false) => self.windows[i - 1].1 = win.1,
+            (false, true) => self.windows[i].0 = win.0,
+            (false, false) => self.windows.insert(i, win),
+        }
+        (win.0, win.1)
+    }
+
+    fn reserve_fragmented(&mut self, earliest: u64, total: u64, chunk: u64) -> (u64, u64) {
+        let mut remaining = total;
+        let mut t = earliest;
+        let mut first = None;
+        while remaining > 0 {
+            let d = remaining.min(chunk);
+            let (s, e) = self.reserve(t, d);
+            if first.is_none() {
+                first = Some(s);
+            }
+            t = e;
+            remaining -= d;
+        }
+        (first.unwrap_or(earliest), t)
+    }
+
+    fn next_gap(&self, earliest: u64) -> (u64, u64) {
+        let mut t = earliest;
+        let mut i = self.windows.partition_point(|&(_, e)| e <= t);
+        while i < self.windows.len() {
+            let (s, e) = self.windows[i];
+            if s > t {
+                return (t, s - t);
+            }
+            t = e;
+            i += 1;
+        }
+        (t, u64::MAX)
+    }
+
+    fn reserve_packed(&mut self, earliest: u64, total: u64, burst: u64) -> (u64, u64, u64) {
+        if total == 0 {
+            return (earliest, earliest, 0);
+        }
+        let mut remaining = total;
+        let mut t = earliest;
+        let mut first = None;
+        let mut bursts = 0;
+        while remaining > 0 {
+            let (gap_start, gap_len) = self.next_gap(t);
+            let d = remaining.min(burst).min(gap_len);
+            let (s, e) = self.reserve(gap_start, d);
+            if first.is_none() {
+                first = Some(s);
+            }
+            bursts += 1;
+            remaining -= d;
+            t = e;
+        }
+        (first.unwrap_or(earliest), t, bursts)
+    }
+}
+
+/// Where a request's `earliest` lands relative to the previous grant.
+#[derive(Debug, Clone, Copy)]
+enum Jump {
+    /// Just after the previous grant (the common, local case).
+    Near,
+    /// Backwards from the previous grant into older windows.
+    Back,
+    /// Anywhere on the axis.
+    Anywhere,
+    /// Past every booked window.
+    PastHorizon,
+}
+
+proptest! {
+    #[test]
+    fn hinted_search_grants_match_full_search_oracle(
+        reqs in prop::collection::vec(
+            (
+                prop_oneof![
+                    Just(Jump::Near),
+                    Just(Jump::Back),
+                    Just(Jump::Anywhere),
+                    Just(Jump::PastHorizon)
+                ],
+                0u64..4000,
+                req(),
+            ),
+            1..200,
+        ),
+    ) {
+        let mut chan = ResourceChannel::new();
+        let mut oracle = FullSearchChannel::default();
+        let mut last = 0u64;
+        for (jump, off, r) in reqs {
+            let earliest = match jump {
+                Jump::Near => last + off % 16,
+                Jump::Back => last.saturating_sub(off),
+                Jump::Anywhere => off * 4,
+                Jump::PastHorizon => chan.horizon() + off % 64,
+            };
+            let (got, want) = match r {
+                Req::Whole { dur, .. } => {
+                    let (g, w) = (chan.reserve(earliest, dur), oracle.reserve(earliest, dur));
+                    ((g.0, g.1, 0), (w.0, w.1, 0))
+                }
+                Req::Fragmented { total, chunk, .. } => {
+                    let g = chan.reserve_fragmented(earliest, total, chunk);
+                    let w = oracle.reserve_fragmented(earliest, total, chunk);
+                    ((g.0, g.1, 0), (w.0, w.1, 0))
+                }
+                Req::Packed { total, burst, .. } => (
+                    chan.reserve_packed(earliest, total, burst),
+                    oracle.reserve_packed(earliest, total, burst),
+                ),
+            };
+            prop_assert_eq!(got, want, "grant for {:?} from {}", r, earliest);
+            prop_assert_eq!(chan.windows(), &oracle.windows[..], "identical calendars");
+            prop_assert_eq!(chan.horizon(), oracle.windows.last().map_or(0, |w| w.1));
+            last = got.1;
+        }
     }
 }
