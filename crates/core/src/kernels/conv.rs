@@ -20,14 +20,11 @@ fn sr(i: u8) -> Sr {
 }
 
 /// Emits the tap loop for one channel of one stripe: for every filter
-/// tap `(ky, kx)`, broadcast the tap and fused-multiply-accumulate the
-/// slid input row into each accumulator row.
-#[allow(clippy::too_many_arguments)]
+/// tap `(ky, kx)` (filter row `ky` loaded in vreg `ky`), broadcast the
+/// tap and fused-multiply-accumulate the slid input row into each
+/// accumulator row.
 fn accumulate_taps(
     ctx: &mut KernelCtx<'_>,
-    filter: &MatView,
-    f_row0_vreg: usize,
-    f_row0: usize,
     k: usize,
     in0: usize,
     acc0: usize,
@@ -37,8 +34,7 @@ fn accumulate_taps(
 ) -> Result<(), KernelError> {
     for ky in 0..k {
         for kx in 0..k {
-            let tap = ctx.peek(vr(f_row0_vreg + ky), kx, sew) as i32 as u32;
-            let _ = (filter, f_row0);
+            let tap = ctx.peek(vr(ky), kx, sew) as i32 as u32;
             ctx.set_scalar(sr(1), tap);
             for sy in 0..rows {
                 ctx.exec(&[
@@ -126,7 +122,7 @@ impl Kernel for Conv2d {
                     rs: sr(0),
                 }])?;
             }
-            accumulate_taps(ctx, &f, 0, 0, k, in0, acc0, tmp, rows, sew)?;
+            accumulate_taps(ctx, k, in0, acc0, tmp, rows, sew)?;
             for sy in 0..rows {
                 ctx.store_row(acc0 + sy, out.cols, sew, out.row_addr(y0 + sy));
             }
@@ -237,7 +233,7 @@ impl Kernel for ConvLayer3ch {
                 ctx.load_rows(&f, c * k, k, 0)?;
                 ctx.set_vl(a.cols, sew)?;
                 ctx.load_rows(&a, c * h + y0, rows + k - 1, in0)?;
-                accumulate_taps(ctx, &f, 0, c * k, k, in0, acc0, tmp, rows, sew)?;
+                accumulate_taps(ctx, k, in0, acc0, tmp, rows, sew)?;
             }
             // ReLU on every conv row of the stripe.
             for sy in 0..rows {

@@ -29,7 +29,9 @@ use crate::runtime::map::MatView;
 use crate::runtime::map::MatrixMap;
 use crate::sched::SchedView;
 use arcane_fabric::{Fabric, PortStats, HOST_PORT};
-use arcane_isa::launch::{DescriptorBatch, LaunchMode, FUNC5_XMB};
+use arcane_isa::launch::{
+    DescriptorBatch, LaunchDescriptor, LaunchMode, OperandBinding, FUNC5_XMB,
+};
 use arcane_isa::xmnmc::{self, XmnmcOp};
 use arcane_mem::{Access, AccessSize, BusError, Dma2d, ExtMem, Memory};
 use arcane_rv32::{Coprocessor, XifResponse};
@@ -56,6 +58,24 @@ pub struct KernelRecord {
     pub phases: PhaseBreakdown,
 }
 
+/// What a launch pays on the eCPU before its kernel may start.
+#[derive(Debug, Clone, Copy)]
+enum Tariff {
+    /// A legacy `xmkN`: IRQ entry, decode and scheduling, plus the `xmr`
+    /// work folded in since the previous kernel. The kernel's control
+    /// traffic (vector issue, scalar writes, element reads) serialises
+    /// on the shared eCPU.
+    Legacy,
+    /// A descriptor replayed from an `xmb` batch: `entry` (the batch
+    /// entry, paid by the first descriptor only), then the amortised
+    /// decode and per-binding tariff. Control traffic stays on the
+    /// VPU-side decoder.
+    Replay {
+        /// Batch-entry cycles this descriptor pays.
+        entry: u64,
+    },
+}
+
 /// The ARCANE LLC subsystem.
 #[derive(Debug)]
 pub struct ArcaneLlc {
@@ -71,7 +91,6 @@ pub struct ArcaneLlc {
     /// Writeback-completion times of queued kernels (fixed-capacity
     /// kernel queue back-pressure).
     queue_done: VecDeque<u64>,
-    ecpu_free_at: u64,
     vpu_free_at: Vec<u64>,
     /// The shared memory fabric between the controller complex and the
     /// VPU array (kernel DMA bursts, dispatch descriptors, host
@@ -114,7 +133,6 @@ impl ArcaneLlc {
             ),
             dma: Dma2d::new(cfg.dma),
             queue_done: VecDeque::new(),
-            ecpu_free_at: 0,
             vpu_free_at: vec![0; cfg.n_vpus],
             fabric: Fabric::new(cfg.fabric, cfg.n_vpus),
             ecpu_chan: ResourceChannel::new(),
@@ -219,14 +237,15 @@ impl ArcaneLlc {
         rows
     }
 
-    /// Absolute cycle at which all queued kernel work completes.
+    /// Absolute cycle at which all queued kernel work completes: the
+    /// last VPU retirement or the end of the last eCPU booking.
     pub fn completion_time(&self) -> u64 {
         self.vpu_free_at
             .iter()
             .copied()
             .max()
             .unwrap_or(0)
-            .max(self.ecpu_free_at)
+            .max(self.ecpu_chan.horizon())
     }
 
     fn line_data(&self, idx: usize) -> &[u8] {
@@ -400,33 +419,48 @@ impl ArcaneLlc {
         XifResponse::Reject
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn handle_reserve(
-        &mut self,
-        width: Sew,
-        md: arcane_isa::xmnmc::MatReg,
-        addr: u32,
-        stride: u16,
-        cols: u16,
-        rows: u16,
-        now: u64,
-    ) -> XifResponse {
-        let crt = self.cfg.crt;
+    /// Binds a logical matrix register to an operand region (an `xmr`
+    /// or a descriptor binding; renaming applies alike).
+    fn bind(&mut self, b: &OperandBinding, width: Sew) {
         self.map.bind(
-            md,
-            addr,
-            rows as usize,
-            cols as usize,
-            (stride as usize).max(1),
+            b.reg,
+            b.addr,
+            b.rows as usize,
+            b.cols as usize,
+            (b.stride as usize).max(1),
             width,
         );
-        let work = crt.irq_entry + crt.decode + crt.xmr_bind;
-        let earliest = now + crt.bridge_latency;
-        let (_, end) = self.ecpu_chan.reserve_fragmented(earliest, work, 16);
+    }
+
+    /// Books `work` cycles of C-RT software on the (single) eCPU, no
+    /// earlier than `earliest`. Returns the booking's `(start, end)`.
+    fn book_ecpu(&mut self, earliest: u64, work: u64) -> (u64, u64) {
+        let (start, end) = self.ecpu_chan.reserve_fragmented(earliest, work, 16);
         self.ecpu_stats.requests += 1;
         self.ecpu_stats.busy_cycles += work;
         self.ecpu_stats.wait_cycles += (end - earliest).saturating_sub(work);
-        self.ecpu_free_at = self.ecpu_free_at.max(end);
+        (start, end)
+    }
+
+    /// Kernel-queue back-pressure (fixed-capacity, statically allocated
+    /// queue): retires the kernels done by `t`, then returns the first
+    /// cycle at or after `t` at which a queue slot is free.
+    fn queue_slot(&mut self, t: u64) -> u64 {
+        while self.queue_done.front().is_some_and(|&done| done <= t) {
+            self.queue_done.pop_front();
+        }
+        let cap = self.cfg.kernel_queue_capacity;
+        match self.queue_done.len().checked_sub(cap) {
+            Some(i) => t.max(self.queue_done[i]),
+            None => t,
+        }
+    }
+
+    fn handle_reserve(&mut self, width: Sew, binding: &OperandBinding, now: u64) -> XifResponse {
+        let crt = self.cfg.crt;
+        self.bind(binding, width);
+        let work = crt.irq_entry + crt.decode + crt.xmr_bind;
+        self.book_ecpu(now + crt.bridge_latency, work);
         self.pending_preamble += work;
         XifResponse::Accept {
             writeback: None,
@@ -436,58 +470,57 @@ impl ArcaneLlc {
 
     /// Kernel Decoder front half: O(1) library lookup first (unknown
     /// `func5` is the kill path), then operand resolution and shape
-    /// validation. Shared verbatim by the legacy per-instruction path
-    /// and the descriptor-batch replay loop.
-    #[allow(clippy::too_many_arguments)]
+    /// validation.
     fn resolve_launch(
         &self,
-        id: u8,
-        width: Sew,
-        alpha: i16,
-        beta: i16,
-        md: arcane_isa::xmnmc::MatReg,
-        ms1: arcane_isa::xmnmc::MatReg,
-        ms2: arcane_isa::xmnmc::MatReg,
-        ms3: arcane_isa::xmnmc::MatReg,
+        desc: &LaunchDescriptor,
     ) -> Result<(ResolvedArgs, Vec<MatView>, &'static str), KernelError> {
-        let kernel = self.lib.get(id)?;
-        let md_view = self
+        let kernel = self.lib.get(desc.kernel)?;
+        let md = self
             .map
-            .resolve(md)
-            .ok_or(KernelError::UnboundMatrix { reg: md })?;
+            .resolve(desc.md)
+            .ok_or(KernelError::UnboundMatrix { reg: desc.md })?;
         let args = ResolvedArgs {
-            width,
-            alpha,
-            beta,
-            md: md_view,
-            ms1: self.map.resolve(ms1),
-            ms2: self.map.resolve(ms2),
-            ms3: self.map.resolve(ms3),
+            width: desc.width,
+            alpha: desc.alpha,
+            beta: desc.beta,
+            md,
+            ms1: self.map.resolve(desc.ms1),
+            ms2: self.map.resolve(desc.ms2),
+            ms3: self.map.resolve(desc.ms3),
         };
         let sources = kernel.validate(&args)?;
         Ok((args, sources, kernel.name()))
     }
 
-    /// Back half of a launch, after its preamble has been booked on the
-    /// eCPU: schedule the kernel on a VPU, run it, and register its
-    /// hazard windows. `local_issue` selects whether control traffic
-    /// (vector issue, scalar writes, element reads) serialises on the
-    /// shared eCPU (legacy) or stays on the VPU-side decoder
-    /// (descriptor pipeline). Returns the kernel's writeback-completion
-    /// cycle.
-    #[allow(clippy::too_many_arguments)]
-    fn execute_launch(
+    /// The launch step both launch modes share: resolve the descriptor
+    /// (its bindings already installed), book its preamble on the eCPU
+    /// no earlier than `earliest`, schedule it on a VPU, run it, and
+    /// register its hazard windows against `hazard_clock`. Returns the
+    /// end of the preamble booking.
+    fn launch(
         &mut self,
-        id: u8,
-        name: &'static str,
-        args: &ResolvedArgs,
-        sources: &[MatView],
-        decode_start: u64,
-        decode_end: u64,
-        preamble: u64,
-        now: u64,
-        local_issue: bool,
+        desc: &LaunchDescriptor,
+        earliest: u64,
+        hazard_clock: u64,
+        tariff: Tariff,
     ) -> Result<u64, KernelError> {
+        let (args, sources, name) = self.resolve_launch(desc)?;
+        let crt = self.cfg.crt;
+        let (preamble, local_issue) = match tariff {
+            Tariff::Legacy => {
+                let pending = std::mem::take(&mut self.pending_preamble);
+                (crt.irq_entry + crt.decode + crt.schedule + pending, false)
+            }
+            Tariff::Replay { entry } => {
+                let p = entry + crt.desc_decode + crt.desc_bind * desc.bindings.len() as u64;
+                self.launch_stats.descriptors += 1;
+                self.launch_stats.decode_cycles += p;
+                (p, true)
+            }
+        };
+        let (decode_start, decode_end) = self.book_ecpu(earliest, preamble);
+
         // Scheduler: VPU choice and kernel start.
         let vpu = self.choose_vpu();
         let t_start = decode_end.max(self.vpu_free_at[vpu]);
@@ -499,7 +532,7 @@ impl ArcaneLlc {
             table: &mut self.table,
             ext: &mut self.ext,
             dma: self.dma,
-            crt: self.cfg.crt,
+            crt,
             locks: &mut self.locks,
             fabric: &mut self.fabric,
             port: Fabric::vpu_port(vpu),
@@ -514,8 +547,11 @@ impl ArcaneLlc {
             last_alloc_end: t_start,
             writebacks: 0,
         };
-        let kernel = self.lib.get(id).expect("resolved before execution");
-        kernel.run(args, &mut ctx)?;
+        let kernel = self
+            .lib
+            .get(desc.kernel)
+            .expect("resolved before execution");
+        kernel.run(&args, &mut ctx)?;
         let end = ctx.t;
         let phases = ctx.phases;
         let last_alloc_end = ctx.last_alloc_end;
@@ -532,7 +568,7 @@ impl ArcaneLlc {
         // Address Table: WAR protection on sources until the last
         // allocation, RAW/WAW protection on the destination until
         // writeback completes.
-        for s in sources {
+        for s in &sources {
             let entry = AtEntry {
                 start: s.addr,
                 end: s.end_addr(),
@@ -540,7 +576,7 @@ impl ArcaneLlc {
                 protect_until: last_alloc_end,
                 matrix: s.phys_id,
             };
-            if self.at.register(entry, now).is_err() {
+            if self.at.register(entry, hazard_clock).is_err() {
                 return Err(KernelError::ShapeMismatch {
                     what: "address table exhausted",
                 });
@@ -553,7 +589,7 @@ impl ArcaneLlc {
             protect_until: end,
             matrix: args.md.phys_id,
         };
-        if self.at.register(dest_entry, now).is_err() {
+        if self.at.register(dest_entry, hazard_clock).is_err() {
             return Err(KernelError::ShapeMismatch {
                 what: "address table exhausted",
             });
@@ -561,9 +597,9 @@ impl ArcaneLlc {
 
         self.vpu_free_at[vpu] = end;
         self.queue_done.push_back(end);
-        self.locks.prune(now.saturating_sub(1));
+        self.locks.prune(hazard_clock.saturating_sub(1));
         self.records.push(KernelRecord {
-            id,
+            id: desc.kernel,
             name,
             width: args.width,
             vpu,
@@ -571,72 +607,19 @@ impl ArcaneLlc {
             end,
             phases,
         });
-        Ok(end)
+        Ok(decode_end)
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn handle_kernel(
-        &mut self,
-        id: u8,
-        width: Sew,
-        alpha: i16,
-        beta: i16,
-        md: arcane_isa::xmnmc::MatReg,
-        ms1: arcane_isa::xmnmc::MatReg,
-        ms2: arcane_isa::xmnmc::MatReg,
-        ms3: arcane_isa::xmnmc::MatReg,
-        now: u64,
-    ) -> XifResponse {
+    /// A legacy `xmkN`: a one-descriptor replay at the legacy tariff.
+    /// The host handshake stalls until a kernel-queue slot frees, and
+    /// the kernel's hazard windows age against the host's issue time.
+    fn handle_kernel(&mut self, desc: &LaunchDescriptor, now: u64) -> XifResponse {
         let crt = self.cfg.crt;
-
-        // Kernel-queue back-pressure: the host handshake stalls until a
-        // slot frees (fixed-capacity, statically allocated queue).
-        while let Some(&front) = self.queue_done.front() {
-            if front <= now {
-                self.queue_done.pop_front();
-            } else {
-                break;
-            }
-        }
-        let mut host_cycles = crt.bridge_latency;
-        let mut t_now = now;
-        if self.queue_done.len() >= self.cfg.kernel_queue_capacity {
-            let free_at = self.queue_done[self.queue_done.len() - self.cfg.kernel_queue_capacity];
-            host_cycles += free_at.saturating_sub(now);
-            t_now = free_at;
-        }
-
-        let (args, sources, name) =
-            match self.resolve_launch(id, width, alpha, beta, md, ms1, ms2, ms3) {
-                Ok(v) => v,
-                Err(e) => return self.reject(e),
-            };
-
-        // Preamble: IRQ entry, decode, scheduling, plus any pending xmr
-        // work, booked on the (single) eCPU.
-        let preamble = crt.irq_entry + crt.decode + crt.schedule + self.pending_preamble;
-        self.pending_preamble = 0;
-        let earliest = t_now + crt.bridge_latency;
-        let (decode_start, decode_end) = self.ecpu_chan.reserve_fragmented(earliest, preamble, 16);
-        self.ecpu_stats.requests += 1;
-        self.ecpu_stats.busy_cycles += preamble;
-        self.ecpu_stats.wait_cycles += (decode_end - earliest).saturating_sub(preamble);
-        self.ecpu_free_at = self.ecpu_free_at.max(decode_end);
-
-        match self.execute_launch(
-            id,
-            name,
-            &args,
-            &sources,
-            decode_start,
-            decode_end,
-            preamble,
-            now,
-            false,
-        ) {
+        let t = self.queue_slot(now);
+        match self.launch(desc, t + crt.bridge_latency, now, Tariff::Legacy) {
             Ok(_) => XifResponse::Accept {
                 writeback: None,
-                cycles: host_cycles,
+                cycles: crt.bridge_latency + (t - now),
             },
             Err(e) => self.reject(e),
         }
@@ -688,83 +671,23 @@ impl ArcaneLlc {
         self.launch_stats.batches += 1;
         self.launch_stats.batch_bytes += bytes.len() as u64;
 
+        // Batch entry is paid once, by the first descriptor. Hazard
+        // windows age against the replay cursor (not the host's launch
+        // time): the queue back-pressure bounds the AT's live entries
+        // exactly as the host handshake does on the legacy path.
         let mut cursor = grant.end;
         let mut entry = crt.batch_entry;
         for desc in &batch.descriptors {
-            // Kernel-queue back-pressure, absorbed at the decoder: the
-            // replay cursor waits for a slot instead of the host.
-            while let Some(&front) = self.queue_done.front() {
-                if front <= cursor {
-                    self.queue_done.pop_front();
-                } else {
-                    break;
-                }
-            }
-            if self.queue_done.len() >= self.cfg.kernel_queue_capacity {
-                let free_at =
-                    self.queue_done[self.queue_done.len() - self.cfg.kernel_queue_capacity];
-                cursor = cursor.max(free_at);
-            }
-
-            // Install the descriptor's fresh bindings (renaming applies
-            // exactly as it would for the equivalent xmr train).
+            cursor = self.queue_slot(cursor);
             for b in &desc.bindings {
-                self.map.bind(
-                    b.reg,
-                    b.addr,
-                    b.rows as usize,
-                    b.cols as usize,
-                    (b.stride as usize).max(1),
-                    desc.width,
-                );
+                self.bind(b, desc.width);
             }
             self.launch_stats.bindings += desc.bindings.len() as u64;
-
-            let (args, sources, name) = match self.resolve_launch(
-                desc.kernel,
-                desc.width,
-                desc.alpha,
-                desc.beta,
-                desc.md,
-                desc.ms1,
-                desc.ms2,
-                desc.ms3,
-            ) {
-                Ok(v) => v,
+            match self.launch(desc, cursor, cursor, Tariff::Replay { entry }) {
+                Ok(decode_end) => cursor = decode_end,
                 Err(e) => return self.reject(e),
-            };
-
-            // Amortised preamble: batch entry once, then the replay
-            // tariff per descriptor.
-            let preamble = entry + crt.desc_decode + crt.desc_bind * desc.bindings.len() as u64;
-            entry = 0;
-            let (decode_start, decode_end) =
-                self.ecpu_chan.reserve_fragmented(cursor, preamble, 16);
-            self.ecpu_stats.requests += 1;
-            self.ecpu_stats.busy_cycles += preamble;
-            self.ecpu_stats.wait_cycles += (decode_end - cursor).saturating_sub(preamble);
-            self.ecpu_free_at = self.ecpu_free_at.max(decode_end);
-            self.launch_stats.descriptors += 1;
-            self.launch_stats.decode_cycles += preamble;
-
-            // Hazard windows age against the decoder's replay cursor
-            // (not the host's launch time): the queue back-pressure
-            // above bounds the AT's live entries exactly as the host
-            // handshake does on the legacy path.
-            if let Err(e) = self.execute_launch(
-                desc.kernel,
-                name,
-                &args,
-                &sources,
-                decode_start,
-                decode_end,
-                preamble,
-                cursor,
-                true,
-            ) {
-                return self.reject(e);
             }
-            cursor = decode_end;
+            entry = 0;
         }
 
         XifResponse::Accept {
@@ -823,7 +746,16 @@ impl Coprocessor for ArcaneLlc {
                 stride,
                 cols,
                 rows,
-            } => self.handle_reserve(width, md, addr, stride, cols, rows, now),
+            } => {
+                let binding = OperandBinding {
+                    reg: md,
+                    addr,
+                    stride,
+                    cols,
+                    rows,
+                };
+                self.handle_reserve(width, &binding, now)
+            }
             XmnmcOp::Kernel {
                 id,
                 width,
@@ -833,7 +765,21 @@ impl Coprocessor for ArcaneLlc {
                 ms1,
                 ms2,
                 ms3,
-            } => self.handle_kernel(id, width, alpha, beta, md, ms1, ms2, ms3, now),
+            } => {
+                let desc = LaunchDescriptor {
+                    kernel: id,
+                    width,
+                    alpha,
+                    beta,
+                    md,
+                    ms1,
+                    ms2,
+                    ms3,
+                    bindings: Vec::new(),
+                    token: 0,
+                };
+                self.handle_kernel(&desc, now)
+            }
         }
     }
 }

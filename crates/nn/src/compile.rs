@@ -1,24 +1,25 @@
 //! Graph → kernel-chain compiler: lowers a [`LayerGraph`] to the
 //! `xmnmc` instruction stream of a host program.
 //!
-//! Two launch backends share the planner and implement the same
-//! per-node slicing rules ([`CompileOptions::launch`]); the rules are
-//! written out twice (`Emitter::node` and `lower_to_launches`) because
-//! the legacy stream must stay byte-identical to the pre-descriptor
-//! tree — keep the two walks in lockstep when adding node types (the
-//! cross-mode tests below and the suite's bit-exact runs pin every
-//! current node kind in both backends):
+//! Compilation has one lowering and two emitters. The lowering walks
+//! the graph once and applies the per-node slicing rules: every node
+//! becomes a run of kernel launches, each naming the dense operand
+//! regions it reads and writes. Both launch backends
+//! ([`CompileOptions::launch`]) emit from that one launch list, and
+//! they share the host-traffic window, the traffic-burst rule and the
+//! output-sync epilogue:
 //!
 //! * **Legacy** (default) — the host-program idiom of the paper's
 //!   Listing 1 (and `arcane_system::programs::offload`): for every
-//!   kernel the host materialises the three packed operand registers,
+//!   launch the host materialises the three packed operand registers,
 //!   issues the `xmr` reservations for the operands the kernel touches,
 //!   then issues the `xmkN` itself. A fixed trio of logical matrix
 //!   registers (`m0` = destination, `m1`/`m2` = sources) is rebound
 //!   before every kernel — the C-RT's renaming gives each binding a
 //!   fresh physical identity, so chained kernels keep their captured
-//!   operands while the host moves on (§IV-B1). This backend's
-//!   instruction stream is byte-identical to the pre-descriptor tree.
+//!   operands while the host moves on (§IV-B1). An operand shared by
+//!   every slice of a node (GeMM's weights) is bound once, before the
+//!   slices.
 //! * **Descriptor** — the batched launch pipeline (ARCHITECTURE.md
 //!   "Launch pipeline"): a linear-scan tensor-register allocator keeps
 //!   hot operand regions bound across the whole kernel chain over all
@@ -205,193 +206,8 @@ fn check_dims(rows: usize, cols: usize) -> Result<(), CompileError> {
     }
 }
 
-struct Emitter<'g> {
-    graph: &'g LayerGraph,
-    layout: GraphLayout,
-    asm: Asm,
-    sew: Sew,
-    esz: usize,
-    kernels: usize,
-    reservations: usize,
-    traffic: Option<(HostTraffic, HostTrafficGen)>,
-    host_stores: usize,
-}
-
-const MD: u8 = 0;
-const MS1: u8 = 1;
-const MS2: u8 = 2;
-
 fn m(i: u8) -> MatReg {
     MatReg::new(i).expect("matrix register")
-}
-
-impl Emitter<'_> {
-    fn vals(&mut self, vals: (u32, u32, u32)) {
-        self.asm.li(A0, vals.0 as i32);
-        self.asm.li(A1, vals.1 as i32);
-        self.asm.li(A2, vals.2 as i32);
-    }
-
-    /// `xmr` binding `reg` to a dense `rows × cols` region at `addr`.
-    fn xmr(&mut self, reg: u8, addr: u32, rows: usize, cols: usize) -> Result<(), CompileError> {
-        check_dims(rows, cols)?;
-        self.vals(xmnmc::pack_xmr(addr, 1, m(reg), cols as u16, rows as u16));
-        self.asm.raw(xmnmc::xmr_instr(self.sew, A0, A1, A2));
-        self.reservations += 1;
-        Ok(())
-    }
-
-    /// Binds `reg` to a row slice `[y0, y0 + rows)` of a placement.
-    fn bind_slice(
-        &mut self,
-        reg: u8,
-        p: Placement,
-        y0: usize,
-        rows: usize,
-    ) -> Result<(), CompileError> {
-        self.xmr(reg, p.row_addr(y0, self.esz), rows, p.cols)
-    }
-
-    /// Binds `reg` to a whole tensor.
-    fn bind(&mut self, reg: u8, t: TensorId) -> Result<(), CompileError> {
-        let p = self.layout.place(t);
-        self.xmr(reg, p.addr, p.rows, p.cols)
-    }
-
-    /// `xmkN` on the currently bound registers.
-    fn xmk(&mut self, id: u8, alpha: i16, beta: i16) {
-        // Unused source slots name ms1 — always bound, never read.
-        self.vals(xmnmc::pack_kernel(
-            alpha,
-            beta,
-            m(MD),
-            m(MS1),
-            m(MS2),
-            m(MS1),
-        ));
-        self.asm.raw(xmnmc::xmk_instr(id, self.sew, A0, A1, A2));
-        self.kernels += 1;
-        self.emit_host_traffic();
-    }
-
-    /// After every `period`-th kernel offload, the host dirties the
-    /// scratch window: one word store per cache line (the generator
-    /// walks the window round-robin, so the working set is re-dirtied
-    /// on every burst).
-    fn emit_host_traffic(&mut self) {
-        let Some((knob, traffic_gen)) = self.traffic.as_mut() else {
-            return;
-        };
-        if !self.kernels.is_multiple_of(knob.period) {
-            return;
-        }
-        let addrs = traffic_gen.burst(knob.bytes);
-        for addr in addrs {
-            self.asm.li(T0, addr as i32);
-            self.asm.li(T1, self.host_stores as i32);
-            self.asm.sw(T1, T0, 0);
-            self.host_stores += 1;
-        }
-    }
-
-    /// Emits a row-parallel unary kernel (`input → dest`, same shape),
-    /// split into `instances` row slices.
-    fn unary_rowwise(
-        &mut self,
-        id: u8,
-        alpha: i16,
-        beta: i16,
-        input: TensorId,
-        dest: TensorId,
-        instances: usize,
-    ) -> Result<(), CompileError> {
-        let pi = self.layout.place(input);
-        let pd = self.layout.place(dest);
-        for (y0, rows) in split_rows(pd.rows, instances) {
-            self.bind_slice(MS1, pi, y0, rows)?;
-            self.bind_slice(MD, pd, y0, rows)?;
-            self.xmk(id, alpha, beta);
-        }
-        Ok(())
-    }
-
-    fn node(&mut self, node: &Node, instances: usize) -> Result<(), CompileError> {
-        match *node {
-            Node::Conv2d {
-                input,
-                filter,
-                dest,
-            } => {
-                self.bind(MS1, input)?;
-                self.bind(MS2, filter)?;
-                self.bind(MD, dest)?;
-                self.xmk(kernel_id::CONV2D, 0, 0);
-            }
-            Node::DepthwiseConv {
-                input,
-                filter,
-                channels,
-                dest,
-            } => {
-                let pi = self.layout.place(input);
-                let pf = self.layout.place(filter);
-                let pd = self.layout.place(dest);
-                let (h, k, oh) = (pi.rows / channels, pf.rows / channels, pd.rows / channels);
-                for c in 0..channels {
-                    self.bind_slice(MS1, pi, c * h, h)?;
-                    self.bind_slice(MS2, pf, c * k, k)?;
-                    self.bind_slice(MD, pd, c * oh, oh)?;
-                    self.xmk(kernel_id::CONV2D, 0, 0);
-                }
-            }
-            Node::Gemm { a, b, dest } => {
-                let pa = self.layout.place(a);
-                let pd = self.layout.place(dest);
-                self.bind(MS2, b)?;
-                for (y0, rows) in split_rows(pa.rows, instances) {
-                    self.bind_slice(MS1, pa, y0, rows)?;
-                    self.bind_slice(MD, pd, y0, rows)?;
-                    self.xmk(kernel_id::GEMM, 1, 0);
-                }
-            }
-            Node::ResidualAdd { a, b, dest } => {
-                let pa = self.layout.place(a);
-                let pb = self.layout.place(b);
-                let pd = self.layout.place(dest);
-                for (y0, rows) in split_rows(pd.rows, instances) {
-                    self.bind_slice(MS1, pa, y0, rows)?;
-                    self.bind_slice(MS2, pb, y0, rows)?;
-                    self.bind_slice(MD, pd, y0, rows)?;
-                    self.xmk(kernel_id::MAT_ADD, 0, 0);
-                }
-            }
-            Node::Requantise {
-                input,
-                mul,
-                shift,
-                dest,
-            } => self.unary_rowwise(kernel_id::MAT_SCALE, mul, shift, input, dest, instances)?,
-            Node::LeakyRelu { input, shift, dest } => {
-                self.unary_rowwise(kernel_id::LEAKY_RELU, shift, 0, input, dest, instances)?
-            }
-            Node::MaxPool {
-                input,
-                win,
-                stride,
-                dest,
-            } => {
-                self.bind(MS1, input)?;
-                self.bind(MD, dest)?;
-                self.xmk(kernel_id::MAXPOOL, stride as i16, win as i16);
-            }
-            Node::Transpose { input, dest } => {
-                self.bind(MS1, input)?;
-                self.bind(MD, dest)?;
-                self.xmk(kernel_id::TRANSPOSE, 0, 0);
-            }
-        }
-        Ok(())
-    }
 }
 
 fn load_op(sew: Sew) -> LoadOp {
@@ -403,7 +219,7 @@ fn load_op(sew: Sew) -> LoadOp {
 }
 
 // ---------------------------------------------------------------------
-// Descriptor backend: launch list, linear-scan allocation, batching.
+// The lowering: one walk of the graph into a flat launch list.
 // ---------------------------------------------------------------------
 
 /// A dense operand region a kernel binds: the allocator's unit of
@@ -434,9 +250,7 @@ impl Region {
     }
 }
 
-/// One kernel invocation in region form (`ms2 == ms1` for kernels that
-/// never read a second source — the slot is bound, never read, exactly
-/// like the legacy backend's `ms3 = ms1` idiom).
+/// One kernel invocation in region form.
 #[derive(Debug, Clone, Copy)]
 struct Launch {
     kernel: u8,
@@ -444,165 +258,374 @@ struct Launch {
     beta: i16,
     md: Region,
     ms1: Region,
-    ms2: Region,
+    /// Second source, `None` for kernels that read only one. The
+    /// encoded `ms2` (and `ms3`) fields then name the `ms1` register:
+    /// bound, never read.
+    ms2: Option<Region>,
 }
 
 impl Launch {
+    /// The operand regions in binding order (an absent `ms2` repeats
+    /// `ms1`, which the allocator folds into one binding).
     fn regions(&self) -> [Region; 3] {
-        [self.ms1, self.ms2, self.md]
+        [self.ms1, self.ms2.unwrap_or(self.ms1), self.md]
     }
 }
 
-/// Walks the graph with the same per-node slicing rules as the legacy
-/// emitter and returns the flat launch list plus the number of launches
-/// each node contributed (= the batch framing).
-fn lower_to_launches(
-    graph: &LayerGraph,
-    layout: &GraphLayout,
+/// The launches one graph node lowers to: one descriptor batch, or one
+/// legacy `xmr`/`xmkN` train.
+#[derive(Debug, Clone, Copy)]
+struct NodeLaunches {
+    /// Launches (slices) the node contributes.
+    len: usize,
+    /// Every slice reads the same whole `ms2` region (GeMM's weights):
+    /// the legacy stream binds it once, before the slices.
+    shared_ms2: bool,
+}
+
+/// A graph lowered to kernel launches, the input of both emitters.
+struct Lowering<'a> {
+    layout: &'a GraphLayout,
     esz: usize,
     instances: usize,
-) -> Result<(Vec<Launch>, Vec<usize>), CompileError> {
-    let mut launches = Vec::new();
-    let mut per_node = Vec::with_capacity(graph.nodes().len());
-    let unary = |launches: &mut Vec<Launch>,
-                 id: u8,
-                 alpha: i16,
-                 beta: i16,
-                 input: TensorId,
-                 dest: TensorId|
-     -> Result<usize, CompileError> {
-        let pi = layout.place(input);
-        let pd = layout.place(dest);
-        let slices = split_rows(pd.rows, instances);
-        for &(y0, rows) in &slices {
-            let ms1 = Region::slice(pi, y0, rows, esz)?;
-            launches.push(Launch {
-                kernel: id,
-                alpha,
-                beta,
-                md: Region::slice(pd, y0, rows, esz)?,
-                ms1,
-                ms2: ms1,
+    launches: Vec<Launch>,
+    nodes: Vec<NodeLaunches>,
+}
+
+impl<'a> Lowering<'a> {
+    /// Applies the per-node slicing rules to every node of `graph`.
+    fn new(
+        graph: &LayerGraph,
+        layout: &'a GraphLayout,
+        instances: usize,
+    ) -> Result<Self, CompileError> {
+        let mut l = Lowering {
+            layout,
+            esz: graph.sew().bytes(),
+            instances,
+            launches: Vec::new(),
+            nodes: Vec::with_capacity(graph.nodes().len()),
+        };
+        for node in graph.nodes() {
+            let first = l.launches.len();
+            let mut shared_ms2 = false;
+            match *node {
+                Node::Conv2d {
+                    input,
+                    filter,
+                    dest,
+                } => l.whole_op(kernel_id::CONV2D, (0, 0), input, Some(filter), dest)?,
+                Node::DepthwiseConv {
+                    input,
+                    filter,
+                    channels,
+                    dest,
+                } => {
+                    let rows = |t: TensorId| l.layout.place(t).rows / channels;
+                    let (h, k, oh) = (rows(input), rows(filter), rows(dest));
+                    for c in 0..channels {
+                        let ms1 = l.slice(input, c * h, h)?;
+                        let ms2 = Some(l.slice(filter, c * k, k)?);
+                        let md = l.slice(dest, c * oh, oh)?;
+                        l.push(kernel_id::CONV2D, (0, 0), ms1, ms2, md);
+                    }
+                }
+                Node::Gemm { a, b, dest } => {
+                    shared_ms2 = true;
+                    let ms2 = Some(l.whole(b)?);
+                    for (y0, rows) in split_rows(l.layout.place(a).rows, instances) {
+                        let ms1 = l.slice(a, y0, rows)?;
+                        l.push(kernel_id::GEMM, (1, 0), ms1, ms2, l.slice(dest, y0, rows)?);
+                    }
+                }
+                Node::ResidualAdd { a, b, dest } => {
+                    l.rowwise(kernel_id::MAT_ADD, (0, 0), a, Some(b), dest)?
+                }
+                Node::Requantise {
+                    input,
+                    mul,
+                    shift,
+                    dest,
+                } => l.rowwise(kernel_id::MAT_SCALE, (mul, shift), input, None, dest)?,
+                Node::LeakyRelu { input, shift, dest } => {
+                    l.rowwise(kernel_id::LEAKY_RELU, (shift, 0), input, None, dest)?
+                }
+                Node::MaxPool {
+                    input,
+                    win,
+                    stride,
+                    dest,
+                } => {
+                    let params = (stride as i16, win as i16);
+                    l.whole_op(kernel_id::MAXPOOL, params, input, None, dest)?
+                }
+                Node::Transpose { input, dest } => {
+                    l.whole_op(kernel_id::TRANSPOSE, (0, 0), input, None, dest)?
+                }
+            }
+            l.nodes.push(NodeLaunches {
+                len: l.launches.len() - first,
+                shared_ms2,
             });
         }
-        Ok(slices.len())
-    };
-    for node in graph.nodes() {
-        let n = match *node {
-            Node::Conv2d {
-                input,
-                filter,
-                dest,
-            } => {
-                let ms1 = Region::of(layout.place(input))?;
-                launches.push(Launch {
-                    kernel: kernel_id::CONV2D,
-                    alpha: 0,
-                    beta: 0,
-                    md: Region::of(layout.place(dest))?,
-                    ms1,
-                    ms2: Region::of(layout.place(filter))?,
-                });
-                1
-            }
-            Node::DepthwiseConv {
-                input,
-                filter,
-                channels,
-                dest,
-            } => {
-                let pi = layout.place(input);
-                let pf = layout.place(filter);
-                let pd = layout.place(dest);
-                let (h, k, oh) = (pi.rows / channels, pf.rows / channels, pd.rows / channels);
-                for c in 0..channels {
-                    launches.push(Launch {
-                        kernel: kernel_id::CONV2D,
-                        alpha: 0,
-                        beta: 0,
-                        md: Region::slice(pd, c * oh, oh, esz)?,
-                        ms1: Region::slice(pi, c * h, h, esz)?,
-                        ms2: Region::slice(pf, c * k, k, esz)?,
-                    });
-                }
-                channels
-            }
-            Node::Gemm { a, b, dest } => {
-                let pa = layout.place(a);
-                let pd = layout.place(dest);
-                let ms2 = Region::of(layout.place(b))?;
-                let slices = split_rows(pa.rows, instances);
-                for &(y0, rows) in &slices {
-                    launches.push(Launch {
-                        kernel: kernel_id::GEMM,
-                        alpha: 1,
-                        beta: 0,
-                        md: Region::slice(pd, y0, rows, esz)?,
-                        ms1: Region::slice(pa, y0, rows, esz)?,
-                        ms2,
-                    });
-                }
-                slices.len()
-            }
-            Node::ResidualAdd { a, b, dest } => {
-                let pa = layout.place(a);
-                let pb = layout.place(b);
-                let pd = layout.place(dest);
-                let slices = split_rows(pd.rows, instances);
-                for &(y0, rows) in &slices {
-                    launches.push(Launch {
-                        kernel: kernel_id::MAT_ADD,
-                        alpha: 0,
-                        beta: 0,
-                        md: Region::slice(pd, y0, rows, esz)?,
-                        ms1: Region::slice(pa, y0, rows, esz)?,
-                        ms2: Region::slice(pb, y0, rows, esz)?,
-                    });
-                }
-                slices.len()
-            }
-            Node::Requantise {
-                input,
-                mul,
-                shift,
-                dest,
-            } => unary(&mut launches, kernel_id::MAT_SCALE, mul, shift, input, dest)?,
-            Node::LeakyRelu { input, shift, dest } => {
-                unary(&mut launches, kernel_id::LEAKY_RELU, shift, 0, input, dest)?
-            }
-            Node::MaxPool {
-                input,
-                win,
-                stride,
-                dest,
-            } => {
-                let ms1 = Region::of(layout.place(input))?;
-                launches.push(Launch {
-                    kernel: kernel_id::MAXPOOL,
-                    alpha: stride as i16,
-                    beta: win as i16,
-                    md: Region::of(layout.place(dest))?,
-                    ms1,
-                    ms2: ms1,
-                });
-                1
-            }
-            Node::Transpose { input, dest } => {
-                let ms1 = Region::of(layout.place(input))?;
-                launches.push(Launch {
-                    kernel: kernel_id::TRANSPOSE,
-                    alpha: 0,
-                    beta: 0,
-                    md: Region::of(layout.place(dest))?,
-                    ms1,
-                    ms2: ms1,
-                });
-                1
-            }
-        };
-        per_node.push(n);
+        Ok(l)
     }
-    Ok((launches, per_node))
+
+    fn whole(&self, t: TensorId) -> Result<Region, CompileError> {
+        Region::of(self.layout.place(t))
+    }
+
+    fn slice(&self, t: TensorId, y0: usize, rows: usize) -> Result<Region, CompileError> {
+        Region::slice(self.layout.place(t), y0, rows, self.esz)
+    }
+
+    fn push(
+        &mut self,
+        kernel: u8,
+        (alpha, beta): (i16, i16),
+        ms1: Region,
+        ms2: Option<Region>,
+        md: Region,
+    ) {
+        self.launches.push(Launch {
+            kernel,
+            alpha,
+            beta,
+            md,
+            ms1,
+            ms2,
+        });
+    }
+
+    /// A kernel over whole tensors: one launch.
+    fn whole_op(
+        &mut self,
+        kernel: u8,
+        params: (i16, i16),
+        ms1: TensorId,
+        ms2: Option<TensorId>,
+        dest: TensorId,
+    ) -> Result<(), CompileError> {
+        let r1 = self.whole(ms1)?;
+        let r2 = ms2.map(|t| self.whole(t)).transpose()?;
+        self.push(kernel, params, r1, r2, self.whole(dest)?);
+        Ok(())
+    }
+
+    /// A row-parallel kernel, split into `instances` row slices of
+    /// `dest` with the sources sliced alike.
+    fn rowwise(
+        &mut self,
+        kernel: u8,
+        params: (i16, i16),
+        ms1: TensorId,
+        ms2: Option<TensorId>,
+        dest: TensorId,
+    ) -> Result<(), CompileError> {
+        for (y0, rows) in split_rows(self.layout.place(dest).rows, self.instances) {
+            let r1 = self.slice(ms1, y0, rows)?;
+            let r2 = ms2.map(|t| self.slice(t, y0, rows)).transpose()?;
+            self.push(kernel, params, r1, r2, self.slice(dest, y0, rows)?);
+        }
+        Ok(())
+    }
+
+    /// Each node's framing with the launches it lowered to.
+    fn per_node(&self) -> impl Iterator<Item = (NodeLaunches, &[Launch])> {
+        let mut rest = &self.launches[..];
+        self.nodes.iter().map(move |&n| {
+            let (node, tail) = rest.split_at(n.len);
+            rest = tail;
+            (n, node)
+        })
+    }
+}
+
+// ---------------------------------------------------------------------
+// Emission: the host-program frame both backends share.
+// ---------------------------------------------------------------------
+
+/// Host-program state both launch backends emit into.
+struct Program {
+    asm: Asm,
+    kernels: usize,
+    reservations: usize,
+    traffic: Option<(HostTraffic, HostTrafficGen)>,
+    host_stores: usize,
+    mem_end: u32,
+}
+
+impl Program {
+    /// An empty program whose data ends at `end`. The host-traffic
+    /// scratch window (when the knob is set) sits line-aligned past it,
+    /// sized to one burst, so stores dirty cache lines without touching
+    /// any operand or descriptor table.
+    fn new(end: u32, knob: Option<HostTraffic>) -> Self {
+        let scratch = align_line(end);
+        let span = |k: HostTraffic| k.bytes.next_multiple_of(LINE_BYTES).max(LINE_BYTES);
+        Program {
+            asm: Asm::new(),
+            kernels: 0,
+            reservations: 0,
+            traffic: knob.map(|k| (k, HostTrafficGen::new(scratch, span(k), LINE_BYTES))),
+            host_stores: 0,
+            mem_end: knob.map_or(end, |k| scratch + span(k)),
+        }
+    }
+
+    /// Materialises the packed operand values in `a0`–`a2`.
+    fn vals(&mut self, vals: (u32, u32, u32)) {
+        self.asm.li(A0, vals.0 as i32);
+        self.asm.li(A1, vals.1 as i32);
+        self.asm.li(A2, vals.2 as i32);
+    }
+
+    /// `xmr` binding `reg` to region `r`.
+    fn xmr(&mut self, sew: Sew, reg: u8, r: Region) {
+        self.vals(xmnmc::pack_xmr(r.addr, 1, m(reg), r.cols, r.rows));
+        self.asm.raw(xmnmc::xmr_instr(sew, A0, A1, A2));
+        self.reservations += 1;
+    }
+
+    /// Counts `n` just-launched kernels. After every `period`-th kernel
+    /// the host dirties the scratch window: one word store per cache
+    /// line (the generator walks the window round-robin, so the working
+    /// set is re-dirtied on every burst).
+    fn launched(&mut self, n: usize) {
+        let first = self.kernels;
+        self.kernels += n;
+        let Some((knob, traffic_gen)) = self.traffic.as_mut() else {
+            return;
+        };
+        for k in first + 1..=self.kernels {
+            if !k.is_multiple_of(knob.period) {
+                continue;
+            }
+            for addr in traffic_gen.burst(knob.bytes) {
+                self.asm.li(T0, addr as i32);
+                self.asm.li(T1, self.host_stores as i32);
+                self.asm.sw(T1, T0, 0);
+                self.host_stores += 1;
+            }
+        }
+    }
+
+    /// Synchronises on every output, halts, and packages the program.
+    fn finish(
+        mut self,
+        graph: &LayerGraph,
+        layout: GraphLayout,
+        launch: LaunchMode,
+        tables: Vec<DescriptorTable>,
+    ) -> NnProgram {
+        let op = load_op(graph.sew());
+        for &out in graph.outputs() {
+            self.asm.li(T0, layout.place(out).addr as i32);
+            self.asm.load(op, T1, T0, 0);
+        }
+        self.asm.ebreak();
+        NnProgram {
+            asm: self.asm,
+            layout,
+            kernels: self.kernels,
+            reservations: self.reservations,
+            host_stores: self.host_stores,
+            mem_end: self.mem_end,
+            launch,
+            batches: tables.len(),
+            tables,
+        }
+    }
+}
+
+const MD: u8 = 0;
+const MS1: u8 = 1;
+const MS2: u8 = 2;
+
+/// Legacy backend: replays the launch list as `xmr`/`xmkN` trains on
+/// the fixed `m0`–`m2` registers. A node's shared `ms2` is bound once,
+/// before its slices; every other operand is rebound per launch in
+/// `ms1`, `ms2`, `md` order.
+fn emit_legacy(graph: &LayerGraph, lowering: &Lowering, opts: &CompileOptions) -> Program {
+    let sew = graph.sew();
+    let mut p = Program::new(lowering.layout.end, opts.host_traffic);
+    let (md, ms1, ms2) = (m(MD), m(MS1), m(MS2));
+    for (node, launches) in lowering.per_node() {
+        if node.shared_ms2 {
+            p.xmr(sew, MS2, launches[0].ms2.expect("shared ms2 is bound"));
+        }
+        for l in launches {
+            p.xmr(sew, MS1, l.ms1);
+            if let Some(r) = l.ms2.filter(|_| !node.shared_ms2) {
+                p.xmr(sew, MS2, r);
+            }
+            p.xmr(sew, MD, l.md);
+            // The unused ms3 slot names ms1: always bound, never read.
+            p.vals(xmnmc::pack_kernel(l.alpha, l.beta, md, ms1, ms2, ms1));
+            p.asm.raw(xmnmc::xmk_instr(l.kernel, sew, A0, A1, A2));
+            p.launched(1);
+        }
+    }
+    p
+}
+
+/// Descriptor backend: allocates the launch list onto the matrix
+/// registers and emits one `xmb` per node. The encoded tables sit
+/// line-aligned past the tensor arena; the traffic scratch window moves
+/// past them.
+fn emit_descriptor(
+    graph: &LayerGraph,
+    lowering: &Lowering,
+    opts: &CompileOptions,
+) -> (Program, Vec<DescriptorTable>) {
+    let sew = graph.sew();
+    let mut alloc = RegAlloc::new(&lowering.launches);
+    let mut batches: Vec<DescriptorBatch> = Vec::with_capacity(lowering.nodes.len());
+    let mut pos = 0usize;
+    for (_, launches) in lowering.per_node() {
+        let mut descriptors = Vec::with_capacity(launches.len());
+        for launch in launches {
+            let bindings = alloc.allocate(pos, launch);
+            let reg = |r: Region| alloc.reg_of(r).expect("allocated above");
+            let ms1 = reg(launch.ms1);
+            descriptors.push(LaunchDescriptor {
+                kernel: launch.kernel,
+                width: sew,
+                alpha: launch.alpha,
+                beta: launch.beta,
+                md: reg(launch.md),
+                ms1,
+                ms2: launch.ms2.map_or(ms1, reg),
+                ms3: ms1,
+                bindings,
+                token: pos as u16,
+            });
+            pos += 1;
+        }
+        batches.push(DescriptorBatch { descriptors });
+    }
+
+    let mut cursor = align_line(lowering.layout.end);
+    let table_bytes: u32 = batches.iter().map(|b| b.bytes() as u32).sum();
+    let mut p = Program::new(cursor + table_bytes, opts.host_traffic);
+    let mut tables = Vec::with_capacity(batches.len());
+    for batch in batches {
+        let words = batch.encode();
+        p.reservations += batch
+            .descriptors
+            .iter()
+            .map(|d| d.bindings.len())
+            .sum::<usize>();
+        p.asm.li(A0, cursor as i32);
+        p.asm.li(A1, words.len() as i32);
+        p.asm.li(A2, tables.len() as i32);
+        p.asm.raw(xmb_instr(A0, A1, A2));
+        p.launched(batch.descriptors.len());
+        let addr = cursor;
+        cursor += 4 * words.len() as u32;
+        tables.push(DescriptorTable { addr, words });
+    }
+    (p, tables)
 }
 
 /// Linear-scan allocation of operand regions onto the sixteen logical
@@ -703,206 +726,6 @@ impl RegAlloc {
     }
 }
 
-struct DescEmitter {
-    asm: Asm,
-    kernels: usize,
-    reservations: usize,
-    traffic: Option<(HostTraffic, HostTrafficGen)>,
-    host_stores: usize,
-    tables: Vec<DescriptorTable>,
-}
-
-impl DescEmitter {
-    /// Replays the legacy traffic rule — a burst after every
-    /// `period`-th kernel — for the kernels the just-issued batch
-    /// covers, so both backends inject identical store sequences.
-    fn emit_host_traffic(&mut self, first_kernel: usize) {
-        let Some((knob, traffic_gen)) = self.traffic.as_mut() else {
-            return;
-        };
-        for k in first_kernel + 1..=self.kernels {
-            if !k.is_multiple_of(knob.period) {
-                continue;
-            }
-            let addrs = traffic_gen.burst(knob.bytes);
-            for addr in addrs {
-                self.asm.li(T0, addr as i32);
-                self.asm.li(T1, self.host_stores as i32);
-                self.asm.sw(T1, T0, 0);
-                self.host_stores += 1;
-            }
-        }
-    }
-
-    /// Encodes one batch, places its table at `cursor`, and emits the
-    /// `xmb` launch. Returns the table end address.
-    fn xmb(&mut self, batch: DescriptorBatch, cursor: u32) -> u32 {
-        let first_kernel = self.kernels;
-        self.kernels += batch.descriptors.len();
-        self.reservations += batch
-            .descriptors
-            .iter()
-            .map(|d| d.bindings.len())
-            .sum::<usize>();
-        let words = batch.encode();
-        let end = cursor + 4 * words.len() as u32;
-        self.asm.li(A0, cursor as i32);
-        self.asm.li(A1, words.len() as i32);
-        self.asm.li(A2, self.tables.len() as i32);
-        self.asm.raw(xmb_instr(A0, A1, A2));
-        self.tables.push(DescriptorTable {
-            addr: cursor,
-            words,
-        });
-        self.emit_host_traffic(first_kernel);
-        end
-    }
-}
-
-fn compile_descriptor(
-    graph: &LayerGraph,
-    layout: GraphLayout,
-    opts: &CompileOptions,
-) -> Result<NnProgram, CompileError> {
-    let sew = graph.sew();
-    let esz = sew.bytes();
-    let (launches, per_node) = lower_to_launches(graph, &layout, esz, opts.instances)?;
-    let mut alloc = RegAlloc::new(&launches);
-
-    // Descriptor tables live line-aligned past the tensor arena; the
-    // traffic scratch window moves past them.
-    let desc_base = align_line(layout.end);
-    let mut cursor = desc_base;
-
-    // Build all batches first so the traffic window base is known
-    // before any store is emitted... the table region size depends only
-    // on the launch list, which is already fixed.
-    let mut batches: Vec<DescriptorBatch> = Vec::with_capacity(per_node.len());
-    let mut pos = 0usize;
-    let mut token = 0u16;
-    for &n in &per_node {
-        let mut descriptors = Vec::with_capacity(n);
-        for launch in &launches[pos..pos + n] {
-            let bindings = alloc.allocate(pos + descriptors.len(), launch);
-            let reg = |r: Region| alloc.reg_of(r).expect("allocated above");
-            let ms1 = reg(launch.ms1);
-            descriptors.push(LaunchDescriptor {
-                kernel: launch.kernel,
-                width: sew,
-                alpha: launch.alpha,
-                beta: launch.beta,
-                md: reg(launch.md),
-                ms1,
-                ms2: reg(launch.ms2),
-                ms3: ms1,
-                bindings,
-                token,
-            });
-            token = token.wrapping_add(1);
-        }
-        pos += n;
-        batches.push(DescriptorBatch { descriptors });
-    }
-    let table_bytes: u32 = batches.iter().map(|b| b.bytes() as u32).sum();
-    let desc_end = desc_base + table_bytes;
-
-    let scratch = align_line(desc_end);
-    let traffic = opts.host_traffic.map(|knob| {
-        let span = knob.bytes.next_multiple_of(LINE_BYTES).max(LINE_BYTES);
-        (knob, HostTrafficGen::new(scratch, span, LINE_BYTES))
-    });
-    let mem_end = match &traffic {
-        Some((knob, _)) => scratch + knob.bytes.next_multiple_of(LINE_BYTES).max(LINE_BYTES),
-        None => desc_end,
-    };
-
-    let mut e = DescEmitter {
-        asm: Asm::new(),
-        kernels: 0,
-        reservations: 0,
-        traffic,
-        host_stores: 0,
-        tables: Vec::new(),
-    };
-    for batch in batches {
-        cursor = e.xmb(batch, cursor);
-    }
-    debug_assert_eq!(cursor, desc_end);
-
-    // Synchronise on every output (same idiom as the legacy backend).
-    let op = load_op(sew);
-    for &out in graph.outputs() {
-        let addr = layout.place(out).addr;
-        e.asm.li(T0, addr as i32);
-        e.asm.load(op, T1, T0, 0);
-    }
-    e.asm.ebreak();
-    let batches = e.tables.len();
-    Ok(NnProgram {
-        asm: e.asm,
-        layout,
-        kernels: e.kernels,
-        reservations: e.reservations,
-        host_stores: e.host_stores,
-        mem_end,
-        launch: LaunchMode::Descriptor,
-        batches,
-        tables: e.tables,
-    })
-}
-
-fn compile_legacy(
-    graph: &LayerGraph,
-    layout: GraphLayout,
-    opts: &CompileOptions,
-) -> Result<NnProgram, CompileError> {
-    // The traffic scratch window sits line-aligned past the tensor
-    // arena, sized to one burst, so stores dirty cache lines without
-    // touching any operand.
-    let scratch = align_line(layout.end);
-    let traffic = opts.host_traffic.map(|knob| {
-        let span = knob.bytes.next_multiple_of(LINE_BYTES).max(LINE_BYTES);
-        (knob, HostTrafficGen::new(scratch, span, LINE_BYTES))
-    });
-    let mem_end = match &traffic {
-        Some((knob, _)) => scratch + knob.bytes.next_multiple_of(LINE_BYTES).max(LINE_BYTES),
-        None => layout.end,
-    };
-    let mut e = Emitter {
-        graph,
-        layout,
-        asm: Asm::new(),
-        sew: graph.sew(),
-        esz: graph.sew().bytes(),
-        kernels: 0,
-        reservations: 0,
-        traffic,
-        host_stores: 0,
-    };
-    for node in graph.nodes() {
-        e.node(node, opts.instances)?;
-    }
-    // Synchronise on every output.
-    let op = load_op(e.sew);
-    for &out in e.graph.outputs() {
-        let addr = e.layout.place(out).addr;
-        e.asm.li(T0, addr as i32);
-        e.asm.load(op, T1, T0, 0);
-    }
-    e.asm.ebreak();
-    Ok(NnProgram {
-        asm: e.asm,
-        layout: e.layout,
-        kernels: e.kernels,
-        reservations: e.reservations,
-        host_stores: e.host_stores,
-        mem_end,
-        launch: LaunchMode::Legacy,
-        batches: 0,
-        tables: Vec::new(),
-    })
-}
-
 /// Compiles `graph` into a host program whose tensors live in an arena
 /// starting at `base`.
 ///
@@ -930,10 +753,12 @@ pub fn compile(
         return Err(CompileError::ZeroInstances);
     }
     let layout = GraphLayout::plan(graph, base);
-    match opts.launch {
-        LaunchMode::Legacy => compile_legacy(graph, layout, opts),
-        LaunchMode::Descriptor => compile_descriptor(graph, layout, opts),
-    }
+    let lowering = Lowering::new(graph, &layout, opts.instances)?;
+    let (program, tables) = match opts.launch {
+        LaunchMode::Legacy => (emit_legacy(graph, &lowering, opts), Vec::new()),
+        LaunchMode::Descriptor => emit_descriptor(graph, &lowering, opts),
+    };
+    Ok(program.finish(graph, layout, opts.launch, tables))
 }
 
 #[cfg(test)]
@@ -1118,6 +943,20 @@ mod tests {
             desc.reservations,
             legacy.reservations
         );
+    }
+
+    #[test]
+    fn legacy_binds_a_second_source_equal_to_the_first() {
+        // gemm(x, x) and x + x read the same region through both
+        // sources: the legacy stream must still bind m2 for them.
+        let mut g = LayerGraph::new(Sew::Byte);
+        let x = g.input("x", 8, 8);
+        let y = g.gemm(x, x);
+        let z = g.residual_add(y, y);
+        g.mark_output(z);
+        let p = compile(&g, 0x2000_0000, &CompileOptions::default()).unwrap();
+        assert_eq!(p.kernels, 2);
+        assert_eq!(p.reservations, 6, "ms1, ms2 and md bound per kernel");
     }
 
     #[test]

@@ -246,9 +246,8 @@ mod tests {
         };
         let r = built.run_verified(cfg(4), 1);
         assert_eq!(r.kernels, 3);
-        // The descriptor backend's lowering of the same node kinds must
-        // stay in lockstep with the legacy walk: same slice structure,
-        // same bit-exact outputs.
+        // Both backends emit from the same launch list: same slice
+        // structure, same bit-exact outputs.
         let d = built.run_verified_with(cfg(4), &CompileOptions::descriptor(1));
         assert_eq!(d.kernels, 3);
         assert_eq!(d.outputs, r.outputs);

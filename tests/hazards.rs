@@ -6,9 +6,14 @@ use arcane::core::kernels::KernelError;
 use arcane::core::{ArcaneConfig, ArcaneLlc};
 use arcane::isa::reg::{A0, A1, A2};
 use arcane::isa::xmnmc::{self, kernel_id, MatReg, XInstr, FUNC5_XMR};
-use arcane::mem::{AccessSize, Memory};
-use arcane::rv32::{Coprocessor, XifResponse};
-use arcane::sim::Sew;
+use arcane::mem::{Access, AccessSize, Bus, BusError, Memory, Sram};
+use arcane::nn::{compile, suite, CompileOptions, LaunchMode};
+use arcane::rv32::{Coprocessor, Cpu, StopReason, XifResponse};
+use arcane::sim::{EngineMode, Sew};
+use arcane::system::{EXT_BASE, IMEM_SIZE};
+use arcane::workloads::Matrix;
+use proptest::prelude::*;
+use std::cell::RefCell;
 
 const BASE: u32 = 0x2000_0000;
 const A_ADDR: u32 = BASE + 0x10_0000;
@@ -234,4 +239,125 @@ fn cache_capacity_shrinks_while_computing() {
         .host_access(BASE + 0x70_0000, false, 0, AccessSize::Word, end + 10)
         .unwrap();
     assert!(a.cycles > 0);
+}
+
+/// A hand-wired host + LLC system that logs every offload: when it was
+/// issued and which kernel records it produced.
+struct IssueLog {
+    imem: RefCell<Sram>,
+    llc: RefCell<ArcaneLlc>,
+    /// `(issue cycle, first record, end record)` per offload.
+    offloads: RefCell<Vec<(u64, usize, usize)>>,
+}
+
+struct LogBus<'a>(&'a IssueLog);
+struct LogXif<'a>(&'a IssueLog);
+
+/// Data accesses all go to the LLC: graph programs never touch their
+/// own instruction memory.
+impl Bus for LogBus<'_> {
+    fn read(&mut self, addr: u32, size: AccessSize, now: u64) -> Result<Access, BusError> {
+        self.0
+            .llc
+            .borrow_mut()
+            .host_access(addr, false, 0, size, now)
+    }
+
+    fn write(
+        &mut self,
+        addr: u32,
+        value: u32,
+        size: AccessSize,
+        now: u64,
+    ) -> Result<Access, BusError> {
+        self.0
+            .llc
+            .borrow_mut()
+            .host_access(addr, true, value, size, now)
+    }
+
+    fn fetch(&mut self, addr: u32, _now: u64) -> Result<Access, BusError> {
+        Ok(Access::new(self.0.imem.borrow().read_u32(addr)?, 1))
+    }
+}
+
+impl Coprocessor for LogXif<'_> {
+    fn offload(&mut self, raw: u32, rs1: u32, rs2: u32, rs3: u32, now: u64) -> XifResponse {
+        let mut llc = self.0.llc.borrow_mut();
+        let first = llc.records().len();
+        let resp = llc.offload(raw, rs1, rs2, rs3, now);
+        let end = llc.records().len();
+        self.0.offloads.borrow_mut().push((now, first, end));
+        resp
+    }
+}
+
+proptest! {
+    /// Kernel-queue back-pressure never lets a kernel decode before its
+    /// launch (`xmkN` or the `xmb` carrying it) was issued, at any queue
+    /// depth, VPU count and launch mode, and the outputs stay bit-exact.
+    #[test]
+    fn queued_kernels_never_decode_before_their_launch(
+        capacity in 1usize..9,
+        vpus_log2 in 0u32..3,
+        descriptor in any::<bool>(),
+        rows in 4usize..9,
+        seed in 0u64..1000,
+    ) {
+        let n_vpus = 1 << vpus_log2;
+        let built = suite::residual_bottleneck(rows, 8, Sew::Byte, seed);
+        let opts = CompileOptions {
+            instances: n_vpus,
+            launch: if descriptor { LaunchMode::Descriptor } else { LaunchMode::Legacy },
+            ..CompileOptions::default()
+        };
+        let program = compile(&built.graph, EXT_BASE, &opts).unwrap();
+        let mut cfg = ArcaneConfig::with_lanes(8);
+        cfg.n_vpus = n_vpus;
+        cfg.kernel_queue_capacity = capacity;
+        cfg.launch = program.launch;
+        let sys = IssueLog {
+            imem: RefCell::new(Sram::new(0, IMEM_SIZE)),
+            llc: RefCell::new(ArcaneLlc::new(cfg)),
+            offloads: RefCell::new(Vec::new()),
+        };
+        {
+            let mut llc = sys.llc.borrow_mut();
+            for t in &program.tables {
+                let bytes: Vec<u8> = t.words.iter().flat_map(|w| w.to_le_bytes()).collect();
+                llc.ext_mut().write_bytes(t.addr, &bytes).unwrap();
+            }
+            for (&id, mat) in built.graph.inputs().iter().zip(&built.inputs) {
+                let p = program.layout.place(id);
+                llc.ext_mut().write_bytes(p.addr, &mat.to_bytes(Sew::Byte)).unwrap();
+            }
+        }
+        sys.imem
+            .borrow_mut()
+            .load_words(0, &program.asm.assemble(0).unwrap());
+        let mut cpu = Cpu::new(0);
+        let run = cpu
+            .run_with_engine(&mut LogBus(&sys), &mut LogXif(&sys), 10_000_000, EngineMode::current())
+            .unwrap();
+        prop_assert_eq!(run.stop, StopReason::Break);
+
+        let llc = sys.llc.borrow();
+        let records = llc.records();
+        prop_assert_eq!(records.len(), program.kernels);
+        for &(issued, first, end) in sys.offloads.borrow().iter() {
+            for r in &records[first..end] {
+                prop_assert!(
+                    r.decode_start >= issued,
+                    "kernel decoded at {} before its launch at {issued}",
+                    r.decode_start
+                );
+            }
+        }
+        for (&out, golden) in built.graph.outputs().iter().zip(&built.golden) {
+            let p = program.layout.place(out);
+            let mut bytes = vec![0u8; p.bytes(1)];
+            llc.ext().read_bytes(p.addr, &mut bytes).unwrap();
+            prop_assert_eq!(&Matrix::from_bytes(p.rows, p.cols, Sew::Byte, &bytes), golden);
+        }
+    }
 }
