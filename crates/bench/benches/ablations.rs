@@ -7,9 +7,9 @@
 //!    does the phase split move with the DMA's bytes/cycle?
 //! 3. **VPU count** — multi-instance scaling against the shared DMA
 //!    channel and eCPU (the §V-C sub-linearity).
-//! 4. **Scheduler policy** — least-dirty vs round-robin vs most-free
-//!    placement (DESIGN.md §4.4) across 1/2/4 VPUs, on both the conv
-//!    workload and an `arcane-nn` graph chain with mixed host traffic.
+//! 4. **Scheduler policy** — least-dirty vs round-robin placement
+//!    (DESIGN.md §4.4) across 1/2/4 VPUs, on both the conv workload
+//!    and an `arcane-nn` graph chain with mixed host traffic.
 
 use arcane_core::{ArcaneConfig, SchedulerKind};
 use arcane_nn::suite;
@@ -102,12 +102,12 @@ fn scheduler_policy_ablation() {
     let size = if arcane_bench::fast_mode() { 32 } else { 64 };
     println!("\n== Ablation 4: scheduler policy x VPU count ==");
     println!("(conv {size}x{size} int8 7x7 multi-instance | transformer-block graph)");
-    arcane_bench::rule(76);
+    arcane_bench::rule(62);
     println!(
-        "{:>6} {:>13} {:>13} {:>13}   {:>24}",
-        "VPUs", "least-dirty", "round-robin", "most-free", "graph kernels/VPU (rr)"
+        "{:>6} {:>13} {:>13}   {:>24}",
+        "VPUs", "least-dirty", "round-robin", "graph kernels/VPU (rr)"
     );
-    arcane_bench::rule(76);
+    arcane_bench::rule(62);
     let p = ConvLayerParams::new(size, size, 7, Sew::Byte);
     let (t, d, f) = if arcane_bench::fast_mode() {
         (12, 16, 24)
@@ -130,10 +130,9 @@ fn scheduler_policy_ablation() {
             }
         }
         println!(
-            "{n_vpus:>6} {:>13} {:>13} {:>13}   {:>24}",
+            "{n_vpus:>6} {:>13} {:>13}   {:>24}",
             arcane_bench::fmt_cycles(cells[0]),
             arcane_bench::fmt_cycles(cells[1]),
-            arcane_bench::fmt_cycles(cells[2]),
             rr_spread,
         );
     }

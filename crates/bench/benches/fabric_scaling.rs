@@ -11,15 +11,19 @@
 //! configuration then beats the 2-VPU one, which is the paper's own
 //! multi-instance claim (120× multi vs 84× single).
 //!
-//! Three tables:
+//! Four tables:
 //! 1. arbiter × VPU count on the 7×7 int8 conv (vs the scalar core);
 //! 2. fabric geometry (`bytes_per_cycle` × `banks`) under
 //!    round-robin-burst — the DMA-bandwidth ablation as a fabric
 //!    configuration;
-//! 3. per-channel utilisation of the 4-VPU run under both arbiters.
+//! 3. per-channel utilisation of the 4-VPU run under both arbiters;
+//! 4. arbiter × scheduler on a transformer block launched as
+//!    descriptor batches under host traffic, where priority-host
+//!    separates from round-robin-burst.
 
-use arcane_core::ArcaneConfig;
-use arcane_fabric::ArbiterKind;
+use arcane_core::{ArcaneConfig, SchedulerKind};
+use arcane_fabric::{ArbiterKind, HostTraffic};
+use arcane_nn::{suite, CompileOptions};
 use arcane_sim::Sew;
 use arcane_system::driver::{run_arcane_conv_with, run_scalar_conv};
 use arcane_system::{format_channel_table, ConvLayerParams};
@@ -121,10 +125,59 @@ fn port_utilisation_table() {
     println!("per-VPU ports and the eCPU drops to preamble work.");
 }
 
+/// Mixed host/kernel traffic on the descriptor path: the host dirties
+/// 24 KiB every 2 kernels while 4 VPUs run a ×4-split transformer
+/// block. Host lines now contend with kernel bursts on the shared
+/// path, so whether they are woven in burst by burst or granted whole
+/// changes the total.
+fn mixed_traffic_table() {
+    let (t, d, f) = if arcane_bench::fast_mode() {
+        (12, 16, 24)
+    } else {
+        (32, 48, 64)
+    };
+    let traffic = HostTraffic::new(2, 24 * 1024);
+    println!("\n== Fabric arbitration x scheduler under host traffic ==");
+    println!(
+        "(transformer {t}/{d}/{f} int8, descriptor x4, {} KiB dirtied every {} kernels)",
+        traffic.bytes / 1024,
+        traffic.period
+    );
+    arcane_bench::rule(70);
+    println!(
+        "{:>20} {:>14} {:>16} {:>14}",
+        "arbiter", "scheduler", "total cycles", "writebacks"
+    );
+    arcane_bench::rule(70);
+    let graph = suite::transformer_block(t, d, f, Sew::Byte, 44);
+    let opts = CompileOptions {
+        host_traffic: Some(traffic),
+        ..CompileOptions::descriptor(4)
+    };
+    for scheduler in [SchedulerKind::RoundRobin, SchedulerKind::LeastDirty] {
+        for arbiter in ArbiterKind::ALL {
+            let mut cfg = cfg_with(arbiter, 4);
+            cfg.scheduler = scheduler;
+            let r = graph.run_verified_with(cfg, &opts);
+            println!(
+                "{:>20} {:>14} {:>16} {:>14}",
+                arbiter.name(),
+                scheduler.name(),
+                arcane_bench::fmt_cycles(r.cycles),
+                r.writebacks
+            );
+        }
+        arcane_bench::rule(70);
+    }
+    println!("priority-host keeps host lines whole and pays for it in kernel burst");
+    println!("stalls: it trails round-robin-burst wherever host traffic is dense.");
+}
+
 fn bench(c: &mut Criterion) {
     multi_instance_table();
     fabric_geometry_table();
     port_utilisation_table();
+    mixed_traffic_table();
     let p = ConvLayerParams::new(32, 32, 7, Sew::Byte);
     c.bench_function("fabric_whole_phase_x4_32x32", |b| {
         let cfg = cfg_with(ArbiterKind::WholePhase, 4);

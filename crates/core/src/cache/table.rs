@@ -262,12 +262,6 @@ impl CacheTable {
             .count()
     }
 
-    /// Number of **invalid** (free) lines within the line-index range
-    /// `[from, to)` (used by the scheduler's most-free policy).
-    pub fn free_in_range(&self, from: usize, to: usize) -> usize {
-        self.lines[from..to].iter().filter(|l| !l.valid).count()
-    }
-
     /// Debug invariant: no two valid lines share a tag.
     pub fn check_no_duplicate_tags(&self) -> bool {
         let mut tags: Vec<u32> = self

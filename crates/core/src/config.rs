@@ -3,8 +3,21 @@
 use crate::sched::SchedulerKind;
 use arcane_fabric::FabricConfig;
 use arcane_isa::launch::LaunchMode;
-use arcane_mem::DmaTiming;
+use arcane_mem::ExtMem;
 use arcane_vpu::VpuConfig;
+
+/// Base address of the cached external-memory region.
+pub const EXT_BASE: u32 = 0x2000_0000;
+
+/// External memory latency: first word of a burst.
+const EXT_FIRST_WORD: u64 = 10;
+
+/// External memory latency: subsequent words of a burst.
+const EXT_PER_WORD: u64 = 1;
+
+/// The C-RT tariff every launch pays (the calibrated constants of
+/// [`CrtTiming::default_tariff`]).
+pub(crate) const CRT: CrtTiming = CrtTiming::default_tariff();
 
 /// Cycle tariff of the C-RT software running on the eCPU (CV32E40X).
 ///
@@ -78,12 +91,6 @@ impl CrtTiming {
     }
 }
 
-impl Default for CrtTiming {
-    fn default() -> Self {
-        CrtTiming::default_tariff()
-    }
-}
-
 /// Full configuration of the ARCANE LLC.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ArcaneConfig {
@@ -92,26 +99,13 @@ pub struct ArcaneConfig {
     pub n_vpus: usize,
     /// Per-VPU configuration (lanes, 32 × 1 KiB vector registers).
     pub vpu: VpuConfig,
-    /// Base address of the cached external-memory region.
-    pub ext_base: u32,
-    /// Size of the external memory in bytes.
+    /// Size of the external memory at [`EXT_BASE`] in bytes.
     pub ext_size: usize,
-    /// External memory latency: first word of a burst.
-    pub ext_first_word: u64,
-    /// External memory latency: subsequent words of a burst.
-    pub ext_per_word: u64,
-    /// DMA engine timing (`setup`, `per_row`). The payload bandwidth
-    /// of the shared path is owned by [`ArcaneConfig::fabric`]:
-    /// [`crate::ArcaneLlc`] overrides `dma.bytes_per_cycle` with
-    /// `fabric.bytes_per_cycle` at construction, so the DMA-bandwidth
-    /// ablation is a fabric configuration, not a scalar here.
-    pub dma: DmaTiming,
     /// Shared-memory fabric between the controller complex and the
     /// VPU array: bank/width geometry and the arbiter policy
-    /// (DESIGN.md §4.5).
+    /// (DESIGN.md §4.5). Its bus width is also the DMA engine's
+    /// payload bandwidth.
     pub fabric: FabricConfig,
-    /// C-RT software cycle tariff.
-    pub crt: CrtTiming,
     /// Capacity of the statically allocated kernel queue.
     pub kernel_queue_capacity: usize,
     /// Capacity of the Address Table.
@@ -135,13 +129,8 @@ impl ArcaneConfig {
         ArcaneConfig {
             n_vpus: 4,
             vpu: VpuConfig::with_lanes(lanes),
-            ext_base: 0x2000_0000,
             ext_size: 16 << 20,
-            ext_first_word: 10,
-            ext_per_word: 1,
-            dma: DmaTiming::default(),
             fabric: FabricConfig::default_config(),
-            crt: CrtTiming::default_tariff(),
             kernel_queue_capacity: 8,
             at_capacity: 32,
             scheduler: SchedulerKind::LeastDirty,
@@ -162,6 +151,11 @@ impl ArcaneConfig {
     /// Total LLC capacity in bytes.
     pub const fn capacity_bytes(&self) -> usize {
         self.n_lines() * self.line_bytes()
+    }
+
+    /// The (empty) external memory behind the cache.
+    pub(crate) fn ext_mem(&self) -> ExtMem {
+        ExtMem::new(EXT_BASE, self.ext_size, EXT_FIRST_WORD, EXT_PER_WORD)
     }
 }
 

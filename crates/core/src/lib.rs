@@ -71,8 +71,8 @@ pub mod sched;
 mod standard;
 
 pub use arcane_isa::launch::LaunchMode;
-pub use config::{ArcaneConfig, CrtTiming};
+pub use config::{ArcaneConfig, CrtTiming, EXT_BASE};
 pub use llc::{ArcaneLlc, KernelRecord};
 pub use runtime::map::{MatView, MatrixMap};
-pub use sched::{SchedulerKind, SchedulerPolicy};
+pub use sched::SchedulerKind;
 pub use standard::StandardLlc;

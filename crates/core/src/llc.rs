@@ -8,7 +8,7 @@
 //! * it is a **coprocessor** — the [`Coprocessor`] implementation is the
 //!   bridge of §III-B: it samples offloaded `xmnmc` instructions,
 //!   decodes them in software (C-RT Kernel Decoder), places them on a
-//!   VPU under the configured [`crate::sched::SchedulerPolicy`]
+//!   VPU under the configured [`crate::SchedulerKind`]
 //!   (Kernel Scheduler; least-dirty by default) and runs them through
 //!   the Matrix Allocator and the vector units.
 //!
@@ -22,18 +22,17 @@
 use crate::cache::{
     AddressTable, AtEntry, CacheTable, LockWindows, OperandKind, ResourceChannel, Victim,
 };
-use crate::config::ArcaneConfig;
+use crate::config::{ArcaneConfig, CRT};
 use crate::kernels::{KernelError, KernelLib, ResolvedArgs};
 use crate::runtime::ctx::KernelCtx;
 use crate::runtime::map::MatView;
 use crate::runtime::map::MatrixMap;
-use crate::sched::SchedView;
 use arcane_fabric::{Fabric, PortStats, HOST_PORT};
 use arcane_isa::launch::{
     DescriptorBatch, LaunchDescriptor, LaunchMode, OperandBinding, FUNC5_XMB,
 };
 use arcane_isa::xmnmc::{self, XmnmcOp};
-use arcane_mem::{Access, AccessSize, BusError, Dma2d, ExtMem, Memory};
+use arcane_mem::{Access, AccessSize, BusError, Dma2d, DmaTiming, ExtMem, Memory};
 use arcane_rv32::{Coprocessor, XifResponse};
 use arcane_sim::{CacheStats, ChannelUtil, LaunchStats, PhaseBreakdown, Sew};
 use arcane_vpu::Vpu;
@@ -112,12 +111,10 @@ pub struct ArcaneLlc {
 impl ArcaneLlc {
     /// Builds the subsystem from a configuration.
     ///
-    /// The shared path's payload bandwidth is owned by the fabric:
-    /// `cfg.dma.bytes_per_cycle` is overridden with
-    /// `cfg.fabric.bytes_per_cycle` so the DMA engine and the fabric
-    /// banks always agree on the bus width.
-    pub fn new(mut cfg: ArcaneConfig) -> Self {
-        cfg.dma.bytes_per_cycle = cfg.fabric.bytes_per_cycle;
+    /// The shared path's payload bandwidth is owned by the fabric: the
+    /// DMA engine moves `cfg.fabric.bytes_per_cycle` bytes per cycle,
+    /// so it and the fabric banks always agree on the bus width.
+    pub fn new(cfg: ArcaneConfig) -> Self {
         ArcaneLlc {
             vpus: (0..cfg.n_vpus).map(|_| Vpu::new(cfg.vpu)).collect(),
             table: CacheTable::new(cfg.n_lines(), cfg.line_bytes()),
@@ -125,13 +122,11 @@ impl ArcaneLlc {
             locks: LockWindows::new(),
             map: MatrixMap::new(),
             lib: KernelLib::builtin(),
-            ext: ExtMem::new(
-                cfg.ext_base,
-                cfg.ext_size,
-                cfg.ext_first_word,
-                cfg.ext_per_word,
-            ),
-            dma: Dma2d::new(cfg.dma),
+            ext: cfg.ext_mem(),
+            dma: Dma2d::new(DmaTiming {
+                bytes_per_cycle: cfg.fabric.bytes_per_cycle,
+                ..DmaTiming::default()
+            }),
             queue_done: VecDeque::new(),
             vpu_free_at: vec![0; cfg.n_vpus],
             fabric: Fabric::new(cfg.fabric, cfg.n_vpus),
@@ -389,28 +384,19 @@ impl ArcaneLlc {
         Ok(cycles)
     }
 
-    /// Kernel Scheduler: snapshots per-VPU occupancy and delegates the
-    /// placement decision to the configured [`crate::sched::SchedulerPolicy`]
-    /// (§IV-B2; least-dirty by default, DESIGN.md §4.4 for the others).
+    /// Kernel Scheduler: counts each VPU's dirty lines and lets the
+    /// configured [`crate::SchedulerKind`] place the kernel (§IV-B2;
+    /// least-dirty by default, DESIGN.md §4.4).
     fn choose_vpu(&mut self) -> usize {
         let vregs = self.cfg.vpu.vregs;
-        let (dirty, free): (Vec<usize>, Vec<usize>) = (0..self.cfg.n_vpus)
-            .map(|v| {
-                (
-                    self.table.dirty_in_range(v * vregs, (v + 1) * vregs),
-                    self.table.free_in_range(v * vregs, (v + 1) * vregs),
-                )
-            })
-            .unzip();
-        let view = SchedView {
-            dirty_lines: &dirty,
-            free_lines: &free,
-            free_at: &self.vpu_free_at,
-            seq: self.sched_seq,
-        };
+        let dirty: Vec<usize> = (0..self.cfg.n_vpus)
+            .map(|v| self.table.dirty_in_range(v * vregs, (v + 1) * vregs))
+            .collect();
+        let vpu = self
+            .cfg
+            .scheduler
+            .choose(&dirty, &self.vpu_free_at, self.sched_seq);
         self.sched_seq += 1;
-        let vpu = self.cfg.scheduler.policy().choose(&view);
-        assert!(vpu < self.cfg.n_vpus, "policy chose a VPU out of range");
         vpu
     }
 
@@ -457,14 +443,13 @@ impl ArcaneLlc {
     }
 
     fn handle_reserve(&mut self, width: Sew, binding: &OperandBinding, now: u64) -> XifResponse {
-        let crt = self.cfg.crt;
         self.bind(binding, width);
-        let work = crt.irq_entry + crt.decode + crt.xmr_bind;
-        self.book_ecpu(now + crt.bridge_latency, work);
+        let work = CRT.irq_entry + CRT.decode + CRT.xmr_bind;
+        self.book_ecpu(now + CRT.bridge_latency, work);
         self.pending_preamble += work;
         XifResponse::Accept {
             writeback: None,
-            cycles: crt.bridge_latency,
+            cycles: CRT.bridge_latency,
         }
     }
 
@@ -506,14 +491,13 @@ impl ArcaneLlc {
         tariff: Tariff,
     ) -> Result<u64, KernelError> {
         let (args, sources, name) = self.resolve_launch(desc)?;
-        let crt = self.cfg.crt;
         let (preamble, local_issue) = match tariff {
             Tariff::Legacy => {
                 let pending = std::mem::take(&mut self.pending_preamble);
-                (crt.irq_entry + crt.decode + crt.schedule + pending, false)
+                (CRT.irq_entry + CRT.decode + CRT.schedule + pending, false)
             }
             Tariff::Replay { entry } => {
-                let p = entry + crt.desc_decode + crt.desc_bind * desc.bindings.len() as u64;
+                let p = entry + CRT.desc_decode + CRT.desc_bind * desc.bindings.len() as u64;
                 self.launch_stats.descriptors += 1;
                 self.launch_stats.decode_cycles += p;
                 (p, true)
@@ -532,7 +516,6 @@ impl ArcaneLlc {
             table: &mut self.table,
             ext: &mut self.ext,
             dma: self.dma,
-            crt,
             locks: &mut self.locks,
             fabric: &mut self.fabric,
             port: Fabric::vpu_port(vpu),
@@ -614,12 +597,11 @@ impl ArcaneLlc {
     /// The host handshake stalls until a kernel-queue slot frees, and
     /// the kernel's hazard windows age against the host's issue time.
     fn handle_kernel(&mut self, desc: &LaunchDescriptor, now: u64) -> XifResponse {
-        let crt = self.cfg.crt;
         let t = self.queue_slot(now);
-        match self.launch(desc, t + crt.bridge_latency, now, Tariff::Legacy) {
+        match self.launch(desc, t + CRT.bridge_latency, now, Tariff::Legacy) {
             Ok(_) => XifResponse::Accept {
                 writeback: None,
-                cycles: crt.bridge_latency + (t - now),
+                cycles: CRT.bridge_latency + (t - now),
             },
             Err(e) => self.reject(e),
         }
@@ -636,8 +618,6 @@ impl ArcaneLlc {
     /// The host handshake never blocks on the queue here: the decoder's
     /// replay cursor absorbs kernel-queue back-pressure instead.
     fn handle_batch(&mut self, addr: u32, words: u32, _token: u32, now: u64) -> XifResponse {
-        let crt = self.cfg.crt;
-
         // Functional fetch of the encoded batch. `words` is an unchecked
         // host register: bound the range before allocating for it.
         let len = match words.checked_mul(4) {
@@ -664,7 +644,7 @@ impl ArcaneLlc {
         // The batch travels to the decoder as bursts on the fabric's
         // issue-descriptor path (weaving into DMA gaps under the burst
         // arbiters).
-        let earliest = now + crt.bridge_latency;
+        let earliest = now + CRT.bridge_latency;
         let grant = self
             .fabric
             .issue_batch(HOST_PORT, addr, earliest, bytes.len() as u64);
@@ -676,7 +656,7 @@ impl ArcaneLlc {
         // time): the queue back-pressure bounds the AT's live entries
         // exactly as the host handshake does on the legacy path.
         let mut cursor = grant.end;
-        let mut entry = crt.batch_entry;
+        let mut entry = CRT.batch_entry;
         for desc in &batch.descriptors {
             cursor = self.queue_slot(cursor);
             for b in &desc.bindings {
@@ -692,7 +672,7 @@ impl ArcaneLlc {
 
         XifResponse::Accept {
             writeback: None,
-            cycles: crt.bridge_latency,
+            cycles: CRT.bridge_latency,
         }
     }
 

@@ -15,7 +15,7 @@
 //!   release.
 
 use crate::cache::{CacheTable, LockWindows, ResourceChannel};
-use crate::config::CrtTiming;
+use crate::config::CRT;
 use crate::kernels::KernelError;
 use crate::runtime::map::MatView;
 use arcane_fabric::{Fabric, PortStats};
@@ -33,7 +33,6 @@ pub struct KernelCtx<'a> {
     pub(crate) table: &'a mut CacheTable,
     pub(crate) ext: &'a mut ExtMem,
     pub(crate) dma: Dma2d,
-    pub(crate) crt: CrtTiming,
     pub(crate) locks: &'a mut LockWindows,
     /// The shared fabric; this kernel's DMA and dispatch traffic goes
     /// through [`KernelCtx::port`].
@@ -94,10 +93,11 @@ impl<'a> KernelCtx<'a> {
 
     /// Charges the dispatch of `n_instrs` vector instructions to the
     /// assigned VPU. Under the whole-phase arbiter this is eCPU
-    /// software issue ([`CrtTiming::vinstr_issue`] exclusive cycles per
-    /// instruction); under the burst arbiters the instructions travel
-    /// as dispatch descriptors over the shared fabric to the VPU's own
-    /// sequencer, contending with DMA bursts at burst granularity.
+    /// software issue ([`crate::CrtTiming::vinstr_issue`] exclusive
+    /// cycles per instruction); under the burst arbiters the
+    /// instructions travel as dispatch descriptors over the shared
+    /// fabric to the VPU's own sequencer, contending with DMA bursts at
+    /// burst granularity.
     /// Under the descriptor launch pipeline the per-VPU decoder replays
     /// the predecoded micro-program itself: the same per-instruction
     /// cost, but on this kernel's private cursor rather than the shared
@@ -109,9 +109,9 @@ impl<'a> KernelCtx<'a> {
             self.t = grant.end;
             self.phases.charge(Phase::Compute, grant.end - t0);
         } else if self.local_issue {
-            self.charge(Phase::Compute, self.crt.vinstr_issue * n_instrs);
+            self.charge(Phase::Compute, CRT.vinstr_issue * n_instrs);
         } else {
-            self.ecpu_work(Phase::Compute, self.crt.vinstr_issue * n_instrs);
+            self.ecpu_work(Phase::Compute, CRT.vinstr_issue * n_instrs);
         }
     }
 
@@ -147,9 +147,9 @@ impl<'a> KernelCtx<'a> {
     pub fn set_scalar(&mut self, rs: Sr, value: u32) {
         self.vpus[self.vpu_index].set_sreg(rs, value);
         if self.local_issue {
-            self.charge(Phase::Compute, self.crt.sreg_write);
+            self.charge(Phase::Compute, CRT.sreg_write);
         } else {
-            self.ecpu_work(Phase::Compute, self.crt.sreg_write);
+            self.ecpu_work(Phase::Compute, CRT.sreg_write);
         }
     }
 
@@ -163,9 +163,9 @@ impl<'a> KernelCtx<'a> {
     /// Panics if the element lies outside the register.
     pub fn peek(&mut self, vreg: Vr, idx: usize, sew: Sew) -> i64 {
         if self.local_issue {
-            self.charge(Phase::Compute, self.crt.elem_read);
+            self.charge(Phase::Compute, CRT.elem_read);
         } else {
-            self.ecpu_work(Phase::Compute, self.crt.elem_read);
+            self.ecpu_work(Phase::Compute, CRT.elem_read);
         }
         let line = self.vpus[self.vpu_index].line(vreg.index() as usize);
         let o = idx * sew.bytes();
@@ -260,7 +260,7 @@ impl<'a> KernelCtx<'a> {
             });
         }
         let t0 = self.t;
-        let mut work = self.crt.lock_acquire + self.crt.tile_overhead;
+        let mut work = CRT.lock_acquire + CRT.tile_overhead;
 
         // Coherence: push host-dirty data for these rows out to memory.
         let start = mat.row_addr(row0);
@@ -307,7 +307,7 @@ impl<'a> KernelCtx<'a> {
             dst[row_bytes..].fill(0);
         }
 
-        let t_end = dma_end + self.crt.lock_release;
+        let t_end = dma_end + CRT.lock_release;
         self.phases.charge(Phase::Allocation, t_end - t0);
         self.t = t_end;
         self.locks.add(t0, t_end);
@@ -324,7 +324,7 @@ impl<'a> KernelCtx<'a> {
         let vlen = self.vpus[self.vpu_index].config().vlen_bytes as u64;
         self.charge(
             Phase::Compute,
-            cycles + self.crt.vinstr_issue + vlen.div_ceil(bw),
+            cycles + CRT.vinstr_issue + vlen.div_ceil(bw),
         );
     }
 
@@ -351,7 +351,7 @@ impl<'a> KernelCtx<'a> {
         dst_pitch_bytes: u32,
     ) {
         let t0 = self.t;
-        let mut work = self.crt.lock_acquire;
+        let mut work = CRT.lock_acquire;
         let span = dst_pitch_bytes * (n as u32 - 1) + sew.bytes() as u32;
         work += self.flush_range(dst_addr, dst_addr + span);
         let stale: Vec<usize> = self
@@ -396,7 +396,7 @@ impl<'a> KernelCtx<'a> {
                 .expect("kernel destination must lie in external memory");
         }
 
-        let t_end = dma_end + self.crt.lock_release;
+        let t_end = dma_end + CRT.lock_release;
         self.phases.charge(Phase::Writeback, t_end - t0);
         self.t = t_end;
         self.locks.add(t0, t_end);
@@ -420,7 +420,7 @@ impl<'a> KernelCtx<'a> {
         dst_addr: u32,
     ) {
         let t0 = self.t;
-        let mut work = self.crt.lock_acquire;
+        let mut work = CRT.lock_acquire;
 
         let bytes_out = (n_out * sew.bytes()) as u32;
         // Preserve host-dirty bytes sharing cache lines with the
@@ -480,7 +480,7 @@ impl<'a> KernelCtx<'a> {
             .write_bytes(dst_addr, &out)
             .expect("kernel destination must lie in external memory");
 
-        let t_end = dma_end + self.crt.lock_release;
+        let t_end = dma_end + CRT.lock_release;
         self.phases.charge(Phase::Writeback, t_end - t0);
         self.t = t_end;
         self.locks.add(t0, t_end);
@@ -529,7 +529,6 @@ mod tests {
             table,
             ext,
             dma: Dma2d::default(),
-            crt: CrtTiming::default_tariff(),
             locks,
             fabric: &mut sh.fabric,
             port: Fabric::vpu_port(0),

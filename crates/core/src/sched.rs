@@ -5,137 +5,50 @@
 //! dispatching to the VPU whose cache lines need the fewest forced
 //! flushes during allocation. That choice is a policy, not a law of the
 //! architecture: the scheduler is C firmware, so alternatives are a
-//! software swap. This module lifts the decision into a
-//! [`SchedulerPolicy`] trait with the three implementations DESIGN.md
-//! §4.4 names as the ablation axis, selected per configuration through
-//! [`SchedulerKind`] on [`crate::ArcaneConfig`].
+//! software swap. [`SchedulerKind`] on [`crate::ArcaneConfig`] selects
+//! between the paper's policy and an oblivious rotation, the two
+//! placements the ablation separates.
 
 use std::fmt;
 
-/// Per-VPU occupancy snapshot the scheduler consults for one placement
-/// decision. All slices are indexed by VPU instance.
-#[derive(Debug, Clone, Copy)]
-pub struct SchedView<'a> {
-    /// Valid **dirty** cache lines currently held by each VPU — lines
-    /// an allocation would have to flush before reusing.
-    pub dirty_lines: &'a [usize],
-    /// **Invalid** (free) cache lines of each VPU — lines an allocation
-    /// can claim without any writeback or eviction.
-    pub free_lines: &'a [usize],
-    /// Absolute cycle at which each VPU retires its queued work.
-    pub free_at: &'a [u64],
-    /// Kernels scheduled before this one (monotonic sequence number;
-    /// the round-robin rotation cursor).
-    pub seq: u64,
-}
-
-impl SchedView<'_> {
-    /// Number of VPU instances under scheduling.
-    pub fn n_vpus(&self) -> usize {
-        self.free_at.len()
-    }
-}
-
-/// A Kernel Scheduler placement policy: given the occupancy snapshot,
-/// name the VPU instance the next kernel runs on.
-///
-/// Implementations must be pure functions of the view (the C-RT keeps
-/// any rotation state in [`SchedView::seq`]) and must return an index
-/// `< view.n_vpus()`.
-pub trait SchedulerPolicy: fmt::Debug + Send + Sync {
-    /// Policy mnemonic (ablation tables, records).
-    fn name(&self) -> &'static str;
-
-    /// Chooses the VPU for the next kernel.
-    fn choose(&self, view: &SchedView<'_>) -> usize;
-}
-
-/// The paper's policy: the VPU with the fewest dirty lines, breaking
-/// ties by earliest availability, then lowest index (§IV-B2). This is
-/// bit- and cycle-identical to the previously hardcoded behaviour.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LeastDirty;
-
-impl SchedulerPolicy for LeastDirty {
-    fn name(&self) -> &'static str {
-        "least-dirty"
-    }
-
-    fn choose(&self, view: &SchedView<'_>) -> usize {
-        (0..view.n_vpus())
-            .min_by_key(|&v| (view.dirty_lines[v], view.free_at[v], v))
-            .expect("at least one VPU")
-    }
-}
-
-/// Oblivious rotation: kernel `i` goes to VPU `i mod n`. The cheapest
-/// policy a C-RT could run (one counter, no cache-state scan) — the
-/// ablation's lower bound on scheduling intelligence.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RoundRobin;
-
-impl SchedulerPolicy for RoundRobin {
-    fn name(&self) -> &'static str {
-        "round-robin"
-    }
-
-    fn choose(&self, view: &SchedView<'_>) -> usize {
-        (view.seq % view.n_vpus() as u64) as usize
-    }
-}
-
-/// Greedy on free capacity: the VPU with the most invalid lines (the
-/// most allocation head-room without evictions), breaking ties by
-/// earliest availability, then lowest index.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MostFree;
-
-impl SchedulerPolicy for MostFree {
-    fn name(&self) -> &'static str {
-        "most-free"
-    }
-
-    fn choose(&self, view: &SchedView<'_>) -> usize {
-        (0..view.n_vpus())
-            .min_by_key(|&v| (std::cmp::Reverse(view.free_lines[v]), view.free_at[v], v))
-            .expect("at least one VPU")
-    }
-}
-
-/// Configuration-level selector for the scheduler policy (kept as a
-/// `Copy` enum so [`crate::ArcaneConfig`] stays a plain value type; the
-/// trait objects behind it are zero-sized statics).
+/// Kernel Scheduler placement policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchedulerKind {
-    /// [`LeastDirty`] — the paper's policy and the default.
+    /// The paper's policy and the default: the VPU with the fewest
+    /// dirty lines, breaking ties by earliest availability, then
+    /// lowest index (§IV-B2).
     #[default]
     LeastDirty,
-    /// [`RoundRobin`] — oblivious rotation.
+    /// Oblivious rotation: kernel `i` goes to VPU `i mod n`. The
+    /// cheapest policy a C-RT could run (one counter, no cache-state
+    /// scan) — the ablation's lower bound on scheduling intelligence.
     RoundRobin,
-    /// [`MostFree`] — greedy on invalid lines.
-    MostFree,
 }
 
 impl SchedulerKind {
     /// Every selectable policy, in ablation-table order.
-    pub const ALL: [SchedulerKind; 3] = [
-        SchedulerKind::LeastDirty,
-        SchedulerKind::RoundRobin,
-        SchedulerKind::MostFree,
-    ];
+    pub const ALL: [SchedulerKind; 2] = [SchedulerKind::LeastDirty, SchedulerKind::RoundRobin];
 
-    /// The policy implementation behind this selector.
-    pub fn policy(self) -> &'static dyn SchedulerPolicy {
+    /// Chooses the VPU for the next kernel. `dirty` holds each VPU's
+    /// valid dirty lines (the flushes an allocation there would force),
+    /// `free_at` the cycle each VPU retires its queued work, both
+    /// indexed by VPU instance; `seq` counts the kernels scheduled
+    /// before this one. Returns an index `< free_at.len()`.
+    pub(crate) fn choose(self, dirty: &[usize], free_at: &[u64], seq: u64) -> usize {
         match self {
-            SchedulerKind::LeastDirty => &LeastDirty,
-            SchedulerKind::RoundRobin => &RoundRobin,
-            SchedulerKind::MostFree => &MostFree,
+            SchedulerKind::LeastDirty => (0..free_at.len())
+                .min_by_key(|&v| (dirty[v], free_at[v], v))
+                .expect("at least one VPU"),
+            SchedulerKind::RoundRobin => (seq % free_at.len() as u64) as usize,
         }
     }
 
     /// Policy mnemonic (ablation tables).
     pub fn name(self) -> &'static str {
-        self.policy().name()
+        match self {
+            SchedulerKind::LeastDirty => "least-dirty",
+            SchedulerKind::RoundRobin => "round-robin",
+        }
     }
 }
 
@@ -149,60 +62,34 @@ impl fmt::Display for SchedulerKind {
 mod tests {
     use super::*;
 
-    fn view<'a>(
-        dirty: &'a [usize],
-        free: &'a [usize],
-        free_at: &'a [u64],
-        seq: u64,
-    ) -> SchedView<'a> {
-        SchedView {
-            dirty_lines: dirty,
-            free_lines: free,
-            free_at,
-            seq,
-        }
-    }
-
     #[test]
     fn least_dirty_matches_hardcoded_ordering() {
         // Fewest dirty wins; ties break on availability, then index.
-        let v = view(&[3, 1, 1, 2], &[0, 0, 0, 0], &[10, 20, 5, 0], 7);
-        assert_eq!(LeastDirty.choose(&v), 2);
-        let tie = view(&[1, 1], &[0, 0], &[5, 5], 0);
-        assert_eq!(LeastDirty.choose(&tie), 0);
+        let ld = SchedulerKind::LeastDirty;
+        assert_eq!(ld.choose(&[3, 1, 1, 2], &[10, 20, 5, 0], 7), 2);
+        assert_eq!(ld.choose(&[1, 1], &[5, 5], 0), 0);
     }
 
     #[test]
     fn round_robin_rotates_with_seq() {
-        let d = [0usize; 3];
-        let f = [0usize; 3];
-        let t = [0u64; 3];
         for seq in 0..7 {
-            let v = view(&d, &f, &t, seq);
-            assert_eq!(RoundRobin.choose(&v), (seq % 3) as usize);
+            let v = SchedulerKind::RoundRobin.choose(&[0; 3], &[0; 3], seq);
+            assert_eq!(v, (seq % 3) as usize);
         }
-    }
-
-    #[test]
-    fn most_free_prefers_invalid_lines() {
-        let v = view(&[0, 0, 0], &[4, 9, 9], &[50, 50, 10], 0);
-        // 9 free lines twice; earlier availability breaks the tie.
-        assert_eq!(MostFree.choose(&v), 2);
     }
 
     #[test]
     fn kind_roundtrip_names() {
         assert_eq!(SchedulerKind::default(), SchedulerKind::LeastDirty);
         let names: Vec<&str> = SchedulerKind::ALL.iter().map(|k| k.name()).collect();
-        assert_eq!(names, ["least-dirty", "round-robin", "most-free"]);
-        assert_eq!(SchedulerKind::MostFree.to_string(), "most-free");
+        assert_eq!(names, ["least-dirty", "round-robin"]);
+        assert_eq!(SchedulerKind::RoundRobin.to_string(), "round-robin");
     }
 
     #[test]
     fn single_vpu_is_always_zero() {
-        let v = view(&[5], &[0], &[99], 3);
         for k in SchedulerKind::ALL {
-            assert_eq!(k.policy().choose(&v), 0, "{k}");
+            assert_eq!(k.choose(&[5], &[99], 3), 0, "{k}");
         }
     }
 }

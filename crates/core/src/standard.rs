@@ -25,12 +25,7 @@ impl StandardLlc {
         StandardLlc {
             table: CacheTable::new(cfg.n_lines(), cfg.line_bytes()),
             data: vec![0; cfg.capacity_bytes()],
-            ext: ExtMem::new(
-                cfg.ext_base,
-                cfg.ext_size,
-                cfg.ext_first_word,
-                cfg.ext_per_word,
-            ),
+            ext: cfg.ext_mem(),
             line_bytes: cfg.line_bytes(),
             stats: CacheStats::default(),
         }

@@ -2,8 +2,8 @@
 //! complex (eCPU + 2-D DMA + host slave port) and the VPU array.
 //!
 //! The fabric owns one request port per VPU controller plus one host
-//! port, and books every transaction on a set of bank calendars under a
-//! pluggable [`ArbiterPolicy`]:
+//! port, and books every transaction on a set of bank calendars under
+//! the configured [`ArbiterKind`]:
 //!
 //! * [`ArbiterKind::WholePhase`] — the legacy model and the default:
 //!   each kernel DMA transaction is one contiguous busy window on the
@@ -27,6 +27,15 @@ use std::fmt;
 /// Index of the host slave port (VPU controller `v` is port `v + 1`).
 pub const HOST_PORT: usize = 0;
 
+/// Burst granularity in bytes: one cache line, the unit a burst
+/// arbiter grants before re-arbitrating (and the bank interleave).
+const BURST_BYTES: u64 = 1024;
+
+/// Size of one vector-instruction dispatch descriptor in bytes (opcode
+/// word + operand word), used when the arbiter routes issue traffic
+/// over the fabric.
+const ISSUE_BYTES: u64 = 8;
+
 /// Geometry and arbitration policy of the shared fabric.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FabricConfig {
@@ -38,75 +47,36 @@ pub struct FabricConfig {
     /// Payload bandwidth of one bank in bytes per cycle (the shared
     /// bus width; the LLC derives its DMA payload bandwidth from this).
     pub bytes_per_cycle: u64,
-    /// Burst granularity in bytes (one cache line: the unit a burst
-    /// arbiter grants before re-arbitrating).
-    pub burst_bytes: u64,
-    /// Size of one vector-instruction dispatch descriptor in bytes
-    /// (opcode word + operand word), used when the arbiter routes
-    /// issue traffic over the fabric.
-    pub issue_bytes: u64,
 }
 
 impl FabricConfig {
-    /// The paper's shared path: one bank, 32-bit bus, 1 KiB line
-    /// bursts, whole-phase arbitration.
+    /// The paper's shared path: one bank, 32-bit bus, whole-phase
+    /// arbitration.
     pub const fn default_config() -> Self {
         FabricConfig {
             arbiter: ArbiterKind::WholePhase,
             banks: 1,
             bytes_per_cycle: 4,
-            burst_bytes: 1024,
-            issue_bytes: 8,
         }
     }
 
-    /// Cycles one full burst occupies a bank.
-    pub const fn burst_cycles(&self) -> u64 {
-        let bpc = if self.bytes_per_cycle == 0 {
-            1
-        } else {
-            self.bytes_per_cycle
-        };
-        let c = self.burst_bytes.div_ceil(bpc);
-        if c == 0 {
-            1
-        } else {
-            c
-        }
+    /// Cycles one full (1 KiB) burst occupies a bank.
+    pub fn burst_cycles(&self) -> u64 {
+        self.payload_cycles(BURST_BYTES)
     }
 
     /// Cycles a payload of `bytes` occupies a bank at the configured
-    /// bus width (minimum one cycle for a non-empty payload). This is
-    /// the exact fuel a launch-descriptor batch burns on its way to the
-    /// eCPU's decoder.
-    pub const fn payload_cycles(&self, bytes: u64) -> u64 {
-        let bpc = if self.bytes_per_cycle == 0 {
-            1
-        } else {
-            self.bytes_per_cycle
-        };
-        let c = bytes.div_ceil(bpc);
-        if c == 0 {
-            1
-        } else {
-            c
-        }
+    /// bus width (minimum one cycle; a zero width counts as one byte
+    /// per cycle). This is the exact fuel a launch-descriptor batch
+    /// burns on its way to the eCPU's decoder.
+    pub fn payload_cycles(&self, bytes: u64) -> u64 {
+        bytes.div_ceil(self.bytes_per_cycle.max(1)).max(1)
     }
 
     /// Cycles one vector-instruction dispatch descriptor occupies a
     /// bank (burst arbiters only).
-    pub const fn issue_cycles(&self) -> u64 {
-        let bpc = if self.bytes_per_cycle == 0 {
-            1
-        } else {
-            self.bytes_per_cycle
-        };
-        let c = self.issue_bytes.div_ceil(bpc);
-        if c == 0 {
-            1
-        } else {
-            c
-        }
+    pub fn issue_cycles(&self) -> u64 {
+        self.payload_cycles(ISSUE_BYTES)
     }
 }
 
@@ -128,180 +98,26 @@ pub struct Grant {
     pub bursts: u64,
 }
 
-/// A fabric grant discipline: how one transaction's cycles are laid
-/// out on a bank calendar relative to everything already booked.
-///
-/// Implementations must book exactly `duration` busy cycles (except
-/// [`ArbiterPolicy::grant_host`] under a policy whose host path does
-/// not contend) and must never grant before `earliest`.
-pub trait ArbiterPolicy: fmt::Debug + Send + Sync {
-    /// Policy mnemonic (ablation tables, reports).
-    fn name(&self) -> &'static str;
-
-    /// Books a kernel-port transaction (DMA burst train or an issue
-    /// descriptor train).
-    fn grant_kernel(
-        &self,
-        chan: &mut ResourceChannel,
-        earliest: u64,
-        duration: u64,
-        burst: u64,
-    ) -> Grant;
-
-    /// Books a host-port transaction (miss refill / writeback line).
-    fn grant_host(
-        &self,
-        chan: &mut ResourceChannel,
-        earliest: u64,
-        duration: u64,
-        burst: u64,
-    ) -> Grant;
-
-    /// `true` when vector-instruction dispatch rides the fabric as
-    /// descriptor bursts (autonomous per-VPU sequencers); `false` when
-    /// it stays on the exclusive eCPU calendar (software issue).
-    fn issue_on_fabric(&self) -> bool;
-}
-
-/// The legacy discipline: one contiguous busy window per transaction,
-/// placed in the earliest gap that fits the whole phase. Host refills
-/// ride a dedicated slave path and never touch the shared calendar.
-/// Cycle-identical to the pre-fabric `ResourceChannel` model.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct WholePhase;
-
-impl ArbiterPolicy for WholePhase {
-    fn name(&self) -> &'static str {
-        "whole-phase"
-    }
-
-    fn grant_kernel(
-        &self,
-        chan: &mut ResourceChannel,
-        earliest: u64,
-        duration: u64,
-        _burst: u64,
-    ) -> Grant {
-        let (start, end) = chan.reserve(earliest, duration);
-        Grant {
-            start,
-            end,
-            bursts: 1,
-        }
-    }
-
-    fn grant_host(
-        &self,
-        _chan: &mut ResourceChannel,
-        earliest: u64,
-        duration: u64,
-        _burst: u64,
-    ) -> Grant {
-        // Dedicated host slave path: fixed service latency, no
-        // contention with kernel traffic (the legacy model).
-        Grant {
-            start: earliest,
-            end: earliest + duration,
-            bursts: 1,
-        }
-    }
-
-    fn issue_on_fabric(&self) -> bool {
-        false
-    }
-}
-
-/// Work-conserving round-robin: every transaction is decomposed into
-/// bursts that fill the earliest idle slices, so concurrent streams
-/// interleave at burst granularity. Host and kernel traffic share the
-/// banks symmetrically.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RoundRobinBurst;
-
-impl ArbiterPolicy for RoundRobinBurst {
-    fn name(&self) -> &'static str {
-        "round-robin-burst"
-    }
-
-    fn grant_kernel(
-        &self,
-        chan: &mut ResourceChannel,
-        earliest: u64,
-        duration: u64,
-        burst: u64,
-    ) -> Grant {
-        let (start, end, bursts) = chan.reserve_packed(earliest, duration, burst);
-        Grant { start, end, bursts }
-    }
-
-    fn grant_host(
-        &self,
-        chan: &mut ResourceChannel,
-        earliest: u64,
-        duration: u64,
-        burst: u64,
-    ) -> Grant {
-        self.grant_kernel(chan, earliest, duration, burst)
-    }
-
-    fn issue_on_fabric(&self) -> bool {
-        true
-    }
-}
-
-/// Round-robin bursts for kernel traffic, contiguous earliest-gap
-/// grants for the host: the host's miss refills are never split, so
-/// host latency is minimised while kernel bursts weave around them.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PriorityHost;
-
-impl ArbiterPolicy for PriorityHost {
-    fn name(&self) -> &'static str {
-        "priority-host"
-    }
-
-    fn grant_kernel(
-        &self,
-        chan: &mut ResourceChannel,
-        earliest: u64,
-        duration: u64,
-        burst: u64,
-    ) -> Grant {
-        let (start, end, bursts) = chan.reserve_packed(earliest, duration, burst);
-        Grant { start, end, bursts }
-    }
-
-    fn grant_host(
-        &self,
-        chan: &mut ResourceChannel,
-        earliest: u64,
-        duration: u64,
-        _burst: u64,
-    ) -> Grant {
-        let (start, end) = chan.reserve(earliest, duration);
-        Grant {
-            start,
-            end,
-            bursts: 1,
-        }
-    }
-
-    fn issue_on_fabric(&self) -> bool {
-        true
-    }
-}
-
-/// Configuration-level selector for the arbiter policy (a `Copy` enum
-/// so [`FabricConfig`] stays a plain value; the trait objects behind it
-/// are zero-sized statics).
+/// The fabric's grant discipline: how one transaction's cycles are
+/// laid out on a bank calendar relative to everything already booked.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ArbiterKind {
-    /// [`WholePhase`] — the legacy calendar model and the default.
+    /// The legacy discipline and the default: one contiguous busy
+    /// window per transaction, placed in the earliest gap that fits
+    /// the whole phase. Host refills ride a dedicated slave path and
+    /// never touch the shared calendar. Cycle-identical to the
+    /// pre-fabric `ResourceChannel` model.
     #[default]
     WholePhase,
-    /// [`RoundRobinBurst`] — burst-interleaved, symmetric ports.
+    /// Work-conserving round-robin: every transaction is decomposed
+    /// into bursts that fill the earliest idle slices, so concurrent
+    /// streams interleave at burst granularity. Host and kernel
+    /// traffic share the banks symmetrically.
     RoundRobinBurst,
-    /// [`PriorityHost`] — burst-interleaved kernels, contiguous host.
+    /// Round-robin bursts for kernel traffic, contiguous earliest-gap
+    /// grants for the host: the host's miss refills are never split,
+    /// so host latency is minimised while kernel bursts weave around
+    /// them.
     PriorityHost,
 }
 
@@ -313,18 +129,60 @@ impl ArbiterKind {
         ArbiterKind::PriorityHost,
     ];
 
-    /// The policy implementation behind this selector.
-    pub fn policy(self) -> &'static dyn ArbiterPolicy {
+    /// Policy mnemonic (ablation tables).
+    pub fn name(self) -> &'static str {
         match self {
-            ArbiterKind::WholePhase => &WholePhase,
-            ArbiterKind::RoundRobinBurst => &RoundRobinBurst,
-            ArbiterKind::PriorityHost => &PriorityHost,
+            ArbiterKind::WholePhase => "whole-phase",
+            ArbiterKind::RoundRobinBurst => "round-robin-burst",
+            ArbiterKind::PriorityHost => "priority-host",
         }
     }
 
-    /// Policy mnemonic (ablation tables).
-    pub fn name(self) -> &'static str {
-        self.policy().name()
+    /// Books one transaction of `duration` cycles on `chan`, no earlier
+    /// than `earliest`, in bursts of at most `burst` cycles where the
+    /// discipline splits. `host` marks a host-port transaction (miss
+    /// refill or writeback line); every other transaction is kernel
+    /// traffic (DMA, dispatch or descriptor trains).
+    ///
+    /// Every grant books exactly `duration` busy cycles, except a
+    /// whole-phase host grant, which rides the dedicated slave path and
+    /// books none.
+    pub(crate) fn grant(
+        self,
+        chan: &mut ResourceChannel,
+        host: bool,
+        earliest: u64,
+        duration: u64,
+        burst: u64,
+    ) -> Grant {
+        match (self, host) {
+            // Dedicated host slave path: fixed service latency, no
+            // contention with kernel traffic (the legacy model).
+            (ArbiterKind::WholePhase, true) => Grant {
+                start: earliest,
+                end: earliest + duration,
+                bursts: 1,
+            },
+            (ArbiterKind::WholePhase, false) | (ArbiterKind::PriorityHost, true) => {
+                let (start, end) = chan.reserve(earliest, duration);
+                Grant {
+                    start,
+                    end,
+                    bursts: 1,
+                }
+            }
+            (ArbiterKind::RoundRobinBurst, _) | (ArbiterKind::PriorityHost, false) => {
+                let (start, end, bursts) = chan.reserve_packed(earliest, duration, burst);
+                Grant { start, end, bursts }
+            }
+        }
+    }
+
+    /// `true` when vector-instruction dispatch rides the fabric as
+    /// descriptor bursts (autonomous per-VPU sequencers); `false` when
+    /// it stays on the exclusive eCPU calendar (software issue).
+    pub(crate) fn issue_on_fabric(self) -> bool {
+        self != ArbiterKind::WholePhase
     }
 }
 
@@ -343,7 +201,7 @@ pub struct PortStats {
     pub bursts: u64,
     /// Service cycles of the port's transactions. Under the burst
     /// arbiters every one of these cycles occupies a bank calendar;
-    /// under [`WholePhase`] the host port's transactions ride the
+    /// under [`ArbiterKind::WholePhase`] the host port's transactions ride the
     /// dedicated slave path instead, so the host row's busy cycles
     /// count that path's occupancy, not bank time (the sum over ports
     /// can then exceed [`Fabric::busy_cycles`]).
@@ -416,14 +274,28 @@ impl Fabric {
     /// `true` when the configured arbiter routes vector-instruction
     /// dispatch over the fabric instead of the exclusive eCPU calendar.
     pub fn issue_on_fabric(&self) -> bool {
-        self.cfg.arbiter.policy().issue_on_fabric()
+        self.cfg.arbiter.issue_on_fabric()
     }
 
     fn bank_of_addr(&self, addr: u32) -> usize {
-        (addr as u64 / self.cfg.burst_bytes.max(1)) as usize % self.banks.len()
+        (addr as u64 / BURST_BYTES) as usize % self.banks.len()
     }
 
-    fn record(&mut self, port: usize, earliest: u64, duration: u64, grant: Grant) -> Grant {
+    /// Grants one transaction on `bank` under the configured arbiter
+    /// and charges it to `port`'s statistics.
+    fn book(
+        &mut self,
+        port: usize,
+        bank: usize,
+        host: bool,
+        earliest: u64,
+        duration: u64,
+    ) -> Grant {
+        let burst = self.cfg.burst_cycles();
+        let grant = self
+            .cfg
+            .arbiter
+            .grant(&mut self.banks[bank], host, earliest, duration, burst);
         let p = &mut self.ports[port];
         p.requests += 1;
         p.bursts += grant.bursts;
@@ -437,16 +309,8 @@ impl Fabric {
     /// than `earliest`. Returns the grant; the caller's time cursor
     /// should advance to `grant.end`.
     pub fn request(&mut self, port: usize, addr: u32, earliest: u64, duration: u64) -> Grant {
-        let policy = self.cfg.arbiter.policy();
-        let burst = self.cfg.burst_cycles();
         let bank = self.bank_of_addr(addr);
-        let chan = &mut self.banks[bank];
-        let grant = if port == HOST_PORT {
-            policy.grant_host(chan, earliest, duration, burst)
-        } else {
-            policy.grant_kernel(chan, earliest, duration, burst)
-        };
-        self.record(port, earliest, duration, grant)
+        self.book(port, bank, port == HOST_PORT, earliest, duration)
     }
 
     /// Books the dispatch of `n_instrs` vector instructions to the VPU
@@ -455,7 +319,7 @@ impl Fabric {
     /// this must not be called).
     ///
     /// Descriptors stream over the bank the VPU's control queue lives
-    /// on (`port − 1 mod banks`), `issue_bytes` each.
+    /// on (`port − 1 mod banks`), 8 bytes each.
     ///
     /// # Panics
     ///
@@ -469,11 +333,8 @@ impl Fabric {
         );
         assert_ne!(port, HOST_PORT, "the host port does not dispatch kernels");
         let duration = n_instrs * self.cfg.issue_cycles();
-        let burst = self.cfg.burst_cycles();
         let bank = (port - 1) % self.banks.len();
-        let policy = self.cfg.arbiter.policy();
-        let grant = policy.grant_kernel(&mut self.banks[bank], earliest, duration, burst);
-        self.record(port, earliest, duration, grant)
+        self.book(port, bank, false, earliest, duration)
     }
 
     /// Books the transfer of one launch-descriptor batch of `bytes`
@@ -487,11 +348,8 @@ impl Fabric {
     /// batch fetches off the critical path of in-flight allocations.
     pub fn issue_batch(&mut self, port: usize, addr: u32, earliest: u64, bytes: u64) -> Grant {
         let duration = self.cfg.payload_cycles(bytes);
-        let burst = self.cfg.burst_cycles();
         let bank = self.bank_of_addr(addr);
-        let policy = self.cfg.arbiter.policy();
-        let grant = policy.grant_kernel(&mut self.banks[bank], earliest, duration, burst);
-        self.record(port, earliest, duration, grant)
+        self.book(port, bank, false, earliest, duration)
     }
 
     /// Per-port traffic statistics, indexed by port.

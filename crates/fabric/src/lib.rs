@@ -10,12 +10,13 @@
 //!   resource (fabric bank, eCPU) is booked on;
 //! * [`Fabric`] — `1 + n_vpus` request ports multiplexed onto a
 //!   configurable set of bank calendars ([`FabricConfig`]: `banks`,
-//!   `bytes_per_cycle`, `burst_bytes`);
-//! * [`ArbiterPolicy`] / [`ArbiterKind`] — pluggable grant
-//!   disciplines: [`WholePhase`] (the legacy contiguous-window model,
-//!   cycle-identical to the pre-fabric calendar), [`RoundRobinBurst`]
-//!   (work-conserving burst interleaving) and [`PriorityHost`]
-//!   (contiguous host grants over burst-interleaved kernels);
+//!   `bytes_per_cycle`; bursts are one 1 KiB line);
+//! * [`ArbiterKind`] — the grant discipline:
+//!   [`ArbiterKind::WholePhase`] (the legacy contiguous-window model,
+//!   cycle-identical to the pre-fabric calendar),
+//!   [`ArbiterKind::RoundRobinBurst`] (work-conserving burst
+//!   interleaving) and [`ArbiterKind::PriorityHost`] (contiguous host
+//!   grants over burst-interleaved kernels);
 //! * [`HostTrafficGen`] — deterministic synthetic host stores injected
 //!   between kernel offloads, the mixed-traffic load under which
 //!   scheduler and arbiter policies actually diverge.
@@ -49,8 +50,5 @@ mod fabric;
 mod traffic;
 
 pub use channel::ResourceChannel;
-pub use fabric::{
-    ArbiterKind, ArbiterPolicy, Fabric, FabricConfig, Grant, PortStats, PriorityHost,
-    RoundRobinBurst, WholePhase, HOST_PORT,
-};
+pub use fabric::{ArbiterKind, Fabric, FabricConfig, Grant, PortStats, HOST_PORT};
 pub use traffic::{HostTraffic, HostTrafficGen};

@@ -48,6 +48,7 @@ use arcane_isa::reg::{A0, A1, A2, T0, T1};
 use arcane_isa::rv32::LoadOp;
 use arcane_isa::xmnmc::{self, kernel_id, MatReg, NUM_MAT_REGS};
 use arcane_sim::Sew;
+use arcane_system::IMEM_SIZE;
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
@@ -73,6 +74,13 @@ pub enum CompileError {
         /// Columns of the offending region.
         cols: usize,
     },
+    /// The host program does not fit the SoC's instruction memory.
+    ProgramTooLarge {
+        /// Size of the assembled program in bytes.
+        bytes: usize,
+        /// Instruction-memory size in bytes.
+        limit: usize,
+    },
 }
 
 impl fmt::Display for CompileError {
@@ -83,6 +91,10 @@ impl fmt::Display for CompileError {
             CompileError::DimensionTooLarge { rows, cols } => write!(
                 f,
                 "tensor dimension {rows}x{cols} exceeds the 16-bit xmr encoding"
+            ),
+            CompileError::ProgramTooLarge { bytes, limit } => write!(
+                f,
+                "host program of {bytes} B exceeds the {limit} B instruction memory"
             ),
         }
     }
@@ -739,8 +751,8 @@ impl RegAlloc {
 /// # Errors
 ///
 /// Returns [`CompileError`] when the graph has no outputs, `instances`
-/// is zero, or a tensor dimension exceeds the 16-bit `xmr`/binding
-/// encoding.
+/// is zero, a tensor dimension exceeds the 16-bit `xmr`/binding
+/// encoding, or the program outgrows the instruction memory.
 pub fn compile(
     graph: &LayerGraph,
     base: u32,
@@ -758,7 +770,15 @@ pub fn compile(
         LaunchMode::Legacy => (emit_legacy(graph, &lowering, opts), Vec::new()),
         LaunchMode::Descriptor => emit_descriptor(graph, &lowering, opts),
     };
-    Ok(program.finish(graph, layout, opts.launch, tables))
+    let program = program.finish(graph, layout, opts.launch, tables);
+    let bytes = program.asm.len() * 4;
+    if bytes > IMEM_SIZE {
+        return Err(CompileError::ProgramTooLarge {
+            bytes,
+            limit: IMEM_SIZE,
+        });
+    }
+    Ok(program)
 }
 
 #[cfg(test)]
@@ -837,6 +857,33 @@ mod tests {
             compile(&g, 0x2000_0000, &opts).unwrap_err(),
             CompileError::ZeroInstances
         );
+    }
+
+    #[test]
+    fn program_outgrowing_instruction_memory_is_a_typed_error() {
+        // Dense host traffic (128 KiB dirtied after every kernel) on a
+        // x4 split blows the program past the 128 KiB instruction
+        // memory; compile() must say so instead of handing the SoC an
+        // image it cannot load.
+        let g = crate::suite::transformer_block(16, 24, 32, Sew::Byte, 9).graph;
+        for (launch, bytes) in [
+            (LaunchMode::Legacy, 144_996),
+            (LaunchMode::Descriptor, 140_492),
+        ] {
+            let opts = CompileOptions {
+                instances: 4,
+                host_traffic: Some(HostTraffic::new(1, 128 * 1024)),
+                launch,
+            };
+            assert_eq!(
+                compile(&g, 0x2000_0000, &opts).unwrap_err(),
+                CompileError::ProgramTooLarge {
+                    bytes,
+                    limit: IMEM_SIZE
+                },
+                "{launch:?}"
+            );
+        }
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! Acceptance grid for the scheduler-policy × VPU-count matrix: the
 //! int8 transformer encoder block must run end-to-end **bit-exact**
-//! against its golden model on 1, 2 and 4 VPU instances under all
-//! three placement policies (ISSUE 3 acceptance criteria), and the
-//! policies must actually change placement where placement can differ.
+//! against its golden model on 1, 2 and 4 VPU instances under both
+//! placement policies, and the policies (and fabric arbiters) must
+//! actually change the schedule where it can differ.
 
 use arcane_core::{ArcaneConfig, SchedulerKind};
-use arcane_nn::suite;
+use arcane_fabric::ArbiterKind;
+use arcane_nn::{suite, CompileOptions, HostTraffic};
 use arcane_sim::Sew;
 
 fn cfg(n_vpus: usize, scheduler: SchedulerKind) -> ArcaneConfig {
@@ -97,11 +98,10 @@ fn policies_disagree_under_host_dirty_lines() {
         llc.records()[0].vpu
     };
 
-    // The dirty line sits on VPU 0: least-dirty and most-free both
-    // steer away from it, the oblivious rotation starts right on it.
+    // The dirty line sits on VPU 0: least-dirty steers away from it,
+    // the oblivious rotation starts right on it.
     assert_eq!(placement_under(SchedulerKind::RoundRobin), 0);
     assert_ne!(placement_under(SchedulerKind::LeastDirty), 0);
-    assert_ne!(placement_under(SchedulerKind::MostFree), 0);
 }
 
 #[test]
@@ -113,6 +113,27 @@ fn single_vpu_policies_are_cycle_identical() {
         .iter()
         .map(|&s| block.run_verified(cfg(1, s), 1).cycles)
         .collect();
-    assert_eq!(cycles[0], cycles[1]);
-    assert_eq!(cycles[1], cycles[2]);
+    for (s, c) in SchedulerKind::ALL.iter().zip(&cycles) {
+        assert_eq!(*c, cycles[0], "{s} vs {}", SchedulerKind::ALL[0]);
+    }
+}
+
+/// Priority-host is a distinct arbiter: under mixed host/kernel
+/// traffic on descriptor batches, granting host lines whole (instead
+/// of weaving them burst by burst) moves the total, with outputs still
+/// bit-exact.
+#[test]
+fn priority_host_differs_from_round_robin_burst_under_host_traffic() {
+    let block = suite::transformer_block(16, 24, 32, Sew::Byte, 9);
+    let opts = CompileOptions {
+        host_traffic: Some(HostTraffic::new(1, 8 * 1024)),
+        ..CompileOptions::descriptor(1)
+    };
+    let cycles_under = |arbiter: ArbiterKind| {
+        let mut c = cfg(4, SchedulerKind::LeastDirty);
+        c.fabric.arbiter = arbiter;
+        block.run_verified_with(c, &opts).cycles
+    };
+    assert_eq!(cycles_under(ArbiterKind::RoundRobinBurst), 26_235);
+    assert_eq!(cycles_under(ArbiterKind::PriorityHost), 35_106);
 }

@@ -2,9 +2,7 @@
 
 use arcane_sim::Sew;
 
-/// Base address of the cached external memory (matches
-/// [`arcane_core::ArcaneConfig::with_lanes`]).
-pub const EXT_BASE: u32 = 0x2000_0000;
+pub use arcane_core::EXT_BASE;
 
 /// Instruction-memory size (4 × 32 KiB banks, as synthesized).
 pub const IMEM_SIZE: usize = 128 * 1024;

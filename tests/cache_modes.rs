@@ -4,7 +4,7 @@
 //! cycles. "Drop-in replacement for the conventional on-chip LLC" is a
 //! headline claim of the paper.
 
-use arcane::core::{ArcaneConfig, ArcaneLlc, StandardLlc};
+use arcane::core::{ArcaneConfig, ArcaneLlc, StandardLlc, EXT_BASE};
 use arcane::mem::AccessSize;
 use arcane::workloads::rng;
 use rand::Rng;
@@ -121,7 +121,7 @@ fn out_of_range_accesses_fault() {
     assert!(llc
         .host_access(0x1000, false, 0, AccessSize::Word, 0)
         .is_err());
-    let end = cfg.ext_base + cfg.ext_size as u32;
+    let end = EXT_BASE + cfg.ext_size as u32;
     assert!(llc
         .host_access(end - 2, false, 0, AccessSize::Word, 0)
         .is_err());
