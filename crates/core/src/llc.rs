@@ -20,7 +20,8 @@
 //! completes — exactly the synchronisation the hardware enforces.
 
 use crate::cache::{
-    AddressTable, AtEntry, CacheTable, LockWindows, OperandKind, ResourceChannel, Victim,
+    access_bytes, AddressTable, AtEntry, CacheTable, LockWindows, OperandKind, ResourceChannel,
+    Victim,
 };
 use crate::config::{ArcaneConfig, CRT};
 use crate::kernels::{KernelError, KernelLib, ResolvedArgs};
@@ -345,17 +346,10 @@ impl ArcaneLlc {
             }
         };
         let off = (addr - tag) as usize;
-        let n = size.bytes() as usize;
-        let data = if write {
-            let bytes = value.to_le_bytes();
-            self.line_data_mut(line)[off..off + n].copy_from_slice(&bytes[..n]);
+        let data = access_bytes(self.line_data_mut(line), off, write, value, size);
+        if write {
             self.table.line_mut(line).dirty = true;
-            0
-        } else {
-            let mut b = [0u8; 4];
-            b[..n].copy_from_slice(&self.line_data(line)[off..off + n]);
-            u32::from_le_bytes(b)
-        };
+        }
 
         Ok(Access::new(data, (t - now) + service + 1))
     }

@@ -3,7 +3,7 @@
 //! but with no compute capability. This is the cache of the baseline
 //! X-HEEP system the paper compares against in Table II and Figure 4.
 
-use crate::cache::{CacheTable, Victim};
+use crate::cache::{access_bytes, CacheTable, Victim};
 use crate::config::ArcaneConfig;
 use arcane_mem::{Access, AccessSize, BusError, ExtMem, Memory};
 use arcane_sim::CacheStats;
@@ -104,17 +104,10 @@ impl StandardLlc {
             }
         };
         let off = line * self.line_bytes + (addr - tag) as usize;
-        let n = size.bytes() as usize;
-        let data = if write {
-            let bytes = value.to_le_bytes();
-            self.data[off..off + n].copy_from_slice(&bytes[..n]);
+        let data = access_bytes(&mut self.data, off, write, value, size);
+        if write {
             self.table.line_mut(line).dirty = true;
-            0
-        } else {
-            let mut b = [0u8; 4];
-            b[..n].copy_from_slice(&self.data[off..off + n]);
-            u32::from_le_bytes(b)
-        };
+        }
         Ok(Access::new(data, service + 1))
     }
 

@@ -11,11 +11,12 @@
 //!
 //! A block ends at the first *control-class* instruction (branch, jump,
 //! `ecall`/`ebreak`, or a custom-2 offload whose acceptance is decided
-//! by the coprocessor) or at [`MAX_BLOCK_LEN`]. Each instruction
-//! carries a precomputed [`CostClass`] hint: predecode uses it to
-//! place block boundaries ([`CostClass::ends_block`]), and the engine
-//! uses it to gate the self-modifying-code re-check on store-class
-//! instructions instead of paying it on every retired instruction.
+//! by the coprocessor) or at [`MAX_BLOCK_LEN`]. Predecode flattens each
+//! [`Instr`] into one [`Op`]: a single-level enum with one variant per
+//! operation, whose register indices, immediates, access width,
+//! sign extension and branch condition are already resolved, so the
+//! engine dispatches each retired instruction with one `match`;
+//! [`Op::ends_block`] places the block boundaries.
 //!
 //! The cache stays coherent with instruction memory: every store the
 //! core performs is offered to [`BlockCache::invalidate_write`], which
@@ -23,8 +24,9 @@
 //! generation counter the engine checks mid-block (self-modifying-code
 //! guard).
 
-use crate::rv32::Instr;
-use crate::xcvpulp::PulpInstr;
+use crate::reg::Gpr;
+use crate::rv32::{AluImmOp, AluOp, BranchOp, Instr, LoadOp, StoreOp};
+use crate::xcvpulp::{PulpInstr, PvOp, SimdWidth};
 use std::collections::HashMap;
 use std::rc::Rc;
 
@@ -35,79 +37,494 @@ use std::rc::Rc;
 /// latency and invalidation granularity bounded.
 pub const MAX_BLOCK_LEN: usize = 64;
 
-/// Precomputed timing class of a decoded instruction.
-///
-/// Classes with a fixed cycle cost (ALU, multiplier, divider, SIMD,
-/// loop setup) can be charged without inspecting the operands; the
-/// remaining classes depend on runtime state (branch direction, bus
-/// wait states, coprocessor response).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum CostClass {
-    /// Single-cycle ALU class (`OpImm`, non-M `Op`, `lui`, `auipc`, `fence`).
-    Alu,
-    /// 32×32 multiply (`mul`).
-    Mul,
-    /// High-half multiply (`mulh*`).
-    Mulh,
-    /// Iterative divide/remainder.
-    Div,
-    /// Unconditional jump (`jal`/`jalr`).
-    Jump,
-    /// Conditional branch (taken/not-taken cost decided at run time).
-    Branch,
-    /// Memory load (bus-dependent cost).
-    Load,
-    /// Memory store (bus-dependent cost).
-    Store,
-    /// XCVPULP packed-SIMD / DSP op (single-cycle datapath).
-    Simd,
-    /// XCVPULP hardware-loop setup.
-    LoopSetup,
-    /// `ecall`/`ebreak` (terminates simulation).
-    System,
-    /// Custom-2 offload (cost decided by the coprocessor).
-    Offload,
+/// Operands of a register–immediate op: ALU immediates, loads, `jalr`
+/// and post-increment loads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct IType {
+    /// Destination register.
+    pub rd: Gpr,
+    /// Source (or base address) register.
+    pub rs1: Gpr,
+    /// Sign-extended immediate: ALU operand, shift amount, address
+    /// offset, or post-increment.
+    pub imm: i32,
 }
 
-impl CostClass {
-    /// Classifies a decoded instruction.
-    pub const fn of(instr: &Instr) -> CostClass {
+/// Operands of a register–register op (RV32IM `OP`, XCVPULP scalar
+/// DSP and packed-SIMD ops).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RType {
+    /// Destination register (also the accumulator of `mac`/`sdotsp`).
+    pub rd: Gpr,
+    /// First source register.
+    pub rs1: Gpr,
+    /// Second source register (`x0` for the one-source `cv.abs`).
+    pub rs2: Gpr,
+}
+
+/// Operands of a conditional branch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BType {
+    /// First compared register.
+    pub rs1: Gpr,
+    /// Second compared register.
+    pub rs2: Gpr,
+    /// Signed byte offset from the branch.
+    pub off: i32,
+}
+
+/// Operands of a store (plain or post-increment).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SType {
+    /// Data register.
+    pub rs2: Gpr,
+    /// Base address register.
+    pub rs1: Gpr,
+    /// Signed address offset, or the post-increment of `cv.s*`.
+    pub off: i32,
+}
+
+/// Operands of `lui`, `auipc` and `jal`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct UType {
+    /// Destination (link) register.
+    pub rd: Gpr,
+    /// Upper immediate (low 12 bits zero), or `jal`'s signed byte
+    /// offset in two's complement.
+    pub imm: u32,
+}
+
+/// One predecoded instruction: a flat enum with one variant per
+/// operation, so executing it is a single `match`.
+///
+/// Built from a decoded [`Instr`] with [`Op::from`]; every field the
+/// engine needs (operation, access width and signedness, branch
+/// condition, SIMD lane width) is resolved here, once per static
+/// instruction.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Op {
+    /// `lui`.
+    Lui(UType),
+    /// `auipc`.
+    Auipc(UType),
+    /// `jal`.
+    Jal(UType),
+    /// `jalr`.
+    Jalr(IType),
+    /// `beq`.
+    Beq(BType),
+    /// `bne`.
+    Bne(BType),
+    /// `blt`.
+    Blt(BType),
+    /// `bge`.
+    Bge(BType),
+    /// `bltu`.
+    Bltu(BType),
+    /// `bgeu`.
+    Bgeu(BType),
+    /// `lb`.
+    Lb(IType),
+    /// `lh`.
+    Lh(IType),
+    /// `lw`.
+    Lw(IType),
+    /// `lbu`.
+    Lbu(IType),
+    /// `lhu`.
+    Lhu(IType),
+    /// `sb`.
+    Sb(SType),
+    /// `sh`.
+    Sh(SType),
+    /// `sw`.
+    Sw(SType),
+    /// `addi`.
+    Addi(IType),
+    /// `slti`.
+    Slti(IType),
+    /// `sltiu`.
+    Sltiu(IType),
+    /// `xori`.
+    Xori(IType),
+    /// `ori`.
+    Ori(IType),
+    /// `andi`.
+    Andi(IType),
+    /// `slli`.
+    Slli(IType),
+    /// `srli`.
+    Srli(IType),
+    /// `srai`.
+    Srai(IType),
+    /// `add`.
+    Add(RType),
+    /// `sub`.
+    Sub(RType),
+    /// `sll`.
+    Sll(RType),
+    /// `slt`.
+    Slt(RType),
+    /// `sltu`.
+    Sltu(RType),
+    /// `xor`.
+    Xor(RType),
+    /// `srl`.
+    Srl(RType),
+    /// `sra`.
+    Sra(RType),
+    /// `or`.
+    Or(RType),
+    /// `and`.
+    And(RType),
+    /// `mul`.
+    Mul(RType),
+    /// `mulh`.
+    Mulh(RType),
+    /// `mulhsu`.
+    Mulhsu(RType),
+    /// `mulhu`.
+    Mulhu(RType),
+    /// `div`.
+    Div(RType),
+    /// `divu`.
+    Divu(RType),
+    /// `rem`.
+    Rem(RType),
+    /// `remu`.
+    Remu(RType),
+    /// `fence` (a no-op in the in-order model).
+    Fence,
+    /// `ecall`.
+    Ecall,
+    /// `ebreak`.
+    Ebreak,
+    /// `cv.lb` with post-increment (`imm` is the increment).
+    LbPost(IType),
+    /// `cv.lh` with post-increment.
+    LhPost(IType),
+    /// `cv.lw` with post-increment.
+    LwPost(IType),
+    /// `cv.lbu` with post-increment.
+    LbuPost(IType),
+    /// `cv.lhu` with post-increment.
+    LhuPost(IType),
+    /// `cv.sb` with post-increment (`off` is the increment).
+    SbPost(SType),
+    /// `cv.sh` with post-increment.
+    ShPost(SType),
+    /// `cv.sw` with post-increment.
+    SwPost(SType),
+    /// `pv.add.b`.
+    PvAddB(RType),
+    /// `pv.sub.b`.
+    PvSubB(RType),
+    /// `pv.max.b`.
+    PvMaxB(RType),
+    /// `pv.min.b`.
+    PvMinB(RType),
+    /// `pv.dotsp.b`.
+    PvDotspB(RType),
+    /// `pv.sdotsp.b`.
+    PvSdotspB(RType),
+    /// `pv.dotup.b`.
+    PvDotupB(RType),
+    /// `pv.add.h`.
+    PvAddH(RType),
+    /// `pv.sub.h`.
+    PvSubH(RType),
+    /// `pv.max.h`.
+    PvMaxH(RType),
+    /// `pv.min.h`.
+    PvMinH(RType),
+    /// `pv.dotsp.h`.
+    PvDotspH(RType),
+    /// `pv.sdotsp.h`.
+    PvSdotspH(RType),
+    /// `pv.dotup.h`.
+    PvDotupH(RType),
+    /// `cv.mac`.
+    Mac(RType),
+    /// `cv.max`.
+    MaxS(RType),
+    /// `cv.min`.
+    MinS(RType),
+    /// `cv.abs` (`rs2` is `x0`).
+    Abs(RType),
+    /// `cv.setupi`: hardware loop with an immediate count.
+    LoopSetupI {
+        /// Hardware loop id.
+        loop_id: bool,
+        /// Iteration count.
+        count: u32,
+        /// Body length in instructions.
+        body_len: u32,
+    },
+    /// `cv.setup`: hardware loop with a register count.
+    LoopSetup {
+        /// Hardware loop id.
+        loop_id: bool,
+        /// Register holding the iteration count.
+        count: Gpr,
+        /// Body length in instructions.
+        body_len: u32,
+    },
+    /// A custom-2 instruction offered to the coprocessor.
+    Offload {
+        /// The raw instruction word.
+        raw: u32,
+        /// Destination register of an accepted writeback.
+        rd: Gpr,
+        /// First source register.
+        rs1: Gpr,
+        /// Second source register.
+        rs2: Gpr,
+        /// Third source register.
+        rs3: Gpr,
+    },
+}
+
+impl From<Instr> for Op {
+    fn from(instr: Instr) -> Op {
         match instr {
-            Instr::Lui { .. } | Instr::Auipc { .. } | Instr::OpImm { .. } | Instr::Fence => {
-                CostClass::Alu
+            Instr::Lui { rd, imm } => Op::Lui(UType { rd, imm }),
+            Instr::Auipc { rd, imm } => Op::Auipc(UType { rd, imm }),
+            Instr::Jal { rd, offset } => Op::Jal(UType {
+                rd,
+                imm: offset as u32,
+            }),
+            Instr::Jalr { rd, rs1, offset } => Op::Jalr(IType {
+                rd,
+                rs1,
+                imm: offset,
+            }),
+            Instr::Branch {
+                op,
+                rs1,
+                rs2,
+                offset,
+            } => {
+                let b = BType {
+                    rs1,
+                    rs2,
+                    off: offset,
+                };
+                match op {
+                    BranchOp::Eq => Op::Beq(b),
+                    BranchOp::Ne => Op::Bne(b),
+                    BranchOp::Lt => Op::Blt(b),
+                    BranchOp::Ge => Op::Bge(b),
+                    BranchOp::Ltu => Op::Bltu(b),
+                    BranchOp::Geu => Op::Bgeu(b),
+                }
             }
-            Instr::Op { op, .. } => match op {
-                crate::rv32::AluOp::Mul => CostClass::Mul,
-                crate::rv32::AluOp::Mulh
-                | crate::rv32::AluOp::Mulhsu
-                | crate::rv32::AluOp::Mulhu => CostClass::Mulh,
-                crate::rv32::AluOp::Div
-                | crate::rv32::AluOp::Divu
-                | crate::rv32::AluOp::Rem
-                | crate::rv32::AluOp::Remu => CostClass::Div,
-                _ => CostClass::Alu,
+            Instr::Load {
+                op,
+                rd,
+                rs1,
+                offset,
+            } => load(
+                op,
+                IType {
+                    rd,
+                    rs1,
+                    imm: offset,
+                },
+            ),
+            Instr::Store {
+                op,
+                rs2,
+                rs1,
+                offset,
+            } => {
+                let s = SType {
+                    rs2,
+                    rs1,
+                    off: offset,
+                };
+                match op {
+                    StoreOp::Sb => Op::Sb(s),
+                    StoreOp::Sh => Op::Sh(s),
+                    StoreOp::Sw => Op::Sw(s),
+                }
+            }
+            Instr::OpImm { op, rd, rs1, imm } => {
+                let i = IType { rd, rs1, imm };
+                match op {
+                    AluImmOp::Addi => Op::Addi(i),
+                    AluImmOp::Slti => Op::Slti(i),
+                    AluImmOp::Sltiu => Op::Sltiu(i),
+                    AluImmOp::Xori => Op::Xori(i),
+                    AluImmOp::Ori => Op::Ori(i),
+                    AluImmOp::Andi => Op::Andi(i),
+                    AluImmOp::Slli => Op::Slli(i),
+                    AluImmOp::Srli => Op::Srli(i),
+                    AluImmOp::Srai => Op::Srai(i),
+                }
+            }
+            Instr::Op { op, rd, rs1, rs2 } => {
+                let r = RType { rd, rs1, rs2 };
+                match op {
+                    AluOp::Add => Op::Add(r),
+                    AluOp::Sub => Op::Sub(r),
+                    AluOp::Sll => Op::Sll(r),
+                    AluOp::Slt => Op::Slt(r),
+                    AluOp::Sltu => Op::Sltu(r),
+                    AluOp::Xor => Op::Xor(r),
+                    AluOp::Srl => Op::Srl(r),
+                    AluOp::Sra => Op::Sra(r),
+                    AluOp::Or => Op::Or(r),
+                    AluOp::And => Op::And(r),
+                    AluOp::Mul => Op::Mul(r),
+                    AluOp::Mulh => Op::Mulh(r),
+                    AluOp::Mulhsu => Op::Mulhsu(r),
+                    AluOp::Mulhu => Op::Mulhu(r),
+                    AluOp::Div => Op::Div(r),
+                    AluOp::Divu => Op::Divu(r),
+                    AluOp::Rem => Op::Rem(r),
+                    AluOp::Remu => Op::Remu(r),
+                }
+            }
+            Instr::Fence => Op::Fence,
+            Instr::Ecall => Op::Ecall,
+            Instr::Ebreak => Op::Ebreak,
+            Instr::Custom2 {
+                raw,
+                rs1,
+                rs2,
+                rs3,
+                rd,
+            } => Op::Offload {
+                raw,
+                rd,
+                rs1,
+                rs2,
+                rs3,
             },
-            Instr::Jal { .. } | Instr::Jalr { .. } => CostClass::Jump,
-            Instr::Branch { .. } => CostClass::Branch,
-            Instr::Load { .. } => CostClass::Load,
-            Instr::Store { .. } => CostClass::Store,
-            Instr::Ecall | Instr::Ebreak => CostClass::System,
-            Instr::Custom2 { .. } => CostClass::Offload,
-            Instr::Pulp(p) => match p {
-                PulpInstr::LoadPost { .. } => CostClass::Load,
-                PulpInstr::StorePost { .. } => CostClass::Store,
-                PulpInstr::LoopSetupI { .. } | PulpInstr::LoopSetup { .. } => CostClass::LoopSetup,
-                _ => CostClass::Simd,
-            },
+            Instr::Pulp(p) => pulp(p),
         }
     }
+}
 
-    /// `true` when an instruction of this class ends a basic block
-    /// (control transfer, program termination, or coprocessor offload).
+fn load(op: LoadOp, i: IType) -> Op {
+    match op {
+        LoadOp::Lb => Op::Lb(i),
+        LoadOp::Lh => Op::Lh(i),
+        LoadOp::Lw => Op::Lw(i),
+        LoadOp::Lbu => Op::Lbu(i),
+        LoadOp::Lhu => Op::Lhu(i),
+    }
+}
+
+fn pulp(p: PulpInstr) -> Op {
+    match p {
+        PulpInstr::LoadPost {
+            op,
+            rd,
+            rs1,
+            offset,
+        } => {
+            let i = IType {
+                rd,
+                rs1,
+                imm: offset,
+            };
+            match op {
+                LoadOp::Lb => Op::LbPost(i),
+                LoadOp::Lh => Op::LhPost(i),
+                LoadOp::Lw => Op::LwPost(i),
+                LoadOp::Lbu => Op::LbuPost(i),
+                LoadOp::Lhu => Op::LhuPost(i),
+            }
+        }
+        PulpInstr::StorePost {
+            op,
+            rs2,
+            rs1,
+            offset,
+        } => {
+            let s = SType {
+                rs2,
+                rs1,
+                off: offset,
+            };
+            match op {
+                StoreOp::Sb => Op::SbPost(s),
+                StoreOp::Sh => Op::ShPost(s),
+                StoreOp::Sw => Op::SwPost(s),
+            }
+        }
+        PulpInstr::Simd {
+            op,
+            w,
+            rd,
+            rs1,
+            rs2,
+        } => {
+            let r = RType { rd, rs1, rs2 };
+            match (w, op) {
+                (SimdWidth::B, PvOp::Add) => Op::PvAddB(r),
+                (SimdWidth::B, PvOp::Sub) => Op::PvSubB(r),
+                (SimdWidth::B, PvOp::Max) => Op::PvMaxB(r),
+                (SimdWidth::B, PvOp::Min) => Op::PvMinB(r),
+                (SimdWidth::B, PvOp::Dotsp) => Op::PvDotspB(r),
+                (SimdWidth::B, PvOp::Sdotsp) => Op::PvSdotspB(r),
+                (SimdWidth::B, PvOp::Dotup) => Op::PvDotupB(r),
+                (SimdWidth::H, PvOp::Add) => Op::PvAddH(r),
+                (SimdWidth::H, PvOp::Sub) => Op::PvSubH(r),
+                (SimdWidth::H, PvOp::Max) => Op::PvMaxH(r),
+                (SimdWidth::H, PvOp::Min) => Op::PvMinH(r),
+                (SimdWidth::H, PvOp::Dotsp) => Op::PvDotspH(r),
+                (SimdWidth::H, PvOp::Sdotsp) => Op::PvSdotspH(r),
+                (SimdWidth::H, PvOp::Dotup) => Op::PvDotupH(r),
+            }
+        }
+        PulpInstr::Mac { rd, rs1, rs2 } => Op::Mac(RType { rd, rs1, rs2 }),
+        PulpInstr::MaxS { rd, rs1, rs2 } => Op::MaxS(RType { rd, rs1, rs2 }),
+        PulpInstr::MinS { rd, rs1, rs2 } => Op::MinS(RType { rd, rs1, rs2 }),
+        PulpInstr::Abs { rd, rs1 } => Op::Abs(RType {
+            rd,
+            rs1,
+            rs2: crate::reg::ZERO,
+        }),
+        PulpInstr::LoopSetupI {
+            loop_id,
+            count,
+            body_len,
+        } => Op::LoopSetupI {
+            loop_id,
+            count: count.into(),
+            body_len: body_len.into(),
+        },
+        PulpInstr::LoopSetup {
+            loop_id,
+            count,
+            body_len,
+        } => Op::LoopSetup {
+            loop_id,
+            count,
+            body_len: body_len.into(),
+        },
+    }
+}
+
+impl Op {
+    /// `true` when this op ends a basic block: a control transfer,
+    /// program termination, or a coprocessor offload.
     pub const fn ends_block(self) -> bool {
         matches!(
             self,
-            CostClass::Jump | CostClass::Branch | CostClass::System | CostClass::Offload
+            Op::Jal(_)
+                | Op::Jalr(_)
+                | Op::Beq(_)
+                | Op::Bne(_)
+                | Op::Blt(_)
+                | Op::Bge(_)
+                | Op::Bltu(_)
+                | Op::Bgeu(_)
+                | Op::Ecall
+                | Op::Ebreak
+                | Op::Offload { .. }
         )
     }
 }
@@ -115,8 +532,8 @@ impl CostClass {
 /// A straight-line run of predecoded instructions.
 ///
 /// The block starts at [`DecodedBlock::start`] and covers consecutive
-/// word-aligned PCs; the final instruction is either a control-class
-/// instruction ([`CostClass::ends_block`]) or the block was truncated at
+/// word-aligned PCs; the final op either ends the block
+/// ([`Op::ends_block`]) or the block was truncated at
 /// [`MAX_BLOCK_LEN`] / at a word that failed to decode (the engine
 /// re-enters predecode at the following PC, so a stale or invalid word
 /// only faults when control actually reaches it — exactly like the
@@ -124,7 +541,7 @@ impl CostClass {
 #[derive(Debug, Clone)]
 pub struct DecodedBlock {
     start: u32,
-    instrs: Vec<(Instr, CostClass)>,
+    ops: Vec<Op>,
 }
 
 impl DecodedBlock {
@@ -132,16 +549,16 @@ impl DecodedBlock {
     pub fn new(start: u32) -> Self {
         DecodedBlock {
             start,
-            instrs: Vec::new(),
+            ops: Vec::new(),
         }
     }
 
-    /// Appends `instr`, classifying it; returns `true` while the block
+    /// Appends `instr` as a flat [`Op`]; returns `true` while the block
     /// remains open (i.e. the caller should keep pushing).
     pub fn push(&mut self, instr: Instr) -> bool {
-        let class = CostClass::of(&instr);
-        self.instrs.push((instr, class));
-        !class.ends_block() && self.instrs.len() < MAX_BLOCK_LEN
+        let op = Op::from(instr);
+        self.ops.push(op);
+        !op.ends_block() && self.ops.len() < MAX_BLOCK_LEN
     }
 
     /// First PC covered by the block.
@@ -151,22 +568,22 @@ impl DecodedBlock {
 
     /// One past the last byte covered by the block.
     pub fn end(&self) -> u32 {
-        self.start.wrapping_add((self.instrs.len() * 4) as u32)
+        self.start.wrapping_add((self.ops.len() * 4) as u32)
     }
 
     /// Number of instructions in the block.
     pub fn len(&self) -> usize {
-        self.instrs.len()
+        self.ops.len()
     }
 
     /// `true` when the block holds no instructions.
     pub fn is_empty(&self) -> bool {
-        self.instrs.is_empty()
+        self.ops.is_empty()
     }
 
-    /// The predecoded instructions with their cost hints.
-    pub fn instrs(&self) -> &[(Instr, CostClass)] {
-        &self.instrs
+    /// The predecoded ops, one per instruction.
+    pub fn ops(&self) -> &[Op] {
+        &self.ops
     }
 
     /// `true` when `addr` falls inside the block's PC range.
@@ -297,7 +714,6 @@ impl BlockCache {
 mod tests {
     use super::*;
     use crate::reg::{A0, A1};
-    use crate::rv32::{AluImmOp, AluOp, BranchOp};
 
     fn addi() -> Instr {
         Instr::OpImm {
@@ -340,21 +756,55 @@ mod tests {
     }
 
     #[test]
-    fn cost_classes() {
-        assert_eq!(CostClass::of(&addi()), CostClass::Alu);
-        assert_eq!(CostClass::of(&branch()), CostClass::Branch);
+    fn ops_are_flat_and_classified() {
         assert_eq!(
-            CostClass::of(&Instr::Op {
-                op: AluOp::Div,
+            Op::from(addi()),
+            Op::Addi(IType {
+                rd: A0,
+                rs1: A0,
+                imm: 1
+            })
+        );
+        assert_eq!(
+            Op::from(branch()),
+            Op::Bne(BType {
+                rs1: A0,
+                rs2: A1,
+                off: -8
+            })
+        );
+        let div = Op::from(Instr::Op {
+            op: AluOp::Div,
+            rd: A0,
+            rs1: A0,
+            rs2: A1,
+        });
+        assert_eq!(
+            div,
+            Op::Div(RType {
                 rd: A0,
                 rs1: A0,
                 rs2: A1
-            }),
-            CostClass::Div
+            })
         );
-        assert_eq!(CostClass::of(&Instr::Ebreak), CostClass::System);
-        assert!(CostClass::Branch.ends_block());
-        assert!(!CostClass::Load.ends_block());
+        assert!(Op::from(branch()).ends_block());
+        assert!(Op::from(Instr::Ebreak).ends_block());
+        assert!(!div.ends_block());
+        let lw_post = Op::from(Instr::Pulp(PulpInstr::LoadPost {
+            op: LoadOp::Lw,
+            rd: A0,
+            rs1: A1,
+            offset: 4,
+        }));
+        assert!(matches!(lw_post, Op::LwPost(_)));
+        assert!(!lw_post.ends_block());
+        let sh = Op::from(Instr::Store {
+            op: StoreOp::Sh,
+            rs2: A0,
+            rs1: A1,
+            offset: 2,
+        });
+        assert!(matches!(sh, Op::Sh(_)) && !sh.ends_block());
     }
 
     #[test]

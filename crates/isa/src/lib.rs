@@ -22,8 +22,9 @@
 //!   instructions, used to build every evaluation workload as real
 //!   machine code.
 //! * [`exec`] — the predecode stage of the block-stepping execution
-//!   engine: cached [`exec::DecodedBlock`]s of straight-line code with
-//!   per-instruction cost hints and write invalidation.
+//!   engine: cached [`exec::DecodedBlock`]s of straight-line code,
+//!   flattened into one [`exec::Op`] per instruction, with write
+//!   invalidation.
 //!
 //! # Examples
 //!

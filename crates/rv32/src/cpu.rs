@@ -3,10 +3,10 @@
 use crate::simd::pv_exec;
 use crate::timing::Timing;
 use crate::xif::{Coprocessor, XifResponse};
-use arcane_isa::exec::{BlockCache, CostClass, DecodedBlock};
+use arcane_isa::exec::{BType, BlockCache, DecodedBlock, IType, Op, RType, SType};
 use arcane_isa::reg::Gpr;
-use arcane_isa::rv32::{decode, AluImmOp, AluOp, BranchOp, Instr, LoadOp, StoreOp};
-use arcane_isa::xcvpulp::PulpInstr;
+use arcane_isa::rv32::{decode, LoadOp};
+use arcane_isa::xcvpulp::{PvOp, SimdWidth};
 use arcane_isa::DecodeError;
 use arcane_mem::{Access, AccessSize, Bus, BusError, Memory, Sram};
 use arcane_sim::EngineMode;
@@ -61,6 +61,15 @@ pub enum CpuError {
         /// The raw instruction word.
         raw: u32,
     },
+    /// A taken branch or jump targets a PC that is not word-aligned.
+    /// With no compressed instructions that is the RISC-V
+    /// instruction-address-misaligned exception, raised on the jump.
+    MisalignedPc {
+        /// Program counter of the branch or jump.
+        pc: u32,
+        /// The misaligned target.
+        target: u32,
+    },
 }
 
 impl fmt::Display for CpuError {
@@ -74,6 +83,10 @@ impl fmt::Display for CpuError {
                 f,
                 "coprocessor rejected instruction {raw:#010x} at pc {pc:#010x}"
             ),
+            CpuError::MisalignedPc { pc, target } => write!(
+                f,
+                "jump at pc {pc:#010x} to misaligned target {target:#010x}"
+            ),
         }
     }
 }
@@ -83,9 +96,20 @@ impl Error for CpuError {
         match self {
             CpuError::Bus { source, .. } => Some(source),
             CpuError::Decode { source, .. } => Some(source),
-            CpuError::RejectedOffload { .. } => None,
+            CpuError::RejectedOffload { .. } | CpuError::MisalignedPc { .. } => None,
         }
     }
+}
+
+/// Where control goes after an executed op.
+#[derive(Debug, Clone, Copy)]
+enum Flow {
+    /// Fall through to the next instruction.
+    Next,
+    /// Continue at this word-aligned target.
+    Jump(u32),
+    /// The program ends after this instruction.
+    Stop(StopReason),
 }
 
 #[derive(Debug, Clone, Copy, Default)]
@@ -163,9 +187,9 @@ impl Cpu {
     /// Writes a register (writes to `x0` are discarded).
     #[inline(always)]
     pub fn set_reg(&mut self, r: Gpr, value: u32) {
-        if !r.is_zero() {
-            self.regs[(r.index() & 31) as usize] = value;
-        }
+        // Branch-free: write, then pin `x0` back to zero.
+        self.regs[(r.index() & 31) as usize] = value;
+        self.regs[0] = 0;
     }
 
     /// Resets PC, registers, counters, hardware loops and the decoded
@@ -186,53 +210,384 @@ impl Cpu {
         &self.blocks
     }
 
-    fn mem_read<B: Bus>(
+    /// Loads `addr` into `rd`, sized and extended per `op`, at the
+    /// access cycles.
+    #[inline(always)]
+    fn load<B: Bus>(
         &mut self,
         bus: &mut B,
+        pc: u32,
+        now: u64,
+        rd: Gpr,
         addr: u32,
-        size: AccessSize,
-    ) -> Result<Access, CpuError> {
-        let pc = self.pc;
-        let mut acc = bus
-            .read(addr, size, self.cycles)
+        op: LoadOp,
+    ) -> Result<(Flow, u64), CpuError> {
+        let size = match op {
+            LoadOp::Lb | LoadOp::Lbu => AccessSize::Byte,
+            LoadOp::Lh | LoadOp::Lhu => AccessSize::Half,
+            LoadOp::Lw => AccessSize::Word,
+        };
+        let acc = bus
+            .read(addr, size, now)
             .map_err(|source| CpuError::Bus { pc, source })?;
-        if !addr.is_multiple_of(size.bytes()) {
-            acc.cycles += self.timing.misaligned_extra;
-        }
-        Ok(acc)
+        let v = acc.data;
+        self.set_reg(
+            rd,
+            match op {
+                LoadOp::Lb => v as u8 as i8 as u32,
+                LoadOp::Lh => v as u16 as i16 as u32,
+                LoadOp::Lbu => v as u8 as u32,
+                LoadOp::Lhu => v as u16 as u32,
+                LoadOp::Lw => v,
+            },
+        );
+        Ok((Flow::Next, acc.cycles + self.misaligned_extra(addr, size)))
     }
 
-    fn mem_write<B: Bus>(
+    /// `cv.l*`: loads from `rs1`, then post-increments `rs1` by `imm`.
+    #[inline(always)]
+    fn load_post<B: Bus>(
         &mut self,
         bus: &mut B,
+        pc: u32,
+        now: u64,
+        i: IType,
+        op: LoadOp,
+    ) -> Result<(Flow, u64), CpuError> {
+        let addr = self.reg(i.rs1);
+        let done = self.load(bus, pc, now, i.rd, addr, op)?;
+        // post-increment must survive rd == rs1 (rd wins on real HW
+        // only for rd != rs1; we forbid that case in kernels)
+        self.set_reg(i.rs1, addr.wrapping_add(i.imm as u32));
+        Ok(done)
+    }
+
+    /// Writes the low `size` bytes of `rs2` at `addr`, at the access
+    /// cycles.
+    #[inline(always)]
+    fn store<B: Bus>(
+        &mut self,
+        bus: &mut B,
+        pc: u32,
+        now: u64,
         addr: u32,
-        value: u32,
+        rs2: Gpr,
         size: AccessSize,
-    ) -> Result<u64, CpuError> {
-        let pc = self.pc;
+    ) -> Result<(Flow, u64), CpuError> {
         let acc = bus
-            .write(addr, value, size, self.cycles)
+            .write(addr, self.reg(rs2), size, now)
             .map_err(|source| CpuError::Bus { pc, source })?;
         // Self-modifying-code guard: drop any predecoded block the
         // store overlaps (two compares when the store is outside code).
         self.blocks.invalidate_write(addr, size.bytes());
-        let extra = if !addr.is_multiple_of(size.bytes()) {
-            self.timing.misaligned_extra
-        } else {
-            0
-        };
-        Ok(acc.cycles + extra)
+        Ok((Flow::Next, acc.cycles + self.misaligned_extra(addr, size)))
     }
 
-    /// Executes one instruction.
+    /// `cv.s*`: stores to `rs1`, then post-increments `rs1` by `off`.
+    #[inline(always)]
+    fn store_post<B: Bus>(
+        &mut self,
+        bus: &mut B,
+        pc: u32,
+        now: u64,
+        s: SType,
+        size: AccessSize,
+    ) -> Result<(Flow, u64), CpuError> {
+        let addr = self.reg(s.rs1);
+        let done = self.store(bus, pc, now, addr, s.rs2, size)?;
+        self.set_reg(s.rs1, addr.wrapping_add(s.off as u32));
+        Ok(done)
+    }
+
+    #[inline(always)]
+    fn misaligned_extra(&self, addr: u32, size: AccessSize) -> u64 {
+        if addr.is_multiple_of(size.bytes()) {
+            0
+        } else {
+            self.timing.misaligned_extra
+        }
+    }
+
+    /// Effective address of a load: `rs1 + imm`.
+    #[inline(always)]
+    fn ea(&self, i: IType) -> u32 {
+        self.reg(i.rs1).wrapping_add(i.imm as u32)
+    }
+
+    /// Effective address of a store: `rs1 + off`.
+    #[inline(always)]
+    fn sa(&self, s: SType) -> u32 {
+        self.reg(s.rs1).wrapping_add(s.off as u32)
+    }
+
+    /// `rd = v` at `cost`, falling through.
+    #[inline(always)]
+    fn write(&mut self, rd: Gpr, v: u32, cost: u64) -> (Flow, u64) {
+        self.set_reg(rd, v);
+        (Flow::Next, cost)
+    }
+
+    /// `rd = f(rs1, imm)` at `cost`.
+    #[inline(always)]
+    fn ri(&mut self, i: IType, cost: u64, f: impl FnOnce(u32, u32) -> u32) -> (Flow, u64) {
+        self.write(i.rd, f(self.reg(i.rs1), i.imm as u32), cost)
+    }
+
+    /// `rd = f(rs1, rs2)` at `cost`.
+    #[inline(always)]
+    fn rr(&mut self, r: RType, cost: u64, f: impl FnOnce(u32, u32) -> u32) -> (Flow, u64) {
+        self.write(r.rd, f(self.reg(r.rs1), self.reg(r.rs2)), cost)
+    }
+
+    /// `rd = f(rd, rs1, rs2)`: the accumulating XCVPULP ops.
+    #[inline(always)]
+    fn acc(&mut self, r: RType, f: impl FnOnce(u32, u32, u32) -> u32) -> (Flow, u64) {
+        let v = f(self.reg(r.rd), self.reg(r.rs1), self.reg(r.rs2));
+        self.write(r.rd, v, self.timing.simd)
+    }
+
+    /// A packed-SIMD op (`op` and `w` are constants at every call site,
+    /// so the inlined [`pv_exec`] folds to the one lane loop).
+    #[inline(always)]
+    fn pv(&mut self, r: RType, op: PvOp, w: SimdWidth) -> (Flow, u64) {
+        self.acc(r, |d, a, b| pv_exec(op, w, d, a, b))
+    }
+
+    /// A taken conditional branch or an unconditional jump to `target`.
+    ///
+    /// With no compressed instructions, every target must be
+    /// word-aligned; a misaligned one faults on the jump itself (the
+    /// RISC-V instruction-address-misaligned exception), before `rd`
+    /// is linked.
+    #[inline(always)]
+    fn jump(pc: u32, target: u32) -> Result<Flow, CpuError> {
+        if target.is_multiple_of(4) {
+            Ok(Flow::Jump(target))
+        } else {
+            Err(CpuError::MisalignedPc { pc, target })
+        }
+    }
+
+    /// `jal`/`jalr`: jumps to `target`, linking `rd`.
+    #[inline(always)]
+    fn jump_link(&mut self, pc: u32, rd: Gpr, target: u32) -> Result<(Flow, u64), CpuError> {
+        let flow = Cpu::jump(pc, target)?;
+        self.set_reg(rd, pc.wrapping_add(4));
+        Ok((flow, self.timing.jump))
+    }
+
+    #[inline(always)]
+    fn branch(&self, pc: u32, b: BType, taken: bool) -> Result<(Flow, u64), CpuError> {
+        if taken {
+            let flow = Cpu::jump(pc, pc.wrapping_add(b.off as u32))?;
+            Ok((flow, self.timing.branch_taken))
+        } else {
+            Ok((Flow::Next, self.timing.branch_not_taken))
+        }
+    }
+
+    /// Executes one predecoded op at `pc`, `now` being the cycle count
+    /// before it. Returns where control goes and the op's cycle cost.
+    ///
+    /// This is the single execution path shared by [`Cpu::step`] and
+    /// the block engine, which is what guarantees the two produce bit-
+    /// and cycle-identical results. It touches registers, hardware
+    /// loops, the bus and the coprocessor, never `self.pc`,
+    /// `self.cycles` or `self.instret`: the caller owns those (the
+    /// block engine keeps them in locals).
+    #[inline(always)]
+    fn exec<B: Bus, X: Coprocessor>(
+        &mut self,
+        bus: &mut B,
+        xif: &mut X,
+        op: Op,
+        pc: u32,
+        now: u64,
+    ) -> Result<(Flow, u64), CpuError> {
+        use AccessSize::{Byte, Half, Word};
+        use SimdWidth::{B, H};
+        Ok(match op {
+            Op::Lui(u) => self.write(u.rd, u.imm, self.timing.alu),
+            Op::Auipc(u) => self.write(u.rd, pc.wrapping_add(u.imm), self.timing.alu),
+            Op::Jal(u) => self.jump_link(pc, u.rd, pc.wrapping_add(u.imm))?,
+            Op::Jalr(i) => {
+                let target = self.reg(i.rs1).wrapping_add(i.imm as u32) & !1;
+                self.jump_link(pc, i.rd, target)?
+            }
+            Op::Beq(b) => self.branch(pc, b, self.reg(b.rs1) == self.reg(b.rs2))?,
+            Op::Bne(b) => self.branch(pc, b, self.reg(b.rs1) != self.reg(b.rs2))?,
+            Op::Blt(b) => self.branch(pc, b, (self.reg(b.rs1) as i32) < self.reg(b.rs2) as i32)?,
+            Op::Bge(b) => self.branch(pc, b, self.reg(b.rs1) as i32 >= self.reg(b.rs2) as i32)?,
+            Op::Bltu(b) => self.branch(pc, b, self.reg(b.rs1) < self.reg(b.rs2))?,
+            Op::Bgeu(b) => self.branch(pc, b, self.reg(b.rs1) >= self.reg(b.rs2))?,
+            Op::Lb(i) => self.load(bus, pc, now, i.rd, self.ea(i), LoadOp::Lb)?,
+            Op::Lh(i) => self.load(bus, pc, now, i.rd, self.ea(i), LoadOp::Lh)?,
+            Op::Lw(i) => self.load(bus, pc, now, i.rd, self.ea(i), LoadOp::Lw)?,
+            Op::Lbu(i) => self.load(bus, pc, now, i.rd, self.ea(i), LoadOp::Lbu)?,
+            Op::Lhu(i) => self.load(bus, pc, now, i.rd, self.ea(i), LoadOp::Lhu)?,
+            Op::Sb(s) => self.store(bus, pc, now, self.sa(s), s.rs2, Byte)?,
+            Op::Sh(s) => self.store(bus, pc, now, self.sa(s), s.rs2, Half)?,
+            Op::Sw(s) => self.store(bus, pc, now, self.sa(s), s.rs2, Word)?,
+            Op::Addi(i) => self.ri(i, self.timing.alu, u32::wrapping_add),
+            Op::Slti(i) => self.ri(i, self.timing.alu, |a, imm| {
+                ((a as i32) < imm as i32) as u32
+            }),
+            Op::Sltiu(i) => self.ri(i, self.timing.alu, |a, imm| (a < imm) as u32),
+            Op::Xori(i) => self.ri(i, self.timing.alu, |a, imm| a ^ imm),
+            Op::Ori(i) => self.ri(i, self.timing.alu, |a, imm| a | imm),
+            Op::Andi(i) => self.ri(i, self.timing.alu, |a, imm| a & imm),
+            Op::Slli(i) => self.ri(i, self.timing.alu, u32::wrapping_shl),
+            Op::Srli(i) => self.ri(i, self.timing.alu, u32::wrapping_shr),
+            Op::Srai(i) => self.ri(i, self.timing.alu, |a, sh| {
+                (a as i32).wrapping_shr(sh) as u32
+            }),
+            Op::Add(r) => self.rr(r, self.timing.alu, u32::wrapping_add),
+            Op::Sub(r) => self.rr(r, self.timing.alu, u32::wrapping_sub),
+            Op::Sll(r) => self.rr(r, self.timing.alu, |a, b| a.wrapping_shl(b & 0x1f)),
+            Op::Slt(r) => self.rr(r, self.timing.alu, |a, b| ((a as i32) < (b as i32)) as u32),
+            Op::Sltu(r) => self.rr(r, self.timing.alu, |a, b| (a < b) as u32),
+            Op::Xor(r) => self.rr(r, self.timing.alu, |a, b| a ^ b),
+            Op::Srl(r) => self.rr(r, self.timing.alu, |a, b| a.wrapping_shr(b & 0x1f)),
+            Op::Sra(r) => self.rr(r, self.timing.alu, |a, b| {
+                (a as i32).wrapping_shr(b & 0x1f) as u32
+            }),
+            Op::Or(r) => self.rr(r, self.timing.alu, |a, b| a | b),
+            Op::And(r) => self.rr(r, self.timing.alu, |a, b| a & b),
+            Op::Mul(r) => self.rr(r, self.timing.mul, u32::wrapping_mul),
+            Op::Mulh(r) => self.rr(r, self.timing.mulh, |a, b| {
+                (((a as i32 as i64) * (b as i32 as i64)) >> 32) as u32
+            }),
+            Op::Mulhsu(r) => self.rr(r, self.timing.mulh, |a, b| {
+                (((a as i32 as i64) * (b as u64 as i64)) >> 32) as u32
+            }),
+            Op::Mulhu(r) => self.rr(r, self.timing.mulh, |a, b| {
+                (((a as u64) * (b as u64)) >> 32) as u32
+            }),
+            Op::Div(r) => self.rr(r, self.timing.div, |a, b| {
+                if b == 0 {
+                    u32::MAX
+                } else if a == 0x8000_0000 && b == u32::MAX {
+                    a
+                } else {
+                    ((a as i32) / (b as i32)) as u32
+                }
+            }),
+            Op::Divu(r) => self.rr(r, self.timing.div, |a, b| {
+                a.checked_div(b).unwrap_or(u32::MAX)
+            }),
+            Op::Rem(r) => self.rr(r, self.timing.div, |a, b| {
+                if b == 0 {
+                    a
+                } else if a == 0x8000_0000 && b == u32::MAX {
+                    0
+                } else {
+                    ((a as i32) % (b as i32)) as u32
+                }
+            }),
+            Op::Remu(r) => self.rr(r, self.timing.div, |a, b| a.checked_rem(b).unwrap_or(a)),
+            Op::Fence => (Flow::Next, self.timing.alu),
+            Op::Ecall => (Flow::Stop(StopReason::Ecall), self.timing.alu),
+            Op::Ebreak => (Flow::Stop(StopReason::Break), self.timing.alu),
+            Op::LbPost(i) => self.load_post(bus, pc, now, i, LoadOp::Lb)?,
+            Op::LhPost(i) => self.load_post(bus, pc, now, i, LoadOp::Lh)?,
+            Op::LwPost(i) => self.load_post(bus, pc, now, i, LoadOp::Lw)?,
+            Op::LbuPost(i) => self.load_post(bus, pc, now, i, LoadOp::Lbu)?,
+            Op::LhuPost(i) => self.load_post(bus, pc, now, i, LoadOp::Lhu)?,
+            Op::SbPost(s) => self.store_post(bus, pc, now, s, Byte)?,
+            Op::ShPost(s) => self.store_post(bus, pc, now, s, Half)?,
+            Op::SwPost(s) => self.store_post(bus, pc, now, s, Word)?,
+            Op::PvAddB(r) => self.pv(r, PvOp::Add, B),
+            Op::PvSubB(r) => self.pv(r, PvOp::Sub, B),
+            Op::PvMaxB(r) => self.pv(r, PvOp::Max, B),
+            Op::PvMinB(r) => self.pv(r, PvOp::Min, B),
+            Op::PvDotspB(r) => self.pv(r, PvOp::Dotsp, B),
+            Op::PvSdotspB(r) => self.pv(r, PvOp::Sdotsp, B),
+            Op::PvDotupB(r) => self.pv(r, PvOp::Dotup, B),
+            Op::PvAddH(r) => self.pv(r, PvOp::Add, H),
+            Op::PvSubH(r) => self.pv(r, PvOp::Sub, H),
+            Op::PvMaxH(r) => self.pv(r, PvOp::Max, H),
+            Op::PvMinH(r) => self.pv(r, PvOp::Min, H),
+            Op::PvDotspH(r) => self.pv(r, PvOp::Dotsp, H),
+            Op::PvSdotspH(r) => self.pv(r, PvOp::Sdotsp, H),
+            Op::PvDotupH(r) => self.pv(r, PvOp::Dotup, H),
+            Op::Mac(r) => self.acc(r, |d, a, b| d.wrapping_add(a.wrapping_mul(b))),
+            Op::MaxS(r) => self.rr(r, self.timing.simd, |a, b| (a as i32).max(b as i32) as u32),
+            Op::MinS(r) => self.rr(r, self.timing.simd, |a, b| (a as i32).min(b as i32) as u32),
+            Op::Abs(r) => self.rr(r, self.timing.simd, |a, _| (a as i32).wrapping_abs() as u32),
+            Op::LoopSetupI {
+                loop_id,
+                count,
+                body_len,
+            } => {
+                self.setup_loop(pc, loop_id, count, body_len);
+                (Flow::Next, self.timing.loop_setup)
+            }
+            Op::LoopSetup {
+                loop_id,
+                count,
+                body_len,
+            } => {
+                self.setup_loop(pc, loop_id, self.reg(count), body_len);
+                (Flow::Next, self.timing.loop_setup)
+            }
+            Op::Offload {
+                raw,
+                rd,
+                rs1,
+                rs2,
+                rs3,
+            } => match xif.offload(raw, self.reg(rs1), self.reg(rs2), self.reg(rs3), now) {
+                XifResponse::Accept { writeback, cycles } => {
+                    if let Some(v) = writeback {
+                        self.set_reg(rd, v);
+                    }
+                    (Flow::Next, cycles.max(1))
+                }
+                XifResponse::Reject => return Err(CpuError::RejectedOffload { pc, raw }),
+            },
+        })
+    }
+
+    /// Where control goes after the op at `pc` retires with `flow`:
+    /// the jump target, or the next instruction — redirected to the
+    /// loop start when `pc` closes an active hardware-loop body.
+    ///
+    /// Loop 0 is the innermost per the XPULP convention. Guarded by one
+    /// flag so plain RV32IM code pays a single predictable branch.
+    #[inline(always)]
+    fn next_pc(&mut self, pc: u32, flow: Flow) -> u32 {
+        let next = match flow {
+            Flow::Jump(target) => target,
+            Flow::Next | Flow::Stop(_) => pc.wrapping_add(4),
+        };
+        if !self.loops_active || next != pc.wrapping_add(4) {
+            return next;
+        }
+        for l in 0..2 {
+            let lp = &mut self.loops[l];
+            if lp.active && pc == lp.last {
+                if lp.remaining > 1 {
+                    lp.remaining -= 1;
+                    return lp.start;
+                }
+                lp.active = false;
+                self.loops_active = self.loops[0].active || self.loops[1].active;
+                break;
+            }
+        }
+        next
+    }
+
+    /// Executes one instruction: fetch, decode, flatten, then the same
+    /// `exec` the block engine runs.
     ///
     /// Returns `Some(reason)` when the instruction terminates the
     /// program (`ebreak`/`ecall`), `None` otherwise.
     ///
     /// # Errors
     ///
-    /// Returns [`CpuError`] on bus faults, undecodable instructions or
-    /// rejected offloads.
+    /// Returns [`CpuError`] on bus faults, undecodable instructions,
+    /// misaligned jump targets or rejected offloads.
     pub fn step<B: Bus, X: Coprocessor>(
         &mut self,
         bus: &mut B,
@@ -246,248 +601,19 @@ impl Cpu {
             .map_err(|source| CpuError::Bus { pc, source })?
             .data;
         let instr = decode(word).map_err(|source| CpuError::Decode { pc, source })?;
-        self.exec_instr(bus, xif, instr)
-    }
-
-    /// Executes one already-decoded instruction at the current PC.
-    ///
-    /// This is the single execution path shared by [`Cpu::step`] and
-    /// [`Cpu::run_block`], which is what guarantees the two engines
-    /// produce bit- and cycle-identical results.
-    #[inline(always)]
-    fn exec_instr<B: Bus, X: Coprocessor>(
-        &mut self,
-        bus: &mut B,
-        xif: &mut X,
-        instr: Instr,
-    ) -> Result<Option<StopReason>, CpuError> {
-        let pc = self.pc;
-        let mut next_pc = pc.wrapping_add(4);
-        let mut cost = self.timing.alu;
-        let mut stop = None;
-
-        match instr {
-            Instr::Lui { rd, imm } => self.set_reg(rd, imm),
-            Instr::Auipc { rd, imm } => self.set_reg(rd, pc.wrapping_add(imm)),
-            Instr::Jal { rd, offset } => {
-                self.set_reg(rd, pc.wrapping_add(4));
-                next_pc = pc.wrapping_add(offset as u32);
-                cost = self.timing.jump;
-            }
-            Instr::Jalr { rd, rs1, offset } => {
-                let target = self.reg(rs1).wrapping_add(offset as u32) & !1;
-                self.set_reg(rd, pc.wrapping_add(4));
-                next_pc = target;
-                cost = self.timing.jump;
-            }
-            Instr::Branch {
-                op,
-                rs1,
-                rs2,
-                offset,
-            } => {
-                let a = self.reg(rs1);
-                let b = self.reg(rs2);
-                let taken = match op {
-                    BranchOp::Eq => a == b,
-                    BranchOp::Ne => a != b,
-                    BranchOp::Lt => (a as i32) < (b as i32),
-                    BranchOp::Ge => (a as i32) >= (b as i32),
-                    BranchOp::Ltu => a < b,
-                    BranchOp::Geu => a >= b,
-                };
-                if taken {
-                    next_pc = pc.wrapping_add(offset as u32);
-                    cost = self.timing.branch_taken;
-                } else {
-                    cost = self.timing.branch_not_taken;
-                }
-            }
-            Instr::Load {
-                op,
-                rd,
-                rs1,
-                offset,
-            } => {
-                let addr = self.reg(rs1).wrapping_add(offset as u32);
-                let acc = self.mem_read(bus, addr, load_size(op))?;
-                self.set_reg(rd, extend_load(op, acc.data));
-                cost = acc.cycles;
-            }
-            Instr::Store {
-                op,
-                rs2,
-                rs1,
-                offset,
-            } => {
-                let addr = self.reg(rs1).wrapping_add(offset as u32);
-                cost = self.mem_write(bus, addr, self.reg(rs2), store_size(op))?;
-            }
-            Instr::OpImm { op, rd, rs1, imm } => {
-                let a = self.reg(rs1);
-                let v = match op {
-                    AluImmOp::Addi => a.wrapping_add(imm as u32),
-                    AluImmOp::Slti => ((a as i32) < imm) as u32,
-                    AluImmOp::Sltiu => (a < imm as u32) as u32,
-                    AluImmOp::Xori => a ^ imm as u32,
-                    AluImmOp::Ori => a | imm as u32,
-                    AluImmOp::Andi => a & imm as u32,
-                    AluImmOp::Slli => a.wrapping_shl(imm as u32),
-                    AluImmOp::Srli => a.wrapping_shr(imm as u32),
-                    AluImmOp::Srai => ((a as i32).wrapping_shr(imm as u32)) as u32,
-                };
-                self.set_reg(rd, v);
-            }
-            Instr::Op { op, rd, rs1, rs2 } => {
-                let a = self.reg(rs1);
-                let b = self.reg(rs2);
-                let (v, c) = alu_rr(op, a, b, &self.timing);
-                self.set_reg(rd, v);
-                cost = c;
-            }
-            Instr::Fence => {}
-            Instr::Ecall => stop = Some(StopReason::Ecall),
-            Instr::Ebreak => stop = Some(StopReason::Break),
-            Instr::Pulp(p) => cost = self.exec_pulp(bus, p)?,
-            Instr::Custom2 {
-                raw,
-                rs1,
-                rs2,
-                rs3,
-                rd,
-            } => {
-                let response = xif.offload(
-                    raw,
-                    self.reg(rs1),
-                    self.reg(rs2),
-                    self.reg(rs3),
-                    self.cycles,
-                );
-                match response {
-                    XifResponse::Accept { writeback, cycles } => {
-                        if let Some(v) = writeback {
-                            self.set_reg(rd, v);
-                        }
-                        cost = cycles.max(1);
-                    }
-                    XifResponse::Reject => {
-                        return Err(CpuError::RejectedOffload { pc, raw });
-                    }
-                }
-            }
-        }
-
+        let (flow, cost) = self.exec(bus, xif, Op::from(instr), pc, self.cycles)?;
         self.cycles += cost;
         self.instret += 1;
-
-        // Hardware loops: if the retired instruction is the last of an
-        // active loop body, wrap to the loop start with zero overhead.
-        // Loop 0 is the innermost per the XPULP convention. Guarded by
-        // one flag so plain RV32IM code pays a single predictable
-        // branch here.
-        if self.loops_active && next_pc == pc.wrapping_add(4) {
-            for l in 0..2 {
-                let lp = &mut self.loops[l];
-                if lp.active && pc == lp.last {
-                    if lp.remaining > 1 {
-                        lp.remaining -= 1;
-                        next_pc = lp.start;
-                    } else {
-                        lp.active = false;
-                        self.loops_active = self.loops[0].active || self.loops[1].active;
-                    }
-                    break;
-                }
-            }
-        }
-
-        self.pc = next_pc;
-        Ok(stop)
+        self.pc = self.next_pc(pc, flow);
+        Ok(match flow {
+            Flow::Stop(reason) => Some(reason),
+            Flow::Next | Flow::Jump(_) => None,
+        })
     }
 
-    fn exec_pulp<B: Bus>(&mut self, bus: &mut B, p: PulpInstr) -> Result<u64, CpuError> {
-        match p {
-            PulpInstr::LoadPost {
-                op,
-                rd,
-                rs1,
-                offset,
-            } => {
-                let addr = self.reg(rs1);
-                let acc = self.mem_read(bus, addr, load_size(op))?;
-                self.set_reg(rd, extend_load(op, acc.data));
-                // post-increment must survive rd == rs1 (rd wins on real HW
-                // only for rd != rs1; we forbid that case in kernels)
-                self.set_reg(rs1, addr.wrapping_add(offset as u32));
-                Ok(acc.cycles)
-            }
-            PulpInstr::StorePost {
-                op,
-                rs2,
-                rs1,
-                offset,
-            } => {
-                let addr = self.reg(rs1);
-                let cost = self.mem_write(bus, addr, self.reg(rs2), store_size(op))?;
-                self.set_reg(rs1, addr.wrapping_add(offset as u32));
-                Ok(cost)
-            }
-            PulpInstr::Simd {
-                op,
-                w,
-                rd,
-                rs1,
-                rs2,
-            } => {
-                let v = pv_exec(op, w, self.reg(rd), self.reg(rs1), self.reg(rs2));
-                self.set_reg(rd, v);
-                Ok(self.timing.simd)
-            }
-            PulpInstr::Mac { rd, rs1, rs2 } => {
-                let v = self
-                    .reg(rd)
-                    .wrapping_add(self.reg(rs1).wrapping_mul(self.reg(rs2)));
-                self.set_reg(rd, v);
-                Ok(self.timing.simd)
-            }
-            PulpInstr::MaxS { rd, rs1, rs2 } => {
-                let v = (self.reg(rs1) as i32).max(self.reg(rs2) as i32) as u32;
-                self.set_reg(rd, v);
-                Ok(self.timing.simd)
-            }
-            PulpInstr::MinS { rd, rs1, rs2 } => {
-                let v = (self.reg(rs1) as i32).min(self.reg(rs2) as i32) as u32;
-                self.set_reg(rd, v);
-                Ok(self.timing.simd)
-            }
-            PulpInstr::Abs { rd, rs1 } => {
-                let v = (self.reg(rs1) as i32).wrapping_abs() as u32;
-                self.set_reg(rd, v);
-                Ok(self.timing.simd)
-            }
-            PulpInstr::LoopSetupI {
-                loop_id,
-                count,
-                body_len,
-            } => {
-                self.setup_loop(loop_id, count as u32, body_len as u32);
-                Ok(self.timing.loop_setup)
-            }
-            PulpInstr::LoopSetup {
-                loop_id,
-                count,
-                body_len,
-            } => {
-                let n = self.reg(count);
-                self.setup_loop(loop_id, n, body_len as u32);
-                Ok(self.timing.loop_setup)
-            }
-        }
-    }
-
-    fn setup_loop(&mut self, loop_id: bool, count: u32, body_len: u32) {
+    fn setup_loop(&mut self, pc: u32, loop_id: bool, count: u32, body_len: u32) {
         let idx = loop_id as usize;
-        let start = self.pc.wrapping_add(4);
+        let start = pc.wrapping_add(4);
         let lp = &mut self.loops[idx];
         if count == 0 || body_len == 0 {
             lp.active = false;
@@ -661,24 +787,28 @@ impl Cpu {
         Ok(self.blocks.insert(block))
     }
 
-    /// Executes predecoded instructions from `block` starting at the
-    /// current PC until the block ends, control leaves the straight
-    /// line (taken branch, jump, hardware-loop wrap), a store
-    /// invalidates cached code, the program stops, or `max_instrs`
-    /// instructions have retired.
+    /// Executes predecoded ops from `block` starting at the current PC
+    /// until the block ends, control leaves the block (taken branch,
+    /// jump, hardware-loop wrap to outside it), a store invalidates
+    /// cached code, the program stops, or `fuel` instructions have
+    /// retired.
+    ///
+    /// `pc`, `cycles` and the retired count live in locals for the
+    /// whole block and are written back to the core once on exit. On a
+    /// fault they hold the faulting PC and the counters before the
+    /// faulting instruction, exactly what [`Cpu::step`] leaves.
     ///
     /// Returns the stop reason when the program terminated.
     ///
     /// # Errors
     ///
     /// Propagates the first [`CpuError`] raised by an instruction.
-    ///
-    pub fn run_block<B: Bus, X: Coprocessor>(
+    fn run_block<B: Bus, X: Coprocessor>(
         &mut self,
         bus: &mut B,
         xif: &mut X,
         block: &DecodedBlock,
-        max_instrs: u64,
+        fuel: u64,
     ) -> Result<Option<StopReason>, CpuError> {
         debug_assert!(
             block.covers(self.pc),
@@ -686,125 +816,57 @@ impl Cpu {
             self.pc,
             block.start()
         );
-        let mut idx = (self.pc.wrapping_sub(block.start()) / 4) as usize;
+        let ops = block.ops();
+        let start = block.start();
+        let span = block.end().wrapping_sub(start);
         let gen = self.blocks.generation();
-        let instrs = block.instrs();
-        let mut executed = 0u64;
-        while idx < instrs.len() && executed < max_instrs {
-            let pc = self.pc;
-            let (instr, cost_hint) = instrs[idx];
-            let stop = self.exec_instr(bus, xif, instr)?;
-            executed += 1;
-            if stop.is_some() {
-                return Ok(stop);
+        let mut cycles = self.cycles;
+        let mut left = fuel;
+        let mut idx = (self.pc.wrapping_sub(start) / 4) as usize;
+        let (out, pc) = loop {
+            let pc = start.wrapping_add((idx as u32) << 2);
+            let Some(&op) = ops.get(idx) else {
+                break (Ok(None), pc);
+            };
+            if left == 0 {
+                break (Ok(None), pc);
             }
-            // Only stores can invalidate predecoded code, so the
-            // coherence re-check is gated on the precomputed cost hint.
-            // It must run before the control-transfer continuation
-            // below: a store can itself end a hardware-loop body, and
-            // wrapping back into a block it just invalidated would
-            // replay stale instructions.
-            if matches!(cost_hint, CostClass::Store) && self.blocks.generation() != gen {
-                // A store invalidated cached code — possibly the rest
-                // of this very block. Fall back to a fresh predecode at
-                // the current PC, exactly like the interpreter
-                // refetching.
-                return Ok(None);
+            let (flow, cost) = match self.exec(bus, xif, op, pc, cycles) {
+                Ok(done) => done,
+                Err(e) => break (Err(e), pc),
+            };
+            cycles += cost;
+            left -= 1;
+            let next = self.next_pc(pc, flow);
+            if let Flow::Stop(reason) = flow {
+                break (Ok(Some(reason)), next);
             }
-            if self.pc != pc.wrapping_add(4) {
-                // Control transfer (taken branch or hardware-loop
-                // wrap). A target inside this very block — typically a
-                // hardware-loop body wrapping to its start — continues
-                // predecoded without leaving; anything else returns so
-                // the caller re-resolves the block at the new PC.
-                if block.covers(self.pc) {
-                    idx = (self.pc.wrapping_sub(block.start()) / 4) as usize;
-                    continue;
-                }
-                return Ok(None);
+            // A store that invalidated cached code — possibly the rest
+            // of this very block — falls back to a fresh predecode at
+            // the next PC, exactly like the interpreter refetching. The
+            // check must run before the continuation below: a store can
+            // itself end a hardware-loop body, and wrapping back into a
+            // block it just invalidated would replay stale instructions.
+            // Only stores bump the generation, and re-reading it after
+            // every op is cheaper than keeping the op's kind live
+            // across the dispatch.
+            if self.blocks.generation() != gen {
+                break (Ok(None), next);
             }
-            idx += 1;
-        }
-        Ok(None)
+            // The next instruction, or a target inside this very block
+            // (typically a hardware-loop body wrapping to its start),
+            // continues predecoded without leaving.
+            let off = next.wrapping_sub(start);
+            if off >= span {
+                break (Ok(None), next);
+            }
+            idx = (off / 4) as usize;
+        };
+        self.pc = pc;
+        self.cycles = cycles;
+        self.instret += fuel - left;
+        out
     }
-}
-
-fn load_size(op: LoadOp) -> AccessSize {
-    match op.size() {
-        1 => AccessSize::Byte,
-        2 => AccessSize::Half,
-        _ => AccessSize::Word,
-    }
-}
-
-fn store_size(op: StoreOp) -> AccessSize {
-    match op.size() {
-        1 => AccessSize::Byte,
-        2 => AccessSize::Half,
-        _ => AccessSize::Word,
-    }
-}
-
-fn extend_load(op: LoadOp, raw: u32) -> u32 {
-    match op {
-        LoadOp::Lb => raw as u8 as i8 as i32 as u32,
-        LoadOp::Lh => raw as u16 as i16 as i32 as u32,
-        LoadOp::Lbu => raw as u8 as u32,
-        LoadOp::Lhu => raw as u16 as u32,
-        LoadOp::Lw => raw,
-    }
-}
-
-fn alu_rr(op: AluOp, a: u32, b: u32, t: &Timing) -> (u32, u64) {
-    let v = match op {
-        AluOp::Add => a.wrapping_add(b),
-        AluOp::Sub => a.wrapping_sub(b),
-        AluOp::Sll => a.wrapping_shl(b & 0x1f),
-        AluOp::Slt => ((a as i32) < (b as i32)) as u32,
-        AluOp::Sltu => (a < b) as u32,
-        AluOp::Xor => a ^ b,
-        AluOp::Srl => a.wrapping_shr(b & 0x1f),
-        AluOp::Sra => ((a as i32).wrapping_shr(b & 0x1f)) as u32,
-        AluOp::Or => a | b,
-        AluOp::And => a & b,
-        AluOp::Mul => a.wrapping_mul(b),
-        AluOp::Mulh => (((a as i32 as i64) * (b as i32 as i64)) >> 32) as u32,
-        AluOp::Mulhsu => (((a as i32 as i64) * (b as u64 as i64)) >> 32) as u32,
-        AluOp::Mulhu => (((a as u64) * (b as u64)) >> 32) as u32,
-        AluOp::Div => {
-            if b == 0 {
-                u32::MAX
-            } else if a == 0x8000_0000 && b == u32::MAX {
-                a
-            } else {
-                ((a as i32) / (b as i32)) as u32
-            }
-        }
-        AluOp::Divu => a.checked_div(b).unwrap_or(u32::MAX),
-        AluOp::Rem => {
-            if b == 0 {
-                a
-            } else if a == 0x8000_0000 && b == u32::MAX {
-                0
-            } else {
-                ((a as i32) % (b as i32)) as u32
-            }
-        }
-        AluOp::Remu => {
-            if b == 0 {
-                a
-            } else {
-                a % b
-            }
-        }
-    };
-    let cost = match op {
-        AluOp::Mul => t.mul,
-        AluOp::Mulh | AluOp::Mulhsu | AluOp::Mulhu => t.mulh,
-        AluOp::Div | AluOp::Divu | AluOp::Rem | AluOp::Remu => t.div,
-        _ => t.alu,
-    };
-    (v, cost)
 }
 
 /// A flat single-SRAM bus for unit tests and small standalone programs.
@@ -874,6 +936,7 @@ mod tests {
     use crate::xif::NoCoprocessor;
     use arcane_isa::asm::Asm;
     use arcane_isa::reg::*;
+    use arcane_isa::rv32::{encode, AluImmOp, AluOp, BranchOp, Instr};
     use arcane_isa::xcvpulp::{PvOp, SimdWidth};
 
     fn run_asm(build: impl FnOnce(&mut Asm)) -> (Cpu, SramBus, RunResult) {
@@ -1107,5 +1170,49 @@ mod tests {
             a.j(top);
         });
         assert_eq!(r.stop, StopReason::OutOfFuel);
+    }
+
+    #[test]
+    fn jump_to_misaligned_pc_faults_in_both_engines() {
+        // The word straddling 6..10 is `addi a0, a0, 1` and the one at
+        // 10..14 is `ebreak`: fetching at a half-word PC would run them
+        // silently. Both engines must fault on the jump instead.
+        let addi = encode(&Instr::OpImm {
+            op: AluImmOp::Addi,
+            rd: A0,
+            rs1: A0,
+            imm: 1,
+        });
+        let ebreak = encode(&Instr::Ebreak);
+        let tail = [
+            (addi & 0xffff) << 16,
+            (ebreak & 0xffff) << 16 | addi >> 16,
+            ebreak >> 16,
+        ];
+        let beq = encode(&Instr::Branch {
+            op: BranchOp::Eq,
+            rs1: ZERO,
+            rs2: ZERO,
+            offset: 6,
+        });
+        let jalr = encode(&Instr::Jalr {
+            rd: RA,
+            rs1: ZERO,
+            offset: 6,
+        });
+        for jump in [beq, jalr] {
+            for engine in [EngineMode::Block, EngineMode::Interp] {
+                let mut bus = SramBus::new(4096);
+                bus.load_program(0, &[jump]);
+                bus.load_program(4, &tail);
+                let mut cpu = Cpu::new(0);
+                let err = cpu
+                    .run_with_engine(&mut bus, &mut NoCoprocessor, 100, engine)
+                    .unwrap_err();
+                assert_eq!(err, CpuError::MisalignedPc { pc: 0, target: 6 });
+                assert_eq!((cpu.reg(A0), cpu.reg(RA)), (0, 0), "no side effects");
+                assert_eq!((cpu.pc(), cpu.cycles(), cpu.instret()), (0, 0, 0));
+            }
+        }
     }
 }

@@ -5,7 +5,9 @@ use arcane_isa::xcvpulp::{PvOp, SimdWidth};
 /// Executes a packed-SIMD operation on 32-bit register values.
 ///
 /// `rd_old` is the previous destination value (consumed by the
-/// accumulating dot products).
+/// accumulating dot products). Always inlined: the engine calls it
+/// with constant `op` and `w`, which folds it to the one lane loop.
+#[inline(always)]
 pub fn pv_exec(op: PvOp, w: SimdWidth, rd_old: u32, rs1: u32, rs2: u32) -> u32 {
     match w {
         SimdWidth::B => pv_exec_b(op, rd_old, rs1, rs2),
@@ -21,6 +23,7 @@ fn lanes_h(v: u32) -> [i16; 2] {
     [(v & 0xffff) as u16 as i16, (v >> 16) as u16 as i16]
 }
 
+#[inline(always)]
 fn pv_exec_b(op: PvOp, rd_old: u32, rs1: u32, rs2: u32) -> u32 {
     let a = lanes_b(rs1);
     let b = lanes_b(rs2);
@@ -53,6 +56,7 @@ fn pack_b(v: [i8; 4]) -> u32 {
     u32::from_le_bytes(v.map(|x| x as u8))
 }
 
+#[inline(always)]
 fn pv_exec_h(op: PvOp, rd_old: u32, rs1: u32, rs2: u32) -> u32 {
     let a = lanes_h(rs1);
     let b = lanes_h(rs2);

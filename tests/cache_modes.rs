@@ -16,9 +16,13 @@ fn normal_mode_matches_baseline_cache_exactly() {
     let cfg = ArcaneConfig::with_lanes(4);
     let mut smart = ArcaneLlc::new(cfg);
     let mut base = StandardLlc::new(&cfg);
+    let line = cfg.line_bytes() as u32;
+    const N: u32 = 5_000;
+    // Both caches are also checked against a flat copy of the region.
+    let mut flat = vec![0u8; (0x80_0000 + N * 64 + line) as usize];
     let mut r = rng(42);
     let mut t = 0u64;
-    for i in 0..5_000u32 {
+    for i in 0..N {
         // Mixed sizes, two hot regions + a streaming tail.
         let region = match i % 3 {
             0 => r.random_range(0..8 * 1024),
@@ -30,11 +34,29 @@ fn normal_mode_matches_baseline_cache_exactly() {
             2 => AccessSize::Half,
             _ => AccessSize::Byte,
         };
-        let addr = BASE + region - region % size.bytes();
+        let n = size.bytes();
+        let off = match i % 5 {
+            // Size-aligned, size-misaligned, and ending within the
+            // first bytes of the next line (line-crossing for most
+            // half and word accesses).
+            0..=2 => region - region % n,
+            3 => region,
+            _ => (region | (line - 1)) - r.random_range(0..n),
+        };
+        let addr = BASE + off;
         let write = r.random_bool(0.4);
         let value = r.random::<u32>();
         let a = smart.host_access(addr, write, value, size, t).unwrap();
         let b = base.host_access(addr, write, value, size, t).unwrap();
+        let bytes = &mut flat[off as usize..(off + n) as usize];
+        if write {
+            bytes.copy_from_slice(&value.to_le_bytes()[..n as usize]);
+        } else {
+            let mut word = [0u8; 4];
+            word[..n as usize].copy_from_slice(bytes);
+            let want = u32::from_le_bytes(word);
+            assert_eq!(a.data, want, "data wrong at access {i} ({addr:#x})");
+        }
         assert_eq!(a.data, b.data, "data diverged at access {i} ({addr:#x})");
         assert_eq!(a.cycles, b.cycles, "cycles diverged at access {i}");
         t += a.cycles;
