@@ -19,5 +19,5 @@
 mod model;
 mod throughput;
 
-pub use model::{AreaBreakdown, AreaModel, Component, GE_UM2};
+pub use model::{AreaBreakdown, AreaModel, Component};
 pub use throughput::{peak_gops, ThroughputPoint, BLADE, INTEL_CNC};

@@ -20,7 +20,7 @@ use std::fmt;
 
 /// Gate-equivalent area of a 2-input drive-1 NAND in the 65 nm LP
 /// library, derived from Table II (2.36 mm² / 1640 kGE).
-pub const GE_UM2: f64 = 2.36e6 / 1_640_000.0;
+const GE_UM2: f64 = 2.36e6 / 1_640_000.0;
 
 /// A named system component.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -16,7 +16,7 @@ use std::fmt;
 
 /// Whether an operand region is read or written by its kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum OperandKind {
+pub(crate) enum OperandKind {
     /// Kernel input (protected against host stores during allocation).
     Source,
     /// Kernel output (protected against all host accesses until
@@ -26,7 +26,7 @@ pub enum OperandKind {
 
 /// One Address Table entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AtEntry {
+pub(crate) struct AtEntry {
     /// First byte of the operand region.
     pub start: u32,
     /// One past the last byte of the region.
@@ -42,14 +42,14 @@ pub struct AtEntry {
 
 impl AtEntry {
     /// `true` when `[addr, addr+len)` overlaps this entry.
-    pub fn overlaps(&self, addr: u32, len: u32) -> bool {
+    pub(crate) fn overlaps(&self, addr: u32, len: u32) -> bool {
         (addr as u64) < self.end as u64 && (addr as u64 + len as u64) > self.start as u64
     }
 }
 
 /// Error raised when the statically sized AT is exhausted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AtFull {
+pub(crate) struct AtFull {
     /// Configured capacity.
     pub capacity: usize,
 }
@@ -64,7 +64,7 @@ impl Error for AtFull {}
 
 /// The statically allocated Address Table.
 #[derive(Debug, Clone)]
-pub struct AddressTable {
+pub(crate) struct AddressTable {
     entries: Vec<AtEntry>,
     capacity: usize,
 }
@@ -72,16 +72,11 @@ pub struct AddressTable {
 impl AddressTable {
     /// Creates an AT with a fixed `capacity` (static allocation, per the
     /// C-RT philosophy of §IV-B).
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         AddressTable {
             entries: Vec::with_capacity(capacity),
             capacity,
         }
-    }
-
-    /// Live entries.
-    pub fn entries(&self) -> &[AtEntry] {
-        &self.entries
     }
 
     /// Registers an operand region.
@@ -92,7 +87,7 @@ impl AddressTable {
     /// # Errors
     ///
     /// Returns [`AtFull`] when no slot can be recycled.
-    pub fn register(&mut self, entry: AtEntry, now: u64) -> Result<(), AtFull> {
+    pub(crate) fn register(&mut self, entry: AtEntry, now: u64) -> Result<(), AtFull> {
         self.entries.retain(|e| e.protect_until > now);
         if self.entries.len() >= self.capacity {
             return Err(AtFull {
@@ -107,7 +102,7 @@ impl AddressTable {
     ///
     /// `is_store` selects the WAR rule for sources; destinations block
     /// both directions.
-    pub fn stall_until(&self, addr: u32, len: u32, is_store: bool, now: u64) -> Option<u64> {
+    pub(crate) fn stall_until(&self, addr: u32, len: u32, is_store: bool, now: u64) -> Option<u64> {
         let mut worst: Option<u64> = None;
         for e in &self.entries {
             if e.protect_until <= now || !e.overlaps(addr, len) {
@@ -122,15 +117,6 @@ impl AddressTable {
             }
         }
         worst
-    }
-
-    /// `true` when `[addr, addr+len)` overlaps any live operand
-    /// (the CT consults this only for lines flagged src/dst, keeping the
-    /// one-cycle hit path).
-    pub fn is_operand(&self, addr: u32, len: u32, now: u64) -> bool {
-        self.entries
-            .iter()
-            .any(|e| e.protect_until > now && e.overlaps(addr, len))
     }
 }
 
@@ -189,16 +175,6 @@ mod tests {
         // At t=100 the first entry lapsed and its slot is reusable.
         at.register(entry(32, 48, OperandKind::Source, 200), 100)
             .unwrap();
-        assert_eq!(at.entries().len(), 1);
-    }
-
-    #[test]
-    fn is_operand_respects_time() {
-        let mut at = AddressTable::new(2);
-        at.register(entry(0x40, 0x80, OperandKind::Source, 100), 0)
-            .unwrap();
-        assert!(at.is_operand(0x40, 1, 0));
-        assert!(!at.is_operand(0x40, 1, 100));
-        assert!(!at.is_operand(0x80, 1, 0));
+        assert_eq!(at.entries.len(), 1);
     }
 }

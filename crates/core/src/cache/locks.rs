@@ -10,7 +10,7 @@
 /// Absolute-time windows during which the eCPU holds the controller
 /// lock.
 #[derive(Debug, Clone, Default)]
-pub struct LockWindows {
+pub(crate) struct LockWindows {
     /// Non-overlapping, sorted `(start, end)` windows.
     windows: Vec<(u64, u64)>,
 }
@@ -43,7 +43,7 @@ impl LockWindows {
 
     /// If the host touches the cache at `now` while a window is open,
     /// returns the cycle at which the lock releases.
-    pub fn stall_until(&self, now: u64) -> Option<u64> {
+    pub(crate) fn stall_until(&self, now: u64) -> Option<u64> {
         // Scan from the most recent windows backwards: accesses arrive
         // in roughly increasing time order.
         for &(s, e) in self.windows.iter().rev() {
@@ -60,16 +60,6 @@ impl LockWindows {
     /// Drops windows that ended at or before `now` (bookkeeping bound).
     pub fn prune(&mut self, now: u64) {
         self.windows.retain(|&(_, e)| e > now);
-    }
-
-    /// Number of live windows.
-    pub fn len(&self) -> usize {
-        self.windows.len()
-    }
-
-    /// `true` when no windows are recorded.
-    pub fn is_empty(&self) -> bool {
-        self.windows.is_empty()
     }
 }
 
@@ -108,7 +98,7 @@ mod tests {
     fn empty_window_is_ignored() {
         let mut w = LockWindows::new();
         w.add(5, 5);
-        assert!(w.is_empty());
+        assert!(w.windows.is_empty());
     }
 
     #[test]
@@ -117,7 +107,7 @@ mod tests {
         w.add(0, 10);
         w.add(20, 30);
         w.prune(15);
-        assert_eq!(w.len(), 1);
+        assert_eq!(w.windows.len(), 1);
         assert_eq!(w.stall_until(25), Some(30));
     }
 }

@@ -5,13 +5,8 @@ mod at;
 mod locks;
 mod table;
 
-pub use at::{AddressTable, AtEntry, AtFull, OperandKind};
-// The gap-scheduling calendar moved into `arcane-fabric` (the fabric
-// banks and the eCPU are booked on the same structure); re-exported
-// here so existing `arcane_core::cache::ResourceChannel` users keep
-// working.
-pub use arcane_fabric::ResourceChannel;
-pub use locks::LockWindows;
+pub(crate) use at::{AddressTable, AtEntry, OperandKind};
+pub(crate) use locks::LockWindows;
 pub use table::{CacheTable, LineState, Victim};
 
 use arcane_mem::AccessSize;

@@ -45,7 +45,7 @@ impl LineState {
     }
 
     /// `true` when a kernel owns the line at time `now`.
-    pub const fn is_busy(&self, now: u64) -> bool {
+    const fn is_busy(&self, now: u64) -> bool {
         self.busy_until > now
     }
 }
@@ -242,7 +242,7 @@ impl CacheTable {
 
     /// Iterates over `(index, state)` of lines whose cached block
     /// overlaps `[start, end)`.
-    pub fn lines_overlapping(
+    pub(crate) fn lines_overlapping(
         &self,
         start: u32,
         end: u32,
@@ -255,7 +255,7 @@ impl CacheTable {
 
     /// Number of valid dirty lines within the line-index range
     /// `[from, to)` (used by the scheduler's fewest-dirty-lines policy).
-    pub fn dirty_in_range(&self, from: usize, to: usize) -> usize {
+    pub(crate) fn dirty_in_range(&self, from: usize, to: usize) -> usize {
         self.lines[from..to]
             .iter()
             .filter(|l| l.valid && l.dirty)

@@ -26,7 +26,7 @@ pub(crate) const CRT: CrtTiming = CrtTiming::default_tariff();
 /// activity, derived from instruction-count estimates on a 4-stage
 /// in-order RV32IMC core.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CrtTiming {
+pub(crate) struct CrtTiming {
     /// Host-visible CV-X-IF offload handshake (issue → accept).
     pub bridge_latency: u64,
     /// Interrupt entry/exit on the eCPU.
@@ -71,7 +71,7 @@ impl CrtTiming {
     /// C firmware on a 4-stage in-order core doing queue management,
     /// operand unpacking, hazard checks and renaming — this is what
     /// makes the preamble dominate for small inputs (Figure 3).
-    pub const fn default_tariff() -> Self {
+    const fn default_tariff() -> Self {
         CrtTiming {
             bridge_latency: 4,
             irq_entry: 40,
@@ -139,7 +139,7 @@ impl ArcaneConfig {
     }
 
     /// Total number of cache lines (`n_vpus × vregs`).
-    pub const fn n_lines(&self) -> usize {
+    pub(crate) const fn n_lines(&self) -> usize {
         self.n_vpus * self.vpu.vregs
     }
 

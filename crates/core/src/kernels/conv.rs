@@ -61,7 +61,7 @@ fn accumulate_taps(
 ///
 /// Operands (Table I): `md` = R, `ms1` = A (H×W), `ms2` = F (K×K).
 #[derive(Debug, Clone, Copy, Default)]
-pub struct Conv2d;
+pub(crate) struct Conv2d;
 
 impl Kernel for Conv2d {
     fn name(&self) -> &'static str {
@@ -145,7 +145,7 @@ impl Kernel for Conv2d {
 /// and `β` the number of conv rows to compute (both must be even;
 /// `β = 0` means the whole image). The destination is the pooled slice.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct ConvLayer3ch;
+pub(crate) struct ConvLayer3ch;
 
 /// Pooling window/stride of the fused layer.
 const POOL: usize = 2;

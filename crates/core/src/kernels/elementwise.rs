@@ -22,7 +22,7 @@ fn sr(i: u8) -> Sr {
 /// `xmk5` — matrix addition: `R = A + B` (wrapping at the instruction
 /// width). Operands: `md` = R, `ms1` = A, `ms2` = B.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct MatAdd;
+pub(crate) struct MatAdd;
 
 impl Kernel for MatAdd {
     fn name(&self) -> &'static str {
@@ -76,7 +76,7 @@ impl Kernel for MatAdd {
 /// (arithmetic shift, wrapping at the instruction width).
 /// Operands: `md` = R, `ms1` = A, `α` = multiplier, `β` = shift.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct MatScale;
+pub(crate) struct MatScale;
 
 impl Kernel for MatScale {
     fn name(&self) -> &'static str {
@@ -139,7 +139,7 @@ impl Kernel for MatScale {
 /// scatters each one out as a destination column — the same
 /// consolidation mechanism the writeback path uses (§IV-B3).
 #[derive(Debug, Clone, Copy, Default)]
-pub struct Transpose;
+pub(crate) struct Transpose;
 
 impl Kernel for Transpose {
     fn name(&self) -> &'static str {

@@ -23,7 +23,7 @@ fn sr(i: u8) -> Sr {
 /// `B` in row tiles and drives `vmacc.vx` with the `A` scalars read
 /// through the eCPU port — the row-broadcast formulation NM-Carus uses.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct Gemm;
+pub(crate) struct Gemm;
 
 /// Row-stripe height (accumulator registers).
 const SM: usize = 8;

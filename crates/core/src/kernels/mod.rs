@@ -13,11 +13,11 @@ mod gemm;
 mod pool;
 mod relu;
 
-pub use conv::{Conv2d, ConvLayer3ch};
-pub use elementwise::{MatAdd, MatScale, Transpose};
-pub use gemm::Gemm;
-pub use pool::MaxPool;
-pub use relu::LeakyRelu;
+use conv::{Conv2d, ConvLayer3ch};
+use elementwise::{MatAdd, MatScale, Transpose};
+use gemm::Gemm;
+use pool::MaxPool;
+use relu::LeakyRelu;
 
 use crate::runtime::ctx::KernelCtx;
 use crate::runtime::map::MatView;
@@ -142,7 +142,7 @@ pub trait Kernel: fmt::Debug + Send {
 }
 
 /// The O(1) `func5 → kernel` dispatch table.
-pub struct KernelLib {
+pub(crate) struct KernelLib {
     slots: [Option<Box<dyn Kernel>>; 31],
 }
 
@@ -204,16 +204,6 @@ impl KernelLib {
             .and_then(|s| s.as_deref())
             .ok_or(KernelError::UnknownKernel { id })
     }
-
-    /// Number of registered kernels.
-    pub fn len(&self) -> usize {
-        self.slots.iter().filter(|s| s.is_some()).count()
-    }
-
-    /// `true` when no kernels are registered.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 impl Default for KernelLib {
@@ -244,7 +234,7 @@ mod tests {
     #[test]
     fn builtin_library_has_table1_kernels() {
         let lib = KernelLib::builtin();
-        assert_eq!(lib.len(), 8);
+        assert_eq!(lib.slots.iter().flatten().count(), 8);
         assert_eq!(lib.get(kernel_id::GEMM).unwrap().name(), "gemm");
         assert_eq!(
             lib.get(kernel_id::CONV_LAYER_3CH).unwrap().name(),

@@ -12,7 +12,7 @@ fn vr(i: usize) -> Vr {
 /// Max-pooling with window `β` and stride `α` (Table I: `stride`,
 /// `win_size`): `out[y][x] = max A[y·s .. y·s+w)[x·s .. x·s+w)`.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct MaxPool;
+pub(crate) struct MaxPool;
 
 /// Output dimension of a pooling/convolution sweep.
 pub(crate) fn out_dim(input: usize, win: usize, stride: usize) -> usize {

@@ -18,7 +18,7 @@ fn sr(i: u8) -> Sr {
 ///
 /// Operands (Table I): `md` = output, `ms1` = input, `α` = slope shift.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct LeakyRelu;
+pub(crate) struct LeakyRelu;
 
 impl Kernel for LeakyRelu {
     fn name(&self) -> &'static str {

@@ -10,8 +10,8 @@
 //! | Paper section | Module |
 //! |---|---|
 //! | §III-A1 cache normal functioning (fully associative, approx-LRU, write-back) | [`cache::CacheTable`], [`StandardLlc`] |
-//! | §III-A2 locking & hazard management | [`cache::LockWindows`], [`cache::AddressTable`] |
-//! | §III-A3 Address Table | [`cache::AddressTable`] |
+//! | §III-A2 locking & hazard management | `cache::LockWindows`, `cache::AddressTable` |
+//! | §III-A3 Address Table | `cache::AddressTable` |
 //! | §III-A4 software-driven 2-D DMA | [`runtime::ctx::KernelCtx`] |
 //! | §III-B bridge (CV-X-IF offload, SW decode, commit/kill) | [`ArcaneLlc`]'s [`arcane_rv32::Coprocessor`] impl |
 //! | §IV-A the `xmnmc` matrix ISA | [`arcane_isa::xmnmc`] (+ dispatch here) |
@@ -67,12 +67,12 @@ mod config;
 pub mod kernels;
 mod llc;
 pub mod runtime;
-pub mod sched;
+mod sched;
 mod standard;
 
 pub use arcane_isa::launch::LaunchMode;
-pub use config::{ArcaneConfig, CrtTiming, EXT_BASE};
+pub use config::{ArcaneConfig, EXT_BASE};
 pub use llc::{ArcaneLlc, KernelRecord};
-pub use runtime::map::{MatView, MatrixMap};
+pub use runtime::map::MatView;
 pub use sched::SchedulerKind;
 pub use standard::StandardLlc;

@@ -20,15 +20,14 @@
 //! completes — exactly the synchronisation the hardware enforces.
 
 use crate::cache::{
-    access_bytes, AddressTable, AtEntry, CacheTable, LockWindows, OperandKind, ResourceChannel,
-    Victim,
+    access_bytes, AddressTable, AtEntry, CacheTable, LockWindows, OperandKind, Victim,
 };
 use crate::config::{ArcaneConfig, CRT};
 use crate::kernels::{KernelError, KernelLib, ResolvedArgs};
 use crate::runtime::ctx::KernelCtx;
 use crate::runtime::map::MatView;
 use crate::runtime::map::MatrixMap;
-use arcane_fabric::{Fabric, PortStats, HOST_PORT};
+use arcane_fabric::{Fabric, PortStats, ResourceChannel, HOST_PORT};
 use arcane_isa::launch::{
     DescriptorBatch, LaunchDescriptor, LaunchMode, OperandBinding, FUNC5_XMB,
 };
@@ -193,11 +192,6 @@ impl ArcaneLlc {
     /// occupancy).
     pub fn fabric(&self) -> &Fabric {
         &self.fabric
-    }
-
-    /// The eCPU booking calendar (busy cycles, horizon).
-    pub fn ecpu_channel(&self) -> &ResourceChannel {
-        &self.ecpu_chan
     }
 
     /// Descriptor launch-pipeline counters: batches decoded, descriptors
@@ -761,7 +755,6 @@ impl Coprocessor for ArcaneLlc {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use arcane_isa::launch::pack_xmb;
 
     #[test]
     fn xmb_out_of_range_word_count_is_rejected_before_any_booking() {
@@ -777,14 +770,14 @@ mod tests {
             (base, words_in_ext + 1), // one word past the end
             (base + 4, words_in_ext), // in size, but runs off the end
         ] {
-            let resp = llc.offload_xmnmc(FUNC5_XMB, Sew::Word, pack_xmb(addr, words, 0), 0);
+            let resp = llc.offload_xmnmc(FUNC5_XMB, Sew::Word, (addr, words, 0), 0);
             assert!(matches!(resp, XifResponse::Reject), "words = {words:#x}");
             assert!(matches!(
                 llc.last_error(),
                 Some(KernelError::ShapeMismatch { .. })
             ));
         }
-        assert!(llc.ecpu_channel().is_empty());
+        assert!(llc.ecpu_chan.is_empty());
         assert_eq!(llc.fabric().busy_cycles(), 0);
         assert_eq!(llc.launch_stats().batches, 0);
         assert!(llc.records().is_empty());

@@ -14,11 +14,11 @@
 //!   **writeback**: lock, consolidation DMA back to memory, cache-line
 //!   release.
 
-use crate::cache::{CacheTable, LockWindows, ResourceChannel};
+use crate::cache::{CacheTable, LockWindows};
 use crate::config::CRT;
 use crate::kernels::KernelError;
 use crate::runtime::map::MatView;
-use arcane_fabric::{Fabric, PortStats};
+use arcane_fabric::{Fabric, PortStats, ResourceChannel};
 use arcane_isa::vector::{Sr, VInstr, Vr};
 use arcane_mem::{Dma2d, DmaJob, ExtMem, Memory};
 use arcane_sim::{Phase, PhaseBreakdown, Sew};
@@ -93,7 +93,7 @@ impl<'a> KernelCtx<'a> {
 
     /// Charges the dispatch of `n_instrs` vector instructions to the
     /// assigned VPU. Under the whole-phase arbiter this is eCPU
-    /// software issue ([`crate::CrtTiming::vinstr_issue`] exclusive
+    /// software issue ([`crate::config::CrtTiming::vinstr_issue`] exclusive
     /// cycles per instruction); under the burst arbiters the
     /// instructions travel as dispatch descriptors over the shared
     /// fabric to the VPU's own sequencer, contending with DMA bursts at
@@ -212,6 +212,11 @@ impl<'a> KernelCtx<'a> {
 
     /// Evicts whatever the cache holds in this VPU's register `vreg`
     /// (write-back if dirty), freeing it for kernel data.
+    ///
+    /// Kept out of line: with `load_rows` as its only caller, inlining
+    /// the cold write-back path into that loop measurably slows the
+    /// offload-bound perfbench workloads.
+    #[inline(never)]
     fn evict_vreg(&mut self, vreg: usize) -> u64 {
         let i = self.line_index(vreg);
         let l = *self.table.line(i);
@@ -313,19 +318,6 @@ impl<'a> KernelCtx<'a> {
         self.locks.add(t0, t_end);
         self.last_alloc_end = self.last_alloc_end.max(t_end);
         Ok(())
-    }
-
-    /// Zero-fills vector register `vreg` (also evicts cached data from
-    /// that line). Charged as compute (a broadcast would do the same).
-    pub fn clear_vreg(&mut self, vreg: usize) {
-        let cycles = self.evict_vreg(vreg);
-        self.vpus[self.vpu_index].line_mut(vreg).fill(0);
-        let bw = self.vpus[self.vpu_index].config().bytes_per_cycle();
-        let vlen = self.vpus[self.vpu_index].config().vlen_bytes as u64;
-        self.charge(
-            Phase::Compute,
-            cycles + CRT.vinstr_issue + vlen.div_ceil(bw),
-        );
     }
 
     /// Writes the first `n_elems` elements of `vreg` densely to
@@ -561,10 +553,15 @@ mod tests {
         c.load_rows(&mat, 1, 2, 5).unwrap();
         assert!(c.phases.allocation > 0);
         assert_eq!(c.phases.compute, 0);
+        let t_end = c.t;
         // row 1 starts at element 16 (pitch = 2*8 = 16 words)
         let line = vpus[0].line(5);
         assert_eq!(i32::from_le_bytes([line[0], line[1], line[2], line[3]]), 16);
-        assert!(!locks.is_empty(), "allocation must hold the lock");
+        assert_eq!(
+            locks.stall_until(t_end - 1),
+            Some(t_end),
+            "allocation must hold the lock"
+        );
     }
 
     #[test]

@@ -31,7 +31,7 @@ pub struct MatView {
 
 impl MatView {
     /// Row pitch in bytes.
-    pub const fn pitch_bytes(&self) -> u32 {
+    pub(crate) const fn pitch_bytes(&self) -> u32 {
         (self.stride * self.cols * self.sew.bytes()) as u32
     }
 
@@ -46,7 +46,7 @@ impl MatView {
     }
 
     /// First byte past the region the matrix occupies.
-    pub const fn end_addr(&self) -> u32 {
+    pub(crate) const fn end_addr(&self) -> u32 {
         if self.rows == 0 {
             self.addr
         } else {
@@ -64,7 +64,7 @@ impl MatView {
 /// logical matrix register plus a monotonically increasing physical id
 /// counter implementing renaming.
 #[derive(Debug, Clone)]
-pub struct MatrixMap {
+pub(crate) struct MatrixMap {
     slots: [Option<MatView>; NUM_MAT_REGS as usize],
     next_phys: u32,
     renames: u64,
@@ -125,11 +125,6 @@ impl MatrixMap {
     /// Number of rebinds that triggered renaming.
     pub const fn renames(&self) -> u64 {
         self.renames
-    }
-
-    /// Total bindings performed.
-    pub const fn bindings(&self) -> u32 {
-        self.next_phys
     }
 }
 

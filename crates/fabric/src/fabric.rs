@@ -69,13 +69,13 @@ impl FabricConfig {
     /// bus width (minimum one cycle; a zero width counts as one byte
     /// per cycle). This is the exact fuel a launch-descriptor batch
     /// burns on its way to the eCPU's decoder.
-    pub fn payload_cycles(&self, bytes: u64) -> u64 {
+    fn payload_cycles(&self, bytes: u64) -> u64 {
         bytes.div_ceil(self.bytes_per_cycle.max(1)).max(1)
     }
 
     /// Cycles one vector-instruction dispatch descriptor occupies a
     /// bank (burst arbiters only).
-    pub fn issue_cycles(&self) -> u64 {
+    fn issue_cycles(&self) -> u64 {
         self.payload_cycles(ISSUE_BYTES)
     }
 }
@@ -250,11 +250,6 @@ impl Fabric {
     /// The configuration this fabric was built with.
     pub const fn config(&self) -> &FabricConfig {
         &self.cfg
-    }
-
-    /// Number of request ports (host + VPU controllers).
-    pub fn n_ports(&self) -> usize {
-        self.ports.len()
     }
 
     /// The request port of VPU controller `vpu`.

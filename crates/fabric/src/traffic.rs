@@ -66,7 +66,7 @@ impl HostTrafficGen {
 
     /// The next store address (one per line, wrapping at the window
     /// end).
-    pub fn next_store(&mut self) -> u32 {
+    fn next_store(&mut self) -> u32 {
         let addr = self.base + self.cursor;
         self.cursor = (self.cursor + self.line) % self.span;
         addr

@@ -160,40 +160,10 @@ impl Asm {
         })
     }
 
-    /// `andi rd, rs1, imm`.
-    pub fn andi(&mut self, rd: Gpr, rs1: Gpr, imm: i32) -> &mut Self {
-        self.raw(Instr::OpImm {
-            op: AluImmOp::Andi,
-            rd,
-            rs1,
-            imm,
-        })
-    }
-
     /// `slli rd, rs1, shamt`.
     pub fn slli(&mut self, rd: Gpr, rs1: Gpr, shamt: i32) -> &mut Self {
         self.raw(Instr::OpImm {
             op: AluImmOp::Slli,
-            rd,
-            rs1,
-            imm: shamt,
-        })
-    }
-
-    /// `srai rd, rs1, shamt`.
-    pub fn srai(&mut self, rd: Gpr, rs1: Gpr, shamt: i32) -> &mut Self {
-        self.raw(Instr::OpImm {
-            op: AluImmOp::Srai,
-            rd,
-            rs1,
-            imm: shamt,
-        })
-    }
-
-    /// `srli rd, rs1, shamt`.
-    pub fn srli(&mut self, rd: Gpr, rs1: Gpr, shamt: i32) -> &mut Self {
-        self.raw(Instr::OpImm {
-            op: AluImmOp::Srli,
             rd,
             rs1,
             imm: shamt,
@@ -208,11 +178,6 @@ impl Asm {
     /// `add rd, rs1, rs2`.
     pub fn add(&mut self, rd: Gpr, rs1: Gpr, rs2: Gpr) -> &mut Self {
         self.op(AluOp::Add, rd, rs1, rs2)
-    }
-
-    /// `sub rd, rs1, rs2`.
-    pub fn sub(&mut self, rd: Gpr, rs1: Gpr, rs2: Gpr) -> &mut Self {
-        self.op(AluOp::Sub, rd, rs1, rs2)
     }
 
     /// `mul rd, rs1, rs2`.
@@ -301,11 +266,6 @@ impl Asm {
         self.branch(BranchOp::Ge, rs1, rs2, target)
     }
 
-    /// `bltu rs1, rs2, target` (unsigned).
-    pub fn bltu(&mut self, rs1: Gpr, rs2: Gpr, target: Label) -> &mut Self {
-        self.branch(BranchOp::Ltu, rs1, rs2, target)
-    }
-
     /// `jal rd, target`.
     pub fn jal(&mut self, rd: Gpr, target: Label) -> &mut Self {
         self.items.push(Item::Jal { rd, target });
@@ -363,27 +323,12 @@ impl Asm {
         self.raw(Instr::Ebreak)
     }
 
-    /// `ecall`.
-    pub fn ecall(&mut self) -> &mut Self {
-        self.raw(Instr::Ecall)
-    }
-
     // ---- XCVPULP helpers (baseline kernels) ------------------------------
 
     /// `cv.lw rd, offset(rs1!)` — load word with post-increment.
     pub fn cv_lw_post(&mut self, rd: Gpr, rs1: Gpr, offset: i32) -> &mut Self {
         self.raw(Instr::Pulp(PulpInstr::LoadPost {
             op: LoadOp::Lw,
-            rd,
-            rs1,
-            offset,
-        }))
-    }
-
-    /// `cv.lb`-style post-increment load of any width.
-    pub fn cv_load_post(&mut self, op: LoadOp, rd: Gpr, rs1: Gpr, offset: i32) -> &mut Self {
-        self.raw(Instr::Pulp(PulpInstr::LoadPost {
-            op,
             rd,
             rs1,
             offset,

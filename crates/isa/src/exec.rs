@@ -16,7 +16,7 @@
 //! operation, whose register indices, immediates, access width,
 //! sign extension and branch condition are already resolved, so the
 //! engine dispatches each retired instruction with one `match`;
-//! [`Op::ends_block`] places the block boundaries.
+//! `Op::ends_block` places the block boundaries.
 //!
 //! The cache stays coherent with instruction memory: every store the
 //! core performs is offered to [`BlockCache::invalidate_write`], which
@@ -511,7 +511,7 @@ fn pulp(p: PulpInstr) -> Op {
 impl Op {
     /// `true` when this op ends a basic block: a control transfer,
     /// program termination, or a coprocessor offload.
-    pub const fn ends_block(self) -> bool {
+    const fn ends_block(self) -> bool {
         matches!(
             self,
             Op::Jal(_)
@@ -533,7 +533,7 @@ impl Op {
 ///
 /// The block starts at [`DecodedBlock::start`] and covers consecutive
 /// word-aligned PCs; the final op either ends the block
-/// ([`Op::ends_block`]) or the block was truncated at
+/// (`Op::ends_block`) or the block was truncated at
 /// [`MAX_BLOCK_LEN`] / at a word that failed to decode (the engine
 /// re-enters predecode at the following PC, so a stale or invalid word
 /// only faults when control actually reaches it — exactly like the

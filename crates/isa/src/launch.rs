@@ -16,7 +16,7 @@
 //! table walk, not a full software decode. The host launches a batch
 //! with a single `xmb` instruction ([`FUNC5_XMB`], reserved from the
 //! `xmkN` space) whose operand registers carry the batch's address,
-//! length and token ([`pack_xmb`]).
+//! length and token ([`xmb_instr`]).
 //!
 //! Size accounting is exact: [`LaunchDescriptor::words`] and
 //! [`DescriptorBatch::words`] give the encoded footprint the fabric
@@ -49,11 +49,11 @@ use std::fmt;
 pub const FUNC5_XMB: u8 = 30;
 
 /// Magic byte opening every encoded [`DescriptorBatch`].
-pub const BATCH_MAGIC: u8 = 0xA7;
+const BATCH_MAGIC: u8 = 0xA7;
 
 /// Maximum operand bindings one descriptor can carry (md/ms1/ms2 —
 /// `ms3` always aliases a bound register in the current compiler).
-pub const MAX_BINDINGS: usize = 3;
+const MAX_BINDINGS: usize = 3;
 
 /// How kernels are launched on the eCPU.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -171,7 +171,7 @@ impl DescriptorBatch {
     /// # Panics
     ///
     /// Panics if a descriptor is malformed (kernel id in the reserved
-    /// range, more than [`MAX_BINDINGS`] bindings, or more than
+    /// range, more than `MAX_BINDINGS` bindings, or more than
     /// `u16::MAX` descriptors) — compiler bugs, not data errors.
     pub fn encode(&self) -> Vec<u32> {
         assert!(
@@ -291,7 +291,7 @@ impl DescriptorBatch {
 /// Error produced while decoding a [`DescriptorBatch`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LaunchDecodeError {
-    /// The first word does not open with [`BATCH_MAGIC`].
+    /// The first word does not open with `BATCH_MAGIC`.
     BadMagic {
         /// Byte found where the magic was expected.
         found: u8,
@@ -341,14 +341,6 @@ impl fmt::Display for LaunchDecodeError {
 }
 
 impl std::error::Error for LaunchDecodeError {}
-
-/// Packs the three register values a host program materialises before
-/// `xmb`: the batch's word address, its length in words, and its token.
-///
-/// Returns `(rs1, rs2, rs3)` values.
-pub const fn pack_xmb(addr: u32, words: u32, token: u32) -> (u32, u32, u32) {
-    (addr, words, token)
-}
 
 /// Builds the raw custom-2 instruction for `xmb` naming the three
 /// operand-carrying CPU registers (the width suffix is immaterial —

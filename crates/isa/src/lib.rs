@@ -4,8 +4,6 @@
 //!
 //! * [`rv32`] — the RV32IM base ISA executed by the host CPU and, in the
 //!   paper, by the embedded cache-controller CPU (CV32E40X class cores).
-//! * [`rvc`] — the compressed (C) extension: 16-bit → 32-bit expansion
-//!   and a compressor for code-density measurements.
 //! * [`xcvpulp`] — the packed-SIMD / DSP extension subset (modeled after
 //!   the CORE-V XCVPULP extensions of the CV32E40PX) used by the paper's
 //!   strongest CPU baseline in Figure 4.
@@ -51,7 +49,6 @@ pub mod exec;
 pub mod launch;
 pub mod reg;
 pub mod rv32;
-pub mod rvc;
 pub mod vector;
 pub mod xcvpulp;
 pub mod xmnmc;

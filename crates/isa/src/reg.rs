@@ -47,7 +47,7 @@ impl Gpr {
     }
 
     /// ABI mnemonic (`zero`, `ra`, `sp`, …, `t6`).
-    pub const fn abi_name(self) -> &'static str {
+    const fn abi_name(self) -> &'static str {
         const NAMES: [&str; 32] = [
             "zero", "ra", "sp", "gp", "tp", "t0", "t1", "t2", "s0", "s1", "a0", "a1", "a2", "a3",
             "a4", "a5", "a6", "a7", "s2", "s3", "s4", "s5", "s6", "s7", "s8", "s9", "s10", "s11",

@@ -96,11 +96,6 @@ impl LoadOp {
             LoadOp::Lw => 4,
         }
     }
-
-    /// `true` when the loaded value must be sign-extended.
-    pub const fn is_signed(self) -> bool {
-        matches!(self, LoadOp::Lb | LoadOp::Lh)
-    }
 }
 
 /// Memory store width.
@@ -245,21 +240,6 @@ impl AluOp {
             AluOp::Remu => "remu",
         }
     }
-
-    /// `true` for RV32M multiply/divide operations.
-    pub const fn is_m_ext(self) -> bool {
-        matches!(
-            self,
-            AluOp::Mul
-                | AluOp::Mulh
-                | AluOp::Mulhsu
-                | AluOp::Mulhu
-                | AluOp::Div
-                | AluOp::Divu
-                | AluOp::Rem
-                | AluOp::Remu
-        )
-    }
 }
 
 /// A decoded RV32 instruction (RV32IM + XCVPULP subset + custom-2 escape).
@@ -379,23 +359,23 @@ pub enum Instr {
 
 /// Major opcodes used by the encoder/decoder.
 pub(crate) mod opcode {
-    pub const LUI: u32 = 0b011_0111;
-    pub const AUIPC: u32 = 0b001_0111;
-    pub const JAL: u32 = 0b110_1111;
-    pub const JALR: u32 = 0b110_0111;
-    pub const BRANCH: u32 = 0b110_0011;
-    pub const LOAD: u32 = 0b000_0011;
-    pub const STORE: u32 = 0b010_0011;
-    pub const OP_IMM: u32 = 0b001_0011;
-    pub const OP: u32 = 0b011_0011;
-    pub const MISC_MEM: u32 = 0b000_1111;
-    pub const SYSTEM: u32 = 0b111_0011;
+    pub(crate) const LUI: u32 = 0b011_0111;
+    pub(crate) const AUIPC: u32 = 0b001_0111;
+    pub(crate) const JAL: u32 = 0b110_1111;
+    pub(crate) const JALR: u32 = 0b110_0111;
+    pub(crate) const BRANCH: u32 = 0b110_0011;
+    pub(crate) const LOAD: u32 = 0b000_0011;
+    pub(crate) const STORE: u32 = 0b010_0011;
+    pub(crate) const OP_IMM: u32 = 0b001_0011;
+    pub(crate) const OP: u32 = 0b011_0011;
+    pub(crate) const MISC_MEM: u32 = 0b000_1111;
+    pub(crate) const SYSTEM: u32 = 0b111_0011;
     /// custom-0: XCVPULP post-increment memory + scalar DSP ops (local encoding).
-    pub const CUSTOM0: u32 = 0b000_1011;
+    pub(crate) const CUSTOM0: u32 = 0b000_1011;
     /// custom-1: XCVPULP packed-SIMD + hardware loops (local encoding).
-    pub const CUSTOM1: u32 = 0b010_1011;
+    pub(crate) const CUSTOM1: u32 = 0b010_1011;
     /// custom-2: the `xmnmc` matrix extension (as in the paper, `0x5b`).
-    pub const CUSTOM2: u32 = 0b101_1011;
+    pub(crate) const CUSTOM2: u32 = 0b101_1011;
 }
 
 #[inline]

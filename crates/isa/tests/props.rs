@@ -4,8 +4,7 @@
 
 use arcane_isa::asm::Asm;
 use arcane_isa::reg::Gpr;
-use arcane_isa::rv32::{self, AluOp, Instr, LoadOp, StoreOp};
-use arcane_isa::rvc;
+use arcane_isa::rv32::{self, Instr, LoadOp, StoreOp};
 use arcane_isa::xcvpulp::{self, PulpInstr, PvOp, SimdWidth};
 use proptest::prelude::*;
 
@@ -92,36 +91,6 @@ proptest! {
     fn xcvpulp_roundtrip(instr in pulp_instr()) {
         let w = xcvpulp::encode(&instr);
         prop_assert_eq!(xcvpulp::decode(w).unwrap(), instr);
-    }
-
-    /// Whatever `rvc::compress` emits must expand back to the same
-    /// semantics (compared through the canonical 32-bit encoding).
-    #[test]
-    fn rvc_compress_is_sound(
-        op in prop_oneof![Just(AluOp::Add), Just(AluOp::Sub), Just(AluOp::Xor),
-                          Just(AluOp::Or), Just(AluOp::And)],
-        rd in gpr(),
-        rs1 in gpr(),
-        rs2 in gpr(),
-        imm in -64i32..64,
-        off in 0i32..128,
-    ) {
-        let candidates = [
-            Instr::Op { op, rd, rs1, rs2 },
-            Instr::OpImm { op: arcane_isa::rv32::AluImmOp::Addi, rd, rs1, imm },
-            Instr::Load { op: LoadOp::Lw, rd, rs1, offset: off },
-            Instr::Store { op: StoreOp::Sw, rs2, rs1, offset: off },
-        ];
-        for i in candidates {
-            if let Some(c) = rvc::compress(&i) {
-                prop_assert!(rvc::is_compressed(c));
-                let back = rvc::decode(c).unwrap();
-                prop_assert_eq!(
-                    rv32::encode(&back), rv32::encode(&i),
-                    "{} -> {:#06x} -> {}", i, c, back
-                );
-            }
-        }
     }
 
     /// Random straight-line programs with random backward/forward jumps

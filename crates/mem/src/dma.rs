@@ -152,28 +152,6 @@ impl Dma2d {
         }
         Ok(self.timing.cycles(job))
     }
-
-    /// Executes a transfer within a single device (e.g. writeback
-    /// consolidation inside the LLC data array).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BusError`] if any row falls outside the device.
-    pub fn execute_within<M: Memory + ?Sized>(
-        &self,
-        job: &DmaJob,
-        mem: &mut M,
-    ) -> Result<u64, BusError> {
-        let row_bytes = job.row_bytes() as usize;
-        let mut row = vec![0u8; row_bytes];
-        for r in 0..job.rows {
-            let s = job.src.wrapping_add(r.wrapping_mul(job.src_stride));
-            let d = job.dst.wrapping_add(r.wrapping_mul(job.dst_stride));
-            mem.read_bytes(s, &mut row)?;
-            mem.write_bytes(d, &row)?;
-        }
-        Ok(self.timing.cycles(job))
-    }
 }
 
 #[cfg(test)]
@@ -243,14 +221,5 @@ mod tests {
         let mut dst = Sram::new(0x40, 8);
         let job = DmaJob::linear(0, 0x40, 16);
         assert!(Dma2d::default().execute(&job, &src, &mut dst).is_err());
-    }
-
-    #[test]
-    fn overlapping_within_device() {
-        let mut m = Sram::new(0, 32);
-        m.write_bytes(0, &[1, 2, 3, 4]).unwrap();
-        let job = DmaJob::linear(0, 8, 4);
-        Dma2d::default().execute_within(&job, &mut m).unwrap();
-        assert_eq!(m.read_u32(8).unwrap(), m.read_u32(0).unwrap());
     }
 }

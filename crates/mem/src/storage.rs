@@ -144,7 +144,7 @@ const PAGE: usize = 4096;
 ///
 /// Timing model: a random access costs [`ExtMem::first_word_cycles`],
 /// each subsequent sequential word in the same burst costs
-/// [`ExtMem::per_word_cycles`]. The cache controller and DMA use
+/// `per_word_cycles`. The cache controller and DMA use
 /// [`ExtMem::burst_cycles`] to price line refills and tile transfers.
 ///
 /// Storage is paged lazily: a 4 KiB page is allocated by the first
@@ -176,11 +176,6 @@ impl ExtMem {
     /// Latency of the first word of a burst.
     pub const fn first_word_cycles(&self) -> u64 {
         self.first_word_cycles
-    }
-
-    /// Per-word cost of the remainder of a burst.
-    pub const fn per_word_cycles(&self) -> u64 {
-        self.per_word_cycles
     }
 
     /// Cycles to move `bytes` sequential bytes in one burst.

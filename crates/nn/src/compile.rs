@@ -76,7 +76,8 @@ pub enum CompileError {
     },
     /// The host program does not fit the SoC's instruction memory.
     ProgramTooLarge {
-        /// Size of the assembled program in bytes.
+        /// Size of the assembled program in bytes, or a lower bound on
+        /// it when one host-traffic burst alone is too large to emit.
         bytes: usize,
         /// Instruction-memory size in bytes.
         limit: usize,
@@ -764,6 +765,22 @@ pub fn compile(
     if opts.instances < 1 {
         return Err(CompileError::ZeroInstances);
     }
+    if let Some(k) = opts.host_traffic {
+        // One burst stores a word per line, each at least one 4-byte
+        // `sw`. Rejecting a burst that alone outgrows the instruction
+        // memory here also bounds the scratch-window arithmetic in
+        // `Program::new`.
+        let bytes = usize::try_from(k.bytes.div_ceil(LINE_BYTES))
+            .ok()
+            .and_then(|stores| stores.checked_mul(4))
+            .unwrap_or(usize::MAX);
+        if bytes > IMEM_SIZE {
+            return Err(CompileError::ProgramTooLarge {
+                bytes,
+                limit: IMEM_SIZE,
+            });
+        }
+    }
     let layout = GraphLayout::plan(graph, base);
     let lowering = Lowering::new(graph, &layout, opts.instances)?;
     let (program, tables) = match opts.launch {
@@ -879,6 +896,30 @@ mod tests {
                 compile(&g, 0x2000_0000, &opts).unwrap_err(),
                 CompileError::ProgramTooLarge {
                     bytes,
+                    limit: IMEM_SIZE
+                },
+                "{launch:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn oversized_host_traffic_is_a_typed_error_before_emission() {
+        // A burst of `u32::MAX` bytes needs 4 Mi line stores, each at
+        // least one 4-byte `sw`: compile() must reject it up front
+        // instead of overflowing the scratch-window arithmetic or
+        // assembling a half-gigabyte program first.
+        let g = crate::suite::residual_bottleneck(16, 16, Sew::Byte, 1).graph;
+        for launch in [LaunchMode::Legacy, LaunchMode::Descriptor] {
+            let opts = CompileOptions {
+                instances: 1,
+                host_traffic: Some(HostTraffic::new(1, u32::MAX)),
+                launch,
+            };
+            assert_eq!(
+                compile(&g, 0x2000_0000, &opts).unwrap_err(),
+                CompileError::ProgramTooLarge {
+                    bytes: (u32::MAX.div_ceil(LINE_BYTES) * 4) as usize,
                     limit: IMEM_SIZE
                 },
                 "{launch:?}"

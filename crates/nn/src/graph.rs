@@ -145,36 +145,6 @@ pub enum Node {
     },
 }
 
-impl Node {
-    /// The tensor this node produces.
-    pub fn dest(&self) -> TensorId {
-        match *self {
-            Node::Conv2d { dest, .. }
-            | Node::DepthwiseConv { dest, .. }
-            | Node::Gemm { dest, .. }
-            | Node::ResidualAdd { dest, .. }
-            | Node::Requantise { dest, .. }
-            | Node::LeakyRelu { dest, .. }
-            | Node::MaxPool { dest, .. }
-            | Node::Transpose { dest, .. } => dest,
-        }
-    }
-
-    /// Kernel mnemonic of the node (reports, debug output).
-    pub fn op_name(&self) -> &'static str {
-        match self {
-            Node::Conv2d { .. } => "conv2d",
-            Node::DepthwiseConv { .. } => "depthwise_conv",
-            Node::Gemm { .. } => "gemm",
-            Node::ResidualAdd { .. } => "residual_add",
-            Node::Requantise { .. } => "requantise",
-            Node::LeakyRelu { .. } => "leaky_relu",
-            Node::MaxPool { .. } => "maxpool",
-            Node::Transpose { .. } => "transpose",
-        }
-    }
-}
-
 /// A topologically ordered layer graph at one element width.
 #[derive(Debug, Clone)]
 pub struct LayerGraph {

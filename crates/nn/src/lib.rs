@@ -18,7 +18,7 @@
 //!    program (the `xmnmc` instruction stream of Listing 1), splitting
 //!    row-parallel nodes across 1/2/4 VPU instances
 //!    ([`CompileOptions::instances`]);
-//! 4. **Runner** — [`run_graph`]: executes the program end-to-end on
+//! 4. **Runner** — [`run_graph_with_engine`]: executes the program end-to-end on
 //!    the full [`arcane_system::ArcaneSoc`] and reads the outputs back;
 //! 5. **Suite** — [`suite`]: the three evaluation workloads
 //!    (depthwise-separable conv layer, residual bottleneck with
@@ -54,5 +54,5 @@ pub use arcane_fabric::HostTraffic;
 pub use arcane_isa::launch::LaunchMode;
 pub use compile::{compile, split_rows, CompileError, CompileOptions, DescriptorTable, NnProgram};
 pub use graph::{LayerGraph, Node, Tensor, TensorId, TensorKind};
-pub use plan::{GraphLayout, Placement, ALIGN};
-pub use run::{run_graph, run_graph_with_engine, GraphRunReport};
+pub use plan::{GraphLayout, Placement};
+pub use run::{run_graph_with_engine, GraphRunReport};

@@ -15,7 +15,7 @@
 use crate::graph::{LayerGraph, TensorId, TensorKind};
 
 /// Cache-line/alignment quantum of the arena (= the 1 KiB VLEN).
-pub const ALIGN: u32 = 1024;
+pub(crate) const ALIGN: u32 = 1024;
 
 fn align_up(x: u32) -> u32 {
     (x + (ALIGN - 1)) & !(ALIGN - 1)
@@ -54,8 +54,6 @@ impl Placement {
 #[derive(Debug, Clone)]
 pub struct GraphLayout {
     places: Vec<Placement>,
-    /// First byte of the arena.
-    pub base: u32,
     /// One past the last arena byte.
     pub end: u32,
 }
@@ -112,7 +110,6 @@ impl GraphLayout {
         }
         GraphLayout {
             places,
-            base: align_up(base),
             end: cursor,
         }
     }
@@ -120,11 +117,6 @@ impl GraphLayout {
     /// Placement of a tensor.
     pub fn place(&self, id: TensorId) -> Placement {
         self.places[id.0]
-    }
-
-    /// Arena footprint in bytes (inputs + all intermediates).
-    pub fn arena_bytes(&self) -> usize {
-        (self.end - self.base) as usize
     }
 }
 
@@ -158,7 +150,6 @@ mod tests {
         for w in spans.windows(2) {
             assert!(w[0].1 <= w[1].0, "overlap: {w:?}");
         }
-        assert_eq!(l.arena_bytes(), (l.end - l.base) as usize);
     }
 
     #[test]

@@ -169,17 +169,3 @@ pub fn run_graph_with_engine(
         launch_stats: *llc.launch_stats(),
     }
 }
-
-/// [`run_graph_with_engine`] on the environment-selected engine.
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`run_graph_with_engine`].
-pub fn run_graph(
-    cfg: ArcaneConfig,
-    graph: &LayerGraph,
-    inputs: &[Matrix],
-    opts: &CompileOptions,
-) -> GraphRunReport {
-    run_graph_with_engine(cfg, graph, inputs, opts, EngineMode::current())
-}

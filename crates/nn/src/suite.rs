@@ -4,9 +4,9 @@
 
 use crate::compile::CompileOptions;
 use crate::graph::LayerGraph;
-use crate::run::{run_graph, GraphRunReport};
+use crate::run::{run_graph_with_engine, GraphRunReport};
 use arcane_core::ArcaneConfig;
-use arcane_sim::Sew;
+use arcane_sim::{EngineMode, Sew};
 use arcane_workloads::{self as workloads, Matrix};
 
 /// Requantisation shift used throughout the suite.
@@ -49,7 +49,8 @@ impl BuiltGraph {
     ///
     /// Panics on any output mismatch or host fault.
     pub fn run_verified_with(&self, cfg: ArcaneConfig, opts: &CompileOptions) -> GraphRunReport {
-        let report = run_graph(cfg, &self.graph, &self.inputs, opts);
+        let report =
+            run_graph_with_engine(cfg, &self.graph, &self.inputs, opts, EngineMode::current());
         let instances = opts.instances;
         assert_eq!(
             report.outputs.len(),

@@ -146,7 +146,7 @@ impl Cpu {
     }
 
     /// Creates a core with an explicit timing model.
-    pub fn with_timing(reset_pc: u32, timing: Timing) -> Self {
+    fn with_timing(reset_pc: u32, timing: Timing) -> Self {
         Cpu {
             regs: [0; 32],
             pc: reset_pc,
@@ -667,7 +667,7 @@ impl Cpu {
     /// # Errors
     ///
     /// Propagates the first [`CpuError`] raised by [`Cpu::step`].
-    pub fn run_interp<B: Bus, X: Coprocessor>(
+    fn run_interp<B: Bus, X: Coprocessor>(
         &mut self,
         bus: &mut B,
         xif: &mut X,
@@ -702,7 +702,7 @@ impl Cpu {
     /// decode faults surface at exactly the PC where the interpreter
     /// would raise them (predecode truncates a block at the first bad
     /// word instead of failing eagerly).
-    pub fn run_blocks<B: Bus, X: Coprocessor>(
+    fn run_blocks<B: Bus, X: Coprocessor>(
         &mut self,
         bus: &mut B,
         xif: &mut X,
@@ -889,11 +889,6 @@ impl SramBus {
     /// Loads a program image (32-bit little-endian words) at `addr`.
     pub fn load_program(&mut self, addr: u32, words: &[u32]) {
         self.ram.load_words(addr, words);
-    }
-
-    /// Access to the underlying memory (for seeding data sections).
-    pub fn ram_mut(&mut self) -> &mut Sram {
-        &mut self.ram
     }
 
     /// Read-only access to the underlying memory.

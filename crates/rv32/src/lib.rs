@@ -20,8 +20,8 @@
 //!
 //! Two execution engines share one instruction-semantics path:
 //! [`Cpu::run`] dispatches to the predecoded block-stepping engine
-//! ([`Cpu::run_blocks`], the default) or the reference interpreter
-//! ([`Cpu::run_interp`], forced by `ARCANE_INTERP=1`). Results are bit-
+//! (the default) or the reference interpreter (forced by
+//! `ARCANE_INTERP=1`). Results are bit-
 //! and cycle-identical; the block engine simply skips the per-dynamic-
 //! instruction fetch and decode by caching
 //! [`arcane_isa::exec::DecodedBlock`]s keyed by PC.

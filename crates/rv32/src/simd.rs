@@ -8,7 +8,7 @@ use arcane_isa::xcvpulp::{PvOp, SimdWidth};
 /// accumulating dot products). Always inlined: the engine calls it
 /// with constant `op` and `w`, which folds it to the one lane loop.
 #[inline(always)]
-pub fn pv_exec(op: PvOp, w: SimdWidth, rd_old: u32, rs1: u32, rs2: u32) -> u32 {
+pub(crate) fn pv_exec(op: PvOp, w: SimdWidth, rd_old: u32, rs1: u32, rs2: u32) -> u32 {
     match w {
         SimdWidth::B => pv_exec_b(op, rd_old, rs1, rs2),
         SimdWidth::H => pv_exec_h(op, rd_old, rs1, rs2),

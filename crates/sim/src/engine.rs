@@ -23,7 +23,7 @@ pub enum EngineMode {
 impl EngineMode {
     /// Reads the mode from the `ARCANE_INTERP` environment variable
     /// (set and not `"0"` → [`EngineMode::Interp`]).
-    pub fn from_env() -> Self {
+    fn from_env() -> Self {
         match std::env::var_os("ARCANE_INTERP") {
             Some(v) if v != "0" => EngineMode::Interp,
             _ => EngineMode::Block,

@@ -3,8 +3,6 @@
 //! This crate provides the small vocabulary used throughout the
 //! reproduction of the ARCANE paper (DAC 2025):
 //!
-//! * [`Clock`] — a monotonic cycle counter shared by co-simulated
-//!   components (host CPU, eCPU runtime, DMA, VPUs).
 //! * [`Phase`] / [`PhaseBreakdown`] — the four kernel execution phases the
 //!   paper's Figure 3 decomposes (*preamble*, *allocation*, *compute*,
 //!   *writeback*).
@@ -18,25 +16,22 @@
 //! # Examples
 //!
 //! ```
-//! use arcane_sim::{Clock, Phase, PhaseBreakdown};
+//! use arcane_sim::{Phase, PhaseBreakdown};
 //!
-//! let mut clk = Clock::new();
-//! clk.advance(10);
 //! let mut phases = PhaseBreakdown::default();
 //! phases.charge(Phase::Preamble, 10);
-//! assert_eq!(clk.now(), 10);
-//! assert_eq!(phases.total(), 10);
+//! phases.charge(Phase::Compute, 30);
+//! assert_eq!(phases.get(Phase::Compute), 30);
+//! assert_eq!(phases.total(), 40);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod clock;
 mod engine;
 mod phase;
 mod stats;
 
-pub use clock::Clock;
 pub use engine::EngineMode;
 pub use phase::{Phase, PhaseBreakdown};
 pub use stats::{CacheStats, ChannelUtil, Counter, LaunchStats};
@@ -55,8 +50,6 @@ use std::fmt;
 /// ```
 /// use arcane_sim::Sew;
 /// assert_eq!(Sew::Byte.bytes(), 1);
-/// assert_eq!(Sew::Word.elems_per_lane(), 1);
-/// assert_eq!(Sew::Byte.elems_per_lane(), 4);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Sew {
@@ -78,17 +71,11 @@ impl Sew {
         }
     }
 
-    /// Number of elements processed per 32-bit lane per cycle
-    /// (sub-word SIMD packing factor).
-    pub const fn elems_per_lane(self) -> usize {
-        4 / self.bytes()
-    }
-
     /// All widths, widest first (iteration helper for sweeps).
     pub const ALL: [Sew; 3] = [Sew::Word, Sew::Half, Sew::Byte];
 
     /// Conventional C-type name (`int8`/`int16`/`int32`), used in reports.
-    pub const fn c_name(self) -> &'static str {
+    const fn c_name(self) -> &'static str {
         match self {
             Sew::Byte => "int8",
             Sew::Half => "int16",
@@ -141,13 +128,6 @@ mod tests {
             assert_eq!(Sew::from_bits(sew.to_bits()), Some(sew));
         }
         assert_eq!(Sew::from_bits(3), None);
-    }
-
-    #[test]
-    fn sew_packing() {
-        assert_eq!(Sew::Byte.elems_per_lane(), 4);
-        assert_eq!(Sew::Half.elems_per_lane(), 2);
-        assert_eq!(Sew::Word.elems_per_lane(), 1);
     }
 
     #[test]

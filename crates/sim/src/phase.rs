@@ -125,11 +125,6 @@ impl PhaseBreakdown {
             self.get(phase) as f64 / total as f64
         }
     }
-
-    /// Fraction of the total spent outside the compute phase.
-    pub fn overhead_share(&self) -> f64 {
-        1.0 - self.share(Phase::Compute)
-    }
 }
 
 impl Add for PhaseBreakdown {

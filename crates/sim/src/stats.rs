@@ -8,7 +8,7 @@ use std::fmt;
 ///
 /// ```
 /// use arcane_sim::Counter;
-/// let mut c = Counter::new();
+/// let mut c = Counter::default();
 /// c.incr();
 /// c.add(4);
 /// assert_eq!(c.get(), 5);
@@ -17,11 +17,6 @@ use std::fmt;
 pub struct Counter(u64);
 
 impl Counter {
-    /// Creates a counter at zero.
-    pub const fn new() -> Self {
-        Counter(0)
-    }
-
     /// Increments by one.
     #[inline]
     pub fn incr(&mut self) {
@@ -37,11 +32,6 @@ impl Counter {
     /// Current count.
     pub const fn get(&self) -> u64 {
         self.0
-    }
-
-    /// Resets to zero.
-    pub fn reset(&mut self) {
-        self.0 = 0;
     }
 }
 
@@ -60,7 +50,7 @@ impl fmt::Display for Counter {
 /// let mut s = CacheStats::default();
 /// s.hits.add(9);
 /// s.misses.incr();
-/// assert!((s.hit_rate() - 0.9).abs() < 1e-9);
+/// assert_eq!((s.hits.get(), s.misses.get()), (9, 1));
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
@@ -76,43 +66,11 @@ pub struct CacheStats {
     pub stall_cycles: Counter,
 }
 
-impl CacheStats {
-    /// Total number of accesses observed.
-    pub fn accesses(&self) -> u64 {
-        self.hits.get() + self.misses.get()
-    }
-
-    /// Hit rate in `[0, 1]`; zero when no accesses were recorded.
-    pub fn hit_rate(&self) -> f64 {
-        let n = self.accesses();
-        if n == 0 {
-            0.0
-        } else {
-            self.hits.get() as f64 / n as f64
-        }
-    }
-
-    /// Clears every counter.
-    pub fn reset(&mut self) {
-        *self = CacheStats::default();
-    }
-}
-
 /// Counters of the descriptor launch pipeline over a run: how many
 /// batches the eCPU decoded, how many kernel launches they carried,
 /// and what the decode work cost — the "decode" column of the
 /// per-kernel preamble/compute/decode split. All zero on the legacy
 /// per-instruction launch path.
-///
-/// # Examples
-///
-/// ```
-/// use arcane_sim::LaunchStats;
-/// let mut s = LaunchStats::default();
-/// s.batches += 1;
-/// s.descriptors += 4;
-/// assert!((s.descriptors_per_batch() - 4.0).abs() < 1e-12);
-/// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LaunchStats {
     /// Descriptor batches fetched and decoded.
@@ -129,16 +87,7 @@ pub struct LaunchStats {
     pub decode_cycles: u64,
 }
 
-impl LaunchStats {
-    /// Mean descriptors per batch (zero when no batch ran).
-    pub fn descriptors_per_batch(&self) -> f64 {
-        if self.batches == 0 {
-            0.0
-        } else {
-            self.descriptors as f64 / self.batches as f64
-        }
-    }
-}
+impl LaunchStats {}
 
 /// Utilisation of one shared channel or fabric port over a run: how
 /// many cycles it was busy, how long its clients waited for grants,
@@ -196,24 +145,9 @@ mod tests {
 
     #[test]
     fn counter_saturates() {
-        let mut c = Counter::new();
+        let mut c = Counter::default();
         c.add(u64::MAX);
         c.incr();
         assert_eq!(c.get(), u64::MAX);
-    }
-
-    #[test]
-    fn hit_rate_empty_is_zero() {
-        assert_eq!(CacheStats::default().hit_rate(), 0.0);
-    }
-
-    #[test]
-    fn reset_clears_all() {
-        let mut s = CacheStats::default();
-        s.hits.add(3);
-        s.stall_cycles.add(100);
-        s.reset();
-        assert_eq!(s.accesses(), 0);
-        assert_eq!(s.stall_cycles.get(), 0);
     }
 }

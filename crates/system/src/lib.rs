@@ -24,7 +24,5 @@ pub mod report;
 mod soc;
 
 pub use layout::{ConvLayerParams, Layout, EXT_BASE, IMEM_SIZE};
-pub use report::{
-    format_channel_table, format_phase_split_table, ConvSweepPoint, PhaseSplitRow, RunReport,
-};
+pub use report::{format_channel_table, format_phase_split_table, PhaseSplitRow, RunReport};
 pub use soc::{ArcaneSoc, BaselineSoc};

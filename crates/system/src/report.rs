@@ -2,7 +2,6 @@
 
 use arcane_sim::ChannelUtil;
 use arcane_sim::PhaseBreakdown;
-use arcane_sim::Sew;
 
 /// Outcome of one end-to-end workload run (result already verified
 /// against the golden model by the driver).
@@ -122,19 +121,6 @@ pub fn format_channel_table(channels: &[ChannelUtil]) -> String {
         ));
     }
     out
-}
-
-/// One point of the Figure 4 sweep.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ConvSweepPoint {
-    /// Input size (square images).
-    pub size: usize,
-    /// Filter size.
-    pub k: usize,
-    /// Element width.
-    pub sew: Sew,
-    /// Per-configuration reports in presentation order.
-    pub reports: Vec<RunReport>,
 }
 
 #[cfg(test)]

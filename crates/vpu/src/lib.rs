@@ -12,7 +12,7 @@
 //! [`Vpu::execute`] interprets a program of
 //! [`arcane_isa::vector::VInstr`] with wrapping two's-complement
 //! semantics and returns the datapath cycles from the lane-limited
-//! [`VpuTiming`] model. Results are bit-exact against the golden scalar
+//! `VpuTiming` model. Results are bit-exact against the golden scalar
 //! models (property-tested). Element-wise operations run as per-line
 //! batch kernels monomorphised per [`Sew`] over little-endian byte
 //! slices (the `batch` module) rather than element-at-a-time `i64`
@@ -100,7 +100,7 @@ impl Default for VpuConfig {
 
 /// Lane-limited cycle model helpers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct VpuTiming {
+pub(crate) struct VpuTiming {
     cfg: VpuConfig,
 }
 
@@ -119,7 +119,7 @@ impl VpuTiming {
 
     /// Cycles for a reduction: one element-wise pass plus a
     /// log₂(lanes) combine tree.
-    pub fn reduction(&self, vl: usize, sew: Sew) -> u64 {
+    pub(crate) fn reduction(&self, vl: usize, sew: Sew) -> u64 {
         self.elementwise(vl, sew) + (self.cfg.lanes.max(2)).ilog2() as u64
     }
 }
@@ -204,11 +204,6 @@ impl Vpu {
         &self.cfg
     }
 
-    /// The timing model.
-    pub const fn timing(&self) -> &VpuTiming {
-        &self.timing
-    }
-
     /// Read-only view of vector register / cache line `idx`.
     ///
     /// # Panics
@@ -232,11 +227,6 @@ impl Vpu {
     /// Writes scalar register `rs` (the eCPU does this before dispatch).
     pub fn set_sreg(&mut self, rs: Sr, value: u32) {
         self.sregs[rs.index() as usize] = value;
-    }
-
-    /// Reads scalar register `rs`.
-    pub fn sreg(&self, rs: Sr) -> u32 {
-        self.sregs[rs.index() as usize]
     }
 
     /// Currently configured vector length in elements.

@@ -152,7 +152,7 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if the range exceeds the matrix.
-    pub fn row_slice(&self, r0: usize, n: usize) -> Matrix {
+    pub(crate) fn row_slice(&self, r0: usize, n: usize) -> Matrix {
         assert!(r0 + n <= self.rows, "row slice out of range");
         Matrix {
             rows: n,

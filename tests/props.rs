@@ -1,6 +1,7 @@
 //! Property-based tests on the core data structures and invariants.
 
-use arcane::core::cache::{CacheTable, ResourceChannel, Victim};
+use arcane::core::cache::{CacheTable, Victim};
+use arcane::fabric::ResourceChannel;
 use arcane::isa::reg::Gpr;
 use arcane::isa::rv32::{self, AluImmOp, AluOp, BranchOp, Instr, LoadOp, StoreOp};
 use arcane::isa::vector::{self, all_vops, Sr, VInstr, Vr};
