@@ -13,6 +13,8 @@
 //! * every generated case is *deterministic* — the RNG stream is
 //!   seeded from the test name, so failures reproduce across runs;
 //! * `prop_assume!` rejects a case without failing the test;
+//! * the `PROPTEST_CASES` environment variable sets the number of cases
+//!   each test runs (default [`CASES`]);
 //! * `prop_assert*!` failures report the formatted message and panic
 //!   the test (upstream additionally shrinks; this shim does not —
 //!   cases are small enough here to debug unshrunk).
@@ -36,8 +38,17 @@ use core::ops::Range;
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
 
-/// Number of random cases each `proptest!` test runs.
+/// Number of random cases each `proptest!` test runs unless
+/// `PROPTEST_CASES` is set.
 pub const CASES: u32 = 192;
+
+/// `PROPTEST_CASES` when it parses as a case count, else [`CASES`].
+fn cases() -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(CASES)
+}
 
 /// The RNG handed to strategies during generation.
 pub type TestRng = SmallRng;
@@ -292,18 +303,19 @@ pub fn seed_for(test_name: &str, case: u32) -> u64 {
     h ^ ((case as u64) << 32 | case as u64)
 }
 
-/// Runs `body` over `CASES` generated inputs. This is the engine
-/// behind the [`proptest!`] macro; exposed so the macro expansion
-/// stays small.
+/// Runs `body` over `PROPTEST_CASES` (default [`CASES`]) generated
+/// inputs. This is the engine behind the [`proptest!`] macro; exposed
+/// so the macro expansion stays small.
 pub fn run_cases<S, F>(test_name: &str, strategy: S, mut body: F)
 where
     S: Strategy,
     F: FnMut(S::Value) -> TestCaseResult,
 {
+    let cases = cases();
     let mut rejected = 0u32;
     let mut ran = 0u32;
     let mut case = 0u32;
-    while ran < CASES {
+    while ran < cases {
         let mut rng = TestRng::seed_from_u64(seed_for(test_name, case));
         case += 1;
         let input = strategy.generate(&mut rng);
@@ -312,7 +324,7 @@ where
             Err(TestCaseError::Reject(_)) => {
                 rejected += 1;
                 assert!(
-                    rejected < CASES * 16,
+                    rejected < cases.saturating_mul(16),
                     "{test_name}: too many prop_assume! rejections ({rejected})"
                 );
             }
@@ -346,8 +358,8 @@ pub mod prelude {
 }
 
 /// Declares property tests. Each `fn name(pat in strategy, ...) { .. }`
-/// expands to a `#[test]` that runs the body over [`CASES`] generated
-/// inputs.
+/// expands to a `#[test]` that runs the body over `PROPTEST_CASES`
+/// (default [`CASES`]) generated inputs.
 #[macro_export]
 macro_rules! proptest {
     ($($(#[$meta:meta])* fn $name:ident($($arg:pat in $strat:expr),* $(,)?) $body:block)*) => {

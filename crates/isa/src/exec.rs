@@ -1,4 +1,4 @@
-//! Predecoded execution support: basic blocks and the block cache.
+//! Predecoded instructions: one flat [`Op`] per instruction word.
 //!
 //! The interpreter in `arcane-rv32` originally re-fetched and re-decoded
 //! every instruction on every dynamic execution — at 256×256 the Figure 4
@@ -6,36 +6,16 @@
 //! hundred million times. This module provides the predecode stage that
 //! amortises that control overhead, the same way ARCANE itself amortises
 //! kernel-dispatch overhead over long data-local vector operations
-//! (paper §IV): straight-line runs of instructions are decoded once into
-//! a [`DecodedBlock`] and cached by start PC in a [`BlockCache`].
-//!
-//! A block ends at the first *control-class* instruction (branch, jump,
-//! `ecall`/`ebreak`, or a custom-2 offload whose acceptance is decided
-//! by the coprocessor) or at [`MAX_BLOCK_LEN`]. Predecode flattens each
-//! [`Instr`] into one [`Op`]: a single-level enum with one variant per
-//! operation, whose register indices, immediates, access width,
-//! sign extension and branch condition are already resolved, so the
-//! engine dispatches each retired instruction with one `match`;
-//! `Op::ends_block` places the block boundaries.
-//!
-//! The cache stays coherent with instruction memory: every store the
-//! core performs is offered to [`BlockCache::invalidate_write`], which
-//! drops any block whose PC range overlaps the written bytes and bumps a
-//! generation counter the engine checks mid-block (self-modifying-code
-//! guard).
+//! (paper §IV): each decoded [`Instr`] is flattened once into an [`Op`],
+//! a single-level enum with one variant per operation, whose register
+//! indices, immediates, access width, sign extension and branch
+//! condition are already resolved, so the core dispatches each retired
+//! instruction with one `match`. The core keeps one `Op` per instruction
+//! word it has fetched and forgets the words a store overwrites.
 
 use crate::reg::Gpr;
 use crate::rv32::{AluImmOp, AluOp, BranchOp, Instr, LoadOp, StoreOp};
 use crate::xcvpulp::{PulpInstr, PvOp, SimdWidth};
-use std::collections::HashMap;
-use std::rc::Rc;
-
-/// Upper bound on the number of instructions in one [`DecodedBlock`].
-///
-/// Long straight-line runs are rare in the evaluation kernels (the hot
-/// loops are < 40 instructions); capping the block keeps predecode
-/// latency and invalidation granularity bounded.
-pub const MAX_BLOCK_LEN: usize = 64;
 
 /// Operands of a register–immediate op: ALU immediates, loads, `jalr`
 /// and post-increment loads.
@@ -508,208 +488,6 @@ fn pulp(p: PulpInstr) -> Op {
     }
 }
 
-impl Op {
-    /// `true` when this op ends a basic block: a control transfer,
-    /// program termination, or a coprocessor offload.
-    const fn ends_block(self) -> bool {
-        matches!(
-            self,
-            Op::Jal(_)
-                | Op::Jalr(_)
-                | Op::Beq(_)
-                | Op::Bne(_)
-                | Op::Blt(_)
-                | Op::Bge(_)
-                | Op::Bltu(_)
-                | Op::Bgeu(_)
-                | Op::Ecall
-                | Op::Ebreak
-                | Op::Offload { .. }
-        )
-    }
-}
-
-/// A straight-line run of predecoded instructions.
-///
-/// The block starts at [`DecodedBlock::start`] and covers consecutive
-/// word-aligned PCs; the final op either ends the block
-/// (`Op::ends_block`) or the block was truncated at
-/// [`MAX_BLOCK_LEN`] / at a word that failed to decode (the engine
-/// re-enters predecode at the following PC, so a stale or invalid word
-/// only faults when control actually reaches it — exactly like the
-/// fetch-per-instruction interpreter).
-#[derive(Debug, Clone)]
-pub struct DecodedBlock {
-    start: u32,
-    ops: Vec<Op>,
-}
-
-impl DecodedBlock {
-    /// Creates an empty block starting at `start`.
-    pub fn new(start: u32) -> Self {
-        DecodedBlock {
-            start,
-            ops: Vec::new(),
-        }
-    }
-
-    /// Appends `instr` as a flat [`Op`]; returns `true` while the block
-    /// remains open (i.e. the caller should keep pushing).
-    pub fn push(&mut self, instr: Instr) -> bool {
-        let op = Op::from(instr);
-        self.ops.push(op);
-        !op.ends_block() && self.ops.len() < MAX_BLOCK_LEN
-    }
-
-    /// First PC covered by the block.
-    pub const fn start(&self) -> u32 {
-        self.start
-    }
-
-    /// One past the last byte covered by the block.
-    pub fn end(&self) -> u32 {
-        self.start.wrapping_add((self.ops.len() * 4) as u32)
-    }
-
-    /// Number of instructions in the block.
-    pub fn len(&self) -> usize {
-        self.ops.len()
-    }
-
-    /// `true` when the block holds no instructions.
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
-    }
-
-    /// The predecoded ops, one per instruction.
-    pub fn ops(&self) -> &[Op] {
-        &self.ops
-    }
-
-    /// `true` when `addr` falls inside the block's PC range.
-    pub fn covers(&self, addr: u32) -> bool {
-        addr >= self.start && addr < self.end()
-    }
-}
-
-/// Number of direct-mapped front slots (must be a power of two).
-const SLOTS: usize = 128;
-
-/// A PC-keyed cache of [`DecodedBlock`]s with write invalidation.
-///
-/// Lookups hit a direct-mapped front array first (hot loop bodies
-/// resolve in a couple of compares) and fall back to a hash map. Writes
-/// are screened against the union PC range of all cached blocks, so the
-/// common case — data stores far from code — costs two compares.
-#[derive(Debug, Clone)]
-pub struct BlockCache {
-    map: HashMap<u32, Rc<DecodedBlock>>,
-    slots: Vec<Option<Rc<DecodedBlock>>>,
-    /// Lowest PC covered by any cached block.
-    lo: u32,
-    /// One past the highest PC covered by any cached block.
-    hi: u32,
-    generation: u64,
-}
-
-impl Default for BlockCache {
-    fn default() -> Self {
-        BlockCache::new()
-    }
-}
-
-impl BlockCache {
-    /// Creates an empty cache.
-    pub fn new() -> Self {
-        BlockCache {
-            map: HashMap::new(),
-            slots: vec![None; SLOTS],
-            lo: u32::MAX,
-            hi: 0,
-            generation: 0,
-        }
-    }
-
-    const fn slot_of(pc: u32) -> usize {
-        ((pc >> 2) as usize) & (SLOTS - 1)
-    }
-
-    /// Looks up the block starting exactly at `pc`.
-    pub fn get(&self, pc: u32) -> Option<Rc<DecodedBlock>> {
-        if let Some(b) = &self.slots[Self::slot_of(pc)] {
-            if b.start() == pc {
-                return Some(Rc::clone(b));
-            }
-        }
-        self.map.get(&pc).cloned()
-    }
-
-    /// Inserts a block and returns the shared handle.
-    pub fn insert(&mut self, block: DecodedBlock) -> Rc<DecodedBlock> {
-        self.lo = self.lo.min(block.start());
-        self.hi = self.hi.max(block.end());
-        let rc = Rc::new(block);
-        self.slots[Self::slot_of(rc.start())] = Some(Rc::clone(&rc));
-        self.map.insert(rc.start(), Rc::clone(&rc));
-        rc
-    }
-
-    /// Number of cached blocks.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// `true` when the cache holds no blocks.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Monotonic counter bumped on every invalidation; the engine
-    /// re-reads it after each instruction of a block in flight so a
-    /// store into the block's own remainder aborts predecoded execution.
-    pub const fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// Invalidates every block whose PC range overlaps the `bytes`-byte
-    /// store at `addr`. Cheap when the store is outside the union range
-    /// of all cached code (the overwhelmingly common case).
-    pub fn invalidate_write(&mut self, addr: u32, bytes: u32) {
-        let end = addr.wrapping_add(bytes);
-        if addr >= self.hi || end <= self.lo || self.map.is_empty() {
-            return;
-        }
-        let before = self.map.len();
-        self.map.retain(|_, b| end <= b.start() || addr >= b.end());
-        if self.map.len() != before {
-            self.generation += 1;
-            for slot in &mut self.slots {
-                if let Some(b) = slot {
-                    if !(end <= b.start() || addr >= b.end()) {
-                        *slot = None;
-                    }
-                }
-            }
-            // Recompute the union range from the survivors.
-            self.lo = u32::MAX;
-            self.hi = 0;
-            for b in self.map.values() {
-                self.lo = self.lo.min(b.start());
-                self.hi = self.hi.max(b.end());
-            }
-        }
-    }
-
-    /// Drops every cached block (used on core reset / program load).
-    pub fn clear(&mut self) {
-        self.map.clear();
-        self.slots.iter_mut().for_each(|s| *s = None);
-        self.lo = u32::MAX;
-        self.hi = 0;
-        self.generation += 1;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -731,28 +509,6 @@ mod tests {
             rs2: A1,
             offset: -8,
         }
-    }
-
-    #[test]
-    fn block_ends_at_control_instruction() {
-        let mut b = DecodedBlock::new(0x100);
-        assert!(b.push(addi()));
-        assert!(b.push(addi()));
-        assert!(!b.push(branch()));
-        assert_eq!(b.len(), 3);
-        assert_eq!(b.end(), 0x10c);
-        assert!(b.covers(0x108));
-        assert!(!b.covers(0x10c));
-    }
-
-    #[test]
-    fn block_caps_at_max_len() {
-        let mut b = DecodedBlock::new(0);
-        for i in 0..MAX_BLOCK_LEN {
-            let open = b.push(addi());
-            assert_eq!(open, i + 1 < MAX_BLOCK_LEN);
-        }
-        assert_eq!(b.len(), MAX_BLOCK_LEN);
     }
 
     #[test]
@@ -787,9 +543,6 @@ mod tests {
                 rs2: A1
             })
         );
-        assert!(Op::from(branch()).ends_block());
-        assert!(Op::from(Instr::Ebreak).ends_block());
-        assert!(!div.ends_block());
         let lw_post = Op::from(Instr::Pulp(PulpInstr::LoadPost {
             op: LoadOp::Lw,
             rd: A0,
@@ -797,62 +550,12 @@ mod tests {
             offset: 4,
         }));
         assert!(matches!(lw_post, Op::LwPost(_)));
-        assert!(!lw_post.ends_block());
         let sh = Op::from(Instr::Store {
             op: StoreOp::Sh,
             rs2: A0,
             rs1: A1,
             offset: 2,
         });
-        assert!(matches!(sh, Op::Sh(_)) && !sh.ends_block());
-    }
-
-    #[test]
-    fn cache_roundtrip_and_fast_slot() {
-        let mut c = BlockCache::new();
-        let mut b = DecodedBlock::new(0x40);
-        b.push(addi());
-        b.push(branch());
-        c.insert(b);
-        assert_eq!(c.len(), 1);
-        let hit = c.get(0x40).expect("cached");
-        assert_eq!(hit.len(), 2);
-        assert!(c.get(0x44).is_none(), "keyed by start PC only");
-    }
-
-    #[test]
-    fn invalidation_is_range_precise() {
-        let mut c = BlockCache::new();
-        for start in [0x00u32, 0x40, 0x80] {
-            let mut b = DecodedBlock::new(start);
-            b.push(addi());
-            b.push(branch());
-            c.insert(b);
-        }
-        let g0 = c.generation();
-        // A data store far above code: no-op, no generation bump.
-        c.invalidate_write(0x4000, 4);
-        assert_eq!(c.len(), 3);
-        assert_eq!(c.generation(), g0);
-        // Overwrite the second instruction of the middle block.
-        c.invalidate_write(0x44, 4);
-        assert_eq!(c.len(), 2);
-        assert!(c.get(0x40).is_none());
-        assert!(c.get(0x00).is_some() && c.get(0x80).is_some());
-        assert!(c.generation() > g0);
-        // An unaligned byte store straddling into the last block.
-        c.invalidate_write(0x80, 1);
-        assert!(c.get(0x80).is_none());
-    }
-
-    #[test]
-    fn clear_empties_everything() {
-        let mut c = BlockCache::new();
-        let mut b = DecodedBlock::new(0);
-        b.push(addi());
-        c.insert(b);
-        c.clear();
-        assert!(c.is_empty());
-        assert!(c.get(0).is_none());
+        assert!(matches!(sh, Op::Sh(_)));
     }
 }

@@ -19,10 +19,9 @@
 //! * [`asm`] — a small two-pass assembler with labels and pseudo
 //!   instructions, used to build every evaluation workload as real
 //!   machine code.
-//! * [`exec`] — the predecode stage of the block-stepping execution
-//!   engine: cached [`exec::DecodedBlock`]s of straight-line code,
-//!   flattened into one [`exec::Op`] per instruction, with write
-//!   invalidation.
+//! * [`exec`] — the predecode stage of the execution engine: each
+//!   decoded instruction flattened into one [`exec::Op`], which the core
+//!   keeps per instruction word.
 //!
 //! # Examples
 //!

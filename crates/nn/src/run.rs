@@ -2,9 +2,10 @@
 //!
 //! The runner seeds the graph's input tensors into external memory,
 //! loads the compiled host program, runs it on the instruction-set
-//! simulator (predecoded block engine by default, the reference
-//! interpreter under `ARCANE_INTERP=1`), and reads every output tensor
-//! back — mirroring `arcane_system::driver` for graph workloads.
+//! simulator (one predecoded op per instruction word by default, a
+//! fetch and decode per instruction under `ARCANE_INTERP=1`), and reads
+//! every output tensor back — mirroring `arcane_system::driver` for
+//! graph workloads.
 
 use crate::compile::{compile, CompileOptions, NnProgram};
 use crate::graph::LayerGraph;

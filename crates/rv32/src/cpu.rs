@@ -3,7 +3,7 @@
 use crate::simd::pv_exec;
 use crate::timing::Timing;
 use crate::xif::{Coprocessor, XifResponse};
-use arcane_isa::exec::{BType, BlockCache, DecodedBlock, IType, Op, RType, SType};
+use arcane_isa::exec::{BType, IType, Op, RType, SType};
 use arcane_isa::reg::Gpr;
 use arcane_isa::rv32::{decode, LoadOp};
 use arcane_isa::xcvpulp::{PvOp, SimdWidth};
@@ -12,7 +12,6 @@ use arcane_mem::{Access, AccessSize, Bus, BusError, Memory, Sram};
 use arcane_sim::EngineMode;
 use std::error::Error;
 use std::fmt;
-use std::rc::Rc;
 
 /// Why [`Cpu::run`] stopped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,11 +60,14 @@ pub enum CpuError {
         /// The raw instruction word.
         raw: u32,
     },
-    /// A taken branch or jump targets a PC that is not word-aligned.
-    /// With no compressed instructions that is the RISC-V
-    /// instruction-address-misaligned exception, raised on the jump.
+    /// A taken branch or jump targets a PC that is not word-aligned, or
+    /// a run starts at one (then `pc` and `target` are both the entry
+    /// PC). With no compressed instructions that is the RISC-V
+    /// instruction-address-misaligned exception, raised on the jump or
+    /// before the first fetch.
     MisalignedPc {
-        /// Program counter of the branch or jump.
+        /// Program counter of the branch or jump (the entry PC when the
+        /// run starts misaligned).
         pc: u32,
         /// The misaligned target.
         target: u32,
@@ -135,7 +137,10 @@ pub struct Cpu {
     loops: [HwLoop; 2],
     /// `true` while any hardware loop is active (fast-path guard).
     loops_active: bool,
-    blocks: BlockCache,
+    /// The predecoded op of every instruction word fetched so far,
+    /// indexed by `pc / 4`; `None` where a word was never fetched or a
+    /// store has since overwritten it.
+    ops: Vec<Option<Op>>,
 }
 
 impl Cpu {
@@ -155,7 +160,7 @@ impl Cpu {
             timing,
             loops: [HwLoop::default(); 2],
             loops_active: false,
-            blocks: BlockCache::new(),
+            ops: Vec::new(),
         }
     }
 
@@ -192,8 +197,8 @@ impl Cpu {
         self.regs[0] = 0;
     }
 
-    /// Resets PC, registers, counters, hardware loops and the decoded
-    /// block cache (instruction memory may be about to change).
+    /// Resets PC, registers, counters, hardware loops and the
+    /// predecoded op table (instruction memory may be about to change).
     pub fn reset(&mut self, pc: u32) {
         self.regs = [0; 32];
         self.pc = pc;
@@ -201,13 +206,7 @@ impl Cpu {
         self.instret = 0;
         self.loops = [HwLoop::default(); 2];
         self.loops_active = false;
-        self.blocks.clear();
-    }
-
-    /// The decoded-block cache of the block-stepping engine (empty
-    /// until the first [`Cpu::run`] in block mode).
-    pub const fn block_cache(&self) -> &BlockCache {
-        &self.blocks
+        self.ops.clear();
     }
 
     /// Loads `addr` into `rd`, sized and extended per `op`, at the
@@ -277,9 +276,16 @@ impl Cpu {
         let acc = bus
             .write(addr, self.reg(rs2), size, now)
             .map_err(|source| CpuError::Bus { pc, source })?;
-        // Self-modifying-code guard: drop any predecoded block the
-        // store overlaps (two compares when the store is outside code).
-        self.blocks.invalidate_write(addr, size.bytes());
+        // Self-modifying-code guard: forget the one or two predecoded
+        // words the store overlaps (one compare when it lands above them).
+        let first = (addr >> 2) as usize;
+        if first < self.ops.len() {
+            self.ops[first] = None;
+            let last = (addr.wrapping_add(size.bytes() - 1) >> 2) as usize;
+            if let Some(op) = self.ops.get_mut(last) {
+                *op = None;
+            }
+        }
         Ok((Flow::Next, acc.cycles + self.misaligned_extra(addr, size)))
     }
 
@@ -389,12 +395,9 @@ impl Cpu {
     /// Executes one predecoded op at `pc`, `now` being the cycle count
     /// before it. Returns where control goes and the op's cycle cost.
     ///
-    /// This is the single execution path shared by [`Cpu::step`] and
-    /// the block engine, which is what guarantees the two produce bit-
-    /// and cycle-identical results. It touches registers, hardware
-    /// loops, the bus and the coprocessor, never `self.pc`,
-    /// `self.cycles` or `self.instret`: the caller owns those (the
-    /// block engine keeps them in locals).
+    /// It touches registers, hardware loops, the bus and the
+    /// coprocessor, never `self.pc`, `self.cycles` or `self.instret`:
+    /// the run loop owns those and keeps them in locals.
     #[inline(always)]
     fn exec<B: Bus, X: Coprocessor>(
         &mut self,
@@ -578,39 +581,6 @@ impl Cpu {
         next
     }
 
-    /// Executes one instruction: fetch, decode, flatten, then the same
-    /// `exec` the block engine runs.
-    ///
-    /// Returns `Some(reason)` when the instruction terminates the
-    /// program (`ebreak`/`ecall`), `None` otherwise.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CpuError`] on bus faults, undecodable instructions,
-    /// misaligned jump targets or rejected offloads.
-    pub fn step<B: Bus, X: Coprocessor>(
-        &mut self,
-        bus: &mut B,
-        xif: &mut X,
-    ) -> Result<Option<StopReason>, CpuError> {
-        let pc = self.pc;
-        // Fetch; prefetch buffer hides single-cycle IMEM latency, so the
-        // fetch time is not added to the instruction cost.
-        let word = bus
-            .fetch(pc, self.cycles)
-            .map_err(|source| CpuError::Bus { pc, source })?
-            .data;
-        let instr = decode(word).map_err(|source| CpuError::Decode { pc, source })?;
-        let (flow, cost) = self.exec(bus, xif, Op::from(instr), pc, self.cycles)?;
-        self.cycles += cost;
-        self.instret += 1;
-        self.pc = self.next_pc(pc, flow);
-        Ok(match flow {
-            Flow::Stop(reason) => Some(reason),
-            Flow::Next | Flow::Jump(_) => None,
-        })
-    }
-
     fn setup_loop(&mut self, pc: u32, loop_id: bool, count: u32, body_len: u32) {
         let idx = loop_id as usize;
         let start = pc.wrapping_add(4);
@@ -629,7 +599,8 @@ impl Cpu {
 
     /// Runs until `ebreak`/`ecall` or until `max_instrs` instructions
     /// have retired, on the engine selected by the environment
-    /// ([`EngineMode::current`]: block stepping unless `ARCANE_INTERP=1`).
+    /// ([`EngineMode::current`]: the predecoded op table unless
+    /// `ARCANE_INTERP=1`).
     ///
     /// # Errors
     ///
@@ -646,9 +617,21 @@ impl Cpu {
     /// [`Cpu::run`] with an explicit engine choice (used by the
     /// differential tests, which need both engines in one process).
     ///
+    /// Each instruction word is fetched and decoded into an [`Op`] on
+    /// its first execution. Under [`EngineMode::Block`] the op is kept
+    /// in a table indexed by `pc / 4`, so later executions skip the
+    /// fetch and decode; [`EngineMode::Interp`] never fills the table
+    /// and fetches every instruction. Both then run the same `exec`.
+    ///
+    /// PC, cycles and fuel live in locals and are written back once. On
+    /// a fault the core holds the faulting PC and the counters from
+    /// before the faulting instruction.
+    ///
     /// # Errors
     ///
-    /// Propagates the first [`CpuError`] raised by execution.
+    /// [`CpuError::MisalignedPc`] before any fetch when the PC is not
+    /// word-aligned, leaving the core untouched; otherwise the first
+    /// [`CpuError`] raised by execution.
     pub fn run_with_engine<B: Bus, X: Coprocessor>(
         &mut self,
         bus: &mut B,
@@ -656,216 +639,75 @@ impl Cpu {
         max_instrs: u64,
         engine: EngineMode,
     ) -> Result<RunResult, CpuError> {
-        match engine {
-            EngineMode::Interp => self.run_interp(bus, xif, max_instrs),
-            EngineMode::Block => self.run_blocks(bus, xif, max_instrs),
+        let mut pc = self.pc;
+        if !pc.is_multiple_of(4) {
+            return Err(CpuError::MisalignedPc { pc, target: pc });
         }
-    }
-
-    /// The reference fetch-decode-execute interpreter (the slow path).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`CpuError`] raised by [`Cpu::step`].
-    fn run_interp<B: Bus, X: Coprocessor>(
-        &mut self,
-        bus: &mut B,
-        xif: &mut X,
-        max_instrs: u64,
-    ) -> Result<RunResult, CpuError> {
-        let start_instret = self.instret;
-        let start_cycles = self.cycles;
-        while self.instret - start_instret < max_instrs {
-            if let Some(stop) = self.step(bus, xif)? {
-                return Ok(RunResult {
-                    instret: self.instret - start_instret,
-                    cycles: self.cycles - start_cycles,
-                    stop,
-                });
-            }
-        }
-        Ok(RunResult {
-            instret: self.instret - start_instret,
-            cycles: self.cycles - start_cycles,
-            stop: StopReason::OutOfFuel,
-        })
-    }
-
-    /// The predecoded block-stepping engine: fetch/decode happen once
-    /// per basic block (cached by PC), execution loops over the decoded
-    /// instructions. Hardware-loop bodies and branch-closed inner loops
-    /// re-enter their memoised block without touching the bus.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`CpuError`] raised by execution; fetch and
-    /// decode faults surface at exactly the PC where the interpreter
-    /// would raise them (predecode truncates a block at the first bad
-    /// word instead of failing eagerly).
-    fn run_blocks<B: Bus, X: Coprocessor>(
-        &mut self,
-        bus: &mut B,
-        xif: &mut X,
-        max_instrs: u64,
-    ) -> Result<RunResult, CpuError> {
-        let start_instret = self.instret;
-        let start_cycles = self.cycles;
-        let mut cur: Option<Rc<DecodedBlock>> = None;
-        while self.instret - start_instret < max_instrs {
-            let remaining = max_instrs - (self.instret - start_instret);
-            // Self-loop fast path: a block whose terminator jumps back
-            // to its own start (hot inner loops, hardware-loop bodies)
-            // is re-entered without a cache lookup.
-            let block = match cur.take() {
-                Some(b) if b.start() == self.pc && !b.is_empty() => b,
-                _ => self.fetch_block(bus)?,
-            };
-            let gen = self.blocks.generation();
-            if let Some(stop) = self.run_block(bus, xif, &block, remaining)? {
-                return Ok(RunResult {
-                    instret: self.instret - start_instret,
-                    cycles: self.cycles - start_cycles,
-                    stop,
-                });
-            }
-            // The self-loop fast path must never hand back a block a
-            // store just invalidated (the held Rc outlives the cache
-            // entry): any invalidation during the run drops the
-            // shortcut and the next iteration re-resolves through the
-            // cache, which re-predecodes from patched memory.
-            cur = if self.blocks.generation() == gen {
-                Some(block)
-            } else {
-                None
-            };
-        }
-        Ok(RunResult {
-            instret: self.instret - start_instret,
-            cycles: self.cycles - start_cycles,
-            stop: StopReason::OutOfFuel,
-        })
-    }
-
-    /// Returns the decoded block starting at the current PC, predecoding
-    /// and caching it on a miss.
-    fn fetch_block<B: Bus>(&mut self, bus: &mut B) -> Result<Rc<DecodedBlock>, CpuError> {
-        let pc = self.pc;
-        if let Some(b) = self.blocks.get(pc) {
-            return Ok(b);
-        }
-        let mut block = DecodedBlock::new(pc);
-        let mut addr = pc;
-        loop {
-            // A fetch or decode fault on the *first* word is a real
-            // fault (the interpreter would raise it here too); later
-            // words merely truncate the block, because control may
-            // never reach them.
-            let word = match bus.fetch(addr, self.cycles) {
-                Ok(acc) => acc.data,
-                Err(source) => {
-                    if addr == pc {
-                        return Err(CpuError::Bus { pc, source });
-                    }
-                    break;
-                }
-            };
-            let instr = match decode(word) {
-                Ok(i) => i,
-                Err(source) => {
-                    if addr == pc {
-                        return Err(CpuError::Decode { pc, source });
-                    }
-                    break;
-                }
-            };
-            let open = block.push(instr);
-            addr = addr.wrapping_add(4);
-            if !open {
-                break;
-            }
-        }
-        Ok(self.blocks.insert(block))
-    }
-
-    /// Executes predecoded ops from `block` starting at the current PC
-    /// until the block ends, control leaves the block (taken branch,
-    /// jump, hardware-loop wrap to outside it), a store invalidates
-    /// cached code, the program stops, or `fuel` instructions have
-    /// retired.
-    ///
-    /// `pc`, `cycles` and the retired count live in locals for the
-    /// whole block and are written back to the core once on exit. On a
-    /// fault they hold the faulting PC and the counters before the
-    /// faulting instruction, exactly what [`Cpu::step`] leaves.
-    ///
-    /// Returns the stop reason when the program terminated.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`CpuError`] raised by an instruction.
-    fn run_block<B: Bus, X: Coprocessor>(
-        &mut self,
-        bus: &mut B,
-        xif: &mut X,
-        block: &DecodedBlock,
-        fuel: u64,
-    ) -> Result<Option<StopReason>, CpuError> {
-        debug_assert!(
-            block.covers(self.pc),
-            "pc {:#010x} outside block at {:#010x}",
-            self.pc,
-            block.start()
-        );
-        let ops = block.ops();
-        let start = block.start();
-        let span = block.end().wrapping_sub(start);
-        let gen = self.blocks.generation();
+        let keep = engine == EngineMode::Block;
         let mut cycles = self.cycles;
-        let mut left = fuel;
-        let mut idx = (self.pc.wrapping_sub(start) / 4) as usize;
-        let (out, pc) = loop {
-            let pc = start.wrapping_add((idx as u32) << 2);
-            let Some(&op) = ops.get(idx) else {
-                break (Ok(None), pc);
-            };
+        let mut left = max_instrs;
+        let out = loop {
             if left == 0 {
-                break (Ok(None), pc);
+                break Ok(StopReason::OutOfFuel);
             }
+            let op = match self.ops.get((pc >> 2) as usize) {
+                Some(&Some(op)) => op,
+                _ => match self.predecode(bus, pc, cycles, keep) {
+                    Ok(op) => op,
+                    Err(e) => break Err(e),
+                },
+            };
             let (flow, cost) = match self.exec(bus, xif, op, pc, cycles) {
                 Ok(done) => done,
-                Err(e) => break (Err(e), pc),
+                Err(e) => break Err(e),
             };
             cycles += cost;
             left -= 1;
-            let next = self.next_pc(pc, flow);
+            pc = self.next_pc(pc, flow);
             if let Flow::Stop(reason) = flow {
-                break (Ok(Some(reason)), next);
+                break Ok(reason);
             }
-            // A store that invalidated cached code — possibly the rest
-            // of this very block — falls back to a fresh predecode at
-            // the next PC, exactly like the interpreter refetching. The
-            // check must run before the continuation below: a store can
-            // itself end a hardware-loop body, and wrapping back into a
-            // block it just invalidated would replay stale instructions.
-            // Only stores bump the generation, and re-reading it after
-            // every op is cheaper than keeping the op's kind live
-            // across the dispatch.
-            if self.blocks.generation() != gen {
-                break (Ok(None), next);
-            }
-            // The next instruction, or a target inside this very block
-            // (typically a hardware-loop body wrapping to its start),
-            // continues predecoded without leaving.
-            let off = next.wrapping_sub(start);
-            if off >= span {
-                break (Ok(None), next);
-            }
-            idx = (off / 4) as usize;
         };
+        let retired = max_instrs - left;
+        let run_cycles = cycles - self.cycles;
         self.pc = pc;
         self.cycles = cycles;
-        self.instret += fuel - left;
-        out
+        self.instret += retired;
+        out.map(|stop| RunResult {
+            instret: retired,
+            cycles: run_cycles,
+            stop,
+        })
+    }
+
+    /// Fetches and decodes the word-aligned instruction at `pc`,
+    /// recording its op in the table when `keep` is set.
+    ///
+    /// Cold: once a loop's words are in the table it never misses, and
+    /// keeping the miss out of line keeps the run loop tight.
+    #[cold]
+    fn predecode<B: Bus>(
+        &mut self,
+        bus: &mut B,
+        pc: u32,
+        now: u64,
+        keep: bool,
+    ) -> Result<Op, CpuError> {
+        // The prefetch buffer hides single-cycle IMEM latency, so the
+        // fetch time is not added to the instruction cost.
+        let word = bus
+            .fetch(pc, now)
+            .map_err(|source| CpuError::Bus { pc, source })?
+            .data;
+        let op = Op::from(decode(word).map_err(|source| CpuError::Decode { pc, source })?);
+        if keep {
+            let idx = (pc >> 2) as usize;
+            if idx >= self.ops.len() {
+                self.ops.resize(idx + 1, None);
+            }
+            self.ops[idx] = Some(op);
+        }
+        Ok(op)
     }
 }
 
@@ -1195,18 +1037,29 @@ mod tests {
             rs1: ZERO,
             offset: 6,
         });
-        for jump in [beq, jalr] {
+        // Entered at pc 2, the word straddling 2..6 is `addi a0, t1, 81`
+        // (the `lui`'s high half and the `addi`'s low half): the run must
+        // fault before fetching it.
+        let lui = encode(&Instr::Lui {
+            rd: T0,
+            imm: 0x0513_0000,
+        });
+        let cases = [
+            (0, [beq, tail[0], tail[1], tail[2]], 6),
+            (0, [jalr, tail[0], tail[1], tail[2]], 6),
+            (2, [lui, addi, ebreak, 0], 2),
+        ];
+        for (entry, image, target) in cases {
             for engine in [EngineMode::Block, EngineMode::Interp] {
                 let mut bus = SramBus::new(4096);
-                bus.load_program(0, &[jump]);
-                bus.load_program(4, &tail);
-                let mut cpu = Cpu::new(0);
+                bus.load_program(0, &image);
+                let mut cpu = Cpu::new(entry);
                 let err = cpu
                     .run_with_engine(&mut bus, &mut NoCoprocessor, 100, engine)
                     .unwrap_err();
-                assert_eq!(err, CpuError::MisalignedPc { pc: 0, target: 6 });
+                assert_eq!(err, CpuError::MisalignedPc { pc: entry, target });
                 assert_eq!((cpu.reg(A0), cpu.reg(RA)), (0, 0), "no side effects");
-                assert_eq!((cpu.pc(), cpu.cycles(), cpu.instret()), (0, 0, 0));
+                assert_eq!((cpu.pc(), cpu.cycles(), cpu.instret()), (entry, 0, 0));
             }
         }
     }

@@ -15,16 +15,16 @@
 //! with the host core).
 //!
 //! Custom-2 instructions are not executed by the core: they are offered
-//! to a [`Coprocessor`] via the CV-X-IF-style [`Cpu::step`] hook,
-//! mirroring the paper's offloading mechanism (§III-B).
+//! to a [`Coprocessor`] through the CV-X-IF-style
+//! [`Coprocessor::offload`] hook, mirroring the paper's offloading
+//! mechanism (§III-B).
 //!
-//! Two execution engines share one instruction-semantics path:
-//! [`Cpu::run`] dispatches to the predecoded block-stepping engine
-//! (the default) or the reference interpreter (forced by
-//! `ARCANE_INTERP=1`). Results are bit-
-//! and cycle-identical; the block engine simply skips the per-dynamic-
-//! instruction fetch and decode by caching
-//! [`arcane_isa::exec::DecodedBlock`]s keyed by PC.
+//! [`Cpu::run`] has one run loop. By default it keeps one predecoded
+//! [`arcane_isa::exec::Op`] per instruction word, so each word is
+//! fetched and decoded once until a store overwrites it;
+//! `ARCANE_INTERP=1` bypasses that table and fetches every instruction.
+//! Both run the same per-op semantics, so results are bit- and
+//! cycle-identical.
 //!
 //! # Examples
 //!

@@ -1,27 +1,28 @@
-//! Differential harness: random short programs through the reference
-//! interpreter, the predecoded block engine and an independent
-//! reference stepper ([`Oracle`]) must be observationally identical —
-//! registers, memory, cycle count, retired-instruction count, final PC
-//! and stop reason (or the exact same [`CpuError`]).
+//! Differential harness: random short programs through the default
+//! engine (one predecoded op kept per instruction word), the
+//! interpreter (fetches every instruction) and an independent reference
+//! stepper ([`Oracle`]) must be observationally identical — registers,
+//! memory, cycle count, retired-instruction count, final PC and stop
+//! reason (or the exact same [`CpuError`]).
 //!
-//! The two engines share one `exec` over flat predecoded ops, so
-//! comparing them only checks the block loop against `step`. The
-//! oracle keeps the nested `Instr` → `AluImmOp`/`BranchOp`/`LoadOp`
-//! semantics over its own register file, which checks the flattening
-//! and every flat op.
+//! The two engines share one run loop and one `exec` over flat
+//! predecoded ops, so comparing them only checks the op table's
+//! coherence. The oracle keeps the nested `Instr` →
+//! `AluImmOp`/`BranchOp`/`LoadOp` semantics over its own register file,
+//! which checks the flattening and every flat op.
 //!
 //! Programs are generated as *valid-by-construction instruction soup*
 //! plus a slice of genuinely random words: arithmetic over random
 //! registers, loads/stores near pre-seeded base pointers (in range so
 //! runs get deep, but stores may land on code — exercising the
-//! self-modifying-code invalidation), stores that patch the next few
-//! instructions of the running block, forward and backward branches
-//! (fuel bounds the infinite loops), hardware loops (register counts
-//! seeded large enough that a random fuel budget often runs out inside
-//! a nested loop body) and packed-SIMD ops. Failures must reproduce: the proptest shim is
-//! deterministic per test name.
+//! self-modifying-code invalidation), stores that patch code (aligned
+//! ones just ahead; misaligned ones straddling two words just behind, so
+//! a loop re-runs both and both must re-decode), forward and backward
+//! branches (fuel bounds the infinite loops), hardware loops (register
+//! counts seeded large enough that a random fuel budget often runs out
+//! inside a nested loop body) and packed-SIMD ops. Failures must
+//! reproduce: the proptest shim is deterministic per test name.
 
-use arcane_isa::exec::MAX_BLOCK_LEN;
 use arcane_isa::reg::{Gpr, ZERO};
 use arcane_isa::rv32::{decode, encode, AluImmOp, AluOp, BranchOp, Instr, LoadOp, StoreOp};
 use arcane_isa::xcvpulp::{PulpInstr, PvOp, SimdWidth};
@@ -186,19 +187,27 @@ fn word_of(s: Spec, index: usize, len: usize) -> u32 {
             count: gpr(16 + s.rs1 % 2),
             body_len: u16::from(s.rd % 8) + 1,
         }),
-        // Patch one of the next three instructions of the running
-        // block, mostly with one of the seeded instruction words
-        // (x18, x19), sometimes with any register's value.
-        _ => Instr::Store {
-            op: StoreOp::Sw,
-            rs2: if s.aux % 4 == 3 {
-                rs2
-            } else {
-                gpr(18 + s.rs2 % 2)
-            },
-            rs1: ZERO,
-            offset: ((index + 1 + usize::from(s.aux % 3)) * 4) as i32,
-        },
+        // Patch code. Half the patches are aligned `sw`s over one of the
+        // next three instructions, mostly with one of the seeded
+        // instruction words (x18, x19). The other half are misaligned
+        // (`sw` at +2, `sh` at +3), straddle two of the last three words
+        // (which a loop may run again, from their predecoded ops) and
+        // mostly store x22. Either kind sometimes stores any register.
+        _ => {
+            let back = index as i32 - 1 - i32::from(s.aux % 3);
+            let ahead = (index + 1) as i32 + i32::from(s.aux % 3);
+            let (op, offset, seeded) = match s.rd % 4 {
+                2 => (StoreOp::Sw, back * 4 + 2, 22),
+                3 => (StoreOp::Sh, back * 4 + 3, 22),
+                _ => (StoreOp::Sw, ahead * 4, 18 + s.rs2 % 2),
+            };
+            Instr::Store {
+                op,
+                rs2: if s.aux % 4 == 3 { rs2 } else { gpr(seeded) },
+                rs1: ZERO,
+                offset,
+            }
+        }
     };
     encode(&instr)
 }
@@ -225,7 +234,11 @@ fn build_image(specs: &[Spec], nest: bool) -> Vec<u32> {
     }
     // Loop counts for register-count hardware loops, two valid
     // instruction words for the code-patching stores, and two negative
-    // values (signed ops only differ from unsigned ones on those).
+    // values (signed ops only differ from unsigned ones on those). x22
+    // feeds the straddling patches: stored at +2 it leaves `addi x5` in
+    // the second word's low half, stored as a half at +3 it leaves the
+    // OP-IMM opcode in that word's low byte, so both words mostly still
+    // decode.
     let patches = [
         Instr::OpImm {
             op: AluImmOp::Addi,
@@ -240,9 +253,15 @@ fn build_image(specs: &[Spec], nest: bool) -> Vec<u32> {
             rs2: gpr(5),
         },
     ];
-    for (r, value) in [(16u8, 3000), (17, 40), (20, 0x8765_4321), (21, 0xffff_ff80)]
-        .into_iter()
-        .chain((18u8..).zip(patches.map(|i| encode(&i))))
+    for (r, value) in [
+        (16u8, 3000),
+        (17, 40),
+        (20, 0x8765_4321),
+        (21, 0xffff_ff80),
+        (22, 0x8293_9312),
+    ]
+    .into_iter()
+    .chain((18u8..).zip(patches.map(|i| encode(&i))))
     {
         words.push(encode(&Instr::Lui {
             rd: gpr(r),
@@ -771,30 +790,6 @@ proptest! {
         assert_same("block", &run_engine(&words, FUEL, EngineMode::Block), &oracle)?;
         assert_same("interp", &run_engine(&words, FUEL, EngineMode::Interp), &oracle)?;
     }
-}
-
-#[test]
-fn long_straight_line_crosses_block_cap() {
-    // More consecutive ALU instructions than MAX_BLOCK_LEN: the block
-    // engine must chain truncated blocks without losing an instruction.
-    let n = MAX_BLOCK_LEN * 3 + 7;
-    let specs: Vec<Spec> = (0..n)
-        .map(|_| Spec {
-            kind: 0,
-            rd: 5,
-            rs1: 5,
-            imm: 1,
-            rs2: 0,
-            aux: 0,
-        })
-        .collect();
-    let words = build_image(&specs, false);
-    let blk = run_engine(&words, FUEL, EngineMode::Block);
-    let interp = run_engine(&words, FUEL, EngineMode::Interp);
-    assert_eq!(blk.0, interp.0);
-    assert_eq!(blk.1, interp.1);
-    let r = blk.0.expect("program completes");
-    assert_eq!(r.stop, StopReason::Break);
 }
 
 #[test]

@@ -1,7 +1,7 @@
-//! Self-modifying-code coherence: stores into the instruction stream
-//! must invalidate overlapping predecoded blocks, so the block engine
-//! observes patched instructions exactly like the fetch-per-instruction
-//! interpreter.
+//! Self-modifying-code coherence: a store into the instruction stream
+//! must drop the predecoded ops of the words it overwrites, so the
+//! default engine observes patched instructions exactly like the
+//! interpreter, which fetches every instruction.
 
 use arcane_isa::asm::Asm;
 use arcane_isa::reg::*;
@@ -22,11 +22,9 @@ fn run(engine: EngineMode, build: impl FnOnce(&mut Asm)) -> (Cpu, StopReason) {
     (cpu, r.stop)
 }
 
-/// The program patches an instruction *ahead of itself in the same
-/// straight-line block*, then falls through into it. Without
-/// invalidation the block engine would execute the stale predecoded
-/// `addi a0, a0, 1`; with it, both engines execute the patched
-/// `addi a0, a0, 64`.
+/// The program patches the instruction right after the store, then
+/// falls through into it. Both engines must execute the patched
+/// `addi a0, a0, 64`, not the original `addi a0, a0, 1`.
 fn patch_program(a: &mut Asm) {
     let patched = encode(&Instr::OpImm {
         op: AluImmOp::Addi,
@@ -46,19 +44,19 @@ fn patch_program(a: &mut Asm) {
 }
 
 #[test]
-fn store_patches_upcoming_instruction_in_same_block() {
+fn store_patches_upcoming_straight_line_instruction() {
     let (cpu_b, stop_b) = run(EngineMode::Block, patch_program);
     let (cpu_i, stop_i) = run(EngineMode::Interp, patch_program);
     assert_eq!(stop_b, StopReason::Break);
     assert_eq!(stop_i, StopReason::Break);
     assert_eq!(cpu_i.reg(A0), 64, "interpreter sees the patched opcode");
-    assert_eq!(cpu_b.reg(A0), 64, "block engine must see it too");
+    assert_eq!(cpu_b.reg(A0), 64, "the op table must see it too");
     assert_eq!(cpu_b.cycles(), cpu_i.cycles());
     assert_eq!(cpu_b.instret(), cpu_i.instret());
 }
 
 /// A loop whose body is patched mid-run: the first pass executes the
-/// original instruction (already predecoded and cached), the store then
+/// original instruction (predecoded on that pass), the store then
 /// rewrites it, and every later iteration must run the new opcode.
 fn patch_loop_program(a: &mut Asm) {
     let nop_like = encode(&Instr::OpImm {
@@ -87,15 +85,15 @@ fn store_patches_cached_loop_body() {
     let (cpu_i, _) = run(EngineMode::Interp, patch_loop_program);
     // Iteration 1 adds 1, iterations 2 and 3 add 100 each.
     assert_eq!(cpu_i.reg(A1), 201, "interpreter semantics");
-    assert_eq!(cpu_b.reg(A1), 201, "block cache must be invalidated");
+    assert_eq!(cpu_b.reg(A1), 201, "the patched op must be re-decoded");
     assert_eq!(cpu_b.cycles(), cpu_i.cycles());
     assert_eq!(cpu_b.instret(), cpu_i.instret());
 }
 
-/// A hardware loop whose body *ends with the patching store*: the
-/// store wraps control straight back into the (just-invalidated)
-/// block, so the coherence re-check must fire before the in-block
-/// continuation, not only on sequential fall-through.
+/// A hardware loop whose body *ends with the patching store*: control
+/// wraps straight from the store back to the patched word, so the store
+/// must drop its op before the wrap, not only on sequential
+/// fall-through.
 fn patch_hw_loop_program(a: &mut Asm) {
     let patched = encode(&Instr::OpImm {
         op: AluImmOp::Addi,
@@ -125,16 +123,15 @@ fn store_ending_hw_loop_body_invalidates_before_wrap() {
     assert_eq!(
         cpu_b.reg(A1),
         201,
-        "block engine must re-check coherence before the loop wrap"
+        "the op table must drop the patched word before the loop wrap"
     );
     assert_eq!(cpu_b.cycles(), cpu_i.cycles());
     assert_eq!(cpu_b.instret(), cpu_i.instret());
 }
 
-/// A hardware loop whose body is its *own cached block* (the previous
-/// wrap re-predecoded it) and whose store patches the body with a
-/// *different* word every iteration. The engine's self-loop fast path
-/// must not reuse the held block after the store invalidated it.
+/// A hardware loop whose store patches the body's first word with a
+/// *different* word every iteration. Each iteration must re-decode the
+/// word the previous one wrote, never reuse an older op.
 fn patch_hw_loop_nonidempotent(a: &mut Asm) {
     let addi_1 = encode(&Instr::OpImm {
         op: AluImmOp::Addi,
@@ -153,14 +150,13 @@ fn patch_hw_loop_nonidempotent(a: &mut Asm) {
     a.addi(A1, A1, 1); // body[0]: imm incremented by each iteration
     a.add(T0, T0, S5); // body[1]: prepare the next patch word
                        // body[2]: the patching store ends the body, so the hardware-loop
-                       // wrap lands exactly on the (now stale) body block's start PC —
-                       // the case the self-loop fast path must not shortcut.
+                       // wrap lands exactly on the word it just rewrote.
     a.sw(T0, T1, 0);
     a.ebreak();
 }
 
 #[test]
-fn nonidempotent_patch_defeats_self_loop_reuse() {
+fn hw_loop_runs_a_new_patch_every_iteration() {
     let (cpu_b, stop_b) = run(EngineMode::Block, patch_hw_loop_nonidempotent);
     let (cpu_i, stop_i) = run(EngineMode::Interp, patch_hw_loop_nonidempotent);
     assert_eq!(stop_b, StopReason::Break);
@@ -170,25 +166,36 @@ fn nonidempotent_patch_defeats_self_loop_reuse() {
     assert_eq!(
         cpu_b.reg(A1),
         10,
-        "block engine must not reuse an invalidated block via the \
-         self-loop fast path"
+        "each iteration must run the word the previous one stored"
     );
     assert_eq!(cpu_b.cycles(), cpu_i.cycles());
     assert_eq!(cpu_b.instret(), cpu_i.instret());
 }
 
+/// `SramBus::load_program` writes memory behind the core's back, so
+/// only `reset` keeps the op table coherent with the new image: after
+/// it, image B must run where image A's ops were predecoded.
 #[test]
-fn block_cache_is_populated_and_cleared_on_reset() {
-    let mut a = Asm::new();
-    a.li(A0, 7);
-    a.ebreak();
-    let words = a.assemble(0).unwrap();
-    let mut bus = SramBus::new(4096);
-    bus.load_program(0, &words);
-    let mut cpu = Cpu::new(0);
-    cpu.run_with_engine(&mut bus, &mut NoCoprocessor, 100, EngineMode::Block)
-        .unwrap();
-    assert!(!cpu.block_cache().is_empty(), "block engine caches blocks");
-    cpu.reset(0);
-    assert!(cpu.block_cache().is_empty(), "reset drops cached blocks");
+fn reset_runs_a_program_loaded_behind_the_core() {
+    let image = |v| {
+        let mut a = Asm::new();
+        a.li(A0, v);
+        a.ebreak();
+        a.assemble(0).unwrap()
+    };
+    for engine in [EngineMode::Block, EngineMode::Interp] {
+        let mut bus = SramBus::new(4096);
+        bus.load_program(0, &image(7));
+        let mut cpu = Cpu::new(0);
+        cpu.run_with_engine(&mut bus, &mut NoCoprocessor, 100, engine)
+            .unwrap();
+        assert_eq!(cpu.reg(A0), 7, "image A runs");
+        bus.load_program(0, &image(9));
+        cpu.reset(0);
+        let r = cpu
+            .run_with_engine(&mut bus, &mut NoCoprocessor, 100, engine)
+            .unwrap();
+        assert_eq!(r.stop, StopReason::Break);
+        assert_eq!(cpu.reg(A0), 9, "image B runs after reset");
+    }
 }

@@ -1,22 +1,24 @@
 //! Execution-engine selection for the instruction-set simulators.
 //!
-//! Every SoC model runs its host core through the predecoded
-//! block-stepping engine by default; setting `ARCANE_INTERP=1` in the
-//! environment forces the original fetch-decode-execute interpreter.
-//! The two engines produce bit- and cycle-identical results (enforced by
-//! the differential tests in `crates/rv32/tests`); the escape hatch
-//! exists so any future divergence can be bisected from the command
-//! line without rebuilding.
+//! Every SoC model runs its host core with a table of predecoded ops,
+//! one per instruction word, by default; setting `ARCANE_INTERP=1` in
+//! the environment bypasses the table, so every instruction is fetched
+//! and decoded. The two produce bit- and cycle-identical results
+//! (enforced by the differential tests in `crates/rv32/tests`); the
+//! escape hatch exists so any future divergence can be bisected from the
+//! command line without rebuilding.
 
 use std::sync::OnceLock;
 
 /// Which execution engine a core uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum EngineMode {
-    /// Predecoded basic-block stepping with a PC-keyed block cache.
+    /// Each instruction word is decoded once and its op kept in a
+    /// table indexed by PC.
     #[default]
     Block,
-    /// The per-instruction fetch-decode-execute reference interpreter.
+    /// The reference: bypass the table and fetch and decode every
+    /// instruction.
     Interp,
 }
 

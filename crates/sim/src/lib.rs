@@ -9,9 +9,9 @@
 //! * [`Sew`] — selected element width of a vector/matrix operand
 //!   (the `.b` / `.h` / `.w` suffix of the `xmnmc` instructions).
 //! * [`Counter`] and [`CacheStats`] — lightweight event statistics.
-//! * [`EngineMode`] — selects the host-core execution engine (predecoded
-//!   block stepping by default, `ARCANE_INTERP=1` for the reference
-//!   interpreter).
+//! * [`EngineMode`] — selects the host-core execution engine (one
+//!   predecoded op per instruction word by default, `ARCANE_INTERP=1` to
+//!   fetch and decode every instruction).
 //!
 //! # Examples
 //!

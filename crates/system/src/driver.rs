@@ -1,9 +1,9 @@
 //! Experiment driver: seeds workloads, runs each system end-to-end and
 //! verifies every result against the golden models before reporting.
 //!
-//! Every run executes on the predecoded block-stepping engine by
-//! default ([`arcane_sim::EngineMode`]); set `ARCANE_INTERP=1` to force
-//! the reference interpreter for differential runs. Cycle counts and
+//! Every run keeps one predecoded op per instruction word by default
+//! ([`arcane_sim::EngineMode`]); set `ARCANE_INTERP=1` to fetch and
+//! decode every instruction instead, for differential runs. Cycle counts and
 //! results are identical either way — only wall-clock changes.
 
 use crate::layout::{ConvLayerParams, Layout};

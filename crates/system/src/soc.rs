@@ -114,7 +114,7 @@ impl ArcaneSoc {
     }
 
     /// Runs the host program to completion on the engine selected by
-    /// the environment (predecoded block stepping unless
+    /// the environment (the predecoded op table unless
     /// `ARCANE_INTERP=1`).
     ///
     /// # Errors
@@ -227,7 +227,7 @@ impl BaselineSoc {
     }
 
     /// Runs the program to completion on the engine selected by the
-    /// environment (predecoded block stepping unless `ARCANE_INTERP=1`).
+    /// environment (the predecoded op table unless `ARCANE_INTERP=1`).
     ///
     /// # Errors
     ///
@@ -256,6 +256,14 @@ impl BaselineSoc {
             .run_with_engine(&mut bus, &mut NoCoprocessor, max_instrs, engine)
     }
 }
+
+// Both systems can move to another thread, so independent sweep points
+// can run in parallel.
+const _: () = {
+    const fn assert_send<T: Send>() {}
+    assert_send::<ArcaneSoc>();
+    assert_send::<BaselineSoc>();
+};
 
 #[cfg(test)]
 mod tests {

@@ -1,7 +1,8 @@
 //! Acceptance anchors for the predecoded execution engine: cycle counts
-//! and kernel outputs must be bit-identical between the block engine
-//! (default) and the reference interpreter (`ARCANE_INTERP=1`), on the
-//! same systems the Figure 4 sweep runs.
+//! and kernel outputs must be bit-identical between the default engine,
+//! which keeps one predecoded op per instruction word, and the reference
+//! that fetches and decodes every instruction (`ARCANE_INTERP=1`), on
+//! the same systems the Figure 4 sweep runs.
 //!
 //! The fast tests cover moderate sizes on every data width and system;
 //! the full 256×256 calibration anchors run with
@@ -94,9 +95,9 @@ fn engines_identical_at_moderate_sizes_all_widths() {
 
 /// Descriptor-batch launch pipeline under both host-core engines: the
 /// transformer graph compiled to `xmb` batches must produce bit- and
-/// cycle-identical results on the predecoded block engine and the
-/// reference interpreter — the same guarantee the legacy launch path
-/// carries, extended to the new decode path.
+/// cycle-identical results on the predecoded op table and the
+/// fetch-every-instruction reference — the same guarantee the legacy
+/// launch path carries, extended to the new decode path.
 #[test]
 fn descriptor_mode_graph_engines_identical() {
     use arcane::nn::{run_graph_with_engine, suite, CompileOptions};

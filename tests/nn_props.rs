@@ -5,9 +5,9 @@
 //! block) against an **independent naive CPU reference** written here
 //! with plain `i64` loops — any divergence between the two derivations
 //! of the semantics fails the property. The engine-parity test runs a
-//! full graph workload on both host-core engines (predecoded block
-//! stepping vs the reference interpreter) and demands bit- and
-//! cycle-identical results.
+//! full graph workload on both host-core engines (the predecoded op
+//! table vs fetching and decoding every instruction) and demands bit-
+//! and cycle-identical results.
 
 use arcane::core::ArcaneConfig;
 use arcane::isa::launch::{DescriptorBatch, LaunchDescriptor, OperandBinding};
@@ -347,9 +347,9 @@ proptest! {
     }
 }
 
-/// Engine parity on a graph workload: the predecoded block engine and
-/// the reference interpreter must agree bit- and cycle-exactly on the
-/// whole transformer chain.
+/// Engine parity on a graph workload: the predecoded op table and the
+/// fetch-every-instruction reference must agree bit- and cycle-exactly
+/// on the whole transformer chain.
 #[test]
 fn graph_engines_are_cycle_identical() {
     let b = suite::transformer_block(8, 12, 16, Sew::Byte, 99);
