@@ -23,11 +23,6 @@ pub struct LineState {
     pub lru: u8,
     /// Aging epoch in which `lru` was last written.
     pub lru_epoch: u32,
-    /// The line caches part of a registered kernel *source* operand
-    /// (streamlines AT lookups, §III-A3).
-    pub is_src: bool,
-    /// The line caches part of a registered kernel *destination*.
-    pub is_dst: bool,
 }
 
 impl LineState {
@@ -39,8 +34,6 @@ impl LineState {
             busy_until: 0,
             lru: 0,
             lru_epoch: 0,
-            is_src: false,
-            is_dst: false,
         }
     }
 
@@ -96,8 +89,8 @@ impl CacheTable {
     /// # Panics
     ///
     /// Panics unless `line_bytes` is a power of two — tag and
-    /// line-offset arithmetic here and in the LLCs mask instead of
-    /// dividing.
+    /// line-offset arithmetic here and in the controller mask instead
+    /// of dividing.
     pub fn new(n_lines: usize, line_bytes: usize) -> Self {
         assert!(
             line_bytes.is_power_of_two(),

@@ -15,6 +15,20 @@ const EXT_FIRST_WORD: u64 = 10;
 /// External memory latency: subsequent words of a burst.
 const EXT_PER_WORD: u64 = 1;
 
+/// 2-D DMA: cycles to program and start a transaction (register
+/// writes, channel arbitration).
+const DMA_SETUP: u64 = 8;
+
+/// 2-D DMA: extra cycles per row (address regeneration).
+const DMA_PER_ROW: u64 = 1;
+
+/// Cycles the X-HEEP 2-D DMA (§III-A4) takes to move `bytes` payload
+/// bytes in `rows` strided rows over a bus of `bytes_per_cycle` bytes:
+/// the setup, one cycle per row, then the payload at the bus width.
+pub(crate) fn dma_cycles(rows: u64, bytes: u64, bytes_per_cycle: u64) -> u64 {
+    DMA_SETUP + DMA_PER_ROW * rows + bytes.div_ceil(bytes_per_cycle.max(1))
+}
+
 /// The C-RT tariff every launch pays (the calibrated constants of
 /// [`CrtTiming::default_tariff`]).
 pub(crate) const CRT: CrtTiming = CrtTiming::default_tariff();
@@ -103,8 +117,8 @@ pub struct ArcaneConfig {
     pub ext_size: usize,
     /// Shared-memory fabric between the controller complex and the
     /// VPU array: bank/width geometry and the arbiter policy
-    /// (DESIGN.md §4.5). Its bus width is also the DMA engine's
-    /// payload bandwidth.
+    /// (DESIGN.md §4.5). Its bus width is also the DMA's payload
+    /// bandwidth.
     pub fabric: FabricConfig,
     /// Capacity of the statically allocated kernel queue.
     pub kernel_queue_capacity: usize,
@@ -175,6 +189,14 @@ mod tests {
         assert_eq!(c.n_lines(), 128);
         assert_eq!(c.line_bytes(), 1024);
         assert_eq!(c.capacity_bytes(), 128 * 1024);
+    }
+
+    #[test]
+    fn dma_timing_scales_with_rows_and_bytes() {
+        // payload = 160 bytes -> 40 cycles at 4 B/cycle; 5 rows; setup 8.
+        assert_eq!(dma_cycles(5, 160, 4), 8 + 5 + 40);
+        assert_eq!(dma_cycles(5, 160, 8), 8 + 5 + 20);
+        assert_eq!(dma_cycles(1, 3, 4), 8 + 1 + 1);
     }
 
     #[test]

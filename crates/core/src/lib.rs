@@ -9,10 +9,10 @@
 //!
 //! | Paper section | Module |
 //! |---|---|
-//! | §III-A1 cache normal functioning (fully associative, approx-LRU, write-back) | [`cache::CacheTable`], [`StandardLlc`] |
+//! | §III-A1 cache normal functioning (fully associative, approx-LRU, write-back) | [`cache::CacheTable`], [`StandardLlc`] (the one controller; [`ArcaneLlc`] adds admission stalls and fabric routing, and its VPUs compute on the controller's data array) |
 //! | §III-A2 locking & hazard management | `cache::LockWindows`, `cache::AddressTable` |
 //! | §III-A3 Address Table | `cache::AddressTable` |
-//! | §III-A4 software-driven 2-D DMA | [`runtime::ctx::KernelCtx`] |
+//! | §III-A4 software-driven 2-D DMA | [`runtime::ctx::KernelCtx`] (a cycle formula: setup, per-row cost, bus width) |
 //! | §III-B bridge (CV-X-IF offload, SW decode, commit/kill) | [`ArcaneLlc`]'s [`arcane_rv32::Coprocessor`] impl |
 //! | §IV-A the `xmnmc` matrix ISA | [`arcane_isa::xmnmc`] (+ dispatch here) |
 //! | §IV-B C-RT: decoder, scheduler, allocator | [`ArcaneLlc`], [`runtime`] |

@@ -2,9 +2,10 @@
 //!
 //! This type ties every piece of the paper's Figure 1 together:
 //!
-//! * it is a **cache** — [`ArcaneLlc::host_access`] implements the
-//!   fully-associative, write-back, approximate-LRU controller with the
-//!   lock and hazard stalls of §III-A;
+//! * it is a **cache** — [`ArcaneLlc::host_access`] runs the
+//!   fully-associative, write-back, approximate-LRU controller of
+//!   [`StandardLlc`] with the lock and hazard stalls of §III-A, and its
+//!   VPUs compute on that controller's data array;
 //! * it is a **coprocessor** — the [`Coprocessor`] implementation is the
 //!   bridge of §III-B: it samples offloaded `xmnmc` instructions,
 //!   decodes them in software (C-RT Kernel Decoder), places them on a
@@ -19,20 +20,19 @@
 //! destinations, all lines busy) stall until the corresponding phase
 //! completes — exactly the synchronisation the hardware enforces.
 
-use crate::cache::{
-    access_bytes, AddressTable, AtEntry, CacheTable, LockWindows, OperandKind, Victim,
-};
+use crate::cache::{AddressTable, AtEntry, LockWindows, OperandKind};
 use crate::config::{ArcaneConfig, CRT};
 use crate::kernels::{KernelError, KernelLib, ResolvedArgs};
 use crate::runtime::ctx::KernelCtx;
 use crate::runtime::map::MatView;
 use crate::runtime::map::MatrixMap;
+use crate::StandardLlc;
 use arcane_fabric::{Fabric, PortStats, ResourceChannel, HOST_PORT};
 use arcane_isa::launch::{
     DescriptorBatch, LaunchDescriptor, LaunchMode, OperandBinding, FUNC5_XMB,
 };
 use arcane_isa::xmnmc::{self, XmnmcOp};
-use arcane_mem::{Access, AccessSize, BusError, Dma2d, DmaTiming, ExtMem, Memory};
+use arcane_mem::{Access, AccessSize, BusError, ExtMem, Memory};
 use arcane_rv32::{Coprocessor, XifResponse};
 use arcane_sim::{CacheStats, ChannelUtil, LaunchStats, PhaseBreakdown, Sew};
 use arcane_vpu::Vpu;
@@ -80,13 +80,12 @@ enum Tariff {
 pub struct ArcaneLlc {
     cfg: ArcaneConfig,
     vpus: Vec<Vpu>,
-    table: CacheTable,
+    /// The cache controller; its data array is the VPUs' registers.
+    cache: StandardLlc,
     at: AddressTable,
     locks: LockWindows,
     map: MatrixMap,
     lib: KernelLib,
-    ext: ExtMem,
-    dma: Dma2d,
     /// Writeback-completion times of queued kernels (fixed-capacity
     /// kernel queue back-pressure).
     queue_done: VecDeque<u64>,
@@ -104,29 +103,19 @@ pub struct ArcaneLlc {
     /// Kernels scheduled so far (the round-robin rotation cursor).
     sched_seq: u64,
     records: Vec<KernelRecord>,
-    stats: CacheStats,
     last_error: Option<KernelError>,
 }
 
 impl ArcaneLlc {
     /// Builds the subsystem from a configuration.
-    ///
-    /// The shared path's payload bandwidth is owned by the fabric: the
-    /// DMA engine moves `cfg.fabric.bytes_per_cycle` bytes per cycle,
-    /// so it and the fabric banks always agree on the bus width.
     pub fn new(cfg: ArcaneConfig) -> Self {
         ArcaneLlc {
             vpus: (0..cfg.n_vpus).map(|_| Vpu::new(cfg.vpu)).collect(),
-            table: CacheTable::new(cfg.n_lines(), cfg.line_bytes()),
+            cache: StandardLlc::new(&cfg),
             at: AddressTable::new(cfg.at_capacity),
             locks: LockWindows::new(),
             map: MatrixMap::new(),
             lib: KernelLib::builtin(),
-            ext: cfg.ext_mem(),
-            dma: Dma2d::new(DmaTiming {
-                bytes_per_cycle: cfg.fabric.bytes_per_cycle,
-                ..DmaTiming::default()
-            }),
             queue_done: VecDeque::new(),
             vpu_free_at: vec![0; cfg.n_vpus],
             fabric: Fabric::new(cfg.fabric, cfg.n_vpus),
@@ -136,7 +125,6 @@ impl ArcaneLlc {
             launch_stats: LaunchStats::default(),
             sched_seq: 0,
             records: Vec::new(),
-            stats: CacheStats::default(),
             last_error: None,
             cfg,
         }
@@ -150,12 +138,12 @@ impl ArcaneLlc {
     /// Read access to the external memory behind the cache
     /// (workload seeding and result checking).
     pub fn ext(&self) -> &ExtMem {
-        &self.ext
+        self.cache.ext()
     }
 
     /// Write access to the external memory behind the cache.
     pub fn ext_mut(&mut self) -> &mut ExtMem {
-        &mut self.ext
+        self.cache.ext_mut()
     }
 
     /// Registers (or replaces) a user kernel — the software-defined ISA
@@ -175,7 +163,7 @@ impl ArcaneLlc {
 
     /// Cache hit/miss/stall statistics for host accesses.
     pub fn stats(&self) -> &CacheStats {
-        &self.stats
+        self.cache.stats()
     }
 
     /// Number of `xmr` rebinds resolved by renaming.
@@ -238,21 +226,18 @@ impl ArcaneLlc {
             .max(self.ecpu_chan.horizon())
     }
 
-    fn line_data(&self, idx: usize) -> &[u8] {
-        let vregs = self.cfg.vpu.vregs;
-        self.vpus[idx / vregs].line(idx % vregs)
-    }
-
-    fn line_data_mut(&mut self, idx: usize) -> &mut [u8] {
-        let vregs = self.cfg.vpu.vregs;
-        self.vpus[idx / vregs].line_mut(idx % vregs)
-    }
-
     /// One host CPU data access through the smart cache.
     ///
     /// Returns the data and the total cycles the host was occupied,
     /// including every stall (lock windows, hazard protection, busy
     /// lines, miss service).
+    ///
+    /// The controller is [`StandardLlc`]'s; ARCANE adds two things. A
+    /// transaction is admitted only once the controller lock is free
+    /// and no Address Table entry blocks it (§III-A2). A
+    /// miss's write-back and fill go over the fabric's host port: a
+    /// dedicated fixed-latency slave path under the whole-phase
+    /// arbiter, contending with kernel bursts under the burst arbiters.
     ///
     /// # Errors
     ///
@@ -266,110 +251,23 @@ impl ArcaneLlc {
         size: AccessSize,
         now: u64,
     ) -> Result<Access, BusError> {
-        if !self.ext.contains(addr, size.bytes()) {
-            return Err(BusError::OutOfRange { addr });
-        }
-
-        // A misaligned access crossing a line boundary becomes two
-        // transactions, one per line (as the bus adapter would split it).
-        let line_bytes = self.cfg.line_bytes();
-        if ((addr as usize) & (line_bytes - 1)) + size.bytes() as usize > line_bytes {
-            let mut data = [0u8; 4];
-            let mut cycles = 0;
-            let vb = value.to_le_bytes();
-            for i in 0..size.bytes() {
-                let a = self.host_access(
-                    addr + i,
-                    write,
-                    vb[i as usize] as u32,
-                    AccessSize::Byte,
-                    now,
-                )?;
-                data[i as usize] = a.data as u8;
-                cycles += a.cycles;
-            }
-            return Ok(Access::new(u32::from_le_bytes(data), cycles));
-        }
-
-        // Hazard and lock stalls first (controller arbitration).
-        let mut t = now;
-        loop {
-            if let Some(e) = self.locks.stall_until(t) {
-                t = e;
-                continue;
-            }
-            if let Some(e) = self.at.stall_until(addr, size.bytes(), write, t) {
-                t = e;
-                continue;
-            }
-            break;
-        }
-        if t > now {
-            self.stats.stalls.incr();
-            self.stats.stall_cycles.add(t - now);
-        }
-
-        // Cache lookup; single-cycle hit (§III-A1).
-        let mut service = 0u64;
-        let (line, tag) = match self.table.access(addr) {
-            Some(hit) => {
-                self.stats.hits.incr();
-                hit
-            }
-            None => {
-                self.stats.misses.incr();
-                let i = loop {
-                    match self.table.victim(t) {
-                        Victim::Line(i) => break i,
-                        Victim::AllBusyUntil(b) => {
-                            self.stats.stalls.incr();
-                            self.stats.stall_cycles.add(b - t);
-                            t = b;
-                        }
-                    }
-                };
-                // The miss service (writeback + fill bursts) goes over
-                // the fabric's host port: a dedicated fixed-latency
-                // slave path under the whole-phase arbiter, contending
-                // with kernel bursts under the burst arbiters.
-                let raw = self.refill(i, addr)?;
-                let grant = self.fabric.request(HOST_PORT, addr, t, raw);
-                service += grant.end - t;
-                self.table.touch(i);
-                (i, self.table.line(i).tag)
-            }
-        };
-        let off = (addr - tag) as usize;
-        let data = access_bytes(self.line_data_mut(line), off, write, value, size);
-        if write {
-            self.table.line_mut(line).dirty = true;
-        }
-
-        Ok(Access::new(data, (t - now) + service + 1))
-    }
-
-    /// Evicts line `i` if needed and refills it with the block holding
-    /// `addr`. Returns the service cycles (writeback + fill bursts).
-    fn refill(&mut self, i: usize, addr: u32) -> Result<u64, BusError> {
-        let line_bytes = self.cfg.line_bytes();
-        let mut cycles = 0;
-        let old = *self.table.line(i);
-        if old.valid && old.dirty {
-            let data = self.line_data(i).to_vec();
-            self.ext.write_bytes(old.tag, &data)?;
-            cycles += self.ext.burst_cycles(line_bytes as u64);
-            self.stats.writebacks.incr();
-        }
-        let tag = self.table.tag_of(addr);
-        let mut buf = vec![0u8; line_bytes];
-        self.ext.read_bytes(tag, &mut buf)?;
-        self.line_data_mut(i).copy_from_slice(&buf);
-        cycles += self.ext.burst_cycles(line_bytes as u64);
-        let l = self.table.line_mut(i);
-        l.tag = tag;
-        l.valid = true;
-        l.dirty = false;
-        Ok(cycles)
+        let (locks, at, fabric) = (&self.locks, &self.at, &mut self.fabric);
+        self.cache.access(
+            addr,
+            write.then_some(value),
+            size,
+            now,
+            |a, len, write, mut t| loop {
+                match locks
+                    .stall_until(t)
+                    .or_else(|| at.stall_until(a, len, write, t))
+                {
+                    Some(end) => t = end,
+                    None => break t,
+                }
+            },
+            |a, t, raw| fabric.request(HOST_PORT, a, t, raw).end,
+        )
     }
 
     /// Kernel Scheduler: counts each VPU's dirty lines and lets the
@@ -378,7 +276,7 @@ impl ArcaneLlc {
     fn choose_vpu(&mut self) -> usize {
         let vregs = self.cfg.vpu.vregs;
         let dirty: Vec<usize> = (0..self.cfg.n_vpus)
-            .map(|v| self.table.dirty_in_range(v * vregs, (v + 1) * vregs))
+            .map(|v| self.cache.table.dirty_in_range(v * vregs, (v + 1) * vregs))
             .collect();
         let vpu = self
             .cfg
@@ -443,7 +341,8 @@ impl ArcaneLlc {
 
     /// Kernel Decoder front half: O(1) library lookup first (unknown
     /// `func5` is the kill path), then operand resolution and shape
-    /// validation.
+    /// validation. An empty destination or source is rejected here,
+    /// before anything is booked.
     fn resolve_launch(
         &self,
         desc: &LaunchDescriptor,
@@ -463,6 +362,11 @@ impl ArcaneLlc {
             ms3: self.map.resolve(desc.ms3),
         };
         let sources = kernel.validate(&args)?;
+        if args.md.elems() == 0 || sources.iter().any(|s| s.elems() == 0) {
+            return Err(KernelError::ShapeMismatch {
+                what: "empty matrix operand",
+            });
+        }
         Ok((args, sources, kernel.name()))
     }
 
@@ -498,12 +402,9 @@ impl ArcaneLlc {
         let t_start = decode_end.max(self.vpu_free_at[vpu]);
 
         let mut ctx = KernelCtx {
-            vpus: &mut self.vpus,
+            cache: &mut self.cache,
+            vpu: &mut self.vpus[vpu],
             vpu_index: vpu,
-            vregs: self.cfg.vpu.vregs,
-            table: &mut self.table,
-            ext: &mut self.ext,
-            dma: self.dma,
             locks: &mut self.locks,
             fabric: &mut self.fabric,
             port: Fabric::vpu_port(vpu),
@@ -516,7 +417,6 @@ impl ArcaneLlc {
                 ..PhaseBreakdown::default()
             },
             last_alloc_end: t_start,
-            writebacks: 0,
         };
         let kernel = self
             .lib
@@ -526,13 +426,11 @@ impl ArcaneLlc {
         let end = ctx.t;
         let phases = ctx.phases;
         let last_alloc_end = ctx.last_alloc_end;
-        let wbs = ctx.writebacks;
-        self.stats.writebacks.add(wbs);
 
         // Mark the VPU's lines busy-computing until the kernel retires.
         let vregs = self.cfg.vpu.vregs;
         for i in vpu * vregs..(vpu + 1) * vregs {
-            let l = self.table.line_mut(i);
+            let l = self.cache.table.line_mut(i);
             l.busy_until = l.busy_until.max(end);
         }
 
@@ -609,7 +507,7 @@ impl ArcaneLlc {
         // Functional fetch of the encoded batch. `words` is an unchecked
         // host register: bound the range before allocating for it.
         let len = match words.checked_mul(4) {
-            Some(len) if self.ext.contains(addr, len) => len,
+            Some(len) if self.ext().contains(addr, len) => len,
             _ => {
                 return self.reject(KernelError::ShapeMismatch {
                     what: "descriptor batch lies outside external memory",
@@ -617,7 +515,7 @@ impl ArcaneLlc {
             }
         };
         let mut bytes = vec![0u8; len as usize];
-        self.ext
+        self.ext()
             .read_bytes(addr, &mut bytes)
             .expect("batch range checked against external memory");
         let stream: Vec<u32> = bytes

@@ -6,33 +6,39 @@
 //! charged by the decoder before the kernel starts):
 //!
 //! * [`KernelCtx::load_rows`] — **allocation**: controller lock, dirty
-//!   flushes, 2-D DMA of operand rows into the VPU's cache lines;
+//!   write-backs, 2-D DMA of operand rows into the VPU's cache lines;
 //! * [`KernelCtx::exec`] / [`KernelCtx::set_scalar`] /
 //!   [`KernelCtx::peek`] — **compute**: eCPU issue overhead plus VPU
 //!   datapath cycles;
 //! * [`KernelCtx::store_row`] / [`KernelCtx::store_row_strided`] —
 //!   **writeback**: lock, consolidation DMA back to memory, cache-line
 //!   release.
+//!
+//! The VPU computes on its lines of the cache data array, and every
+//! line write-back or drop goes through the cache controller
+//! ([`StandardLlc`]).
 
-use crate::cache::{CacheTable, LockWindows};
-use crate::config::CRT;
+use crate::cache::LockWindows;
+use crate::config::{dma_cycles, CRT};
 use crate::kernels::KernelError;
 use crate::runtime::map::MatView;
+use crate::StandardLlc;
 use arcane_fabric::{Fabric, PortStats, ResourceChannel};
 use arcane_isa::vector::{Sr, VInstr, Vr};
-use arcane_mem::{Dma2d, DmaJob, ExtMem, Memory};
+use arcane_mem::Memory;
 use arcane_sim::{Phase, PhaseBreakdown, Sew};
 use arcane_vpu::Vpu;
+use std::ops::Range;
 
 /// Execution services available to a running kernel.
 #[derive(Debug)]
 pub struct KernelCtx<'a> {
-    pub(crate) vpus: &'a mut [Vpu],
+    /// The cache controller; the assigned VPU's registers are its lines
+    /// `vpu_index · vregs ..`.
+    pub(crate) cache: &'a mut StandardLlc,
+    /// The VPU the scheduler assigned to this kernel.
+    pub(crate) vpu: &'a mut Vpu,
     pub(crate) vpu_index: usize,
-    pub(crate) vregs: usize,
-    pub(crate) table: &'a mut CacheTable,
-    pub(crate) ext: &'a mut ExtMem,
-    pub(crate) dma: Dma2d,
     pub(crate) locks: &'a mut LockWindows,
     /// The shared fabric; this kernel's DMA and dispatch traffic goes
     /// through [`KernelCtx::port`].
@@ -49,7 +55,6 @@ pub struct KernelCtx<'a> {
     pub(crate) t: u64,
     pub(crate) phases: PhaseBreakdown,
     pub(crate) last_alloc_end: u64,
-    pub(crate) writebacks: u64,
 }
 
 impl<'a> KernelCtx<'a> {
@@ -60,12 +65,12 @@ impl<'a> KernelCtx<'a> {
 
     /// Number of vector registers available on the assigned VPU.
     pub fn vregs(&self) -> usize {
-        self.vregs
+        self.vpu.config().vregs
     }
 
     /// Maximum vector length in elements for width `sew`.
     pub fn max_vl(&self, sew: Sew) -> usize {
-        self.vpus[self.vpu_index].config().max_vl(sew)
+        self.vpu.config().max_vl(sew)
     }
 
     /// Current time cursor (absolute cycles).
@@ -121,8 +126,11 @@ impl<'a> KernelCtx<'a> {
     ///
     /// Returns [`KernelError::Vpu`] if `vl` exceeds the register size.
     pub fn set_vl(&mut self, vl: usize, sew: Sew) -> Result<(), KernelError> {
-        let cycles =
-            self.vpus[self.vpu_index].execute_one(&VInstr::SetVl { vl: vl as u16, sew })?;
+        let regs = self.regs();
+        let cycles = self.vpu.execute_one(
+            &mut self.cache.data[regs],
+            &VInstr::SetVl { vl: vl as u16, sew },
+        )?;
         self.dispatch_work(1);
         self.charge(Phase::Compute, cycles);
         Ok(())
@@ -135,7 +143,8 @@ impl<'a> KernelCtx<'a> {
     ///
     /// Returns [`KernelError::Vpu`] on a malformed program.
     pub fn exec(&mut self, prog: &[VInstr]) -> Result<(), KernelError> {
-        let stats = self.vpus[self.vpu_index].execute(prog)?;
+        let regs = self.regs();
+        let stats = self.vpu.execute(&mut self.cache.data[regs], prog)?;
         self.dispatch_work(stats.instrs);
         self.charge(Phase::Compute, stats.cycles);
         Ok(())
@@ -145,7 +154,7 @@ impl<'a> KernelCtx<'a> {
     /// Charged to the shared eCPU on the legacy launch path, to the
     /// VPU-side descriptor decoder under the batched pipeline.
     pub fn set_scalar(&mut self, rs: Sr, value: u32) {
-        self.vpus[self.vpu_index].set_sreg(rs, value);
+        self.vpu.set_sreg(rs, value);
         if self.local_issue {
             self.charge(Phase::Compute, CRT.sreg_write);
         } else {
@@ -167,7 +176,7 @@ impl<'a> KernelCtx<'a> {
         } else {
             self.ecpu_work(Phase::Compute, CRT.elem_read);
         }
-        let line = self.vpus[self.vpu_index].line(vreg.index() as usize);
+        let line = &self.cache.data[self.line(vreg.index() as usize)];
         let o = idx * sew.bytes();
         match sew {
             Sew::Byte => line[o] as i8 as i64,
@@ -179,34 +188,48 @@ impl<'a> KernelCtx<'a> {
     }
 
     fn line_index(&self, vreg: usize) -> usize {
-        self.vpu_index * self.vregs + vreg
+        self.vpu_index * self.vregs() + vreg
     }
 
-    /// Flushes every valid dirty cache line overlapping `[start, end)`
-    /// to external memory, returning the cycles consumed. This is the
-    /// coherence step of the software-driven DMA (§III-A4): allocation
-    /// reads must observe host stores that are still cache-resident.
+    /// Byte range of this VPU's register `vreg` in the data array.
+    fn line(&self, vreg: usize) -> Range<usize> {
+        let vlen = self.vpu.config().vlen_bytes;
+        let o = self.line_index(vreg) * vlen;
+        o..o + vlen
+    }
+
+    /// Payload bytes per cycle of the shared bus the DMA moves data on.
+    fn bus_width(&self) -> u64 {
+        self.fabric.config().bytes_per_cycle
+    }
+
+    /// Byte range of this VPU's whole register file in the data array.
+    fn regs(&self) -> Range<usize> {
+        let n = self.vpu.config().capacity_bytes();
+        self.vpu_index * n..(self.vpu_index + 1) * n
+    }
+
+    /// Writes back every dirty cache line overlapping `[start, end)`,
+    /// returning the cycles consumed. This is the coherence step of the
+    /// software-driven DMA (§III-A4): allocation reads must observe
+    /// host stores that are still cache-resident.
     fn flush_range(&mut self, start: u32, end: u32) -> u64 {
-        let idxs: Vec<usize> = self
+        let dirty: Vec<usize> = self
+            .cache
             .table
             .lines_overlapping(start, end)
             .filter(|(_, l)| l.dirty)
             .map(|(i, _)| i)
             .collect();
-        let mut cycles = 0;
-        let line_bytes = self.table.line_bytes();
-        for i in idxs {
-            let tag = self.table.line(i).tag;
-            let (v, r) = (i / self.vregs, i % self.vregs);
-            let data = self.vpus[v].line(r).to_vec();
-            self.ext
-                .write_bytes(tag, &data)
-                .expect("cached tag must map to external memory");
-            cycles += self.ext.burst_cycles(line_bytes as u64);
-            let l = self.table.line_mut(i);
-            l.dirty = false;
-            self.writebacks += 1;
-        }
+        dirty.into_iter().map(|i| self.cache.write_back(i)).sum()
+    }
+
+    /// Writes back, then drops, every cache line overlapping a kernel
+    /// destination `[start, end)`: host-dirty bytes sharing a line with
+    /// it are preserved, and no stale copy outlives the store.
+    fn release_range(&mut self, start: u32, end: u32) -> u64 {
+        let cycles = self.flush_range(start, end);
+        self.cache.invalidate(start, end);
         cycles
     }
 
@@ -219,21 +242,12 @@ impl<'a> KernelCtx<'a> {
     #[inline(never)]
     fn evict_vreg(&mut self, vreg: usize) -> u64 {
         let i = self.line_index(vreg);
-        let l = *self.table.line(i);
-        let mut cycles = 0;
-        if l.valid {
-            if l.dirty {
-                let data = self.vpus[self.vpu_index].line(vreg).to_vec();
-                self.ext
-                    .write_bytes(l.tag, &data)
-                    .expect("cached tag must map to external memory");
-                cycles += self.ext.burst_cycles(self.table.line_bytes() as u64);
-                self.writebacks += 1;
-            }
-            let l = self.table.line_mut(i);
-            l.valid = false;
-            l.dirty = false;
+        let l = *self.cache.table.line(i);
+        if !l.valid {
+            return 0;
         }
+        let cycles = self.cache.write_back(i);
+        self.cache.invalidate(l.tag, l.tag + 1);
         cycles
     }
 
@@ -257,7 +271,7 @@ impl<'a> KernelCtx<'a> {
         n_rows: usize,
         vreg0: usize,
     ) -> Result<(), KernelError> {
-        let vlen = self.vpus[self.vpu_index].config().vlen_bytes;
+        let vlen = self.vpu.config().vlen_bytes;
         if mat.row_bytes() as usize > vlen {
             return Err(KernelError::RowTooWide {
                 cols: mat.cols,
@@ -281,34 +295,24 @@ impl<'a> KernelCtx<'a> {
 
         // The shared fabric: the DMA's burst train is granted under the
         // configured arbiter (one contiguous window under whole-phase).
-        let job = DmaJob {
-            src: start,
-            dst: 0, // destination is the VPU register file, filled below
-            elem_bytes: mat.sew.bytes() as u32,
-            cols: mat.cols as u32,
-            rows: n_rows as u32,
-            src_stride: mat.pitch_bytes(),
-            dst_stride: vlen as u32,
-        };
-        let dma_cycles = self.dma.timing().cycles(&job)
+        let row_bytes = mat.row_bytes() as usize;
+        let bytes = (n_rows * row_bytes) as u64;
+        let cycles = dma_cycles(n_rows as u64, bytes, self.bus_width())
             + self
+                .cache
                 .ext
-                .burst_cycles(job.bytes())
-                .saturating_sub(job.bytes().div_ceil(4));
-        let dma_end = self
-            .fabric
-            .request(self.port, start, self.t, dma_cycles)
-            .end;
+                .burst_cycles(bytes)
+                .saturating_sub(bytes.div_ceil(4));
+        let dma_end = self.fabric.request(self.port, start, self.t, cycles).end;
 
         // Functional copy: external memory -> vector registers.
-        let row_bytes = mat.row_bytes() as usize;
-        let mut buf = vec![0u8; row_bytes];
         for r in 0..n_rows {
-            self.ext
-                .read_bytes(mat.row_addr(row0 + r), &mut buf)
+            let line = self.line(vreg0 + r);
+            let dst = &mut self.cache.data[line];
+            self.cache
+                .ext
+                .read_bytes(mat.row_addr(row0 + r), &mut dst[..row_bytes])
                 .expect("operand rows must lie in external memory");
-            let dst = self.vpus[self.vpu_index].line_mut(vreg0 + r);
-            dst[..row_bytes].copy_from_slice(&buf);
             dst[row_bytes..].fill(0);
         }
 
@@ -344,46 +348,21 @@ impl<'a> KernelCtx<'a> {
     ) {
         let t0 = self.t;
         let mut work = CRT.lock_acquire;
-        let span = dst_pitch_bytes * (n as u32 - 1) + sew.bytes() as u32;
-        work += self.flush_range(dst_addr, dst_addr + span);
-        let stale: Vec<usize> = self
-            .table
-            .lines_overlapping(dst_addr, dst_addr + span)
-            .map(|(i, _)| i)
-            .collect();
-        for i in stale {
-            let l = self.table.line_mut(i);
-            l.valid = false;
-            l.dirty = false;
-        }
+        let sz = sew.bytes();
+        let span = dst_pitch_bytes * (n as u32 - 1) + sz as u32;
+        work += self.release_range(dst_addr, dst_addr + span);
         self.t += work;
 
-        let job = DmaJob {
-            src: 0,
-            dst: dst_addr,
-            elem_bytes: sew.bytes() as u32,
-            cols: 1,
-            rows: n as u32,
-            src_stride: sew.bytes() as u32,
-            dst_stride: dst_pitch_bytes,
-        };
         // Scattered single-element writes cannot burst: every element
         // pays a random-access cost.
-        let dma_cycles =
-            self.dma.timing().cycles(&job) + self.ext.first_word_cycles() * n as u64 / 4;
-        let dma_end = self
-            .fabric
-            .request(self.port, dst_addr, self.t, dma_cycles)
-            .end;
+        let cycles = dma_cycles(n as u64, (n * sz) as u64, self.bus_width())
+            + self.cache.ext.first_word_cycles() * n as u64 / 4;
+        let dma_end = self.fabric.request(self.port, dst_addr, self.t, cycles).end;
 
-        let src = self.vpus[self.vpu_index].line(vreg);
-        let mut elems = Vec::with_capacity(n);
-        for i in 0..n {
-            let o = i * sew.bytes();
-            elems.push(src[o..o + sew.bytes()].to_vec());
-        }
-        for (i, e) in elems.iter().enumerate() {
-            self.ext
+        let src = &self.cache.data[self.line(vreg)];
+        for (i, e) in src[..n * sz].chunks_exact(sz).enumerate() {
+            self.cache
+                .ext
                 .write_bytes(dst_addr + i as u32 * dst_pitch_bytes, e)
                 .expect("kernel destination must lie in external memory");
         }
@@ -415,60 +394,28 @@ impl<'a> KernelCtx<'a> {
         let mut work = CRT.lock_acquire;
 
         let bytes_out = (n_out * sew.bytes()) as u32;
-        // Preserve host-dirty bytes sharing cache lines with the
-        // destination, then drop the stale cached copies.
-        work += self.flush_range(dst_addr, dst_addr + bytes_out);
-        let stale: Vec<usize> = self
-            .table
-            .lines_overlapping(dst_addr, dst_addr + bytes_out)
-            .map(|(i, _)| i)
-            .collect();
-        for i in stale {
-            let l = self.table.line_mut(i);
-            l.valid = false;
-            l.dirty = false;
-        }
+        work += self.release_range(dst_addr, dst_addr + bytes_out);
         self.t += work;
 
-        let job = DmaJob {
-            src: 0,
-            dst: dst_addr,
-            elem_bytes: sew.bytes() as u32,
-            cols: 1,
-            rows: n_out as u32,
-            src_stride: (elem_stride * sew.bytes()) as u32,
-            dst_stride: sew.bytes() as u32,
-        };
         // A dense row (stride 1) is a single-row burst for the DMA.
-        let dma_cycles = if elem_stride == 1 {
-            let dense = DmaJob {
-                cols: n_out as u32,
-                rows: 1,
-                src_stride: bytes_out,
-                dst_stride: bytes_out,
-                ..job
-            };
-            self.dma.timing().cycles(&dense)
-        } else {
-            self.dma.timing().cycles(&job)
-        } + self
-            .ext
-            .burst_cycles(bytes_out as u64)
-            .saturating_sub(bytes_out as u64 / 4);
-
-        let dma_end = self
-            .fabric
-            .request(self.port, dst_addr, self.t, dma_cycles)
-            .end;
+        let rows = if elem_stride == 1 { 1 } else { n_out };
+        let cycles = dma_cycles(rows as u64, bytes_out as u64, self.bus_width())
+            + self
+                .cache
+                .ext
+                .burst_cycles(bytes_out as u64)
+                .saturating_sub(bytes_out as u64 / 4);
+        let dma_end = self.fabric.request(self.port, dst_addr, self.t, cycles).end;
 
         // Functional gather: vreg -> external memory.
-        let src = self.vpus[self.vpu_index].line(vreg);
+        let src = &self.cache.data[self.line(vreg)];
         let mut out = Vec::with_capacity(n_out * sew.bytes());
         for k in 0..n_out {
             let o = (first_elem + k * elem_stride) * sew.bytes();
             out.extend_from_slice(&src[o..o + sew.bytes()]);
         }
-        self.ext
+        self.cache
+            .ext
             .write_bytes(dst_addr, &out)
             .expect("kernel destination must lie in external memory");
 
@@ -482,66 +429,75 @@ impl<'a> KernelCtx<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::CacheTable;
-    use arcane_fabric::FabricConfig;
-    use arcane_vpu::VpuConfig;
+    use crate::ArcaneConfig;
 
-    fn fixture() -> (Vec<Vpu>, CacheTable, ExtMem, LockWindows) {
-        let vpus = vec![Vpu::new(VpuConfig::with_lanes(4)); 2];
-        let table = CacheTable::new(64, 1024);
-        let ext = ExtMem::new(0x2000_0000, 1 << 20, 10, 1);
-        (vpus, table, ext, LockWindows::new())
-    }
-
-    struct Shared {
+    /// A 64-line cache (two 4-lane VPUs' worth) over 1 MiB of external
+    /// memory at `0x2000_0000`, and the shared channels of one LLC.
+    struct Fixture {
+        cache: StandardLlc,
+        vpu: Vpu,
+        locks: LockWindows,
         fabric: Fabric,
         ecpu: ResourceChannel,
         ecpu_stats: PortStats,
     }
 
-    fn shared() -> Shared {
-        Shared {
-            fabric: Fabric::new(FabricConfig::default_config(), 2),
+    fn fixture() -> Fixture {
+        let cfg = ArcaneConfig {
+            n_vpus: 2,
+            ext_size: 1 << 20,
+            ..ArcaneConfig::with_lanes(4)
+        };
+        Fixture {
+            cache: StandardLlc::new(&cfg),
+            vpu: Vpu::new(cfg.vpu),
+            locks: LockWindows::new(),
+            fabric: Fabric::new(cfg.fabric, cfg.n_vpus),
             ecpu: ResourceChannel::new(),
             ecpu_stats: PortStats::default(),
         }
     }
 
-    fn ctx<'a>(
-        vpus: &'a mut Vec<Vpu>,
-        table: &'a mut CacheTable,
-        ext: &'a mut ExtMem,
-        locks: &'a mut LockWindows,
-        sh: &'a mut Shared,
-    ) -> KernelCtx<'a> {
-        KernelCtx {
-            vpus,
-            vpu_index: 0,
-            vregs: 32,
-            table,
-            ext,
-            dma: Dma2d::default(),
-            locks,
-            fabric: &mut sh.fabric,
-            port: Fabric::vpu_port(0),
-            ecpu_chan: &mut sh.ecpu,
-            ecpu_stats: &mut sh.ecpu_stats,
-            local_issue: false,
-            t: 1000,
-            phases: PhaseBreakdown::default(),
-            last_alloc_end: 0,
-            writebacks: 0,
+    impl Fixture {
+        /// A context for a kernel on VPU 0 at cycle 1000.
+        fn ctx(&mut self) -> KernelCtx<'_> {
+            KernelCtx {
+                cache: &mut self.cache,
+                vpu: &mut self.vpu,
+                vpu_index: 0,
+                locks: &mut self.locks,
+                fabric: &mut self.fabric,
+                port: Fabric::vpu_port(0),
+                ecpu_chan: &mut self.ecpu,
+                ecpu_stats: &mut self.ecpu_stats,
+                local_issue: false,
+                t: 1000,
+                phases: PhaseBreakdown::default(),
+                last_alloc_end: 0,
+            }
+        }
+
+        /// Cache line `i` of the data array.
+        fn line(&mut self, i: usize) -> &mut [u8] {
+            &mut self.cache.data[i * 1024..(i + 1) * 1024]
+        }
+
+        /// Marks line `i` as a valid dirty copy of the block at `tag`.
+        fn dirty(&mut self, i: usize, tag: u32) {
+            let l = self.cache.table.line_mut(i);
+            l.valid = true;
+            l.dirty = true;
+            l.tag = tag;
         }
     }
 
     #[test]
     fn load_rows_copies_and_charges_allocation() {
-        let (mut vpus, mut table, mut ext, mut locks) = fixture();
+        let mut fx = fixture();
         for i in 0..64u32 {
-            ext.write_u32(0x2000_0000 + i * 4, i).unwrap();
+            fx.cache.ext.write_u32(0x2000_0000 + i * 4, i).unwrap();
         }
-        let mut chans = shared();
-        let mut c = ctx(&mut vpus, &mut table, &mut ext, &mut locks, &mut chans);
+        let mut c = fx.ctx();
         let mat = MatView {
             addr: 0x2000_0000,
             rows: 4,
@@ -555,10 +511,10 @@ mod tests {
         assert_eq!(c.phases.compute, 0);
         let t_end = c.t;
         // row 1 starts at element 16 (pitch = 2*8 = 16 words)
-        let line = vpus[0].line(5);
+        let line = fx.line(5);
         assert_eq!(i32::from_le_bytes([line[0], line[1], line[2], line[3]]), 16);
         assert_eq!(
-            locks.stall_until(t_end - 1),
+            fx.locks.stall_until(t_end - 1),
             Some(t_end),
             "allocation must hold the lock"
         );
@@ -566,9 +522,8 @@ mod tests {
 
     #[test]
     fn row_too_wide_is_rejected() {
-        let (mut vpus, mut table, mut ext, mut locks) = fixture();
-        let mut chans = shared();
-        let mut c = ctx(&mut vpus, &mut table, &mut ext, &mut locks, &mut chans);
+        let mut fx = fixture();
+        let mut c = fx.ctx();
         let mat = MatView {
             addr: 0x2000_0000,
             rows: 1,
@@ -585,15 +540,12 @@ mod tests {
 
     #[test]
     fn dirty_cache_line_is_flushed_before_allocation() {
-        let (mut vpus, mut table, mut ext, mut locks) = fixture();
+        let mut fx = fixture();
         // Host wrote 0xAB into a cached line covering the operand.
         let tag = 0x2000_0000;
-        table.line_mut(40).valid = true;
-        table.line_mut(40).dirty = true;
-        table.line_mut(40).tag = tag;
-        vpus[1].line_mut(8)[0] = 0xab; // line 40 = vpu 1, vreg 8
-        let mut chans = shared();
-        let mut c = ctx(&mut vpus, &mut table, &mut ext, &mut locks, &mut chans);
+        fx.dirty(40, tag);
+        fx.line(40)[0] = 0xab; // line 40 = vpu 1, vreg 8
+        let mut c = fx.ctx();
         let mat = MatView {
             addr: tag,
             rows: 1,
@@ -604,30 +556,42 @@ mod tests {
         };
         c.load_rows(&mat, 0, 1, 0).unwrap();
         // The allocator must see the host's 0xAB, not stale memory.
-        assert_eq!(vpus[0].line(0)[0], 0xab);
-        assert!(!table.line(40).dirty, "flush clears dirty");
+        assert_eq!(fx.line(0)[0], 0xab);
+        assert!(!fx.cache.table.line(40).dirty, "flush clears dirty");
+    }
+
+    #[test]
+    fn evict_vreg_writes_a_dirty_line_back_once() {
+        let mut fx = fixture();
+        let tag = 0x2000_8000;
+        fx.dirty(2, tag);
+        fx.line(2).fill(0x5a);
+        let mut c = fx.ctx();
+        assert!(c.evict_vreg(2) > 0, "the dirty line pays a burst");
+        assert_eq!(c.evict_vreg(2), 0, "the line is gone after one eviction");
+        assert!(!fx.cache.table.line(2).valid);
+        assert_eq!(fx.cache.stats().writebacks.get(), 1);
+        assert_eq!(fx.cache.ext.read_u32(tag + 1020).unwrap(), 0x5a5a_5a5a);
     }
 
     #[test]
     fn store_row_strided_gathers_elements() {
-        let (mut vpus, mut table, mut ext, mut locks) = fixture();
+        let mut fx = fixture();
         for i in 0..8 {
-            vpus[0].line_mut(3)[i * 4..i * 4 + 4].copy_from_slice(&(i as i32).to_le_bytes());
+            fx.line(3)[i * 4..i * 4 + 4].copy_from_slice(&(i as i32).to_le_bytes());
         }
-        let mut chans = shared();
-        let mut c = ctx(&mut vpus, &mut table, &mut ext, &mut locks, &mut chans);
+        let mut c = fx.ctx();
         c.store_row_strided(3, 0, 2, 4, Sew::Word, 0x2000_4000);
         assert!(c.phases.writeback > 0);
         for k in 0..4u32 {
-            assert_eq!(ext.read_u32(0x2000_4000 + k * 4).unwrap(), 2 * k);
+            assert_eq!(fx.cache.ext.read_u32(0x2000_4000 + k * 4).unwrap(), 2 * k);
         }
     }
 
     #[test]
     fn compute_services_charge_compute_phase() {
-        let (mut vpus, mut table, mut ext, mut locks) = fixture();
-        let mut chans = shared();
-        let mut c = ctx(&mut vpus, &mut table, &mut ext, &mut locks, &mut chans);
+        let mut fx = fixture();
+        let mut c = fx.ctx();
         c.set_vl(8, Sew::Word).unwrap();
         c.set_scalar(Sr::new(0).unwrap(), 7);
         let before = c.phases.compute;
@@ -642,9 +606,8 @@ mod tests {
 
     #[test]
     fn local_issue_keeps_control_traffic_off_the_ecpu() {
-        let (mut vpus, mut table, mut ext, mut locks) = fixture();
-        let mut chans = shared();
-        let mut c = ctx(&mut vpus, &mut table, &mut ext, &mut locks, &mut chans);
+        let mut fx = fixture();
+        let mut c = fx.ctx();
         c.local_issue = true;
         c.set_vl(8, Sew::Word).unwrap();
         c.set_scalar(Sr::new(0).unwrap(), 7);
@@ -656,22 +619,20 @@ mod tests {
         assert_eq!(c.peek(Vr::new(1).unwrap(), 0, Sew::Word), 7);
         assert!(c.phases.compute > 0, "cycles still charged to the kernel");
         assert!(
-            chans.ecpu.is_empty(),
+            fx.ecpu.is_empty(),
             "descriptor-mode control traffic must not book the eCPU"
         );
-        assert_eq!(chans.ecpu_stats.requests, 0);
+        assert_eq!(fx.ecpu_stats.requests, 0);
     }
 
     #[test]
     fn dma_channel_serialises() {
-        let (mut vpus, mut table, mut ext, mut locks) = fixture();
-        let mut chans = shared();
+        let mut fx = fixture();
         // Another kernel's transfer occupies the fabric around the time
         // this kernel wants it.
-        chans
-            .fabric
+        fx.fabric
             .request(Fabric::vpu_port(1), 0x2000_0000, 0, 5_000);
-        let mut c = ctx(&mut vpus, &mut table, &mut ext, &mut locks, &mut chans);
+        let mut c = fx.ctx();
         let mat = MatView {
             addr: 0x2000_0000,
             rows: 1,

@@ -1,21 +1,27 @@
-//! The baseline "traditional" data LLC: identical geometry to ARCANE
-//! (fully associative, 128 × 1 KiB lines, write-back, approximate LRU)
-//! but with no compute capability. This is the cache of the baseline
-//! X-HEEP system the paper compares against in Table II and Figure 4.
+//! The cache controller of §III-A1: fully associative, 128 × 1 KiB
+//! lines, write-back, approximate LRU.
+//!
+//! On its own, [`StandardLlc`] is the baseline "traditional" data LLC
+//! of the X-HEEP system the paper compares against in Table II and
+//! Figure 4. [`crate::ArcaneLlc`] is built on the same controller: its
+//! data array is the VPUs' vector registers, and it adds admission
+//! stalls and fabric routing to host accesses through the hooks of
+//! `StandardLlc::access`.
 
 use crate::cache::{access_bytes, CacheTable, Victim};
 use crate::config::ArcaneConfig;
 use arcane_mem::{Access, AccessSize, BusError, ExtMem, Memory};
 use arcane_sim::CacheStats;
 
-/// A conventional write-back LLC in front of external memory.
+/// A write-back LLC in front of external memory.
 #[derive(Debug)]
 pub struct StandardLlc {
-    table: CacheTable,
-    data: Vec<u8>,
-    ext: ExtMem,
-    line_bytes: usize,
-    stats: CacheStats,
+    pub(crate) table: CacheTable,
+    /// The data array: line `i` occupies `i · line_bytes ..`. In
+    /// ARCANE, VPU `v`'s vector registers are lines `v · vregs ..`.
+    pub(crate) data: Vec<u8>,
+    pub(crate) ext: ExtMem,
+    pub(crate) stats: CacheStats,
 }
 
 impl StandardLlc {
@@ -26,7 +32,6 @@ impl StandardLlc {
             table: CacheTable::new(cfg.n_lines(), cfg.line_bytes()),
             data: vec![0; cfg.capacity_bytes()],
             ext: cfg.ext_mem(),
-            line_bytes: cfg.line_bytes(),
             stats: CacheStats::default(),
         }
     }
@@ -46,19 +51,11 @@ impl StandardLlc {
         &self.stats
     }
 
-    /// Flushes every dirty line to external memory (test/sync helper;
-    /// data only, no timing).
+    /// Flushes every dirty line to external memory (test/sync helper:
+    /// no timing, but the write-backs are counted).
     pub fn flush_all(&mut self) {
         for i in 0..self.table.len() {
-            let l = *self.table.line(i);
-            if l.valid && l.dirty {
-                let o = i * self.line_bytes;
-                let data = self.data[o..o + self.line_bytes].to_vec();
-                self.ext
-                    .write_bytes(l.tag, &data)
-                    .expect("cached tag maps to ext memory");
-                self.table.line_mut(i).dirty = false;
-            }
+            self.write_back(i);
         }
     }
 
@@ -74,126 +71,214 @@ impl StandardLlc {
         write: bool,
         value: u32,
         size: AccessSize,
-        _now: u64,
+        now: u64,
+    ) -> Result<Access, BusError> {
+        self.access(
+            addr,
+            write.then_some(value),
+            size,
+            now,
+            |_, _, _, t| t,
+            |_, t, raw| t + raw,
+        )
+    }
+
+    /// One host access issued at `now`, storing `store` or loading.
+    /// Returns the data (0 for a store) and the cycles until it
+    /// completes: a single-cycle hit, plus every admission wait and
+    /// miss service.
+    ///
+    /// The hooks are what a cache with compute adds:
+    ///
+    /// * `admit(addr, len, write, t)` is the first cycle at or after
+    ///   `t` at which the controller may serve `[addr, addr + len)`;
+    ///   any wait counts as a stall;
+    /// * `service(addr, t, raw)` is the cycle at which a miss's
+    ///   write-back plus fill, `raw` cycles started at `t`, ends.
+    ///
+    /// A misaligned access crossing a line boundary is split as the bus
+    /// adapter splits it: one byte transaction per byte, each issued
+    /// when the previous one completes. Consecutive bytes that stay in
+    /// the line just resolved skip the redundant re-probe (the same
+    /// hit count and LRU update), which matters because the XCVPULP
+    /// kernels issue a misaligned word load per output element.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BusError::OutOfRange`] outside the cached region.
+    //
+    // Always inlined, so each caller's hooks fold into its hit path: a
+    // host access is the hottest call of the baseline-cache workloads.
+    #[inline(always)]
+    pub(crate) fn access(
+        &mut self,
+        addr: u32,
+        store: Option<u32>,
+        size: AccessSize,
+        now: u64,
+        mut admit: impl FnMut(u32, u32, bool, u64) -> u64,
+        mut service: impl FnMut(u32, u64, u64) -> u64,
     ) -> Result<Access, BusError> {
         if !self.ext.contains(addr, size.bytes()) {
             return Err(BusError::OutOfRange { addr });
         }
-        // A misaligned access crossing a line boundary becomes two
-        // transactions, one per line (as the bus adapter would split it).
+        let write = store.is_some();
         // Line size is a power of two, so the offset is a mask.
-        let off_in_line = (addr as usize) & (self.line_bytes - 1);
-        if off_in_line + size.bytes() as usize > self.line_bytes {
-            return self.split_access(addr, write, value, size, _now);
-        }
-        let mut service = 0u64;
-        let (line, tag) = match self.table.access(addr) {
-            Some(hit) => {
-                self.stats.hits.incr();
-                hit
-            }
-            None => {
-                self.stats.misses.incr();
-                let i = match self.table.victim(0) {
-                    Victim::Line(i) => i,
-                    Victim::AllBusyUntil(_) => unreachable!("no busy lines without compute"),
-                };
-                service += self.refill(i, addr)?;
-                self.table.touch(i);
-                (i, self.table.line(i).tag)
-            }
-        };
-        let off = line * self.line_bytes + (addr - tag) as usize;
-        let data = access_bytes(&mut self.data, off, write, value, size);
-        if write {
-            self.table.line_mut(line).dirty = true;
-        }
-        Ok(Access::new(data, service + 1))
-    }
-
-    /// A line-crossing access as the bus adapter would split it: one
-    /// byte transaction per byte, in order. Semantically identical to
-    /// recursing into [`StandardLlc::host_access`] per byte (same hit/
-    /// miss counts, LRU updates and cycle charges); consecutive bytes
-    /// that stay in the line just resolved skip the redundant re-probe,
-    /// which matters because the XCVPULP kernels issue a misaligned
-    /// word load per output element.
-    fn split_access(
-        &mut self,
-        addr: u32,
-        write: bool,
-        value: u32,
-        size: AccessSize,
-        _now: u64,
-    ) -> Result<Access, BusError> {
-        let mut data = [0u8; 4];
-        let mut cycles = 0u64;
-        let vb = value.to_le_bytes();
-        let lb = self.line_bytes as u32;
-        let mut cur: Option<(usize, u32)> = None;
-        for i in 0..size.bytes() {
-            let a = addr + i;
-            let (line, tag) = match cur {
-                // Still inside the line of the previous byte: the probe
-                // would hit that same line; apply its state changes
-                // (touch + hit count) without re-probing.
-                Some((line, tag)) if a.wrapping_sub(tag) < lb => {
-                    self.table.touch(line);
-                    self.stats.hits.incr();
-                    (line, tag)
-                }
-                _ => match self.table.access(a) {
-                    Some(hit) => {
-                        self.stats.hits.incr();
-                        hit
-                    }
-                    None => {
-                        self.stats.misses.incr();
-                        let victim = match self.table.victim(0) {
-                            Victim::Line(v) => v,
-                            Victim::AllBusyUntil(_) => {
-                                unreachable!("no busy lines without compute")
-                            }
-                        };
-                        cycles += self.refill(victim, a)?;
-                        self.table.touch(victim);
-                        (victim, self.table.line(victim).tag)
-                    }
-                },
-            };
-            cur = Some((line, tag));
-            let off = line * self.line_bytes + (a - tag) as usize;
+        let lb = self.table.line_bytes();
+        let off = addr as usize & (lb - 1);
+        if off + size.bytes() as usize <= lb {
+            let mut t = self.admit_at(addr, size.bytes(), write, now, &mut admit);
+            let line = self.resolve(addr, &mut t, None, &mut service)?;
+            let value = store.unwrap_or(0);
+            let data = access_bytes(&mut self.data, line * lb + off, write, value, size);
             if write {
-                self.data[off] = vb[i as usize];
+                self.table.line_mut(line).dirty = true;
+            }
+            return Ok(Access::new(data, t + 1 - now));
+        }
+        let vb = store.unwrap_or(0).to_le_bytes();
+        let mut data = [0u8; 4];
+        let mut t = now;
+        let mut known = None;
+        for (k, a) in (addr..addr + size.bytes()).enumerate() {
+            t = self.admit_at(a, 1, write, t, &mut admit);
+            let line = self.resolve(a, &mut t, known, &mut service)?;
+            known = Some(line);
+            let o = line * lb + (a as usize & (lb - 1));
+            if write {
+                self.data[o] = vb[k];
                 self.table.line_mut(line).dirty = true;
             } else {
-                data[i as usize] = self.data[off];
+                data[k] = self.data[o];
             }
-            cycles += 1;
+            t += 1;
         }
-        Ok(Access::new(u32::from_le_bytes(data), cycles))
+        Ok(Access::new(u32::from_le_bytes(data), t - now))
     }
 
-    fn refill(&mut self, i: usize, addr: u32) -> Result<u64, BusError> {
-        let mut cycles = 0;
-        let old = *self.table.line(i);
-        let o = i * self.line_bytes;
-        if old.valid && old.dirty {
-            let data = self.data[o..o + self.line_bytes].to_vec();
-            self.ext.write_bytes(old.tag, &data)?;
-            cycles += self.ext.burst_cycles(self.line_bytes as u64);
-            self.stats.writebacks.incr();
+    /// Runs the `admit` hook for a transaction issued at `t` and counts
+    /// any wait as a stall. Returns the cycle it is admitted.
+    #[inline]
+    fn admit_at(
+        &mut self,
+        addr: u32,
+        len: u32,
+        write: bool,
+        t: u64,
+        admit: &mut impl FnMut(u32, u32, bool, u64) -> u64,
+    ) -> u64 {
+        let ready = admit(addr, len, write, t);
+        if ready > t {
+            self.stats.stalls.incr();
+            self.stats.stall_cycles.add(ready - t);
         }
+        ready
+    }
+
+    /// Finds the line holding `addr` at cycle `*t`, or fills one on a
+    /// miss and advances `*t` to the end of its service. `known` is the
+    /// line of the previous byte of a split access: a byte still inside
+    /// it hits there without a re-probe.
+    ///
+    /// Always inlined: on the aligned path `known` is `None` and the hit
+    /// folds into a plain table probe; as an out-of-line call it cost
+    /// baseline-cache hits about 10% in a host-access loop.
+    #[inline(always)]
+    fn resolve(
+        &mut self,
+        addr: u32,
+        t: &mut u64,
+        known: Option<usize>,
+        service: &mut impl FnMut(u32, u64, u64) -> u64,
+    ) -> Result<usize, BusError> {
+        let hit = match known {
+            Some(line) if self.table.line(line).tag == self.table.tag_of(addr) => {
+                self.table.touch(line);
+                Some(line)
+            }
+            _ => self.table.access(addr).map(|(line, _)| line),
+        };
+        match hit {
+            Some(line) => {
+                self.stats.hits.incr();
+                Ok(line)
+            }
+            None => self.miss(addr, t, service),
+        }
+    }
+
+    /// The miss path of [`StandardLlc::resolve`]: waits for a line no
+    /// kernel is computing on (a stall), writes it back, refills it.
+    /// Kept out of line so the hit path it branches off stays small.
+    #[inline(never)]
+    fn miss(
+        &mut self,
+        addr: u32,
+        t: &mut u64,
+        service: &mut impl FnMut(u32, u64, u64) -> u64,
+    ) -> Result<usize, BusError> {
+        self.stats.misses.incr();
+        let i = loop {
+            match self.table.victim(*t) {
+                Victim::Line(i) => break i,
+                Victim::AllBusyUntil(b) => {
+                    self.stats.stalls.incr();
+                    self.stats.stall_cycles.add(b - *t);
+                    *t = b;
+                }
+            }
+        };
+        let raw = self.write_back(i) + self.fill(i, addr)?;
+        *t = service(addr, *t, raw);
+        self.table.touch(i);
+        Ok(i)
+    }
+
+    /// Writes line `i` back to external memory if it is valid and
+    /// dirty, leaving it clean. Returns the burst cycles (0 when there
+    /// was nothing to write).
+    pub(crate) fn write_back(&mut self, i: usize) -> u64 {
+        let lb = self.table.line_bytes();
+        let l = self.table.line_mut(i);
+        if !(l.valid && l.dirty) {
+            return 0;
+        }
+        l.dirty = false;
+        let tag = l.tag;
+        self.ext
+            .write_bytes(tag, &self.data[i * lb..(i + 1) * lb])
+            .expect("cached tag maps to external memory");
+        self.stats.writebacks.incr();
+        self.ext.burst_cycles(lb as u64)
+    }
+
+    /// Drops every cached line overlapping `[start, end)` without
+    /// writing it back.
+    pub(crate) fn invalidate(&mut self, start: u32, end: u32) {
+        let stale: Vec<usize> = self
+            .table
+            .lines_overlapping(start, end)
+            .map(|(i, _)| i)
+            .collect();
+        for i in stale {
+            let l = self.table.line_mut(i);
+            l.valid = false;
+            l.dirty = false;
+        }
+    }
+
+    /// Fills line `i` (already written back) with the block holding
+    /// `addr`. Returns the burst cycles.
+    fn fill(&mut self, i: usize, addr: u32) -> Result<u64, BusError> {
+        let lb = self.table.line_bytes();
         let tag = self.table.tag_of(addr);
-        let mut buf = vec![0u8; self.line_bytes];
-        self.ext.read_bytes(tag, &mut buf)?;
-        self.data[o..o + self.line_bytes].copy_from_slice(&buf);
-        cycles += self.ext.burst_cycles(self.line_bytes as u64);
+        self.ext
+            .read_bytes(tag, &mut self.data[i * lb..(i + 1) * lb])?;
         let l = self.table.line_mut(i);
         l.tag = tag;
         l.valid = true;
         l.dirty = false;
-        Ok(cycles)
+        Ok(self.ext.burst_cycles(lb as u64))
     }
 }
 

@@ -1,17 +1,15 @@
 //! Memory substrate for the ARCANE reproduction.
 //!
 //! The paper's system (Figure 1) contains an instruction memory, an
-//! external flash/PSRAM behind the LLC, a system bus and the X-HEEP 2-D
-//! DMA used by the Matrix Allocator. This crate models all of them:
+//! external flash/PSRAM behind the LLC and a system bus. This crate
+//! models them (the X-HEEP 2-D DMA of the Matrix Allocator is a cycle
+//! formula in `arcane-core`):
 //!
 //! * [`Bus`] — the CPU-facing port abstraction; every access returns the
 //!   data **and** the cycles it consumed, which is how the timing model
 //!   propagates through the simulation.
 //! * [`Memory`] — byte-addressed storage trait with [`Sram`] (single
 //!   cycle) and [`ExtMem`] (burst-modeled flash/PSRAM) implementations.
-//! * [`Dma2d`] — the 2-D strided DMA engine (paper §III-A4) that the
-//!   cache controller and the Matrix Allocator program to move operand
-//!   tiles between external memory and the VPU cache lines.
 //!
 //! # Examples
 //!
@@ -27,9 +25,7 @@
 #![warn(missing_docs)]
 
 mod bus;
-mod dma;
 mod storage;
 
 pub use bus::{Access, AccessSize, Bus, BusError};
-pub use dma::{Dma2d, DmaJob, DmaTiming};
 pub use storage::{ExtMem, Memory, Sram};

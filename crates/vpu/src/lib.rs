@@ -9,6 +9,10 @@
 //! exactly why 8-bit workloads enjoy a 4× throughput advantage over
 //! 32-bit ones in the paper's Figure 4.
 //!
+//! A [`Vpu`] therefore holds no register bytes of its own: it executes
+//! on the `vregs × vlen_bytes` slice of the cache data array that its
+//! lines occupy, register `i` at byte `i · vlen_bytes`.
+//!
 //! [`Vpu::execute`] interprets a program of
 //! [`arcane_isa::vector::VInstr`] with wrapping two's-complement
 //! semantics and returns the datapath cycles from the lane-limited
@@ -27,15 +31,16 @@
 //! use arcane_vpu::{Vpu, VpuConfig};
 //!
 //! let mut vpu = Vpu::new(VpuConfig::with_lanes(4));
+//! let mut regs = vec![0u8; vpu.config().capacity_bytes()];
 //! let v = |i| Vr::new(i).unwrap();
-//! vpu.line_mut(0)[..4].copy_from_slice(&[1, 2, 3, 4]);
-//! vpu.line_mut(1)[..4].copy_from_slice(&[10, 20, 30, 40]);
+//! regs[..4].copy_from_slice(&[1, 2, 3, 4]);
+//! regs[1024..1028].copy_from_slice(&[10, 20, 30, 40]);
 //! let prog = [
 //!     VInstr::SetVl { vl: 4, sew: Sew::Byte },
 //!     VInstr::OpVV { op: VOp::Add, vd: v(2), vs1: v(0), vs2: v(1) },
 //! ];
-//! let stats = vpu.execute(&prog).unwrap();
-//! assert_eq!(&vpu.line(2)[..4], &[11, 22, 33, 44]);
+//! let stats = vpu.execute(&mut regs, &prog).unwrap();
+//! assert_eq!(&regs[2048..2052], &[11, 22, 33, 44]);
 //! assert!(stats.cycles > 0);
 //! # let _ = Sr::new(0);
 //! ```
@@ -163,17 +168,13 @@ pub struct ExecStats {
     pub instrs: u64,
 }
 
-/// One NM-Carus vector processing unit.
-///
-/// The byte array behind the vector registers is exposed line-by-line
-/// ([`Vpu::line`] / [`Vpu::line_mut`]) because in ARCANE those lines are
-/// simultaneously the cache data array: the controller services hits
-/// from them and the DMA fills them during kernel allocation.
+/// One NM-Carus vector processing unit: scalar registers, vector
+/// length state and the datapath. Its vector registers are the caller's
+/// `regs` slice (in ARCANE, the VPU's lines of the cache data array).
 #[derive(Debug, Clone)]
 pub struct Vpu {
     cfg: VpuConfig,
     timing: VpuTiming,
-    data: Vec<u8>,
     sregs: [u32; 32],
     vl: usize,
     sew: Sew,
@@ -185,12 +186,11 @@ pub struct Vpu {
 }
 
 impl Vpu {
-    /// Creates a VPU with zeroed registers.
+    /// Creates a VPU with zeroed scalar registers.
     pub fn new(cfg: VpuConfig) -> Self {
         Vpu {
             cfg,
             timing: VpuTiming::new(cfg),
-            data: vec![0; cfg.capacity_bytes()],
             sregs: [0; 32],
             vl: cfg.max_vl(Sew::Word),
             sew: Sew::Word,
@@ -202,26 +202,6 @@ impl Vpu {
     /// The VPU configuration.
     pub const fn config(&self) -> &VpuConfig {
         &self.cfg
-    }
-
-    /// Read-only view of vector register / cache line `idx`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of range.
-    pub fn line(&self, idx: usize) -> &[u8] {
-        let vlen = self.cfg.vlen_bytes;
-        &self.data[idx * vlen..(idx + 1) * vlen]
-    }
-
-    /// Mutable view of vector register / cache line `idx`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of range.
-    pub fn line_mut(&mut self, idx: usize) -> &mut [u8] {
-        let vlen = self.cfg.vlen_bytes;
-        &mut self.data[idx * vlen..(idx + 1) * vlen]
     }
 
     /// Writes scalar register `rs` (the eCPU does this before dispatch).
@@ -248,28 +228,39 @@ impl Vpu {
         }
     }
 
-    /// Executes a vector micro-program and returns its statistics.
+    /// Executes a vector micro-program on the vector registers `regs`
+    /// and returns its statistics.
     ///
     /// # Errors
     ///
     /// Returns [`VpuError`] on an over-long `vsetvl` or an out-of-range
     /// register; partially executed programs leave their side effects
     /// (as the hardware would).
-    pub fn execute(&mut self, prog: &[VInstr]) -> Result<ExecStats, VpuError> {
+    ///
+    /// # Panics
+    ///
+    /// Panics if `regs` is shorter than a register named by `prog`
+    /// requires ([`VpuConfig::capacity_bytes`] covers every register).
+    pub fn execute(&mut self, regs: &mut [u8], prog: &[VInstr]) -> Result<ExecStats, VpuError> {
         let mut stats = ExecStats::default();
         for instr in prog {
-            stats.cycles += self.execute_one(instr)?;
+            stats.cycles += self.execute_one(regs, instr)?;
             stats.instrs += 1;
         }
         Ok(stats)
     }
 
-    /// Executes a single vector instruction, returning its cycles.
+    /// Executes a single vector instruction on `regs`, returning its
+    /// cycles.
     ///
     /// # Errors
     ///
     /// See [`Vpu::execute`].
-    pub fn execute_one(&mut self, instr: &VInstr) -> Result<u64, VpuError> {
+    ///
+    /// # Panics
+    ///
+    /// See [`Vpu::execute`].
+    pub fn execute_one(&mut self, regs: &mut [u8], instr: &VInstr) -> Result<u64, VpuError> {
         match *instr {
             VInstr::SetVl { vl, sew } => {
                 let max = self.cfg.max_vl(sew);
@@ -287,18 +278,18 @@ impl Vpu {
                 let d = self.check_vreg(vd)?;
                 let a = self.check_vreg(vs1)?;
                 let b = self.check_vreg(vs2)?;
-                self.stage_line(a, false);
-                self.stage_line(b, true);
-                self.batch_binary(op, d);
+                self.stage_line(regs, a, false);
+                self.stage_line(regs, b, true);
+                self.batch_binary(regs, op, d);
                 Ok(self.timing.elementwise(self.vl, self.sew))
             }
             VInstr::OpVX { op, vd, vs1, rs } => {
                 let d = self.check_vreg(vd)?;
                 let a = self.check_vreg(vs1)?;
                 let scalar = self.truncate(self.sregs[rs.index() as usize]);
-                self.stage_line(a, false);
+                self.stage_line(regs, a, false);
                 self.stage_splat(scalar);
-                self.batch_binary(op, d);
+                self.batch_binary(regs, op, d);
                 Ok(self.timing.elementwise(self.vl, self.sew))
             }
             VInstr::SlideDown { vd, vs1, offset } => {
@@ -311,11 +302,9 @@ impl Vpu {
                 // is still reachable; elements past the register end
                 // read as zero.
                 let n_copy = self.cfg.max_vl(self.sew).saturating_sub(off).min(self.vl);
-                let Vpu {
-                    data, scratch_a, ..
-                } = self;
-                scratch_a[..vlen].copy_from_slice(&data[a * vlen..(a + 1) * vlen]);
-                let dst = &mut data[d * vlen..d * vlen + self.vl * sz];
+                let scratch_a = &mut self.scratch_a;
+                scratch_a[..vlen].copy_from_slice(&regs[a * vlen..(a + 1) * vlen]);
+                let dst = &mut regs[d * vlen..d * vlen + self.vl * sz];
                 dst[..n_copy * sz].copy_from_slice(&scratch_a[off * sz..(off + n_copy) * sz]);
                 dst[n_copy * sz..].fill(0);
                 Ok(self.timing.elementwise(self.vl, self.sew))
@@ -327,11 +316,9 @@ impl Vpu {
                 let vlen = self.cfg.vlen_bytes;
                 let off = offset as usize;
                 let n = self.vl.saturating_sub(off);
-                let Vpu {
-                    data, scratch_a, ..
-                } = self;
-                scratch_a[..n * sz].copy_from_slice(&data[a * vlen..a * vlen + n * sz]);
-                data[d * vlen + off * sz..d * vlen + (off + n) * sz]
+                let scratch_a = &mut self.scratch_a;
+                scratch_a[..n * sz].copy_from_slice(&regs[a * vlen..a * vlen + n * sz]);
+                regs[d * vlen + off * sz..d * vlen + (off + n) * sz]
                     .copy_from_slice(&scratch_a[..n * sz]);
                 Ok(self.timing.elementwise(self.vl, self.sew))
             }
@@ -340,7 +327,7 @@ impl Vpu {
                 let scalar = self.truncate(self.sregs[rs.index() as usize]);
                 let (vl, vlen) = (self.vl, self.cfg.vlen_bytes);
                 let nb = vl * self.sew.bytes();
-                let dst = &mut self.data[d * vlen..d * vlen + nb];
+                let dst = &mut regs[d * vlen..d * vlen + nb];
                 match self.sew {
                     Sew::Byte => batch::splat::<i8>(vl, dst, scalar as i8),
                     Sew::Half => batch::splat::<i16>(vl, dst, scalar as i16),
@@ -353,48 +340,54 @@ impl Vpu {
                 let a = self.check_vreg(vs1)?;
                 let vlen = self.cfg.vlen_bytes;
                 let nb = self.vl * self.sew.bytes();
-                self.data.copy_within(a * vlen..a * vlen + nb, d * vlen);
+                regs.copy_within(a * vlen..a * vlen + nb, d * vlen);
                 Ok(self.timing.elementwise(self.vl, self.sew))
             }
             VInstr::RedSum { vd, vs1 } => {
                 let d = self.check_vreg(vd)?;
                 let a = self.check_vreg(vs1)?;
+                let src = self.line(regs, a);
                 let sum = match self.sew {
-                    Sew::Byte => batch::red_sum::<i8>(self.vl, self.line(a)),
-                    Sew::Half => batch::red_sum::<i16>(self.vl, self.line(a)),
-                    Sew::Word => batch::red_sum::<i32>(self.vl, self.line(a)),
+                    Sew::Byte => batch::red_sum::<i8>(self.vl, src),
+                    Sew::Half => batch::red_sum::<i16>(self.vl, src),
+                    Sew::Word => batch::red_sum::<i32>(self.vl, src),
                 };
-                self.write_elem(d, 0, sum);
+                self.write_elem(regs, d, sum);
                 Ok(self.timing.reduction(self.vl, self.sew))
             }
             VInstr::RedMax { vd, vs1 } => {
                 let d = self.check_vreg(vd)?;
                 let a = self.check_vreg(vs1)?;
+                let src = self.line(regs, a);
                 let m = match self.sew {
-                    Sew::Byte => batch::red_max::<i8>(self.vl, self.line(a)),
-                    Sew::Half => batch::red_max::<i16>(self.vl, self.line(a)),
-                    Sew::Word => batch::red_max::<i32>(self.vl, self.line(a)),
+                    Sew::Byte => batch::red_max::<i8>(self.vl, src),
+                    Sew::Half => batch::red_max::<i16>(self.vl, src),
+                    Sew::Word => batch::red_max::<i32>(self.vl, src),
                 };
-                self.write_elem(d, 0, m);
+                self.write_elem(regs, d, m);
                 Ok(self.timing.reduction(self.vl, self.sew))
             }
         }
     }
 
-    /// Copies the active `vl · sew` bytes of `line` into one of the two
-    /// staging buffers (sources are staged so the destination can alias
-    /// either operand).
-    fn stage_line(&mut self, line: usize, second: bool) {
+    /// Register `idx` of `regs`.
+    fn line<'r>(&self, regs: &'r [u8], idx: usize) -> &'r [u8] {
         let vlen = self.cfg.vlen_bytes;
+        &regs[idx * vlen..(idx + 1) * vlen]
+    }
+
+    /// Copies the active `vl · sew` bytes of register `line` into one
+    /// of the two staging buffers (sources are staged so the
+    /// destination can alias either operand).
+    fn stage_line(&mut self, regs: &[u8], line: usize, second: bool) {
         let nb = self.vl * self.sew.bytes();
-        let Vpu {
-            data,
-            scratch_a,
-            scratch_b,
-            ..
-        } = self;
-        let dst = if second { scratch_b } else { scratch_a };
-        dst[..nb].copy_from_slice(&data[line * vlen..line * vlen + nb]);
+        let src = &self.line(regs, line)[..nb];
+        let dst = if second {
+            &mut self.scratch_b
+        } else {
+            &mut self.scratch_a
+        };
+        dst[..nb].copy_from_slice(src);
     }
 
     /// Fills the second staging buffer with a broadcast scalar
@@ -409,20 +402,14 @@ impl Vpu {
     }
 
     /// Runs the monomorphised batch kernel for `op` over the staged
-    /// sources, writing destination line `d` in place.
-    fn batch_binary(&mut self, op: VOp, d: usize) {
+    /// sources, writing destination register `d` of `regs` in place.
+    fn batch_binary(&self, regs: &mut [u8], op: VOp, d: usize) {
         let vlen = self.cfg.vlen_bytes;
         let vl = self.vl;
         let nb = vl * self.sew.bytes();
-        let sew = self.sew;
-        let Vpu {
-            data,
-            scratch_a,
-            scratch_b,
-            ..
-        } = self;
-        let dst = &mut data[d * vlen..d * vlen + nb];
-        match sew {
+        let (scratch_a, scratch_b) = (&self.scratch_a, &self.scratch_b);
+        let dst = &mut regs[d * vlen..d * vlen + nb];
+        match self.sew {
             Sew::Byte => batch::binary::<i8>(op, vl, dst, scratch_a, scratch_b),
             Sew::Half => batch::binary::<i16>(op, vl, dst, scratch_a, scratch_b),
             Sew::Word => batch::binary::<i32>(op, vl, dst, scratch_a, scratch_b),
@@ -437,14 +424,13 @@ impl Vpu {
         }
     }
 
-    fn write_elem(&mut self, line: usize, i: usize, v: i64) {
-        let sew = self.sew;
-        let o = i * sew.bytes();
-        let bytes = self.line_mut(line);
-        match sew {
-            Sew::Byte => bytes[o] = v as u8,
-            Sew::Half => bytes[o..o + 2].copy_from_slice(&(v as i16).to_le_bytes()),
-            Sew::Word => bytes[o..o + 4].copy_from_slice(&(v as i32).to_le_bytes()),
+    /// Writes `v` as element 0 of register `line` (reduction results).
+    fn write_elem(&self, regs: &mut [u8], line: usize, v: i64) {
+        let bytes = &mut regs[line * self.cfg.vlen_bytes..];
+        match self.sew {
+            Sew::Byte => bytes[0] = v as u8,
+            Sew::Half => bytes[..2].copy_from_slice(&(v as i16).to_le_bytes()),
+            Sew::Word => bytes[..4].copy_from_slice(&(v as i32).to_le_bytes()),
         }
     }
 }
@@ -461,20 +447,26 @@ mod tests {
         Sr::new(i).unwrap()
     }
 
-    fn vpu() -> Vpu {
-        Vpu::new(VpuConfig::with_lanes(4))
+    const VLEN: usize = 1024;
+
+    /// A 4-lane VPU and a zeroed register file for it.
+    fn vpu() -> (Vpu, Vec<u8>) {
+        let u = Vpu::new(VpuConfig::with_lanes(4));
+        let regs = vec![0; u.config().capacity_bytes()];
+        (u, regs)
     }
 
-    fn set_words(vpu: &mut Vpu, line: usize, vals: &[i32]) {
+    fn set_words(regs: &mut [u8], line: usize, vals: &[i32]) {
         for (i, &x) in vals.iter().enumerate() {
-            vpu.line_mut(line)[i * 4..i * 4 + 4].copy_from_slice(&x.to_le_bytes());
+            let o = line * VLEN + i * 4;
+            regs[o..o + 4].copy_from_slice(&x.to_le_bytes());
         }
     }
 
-    fn get_words(vpu: &Vpu, line: usize, n: usize) -> Vec<i32> {
+    fn get_words(regs: &[u8], line: usize, n: usize) -> Vec<i32> {
         (0..n)
             .map(|i| {
-                let b = &vpu.line(line)[i * 4..i * 4 + 4];
+                let b = &regs[line * VLEN + i * 4..];
                 i32::from_le_bytes([b[0], b[1], b[2], b[3]])
             })
             .collect()
@@ -482,155 +474,176 @@ mod tests {
 
     #[test]
     fn add_and_macc_word() {
-        let mut u = vpu();
-        set_words(&mut u, 0, &[1, -2, 3, i32::MAX]);
-        set_words(&mut u, 1, &[10, 20, -30, 1]);
-        set_words(&mut u, 2, &[100, 100, 100, 100]);
-        u.execute(&[
-            VInstr::SetVl {
-                vl: 4,
-                sew: Sew::Word,
-            },
-            VInstr::OpVV {
-                op: VOp::Macc,
-                vd: v(2),
-                vs1: v(0),
-                vs2: v(1),
-            },
-        ])
+        let (mut u, mut r) = vpu();
+        set_words(&mut r, 0, &[1, -2, 3, i32::MAX]);
+        set_words(&mut r, 1, &[10, 20, -30, 1]);
+        set_words(&mut r, 2, &[100, 100, 100, 100]);
+        u.execute(
+            &mut r,
+            &[
+                VInstr::SetVl {
+                    vl: 4,
+                    sew: Sew::Word,
+                },
+                VInstr::OpVV {
+                    op: VOp::Macc,
+                    vd: v(2),
+                    vs1: v(0),
+                    vs2: v(1),
+                },
+            ],
+        )
         .unwrap();
         assert_eq!(
-            get_words(&u, 2, 4),
+            get_words(&r, 2, 4),
             vec![110, 60, 10, 100i32.wrapping_add(i32::MAX)]
         );
     }
 
     #[test]
     fn byte_arithmetic_wraps() {
-        let mut u = vpu();
-        u.line_mut(0)[..2].copy_from_slice(&[0x7f, 0x80]);
-        u.line_mut(1)[..2].copy_from_slice(&[1, 0xff]);
-        u.execute(&[
-            VInstr::SetVl {
-                vl: 2,
-                sew: Sew::Byte,
-            },
-            VInstr::OpVV {
-                op: VOp::Add,
-                vd: v(2),
-                vs1: v(0),
-                vs2: v(1),
-            },
-        ])
+        let (mut u, mut r) = vpu();
+        r[..2].copy_from_slice(&[0x7f, 0x80]);
+        r[VLEN..VLEN + 2].copy_from_slice(&[1, 0xff]);
+        u.execute(
+            &mut r,
+            &[
+                VInstr::SetVl {
+                    vl: 2,
+                    sew: Sew::Byte,
+                },
+                VInstr::OpVV {
+                    op: VOp::Add,
+                    vd: v(2),
+                    vs1: v(0),
+                    vs2: v(1),
+                },
+            ],
+        )
         .unwrap();
-        assert_eq!(&u.line(2)[..2], &[0x80, 0x7f]); // 127+1=-128, -128+-1=127
+        assert_eq!(&r[2 * VLEN..2 * VLEN + 2], &[0x80, 0x7f]); // 127+1=-128, -128+-1=127
     }
 
     #[test]
     fn scalar_broadcast_and_vx_ops() {
-        let mut u = vpu();
-        set_words(&mut u, 0, &[5, -5, 0, 2]);
+        let (mut u, mut r) = vpu();
+        set_words(&mut r, 0, &[5, -5, 0, 2]);
         u.set_sreg(s(3), 3);
-        u.execute(&[
-            VInstr::SetVl {
-                vl: 4,
-                sew: Sew::Word,
-            },
-            VInstr::OpVX {
-                op: VOp::Mul,
-                vd: v(1),
-                vs1: v(0),
-                rs: s(3),
-            },
-            VInstr::BroadcastX { vd: v(2), rs: s(3) },
-        ])
+        u.execute(
+            &mut r,
+            &[
+                VInstr::SetVl {
+                    vl: 4,
+                    sew: Sew::Word,
+                },
+                VInstr::OpVX {
+                    op: VOp::Mul,
+                    vd: v(1),
+                    vs1: v(0),
+                    rs: s(3),
+                },
+                VInstr::BroadcastX { vd: v(2), rs: s(3) },
+            ],
+        )
         .unwrap();
-        assert_eq!(get_words(&u, 1, 4), vec![15, -15, 0, 6]);
-        assert_eq!(get_words(&u, 2, 4), vec![3, 3, 3, 3]);
+        assert_eq!(get_words(&r, 1, 4), vec![15, -15, 0, 6]);
+        assert_eq!(get_words(&r, 2, 4), vec![3, 3, 3, 3]);
     }
 
     #[test]
     fn relu_via_max_vx() {
-        let mut u = vpu();
-        set_words(&mut u, 0, &[5, -5, 0, -1]);
+        let (mut u, mut r) = vpu();
+        set_words(&mut r, 0, &[5, -5, 0, -1]);
         u.set_sreg(s(0), 0);
-        u.execute(&[
-            VInstr::SetVl {
-                vl: 4,
-                sew: Sew::Word,
-            },
-            VInstr::OpVX {
-                op: VOp::Max,
-                vd: v(0),
-                vs1: v(0),
-                rs: s(0),
-            },
-        ])
+        u.execute(
+            &mut r,
+            &[
+                VInstr::SetVl {
+                    vl: 4,
+                    sew: Sew::Word,
+                },
+                VInstr::OpVX {
+                    op: VOp::Max,
+                    vd: v(0),
+                    vs1: v(0),
+                    rs: s(0),
+                },
+            ],
+        )
         .unwrap();
-        assert_eq!(get_words(&u, 0, 4), vec![5, 0, 0, 0]);
+        assert_eq!(get_words(&r, 0, 4), vec![5, 0, 0, 0]);
     }
 
     #[test]
     fn slide_down_pulls_beyond_vl() {
-        let mut u = vpu();
-        set_words(&mut u, 0, &[1, 2, 3, 4, 5, 6]);
-        u.execute(&[
-            VInstr::SetVl {
-                vl: 4,
-                sew: Sew::Word,
-            },
-            VInstr::SlideDown {
-                vd: v(1),
-                vs1: v(0),
-                offset: 2,
-            },
-        ])
+        let (mut u, mut r) = vpu();
+        set_words(&mut r, 0, &[1, 2, 3, 4, 5, 6]);
+        u.execute(
+            &mut r,
+            &[
+                VInstr::SetVl {
+                    vl: 4,
+                    sew: Sew::Word,
+                },
+                VInstr::SlideDown {
+                    vd: v(1),
+                    vs1: v(0),
+                    offset: 2,
+                },
+            ],
+        )
         .unwrap();
         // elements 2..6 visible: slide reads the full register
-        assert_eq!(get_words(&u, 1, 4), vec![3, 4, 5, 6]);
+        assert_eq!(get_words(&r, 1, 4), vec![3, 4, 5, 6]);
     }
 
     #[test]
     fn slide_up_preserves_prefix() {
-        let mut u = vpu();
-        set_words(&mut u, 0, &[1, 2, 3, 4]);
-        set_words(&mut u, 1, &[9, 9, 9, 9]);
-        u.execute(&[
-            VInstr::SetVl {
-                vl: 4,
-                sew: Sew::Word,
-            },
-            VInstr::SlideUp {
-                vd: v(1),
-                vs1: v(0),
-                offset: 1,
-            },
-        ])
+        let (mut u, mut r) = vpu();
+        set_words(&mut r, 0, &[1, 2, 3, 4]);
+        set_words(&mut r, 1, &[9, 9, 9, 9]);
+        u.execute(
+            &mut r,
+            &[
+                VInstr::SetVl {
+                    vl: 4,
+                    sew: Sew::Word,
+                },
+                VInstr::SlideUp {
+                    vd: v(1),
+                    vs1: v(0),
+                    offset: 1,
+                },
+            ],
+        )
         .unwrap();
-        assert_eq!(get_words(&u, 1, 4), vec![9, 1, 2, 3]);
+        assert_eq!(get_words(&r, 1, 4), vec![9, 1, 2, 3]);
     }
 
     #[test]
     fn reductions() {
-        let mut u = vpu();
-        set_words(&mut u, 0, &[1, -2, 30, 4]);
-        u.execute(&[
-            VInstr::SetVl {
-                vl: 4,
-                sew: Sew::Word,
-            },
-            VInstr::RedSum {
-                vd: v(1),
-                vs1: v(0),
-            },
-            VInstr::RedMax {
-                vd: v(2),
-                vs1: v(0),
-            },
-        ])
+        let (mut u, mut r) = vpu();
+        set_words(&mut r, 0, &[1, -2, 30, 4]);
+        u.execute(
+            &mut r,
+            &[
+                VInstr::SetVl {
+                    vl: 4,
+                    sew: Sew::Word,
+                },
+                VInstr::RedSum {
+                    vd: v(1),
+                    vs1: v(0),
+                },
+                VInstr::RedMax {
+                    vd: v(2),
+                    vs1: v(0),
+                },
+            ],
+        )
         .unwrap();
-        assert_eq!(get_words(&u, 1, 1), vec![33]);
-        assert_eq!(get_words(&u, 2, 1), vec![30]);
+        assert_eq!(get_words(&r, 1, 1), vec![33]);
+        assert_eq!(get_words(&r, 2, 1), vec![30]);
     }
 
     #[test]
@@ -648,27 +661,47 @@ mod tests {
 
     #[test]
     fn setvl_rejects_oversize() {
-        let mut u = vpu();
+        let (mut u, mut r) = vpu();
         let err = u
-            .execute(&[VInstr::SetVl {
-                vl: 2048,
-                sew: Sew::Word,
-            }])
+            .execute(
+                &mut r,
+                &[VInstr::SetVl {
+                    vl: 2048,
+                    sew: Sew::Word,
+                }],
+            )
             .unwrap_err();
         assert_eq!(err, VpuError::VlTooLarge { vl: 2048, max: 256 });
         // int8 allows the full 1024
-        u.execute(&[VInstr::SetVl {
-            vl: 1024,
-            sew: Sew::Byte,
-        }])
+        u.execute(
+            &mut r,
+            &[VInstr::SetVl {
+                vl: 1024,
+                sew: Sew::Byte,
+            }],
+        )
         .unwrap();
     }
 
     #[test]
     fn lines_alias_vector_registers() {
-        let mut u = vpu();
-        u.line_mut(7)[0] = 42;
-        assert_eq!(u.line(7)[0], 42);
+        let (mut u, mut r) = vpu();
+        r[7 * VLEN] = 42;
+        u.execute(
+            &mut r,
+            &[
+                VInstr::SetVl {
+                    vl: 1,
+                    sew: Sew::Byte,
+                },
+                VInstr::Move {
+                    vd: v(8),
+                    vs1: v(7),
+                },
+            ],
+        )
+        .unwrap();
+        assert_eq!(r[8 * VLEN], 42);
         assert_eq!(u.config().capacity_bytes(), 32 * 1024);
     }
 }

@@ -184,6 +184,61 @@ fn shape_mismatch_is_killed() {
 }
 
 #[test]
+fn empty_matrix_operand_is_killed_before_booking() {
+    let mut llc = ArcaneLlc::new(ArcaneConfig::with_lanes(4));
+    let sew = Sew::Word;
+    // m0 is 2 rows x 0 cols, m1 is 0 rows x 2 cols: shapes a transpose
+    // accepts, but there is nothing to move.
+    let (r1, r2, r3) = xmnmc::pack_xmr(A_ADDR, 1, m(0), 0, 2);
+    llc.offload(x(FUNC5_XMR, sew), r1, r2, r3, 0);
+    let (r1, r2, r3) = xmnmc::pack_xmr(R_ADDR, 1, m(1), 2, 0);
+    llc.offload(x(FUNC5_XMR, sew), r1, r2, r3, 2);
+    let (r1, r2, r3) = xmnmc::pack_kernel(0, 0, m(1), m(0), m(0), m(0));
+    let resp = llc.offload(x(kernel_id::TRANSPOSE, sew), r1, r2, r3, 4);
+    assert_eq!(resp, XifResponse::Reject);
+    assert_eq!(
+        llc.last_error(),
+        Some(&KernelError::ShapeMismatch {
+            what: "empty matrix operand"
+        })
+    );
+    assert!(llc.records().is_empty());
+}
+
+#[test]
+fn line_crossing_store_to_a_source_stalls_once() {
+    // Reference: an aligned word store into the source at t = 10 stalls
+    // once, to the end of the source's WAR window.
+    let mut aligned = ArcaneLlc::new(ArcaneConfig::with_lanes(4));
+    launch_conv(&mut aligned, 5);
+    let before = *aligned.stats();
+    aligned
+        .host_access(A_ADDR + 1020, true, 7, AccessSize::Word, 10)
+        .unwrap();
+    let window = aligned.stats().stall_cycles.get() - before.stall_cycles.get();
+    assert!(window > 1000, "the WAR window is open at t = 10");
+
+    // A word straddling a line boundary of the source becomes four byte
+    // transactions, each issued when the previous one completes: the
+    // first waits out the window, the rest find it closed.
+    let mut llc = ArcaneLlc::new(ArcaneConfig::with_lanes(4));
+    launch_conv(&mut llc, 5);
+    let before = *llc.stats();
+    let store = llc
+        .host_access(A_ADDR + 1022, true, 0x0a0b_0c0d, AccessSize::Word, 10)
+        .unwrap();
+    let s = *llc.stats();
+    assert_eq!(s.stalls.get() - before.stalls.get(), 1);
+    assert_eq!(s.stall_cycles.get() - before.stall_cycles.get(), window);
+    assert!(store.cycles > window && store.cycles < 2 * window);
+    let t = 10 + store.cycles;
+    let load = llc
+        .host_access(A_ADDR + 1022, false, 0, AccessSize::Word, t)
+        .unwrap();
+    assert_eq!(load.data, 0x0a0b_0c0d);
+}
+
+#[test]
 fn kernel_queue_backpressure_stalls_the_host() {
     let mut cfg = ArcaneConfig::with_lanes(2);
     cfg.kernel_queue_capacity = 2;

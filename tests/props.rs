@@ -6,7 +6,6 @@ use arcane::isa::reg::Gpr;
 use arcane::isa::rv32::{self, AluImmOp, AluOp, BranchOp, Instr, LoadOp, StoreOp};
 use arcane::isa::vector::{self, all_vops, Sr, VInstr, Vr};
 use arcane::isa::xmnmc::{self, XInstr};
-use arcane::mem::{Dma2d, DmaJob, Memory, Sram};
 use arcane::sim::Sew;
 use arcane::vpu::{Vpu, VpuConfig};
 use arcane::workloads;
@@ -189,44 +188,6 @@ proptest! {
     }
 
     #[test]
-    fn dma_2d_equals_reference_copy(
-        rows in 1u32..8,
-        cols in 1u32..16,
-        elem in prop_oneof![Just(1u32), Just(2), Just(4)],
-        src_pad in 0u32..8,
-        dst_pad in 0u32..8,
-    ) {
-        let row_bytes = cols * elem;
-        let src_stride = row_bytes + src_pad;
-        let dst_stride = row_bytes + dst_pad;
-        let src_size = (src_stride * rows + 64) as usize;
-        let dst_size = (dst_stride * rows + 64) as usize;
-        let mut src = Sram::new(0, src_size);
-        for i in 0..src_size {
-            src.write_bytes(i as u32, &[(i * 37 + 11) as u8]).unwrap();
-        }
-        let mut dst = Sram::new(0x10_0000, dst_size);
-        let job = DmaJob {
-            src: 0,
-            dst: 0x10_0000,
-            elem_bytes: elem,
-            cols,
-            rows,
-            src_stride,
-            dst_stride,
-        };
-        Dma2d::default().execute(&job, &src, &mut dst).unwrap();
-        // Reference: row-by-row copy.
-        for r in 0..rows {
-            let mut want = vec![0u8; row_bytes as usize];
-            src.read_bytes(r * src_stride, &mut want).unwrap();
-            let mut got = vec![0u8; row_bytes as usize];
-            dst.read_bytes(0x10_0000 + r * dst_stride, &mut got).unwrap();
-            prop_assert_eq!(got, want, "row {}", r);
-        }
-    }
-
-    #[test]
     fn vpu_elementwise_matches_golden_semantics(
         sew in sew(),
         op_idx in 0usize..6,
@@ -238,17 +199,18 @@ proptest! {
         let ops = [VOp::Add, VOp::Sub, VOp::Mul, VOp::Macc, VOp::Max, VOp::Min];
         let op = ops[op_idx];
         let mut vpu = Vpu::new(VpuConfig::with_lanes(4));
+        let vlen = vpu.config().vlen_bytes;
+        let mut regs = vec![0u8; vpu.config().capacity_bytes()];
         let a = workloads::Matrix::from_values(1, n, &data_a[..n]);
         let b = workloads::Matrix::from_values(1, n, &data_b[..n]);
-        vpu.line_mut(0)[..n * sew.bytes()].copy_from_slice(&a.to_bytes(sew));
-        vpu.line_mut(1)[..n * sew.bytes()].copy_from_slice(&b.to_bytes(sew));
-        vpu.line_mut(2).fill(0);
+        regs[..n * sew.bytes()].copy_from_slice(&a.to_bytes(sew));
+        regs[vlen..vlen + n * sew.bytes()].copy_from_slice(&b.to_bytes(sew));
         let v = |i| Vr::new(i).unwrap();
-        vpu.execute(&[
+        vpu.execute(&mut regs, &[
             VInstr::SetVl { vl: n as u16, sew },
             VInstr::OpVV { op, vd: v(2), vs1: v(0), vs2: v(1) },
         ]).unwrap();
-        let got = workloads::Matrix::from_bytes(1, n, sew, vpu.line(2));
+        let got = workloads::Matrix::from_bytes(1, n, sew, &regs[2 * vlen..3 * vlen]);
         for i in 0..n {
             let (x, y) = (workloads::wrap(data_a[i], sew), workloads::wrap(data_b[i], sew));
             let want = match op {
