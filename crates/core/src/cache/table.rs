@@ -233,19 +233,6 @@ impl CacheTable {
         }
     }
 
-    /// Iterates over `(index, state)` of lines whose cached block
-    /// overlaps `[start, end)`.
-    pub(crate) fn lines_overlapping(
-        &self,
-        start: u32,
-        end: u32,
-    ) -> impl Iterator<Item = (usize, &LineState)> {
-        let lb = self.line_bytes as u64;
-        self.lines.iter().enumerate().filter(move |(_, l)| {
-            l.valid && (l.tag as u64) < end as u64 && (l.tag as u64 + lb) > start as u64
-        })
-    }
-
     /// Number of valid dirty lines within the line-index range
     /// `[from, to)` (used by the scheduler's fewest-dirty-lines policy).
     pub(crate) fn dirty_in_range(&self, from: usize, to: usize) -> usize {
@@ -353,25 +340,6 @@ mod tests {
         }
         assert!(t.age_of(0) < u8::MAX, "aging pass must decay counters");
         assert_eq!(t.age_of(1), u8::MAX, "line 1 was just touched");
-    }
-
-    #[test]
-    fn overlap_iterator() {
-        let mut t = table();
-        t.line_mut(0).valid = true;
-        t.line_mut(0).tag = 0x1000;
-        t.line_mut(1).valid = true;
-        t.line_mut(1).tag = 0x2000;
-        let hits: Vec<usize> = t
-            .lines_overlapping(0x13ff, 0x1401)
-            .map(|(i, _)| i)
-            .collect();
-        assert_eq!(hits, vec![0]);
-        let hits: Vec<usize> = t
-            .lines_overlapping(0x1000, 0x2400)
-            .map(|(i, _)| i)
-            .collect();
-        assert_eq!(hits, vec![0, 1]);
     }
 
     #[test]

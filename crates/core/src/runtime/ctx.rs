@@ -209,30 +209,6 @@ impl<'a> KernelCtx<'a> {
         self.vpu_index * n..(self.vpu_index + 1) * n
     }
 
-    /// Writes back every dirty cache line overlapping `[start, end)`,
-    /// returning the cycles consumed. This is the coherence step of the
-    /// software-driven DMA (§III-A4): allocation reads must observe
-    /// host stores that are still cache-resident.
-    fn flush_range(&mut self, start: u32, end: u32) -> u64 {
-        let dirty: Vec<usize> = self
-            .cache
-            .table
-            .lines_overlapping(start, end)
-            .filter(|(_, l)| l.dirty)
-            .map(|(i, _)| i)
-            .collect();
-        dirty.into_iter().map(|i| self.cache.write_back(i)).sum()
-    }
-
-    /// Writes back, then drops, every cache line overlapping a kernel
-    /// destination `[start, end)`: host-dirty bytes sharing a line with
-    /// it are preserved, and no stale copy outlives the store.
-    fn release_range(&mut self, start: u32, end: u32) -> u64 {
-        let cycles = self.flush_range(start, end);
-        self.cache.invalidate(start, end);
-        cycles
-    }
-
     /// Evicts whatever the cache holds in this VPU's register `vreg`
     /// (write-back if dirty), freeing it for kernel data.
     ///
@@ -246,9 +222,7 @@ impl<'a> KernelCtx<'a> {
         if !l.valid {
             return 0;
         }
-        let cycles = self.cache.write_back(i);
-        self.cache.invalidate(l.tag, l.tag + 1);
-        cycles
+        self.cache.sweep(l.tag, l.tag + 1, true)
     }
 
     /// Loads `n_rows` rows of `mat`, starting at `row0`, into
@@ -281,10 +255,13 @@ impl<'a> KernelCtx<'a> {
         let t0 = self.t;
         let mut work = CRT.lock_acquire + CRT.tile_overhead;
 
-        // Coherence: push host-dirty data for these rows out to memory.
+        // Coherence, the software-driven DMA's first step (§III-A4):
+        // allocation reads must observe host stores that are still
+        // cache-resident, so push the dirty lines these rows overlap out
+        // to memory.
         let start = mat.row_addr(row0);
         let end = mat.row_addr(row0 + n_rows - 1) + mat.row_bytes();
-        work += self.flush_range(start, end);
+        work += self.cache.sweep(start, end, false);
 
         // Free the target registers.
         for v in vreg0..vreg0 + n_rows {
@@ -350,7 +327,10 @@ impl<'a> KernelCtx<'a> {
         let mut work = CRT.lock_acquire;
         let sz = sew.bytes();
         let span = dst_pitch_bytes * (n as u32 - 1) + sz as u32;
-        work += self.release_range(dst_addr, dst_addr + span);
+        // Write back, then drop, the lines overlapping the destination:
+        // host-dirty bytes sharing a line with it are preserved, and no
+        // stale copy outlives the store.
+        work += self.cache.sweep(dst_addr, dst_addr + span, true);
         self.t += work;
 
         // Scattered single-element writes cannot burst: every element
@@ -394,7 +374,8 @@ impl<'a> KernelCtx<'a> {
         let mut work = CRT.lock_acquire;
 
         let bytes_out = (n_out * sew.bytes()) as u32;
-        work += self.release_range(dst_addr, dst_addr + bytes_out);
+        // Release the destination's lines, as in `store_row_as_column`.
+        work += self.cache.sweep(dst_addr, dst_addr + bytes_out, true);
         self.t += work;
 
         // A dense row (stride 1) is a single-row burst for the DMA.

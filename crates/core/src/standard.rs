@@ -252,19 +252,24 @@ impl StandardLlc {
         self.ext.burst_cycles(lb as u64)
     }
 
-    /// Drops every cached line overlapping `[start, end)` without
-    /// writing it back.
-    pub(crate) fn invalidate(&mut self, start: u32, end: u32) {
-        let stale: Vec<usize> = self
-            .table
-            .lines_overlapping(start, end)
-            .map(|(i, _)| i)
-            .collect();
-        for i in stale {
-            let l = self.table.line_mut(i);
-            l.valid = false;
-            l.dirty = false;
+    /// Writes back every dirty cached line overlapping `[start, end)`,
+    /// in line order, and also drops each overlapping line when `drop`
+    /// is set. Returns the write-back burst cycles.
+    pub(crate) fn sweep(&mut self, start: u32, end: u32, drop: bool) -> u64 {
+        let lb = self.table.line_bytes() as u64;
+        let mut cycles = 0;
+        for i in 0..self.table.len() {
+            let l = self.table.line(i);
+            let tag = l.tag as u64;
+            if !(l.valid && tag < end as u64 && tag + lb > start as u64) {
+                continue;
+            }
+            cycles += self.write_back(i);
+            if drop {
+                self.table.line_mut(i).valid = false;
+            }
         }
+        cycles
     }
 
     /// Fills line `i` (already written back) with the block holding
@@ -328,6 +333,24 @@ mod tests {
             .unwrap();
         let r = c.host_access(a, false, 0, AccessSize::Half, 0).unwrap();
         assert_eq!(r.data, 0x2211);
+    }
+
+    #[test]
+    fn sweep_writes_back_and_drops_overlapping_lines() {
+        let mut c = cache();
+        for (i, tag) in [(0, 0x2000_1000), (1, 0x2000_2000)] {
+            let l = c.table.line_mut(i);
+            l.valid = true;
+            l.dirty = true;
+            l.tag = tag;
+        }
+        assert!(c.sweep(0x2000_13ff, 0x2000_1401, false) > 0);
+        assert_eq!(c.stats().writebacks.get(), 1, "only line 0 overlaps");
+        assert!(c.table.line(0).valid && !c.table.line(0).dirty);
+        assert!(c.table.line(1).dirty, "line 1 is untouched");
+        c.sweep(0x2000_1000, 0x2000_2400, true);
+        assert_eq!(c.stats().writebacks.get(), 2, "line 0 is already clean");
+        assert!(!c.table.line(0).valid && !c.table.line(1).valid);
     }
 
     #[test]

@@ -11,6 +11,10 @@
 //! first-come-first-served per kernel, interleaved across kernels.
 
 /// A shared, single-ported resource booked in absolute-cycle windows.
+///
+/// Nothing is ever unbooked: the busy set only grows. The calendar
+/// relies on that to remember one span a search already proved full
+/// (see [`ResourceChannel::reserve`]).
 #[derive(Debug, Clone, Default)]
 pub struct ResourceChannel {
     /// Busy windows sorted by start time.
@@ -18,6 +22,11 @@ pub struct ResourceChannel {
     /// Index of the window the last booking landed in: where the next
     /// search starts (consecutive requests land next to each other).
     hint: usize,
+    /// `(a, b, d)`: no gap of `d` or more cycles starts in `[a, b)`:
+    /// a search for `d` cycles walked it, and `b` is the end of the
+    /// window that search booked. The busy set only grows, so the span
+    /// stays full for every duration `>= d`.
+    full: (u64, u64, u64),
 }
 
 impl ResourceChannel {
@@ -38,11 +47,45 @@ impl ResourceChannel {
     /// representation is compacted, which keeps the back-to-back issue
     /// pattern of a long kernel (millions of eCPU slots) at a handful
     /// of windows instead of O(n²) scans.
+    ///
+    /// Most requests start at or past the horizon (the last window's
+    /// end) and append without a search. A request behind it that
+    /// starts inside the span the last search proved full for a
+    /// duration no longer than its own resumes at that span's end.
+    #[inline]
     pub fn reserve(&mut self, earliest: u64, duration: u64) -> (u64, u64) {
         if duration == 0 {
             return (earliest, earliest);
         }
-        let mut t = earliest;
+        if earliest >= self.horizon() {
+            self.append(earliest, earliest + duration);
+            return (earliest, earliest + duration);
+        }
+        self.reserve_behind(earliest, duration)
+    }
+
+    /// Books `[start, end)` at or past the horizon, coalescing with the
+    /// last window when it ends exactly at `start`.
+    #[inline]
+    fn append(&mut self, start: u64, end: u64) {
+        match self.windows.last_mut() {
+            Some(w) if w.1 == start => w.1 = end,
+            _ => self.windows.push((start, end)),
+        }
+        self.hint = self.windows.len() - 1;
+    }
+
+    /// The gap search of [`ResourceChannel::reserve`] for a request
+    /// starting behind the horizon.
+    #[inline(never)]
+    fn reserve_behind(&mut self, earliest: u64, duration: u64) -> (u64, u64) {
+        let (a, b, d) = self.full;
+        let from = if duration >= d && (a..b).contains(&earliest) {
+            b
+        } else {
+            earliest
+        };
+        let mut t = from;
         let mut i = self.first_ending_after(t);
         while i < self.windows.len() {
             let (s, e) = self.windows[i];
@@ -52,7 +95,18 @@ impl ResourceChannel {
             t = e; // collide: try right after this window
             i += 1;
         }
-        let win = (t, t + duration);
+        // No gap of `duration` starts in `[from, t)`, nor inside the
+        // booking about to be made at `t`.
+        let a = if duration == d && from == b { a } else { from };
+        self.full = (a, t + duration, duration);
+        self.splice(i, (t, t + duration));
+        (t, t + duration)
+    }
+
+    /// Books `win`, which lies in the gap before window `i`, coalescing
+    /// with exact neighbours. Returns the index of the window now
+    /// holding `win`.
+    fn splice(&mut self, i: usize, win: (u64, u64)) -> usize {
         let touches_prev = i > 0 && self.windows[i - 1].1 == win.0;
         let touches_next = i < self.windows.len() && self.windows[i].0 == win.1;
         match (touches_prev, touches_next) {
@@ -65,7 +119,7 @@ impl ResourceChannel {
             (false, false) => self.windows.insert(i, win),
         }
         self.hint = if touches_prev { i - 1 } else { i };
-        (win.0, win.1)
+        self.hint
     }
 
     /// Index of the first window ending after `t` (every earlier window
@@ -119,6 +173,9 @@ impl ResourceChannel {
     /// weave into whatever gaps exist (the C-RT is a preemptive runtime:
     /// IRQ decoding interleaves with kernel dispatch, §IV-B).
     ///
+    /// Once a chunk reaches the horizon, the rest is appended as one
+    /// window: back-to-back chunks would coalesce into it anyway.
+    ///
     /// Returns `(first_start, last_end)`.
     pub fn reserve_fragmented(&mut self, earliest: u64, total: u64, chunk: u64) -> (u64, u64) {
         assert!(chunk > 0, "chunk must be positive");
@@ -126,33 +183,19 @@ impl ResourceChannel {
         let mut t = earliest;
         let mut first = None;
         while remaining > 0 {
+            if t >= self.horizon() {
+                self.append(t, t + remaining);
+                first.get_or_insert(t);
+                t += remaining;
+                break;
+            }
             let d = remaining.min(chunk);
             let (s, e) = self.reserve(t, d);
-            if first.is_none() {
-                first = Some(s);
-            }
+            first.get_or_insert(s);
             t = e;
             remaining -= d;
         }
         (first.unwrap_or(earliest), t)
-    }
-
-    /// Length of the free gap beginning at the earliest idle cycle at
-    /// or after `earliest` (the slice a work-conserving arbiter would
-    /// hand out next). Returns `(gap_start, gap_len)`; `gap_len` is
-    /// `u64::MAX` for the open-ended gap past the last window.
-    fn next_gap(&self, earliest: u64) -> (u64, u64) {
-        let mut t = earliest;
-        let mut i = self.first_ending_after(t);
-        while i < self.windows.len() {
-            let (s, e) = self.windows[i];
-            if s > t {
-                return (t, s - t); // gap before window i
-            }
-            t = e; // we are inside (or at the edge of) window i
-            i += 1;
-        }
-        (t, u64::MAX)
     }
 
     /// Books `total` cycles of *work-conserving* shared-resource time
@@ -162,6 +205,10 @@ impl ResourceChannel {
     /// each other's whole phases to the horizon. This is the eager-
     /// simulation equivalent of a round-robin bus arbiter: a stream
     /// booked later weaves into every gap the earlier streams left.
+    ///
+    /// One walk fills each gap it meets with as much as fits, counting
+    /// the bursts that slice splits into, and appends the rest at the
+    /// horizon.
     ///
     /// Returns `(first_start, last_end, bursts_granted)`.
     pub fn reserve_packed(&mut self, earliest: u64, total: u64, burst: u64) -> (u64, u64, u64) {
@@ -173,23 +220,32 @@ impl ResourceChannel {
         let mut t = earliest;
         let mut first = None;
         let mut bursts = 0;
-        while remaining > 0 {
-            let (gap_start, gap_len) = self.next_gap(t);
-            let d = remaining.min(burst).min(gap_len);
-            let (s, e) = self.reserve(gap_start, d);
-            debug_assert_eq!((s, e), (gap_start, gap_start + d));
-            if first.is_none() {
-                first = Some(s);
+        let mut i = self.first_ending_after(t);
+        while i < self.windows.len() {
+            let (s, e) = self.windows[i];
+            if s > t {
+                let take = remaining.min(s - t);
+                first.get_or_insert(t);
+                bursts += take.div_ceil(burst);
+                remaining -= take;
+                i = self.splice(i, (t, t + take));
+                t += take;
+                if remaining == 0 {
+                    return (first.unwrap_or(t), t, bursts);
+                }
+                continue; // the gap is filled: window `i` now starts at or before `t`
             }
-            bursts += 1;
-            remaining -= d;
-            t = e;
+            t = e; // we are inside (or at the edge of) window i
+            i += 1;
         }
-        (first.unwrap_or(earliest), t, bursts)
+        self.append(t, t + remaining);
+        bursts += remaining.div_ceil(burst);
+        (first.unwrap_or(t), t + remaining, bursts)
     }
 
     /// Latest booked end time (0 when idle forever). Ends increase
     /// with starts, so it is the last window's end.
+    #[inline]
     pub fn horizon(&self) -> u64 {
         self.windows.last().map_or(0, |w| w.1)
     }
@@ -198,11 +254,6 @@ impl ResourceChannel {
     /// maximally coalesced: consecutive windows never touch.
     pub fn windows(&self) -> &[(u64, u64)] {
         &self.windows
-    }
-
-    /// Drops windows ending at or before `now`.
-    pub fn prune(&mut self, now: u64) {
-        self.windows.retain(|&(_, e)| e > now);
     }
 
     /// Number of booked windows.
@@ -269,13 +320,17 @@ mod tests {
     }
 
     #[test]
-    fn prune_keeps_future_windows() {
+    fn full_span_is_skipped_only_for_longer_requests() {
+        // A comb of 4-cycle gaps: a 16-cycle request walks all of it to
+        // the horizon, a 3-cycle one from the same cycle still fits the
+        // first gap.
         let mut c = ResourceChannel::new();
-        c.reserve(0, 10);
-        c.reserve(20, 10);
-        c.prune(15);
-        assert_eq!(c.len(), 1);
-        assert_eq!(c.horizon(), 30);
+        for k in 0..8u64 {
+            c.reserve(10 * k, 6);
+        }
+        assert_eq!(c.reserve(0, 16), (76, 92));
+        assert_eq!(c.reserve(1, 16), (92, 108), "resumes past the full span");
+        assert_eq!(c.reserve(0, 3), (6, 9));
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //!   reservations, and the booked busy set is conserved exactly;
 //! * the locality-hinted calendar search grants exactly what a full
 //!   binary search over the window list grants, under request streams
-//!   that jump backwards and forwards;
+//!   that jump backwards and forwards, and on 1,000-window combs of
+//!   interleaved eCPU issue streams that preamble and packed trains
+//!   book into from earlier cycles;
 //! * the `whole-phase` fabric grants are bit-identical to direct
 //!   [`ResourceChannel::reserve`] grants on the same request stream
 //!   (the cycle-exactness guarantee every committed baseline relies
@@ -355,6 +357,74 @@ proptest! {
             prop_assert_eq!(chan.windows(), &oracle.windows[..], "identical calendars");
             prop_assert_eq!(chan.horizon(), oracle.windows.last().map_or(0, |w| w.1));
             last = got.1;
+        }
+    }
+}
+
+/// The eCPU issue slots of a GeMM-shaped kernel stream, in turn.
+const GEMM_SLOTS: [u64; 3] = [3, 2, 6];
+/// Cycles of kernel work between two issue slots.
+const GEMM_WORK: u64 = 4;
+/// Issue slots each of the four streams books.
+const STREAM_SLOTS: usize = 500;
+
+proptest! {
+    /// Calendars shaped like the legacy launch path's eCPU issue comb:
+    /// four GeMM-shaped streams take turns booking 3-, 2- and 6-cycle
+    /// slots 4 cycles apart, each turn after an idle pause (the kernel
+    /// waiting on its DMA). Fragmented preamble trains (chunk 16) and
+    /// packed trains (burst 256) then start from random earlier cycles,
+    /// mixed with single slots that search for shorter gaps. Every
+    /// grant, burst count, window list and horizon matches the
+    /// full-search oracle.
+    #[test]
+    fn comb_grants_match_full_search_oracle(
+        offsets in prop::collection::vec(0u64..64, 4..5),
+        turns in prop::collection::vec((1usize..48, 0u64..400), 16..64),
+        trains in prop::collection::vec((0u8..3, 0u64..1000, 1u64..1200), 1..40),
+    ) {
+        let mut chan = ResourceChannel::new();
+        let mut oracle = FullSearchChannel::default();
+        let mut cursor = offsets;
+        let mut issued = [0usize; 4];
+        for (turn, &(n, idle)) in turns.iter().cycle().enumerate() {
+            if issued.iter().all(|&c| c == STREAM_SLOTS) {
+                break;
+            }
+            let k = turn % 4;
+            cursor[k] += idle;
+            let stop = STREAM_SLOTS.min(issued[k] + n);
+            while issued[k] < stop {
+                let d = GEMM_SLOTS[issued[k] % 3];
+                let got = chan.reserve(cursor[k], d);
+                prop_assert_eq!(got, oracle.reserve(cursor[k], d));
+                cursor[k] = got.1 + GEMM_WORK;
+                issued[k] += 1;
+            }
+        }
+        prop_assert!(chan.len() >= 1000, "a comb of {} windows", chan.len());
+        prop_assert_eq!(chan.windows(), &oracle.windows[..]);
+        for (kind, frac, total) in trains {
+            let earliest = chan.horizon() * frac / 1000;
+            let (got, want) = match kind {
+                0 => {
+                    let g = chan.reserve_fragmented(earliest, total, 16);
+                    let w = oracle.reserve_fragmented(earliest, total, 16);
+                    ((g.0, g.1, 0), (w.0, w.1, 0))
+                }
+                1 => (
+                    chan.reserve_packed(earliest, total, 256),
+                    oracle.reserve_packed(earliest, total, 256),
+                ),
+                _ => {
+                    let d = GEMM_SLOTS[total as usize % 3];
+                    let (g, w) = (chan.reserve(earliest, d), oracle.reserve(earliest, d));
+                    ((g.0, g.1, 0), (w.0, w.1, 0))
+                }
+            };
+            prop_assert_eq!(got, want, "train {} of {} from {}", kind, total, earliest);
+            prop_assert_eq!(chan.windows(), &oracle.windows[..], "identical calendars");
+            prop_assert_eq!(chan.horizon(), oracle.windows.last().map_or(0, |w| w.1));
         }
     }
 }
