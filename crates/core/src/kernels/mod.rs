@@ -61,6 +61,12 @@ pub enum KernelError {
         /// The offending register.
         reg: MatReg,
     },
+    /// A kernel operand's rows reach outside external memory (host
+    /// receives the CV-X-IF *kill*).
+    OperandOutOfRange {
+        /// The matrix register bound to the offending region.
+        reg: MatReg,
+    },
     /// Operand shapes are inconsistent with the kernel contract.
     ShapeMismatch {
         /// Human-readable description of the violated constraint.
@@ -88,6 +94,9 @@ impl fmt::Display for KernelError {
             KernelError::UnknownKernel { id } => write!(f, "no kernel registered for func5={id}"),
             KernelError::UnboundMatrix { reg } => {
                 write!(f, "matrix register {reg} has no xmr binding")
+            }
+            KernelError::OperandOutOfRange { reg } => {
+                write!(f, "matrix register {reg} reaches outside external memory")
             }
             KernelError::ShapeMismatch { what } => write!(f, "operand shape mismatch: {what}"),
             KernelError::RowTooWide { cols, max } => {

@@ -367,6 +367,30 @@ impl ArcaneLlc {
                 what: "empty matrix operand",
             });
         }
+        // `xmr` takes any address from a host register: every operand
+        // the kernel touches must lie in external memory. Computed in
+        // u64, so no shape can wrap the end past the check.
+        let ext = self.ext();
+        let (lo, hi) = (
+            u64::from(ext.base()),
+            u64::from(ext.base()) + ext.len() as u64,
+        );
+        let operands = [
+            (desc.md, Some(args.md)),
+            (desc.ms1, args.ms1),
+            (desc.ms2, args.ms2),
+            (desc.ms3, args.ms3),
+        ];
+        for (reg, view) in operands {
+            let Some(v) = view.filter(|v| *v == args.md || sources.contains(v)) else {
+                continue;
+            };
+            let row = (v.cols * v.sew.bytes()) as u64;
+            let end = u64::from(v.addr) + (v.rows as u64 - 1) * v.stride as u64 * row + row;
+            if u64::from(v.addr) < lo || end > hi {
+                return Err(KernelError::OperandOutOfRange { reg });
+            }
+        }
         Ok((args, sources, kernel.name()))
     }
 

@@ -23,9 +23,10 @@
 //! assert!(words.len() >= 4);
 //! ```
 
+use crate::exec::{BType, IType, Op, RType, SType, UType};
 use crate::reg::{Gpr, RA, ZERO};
-use crate::rv32::{AluImmOp, AluOp, BranchOp, Instr, LoadOp, StoreOp};
-use crate::xcvpulp::{PulpInstr, PvOp, SimdWidth};
+use crate::rv32::{AluOp, BranchOp, LoadOp, StoreOp};
+use crate::xcvpulp::{PvOp, SimdWidth};
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
@@ -74,7 +75,7 @@ impl Error for AsmError {}
 #[derive(Debug, Clone, Copy)]
 enum Item {
     /// A fully formed instruction.
-    Fixed(Instr),
+    Fixed(Op),
     /// A branch whose offset is resolved at assembly time.
     Branch {
         op: BranchOp,
@@ -137,9 +138,10 @@ impl Asm {
         l
     }
 
-    /// Emits a raw, pre-built instruction.
-    pub fn raw(&mut self, instr: Instr) -> &mut Self {
-        self.items.push(Item::Fixed(instr));
+    /// Emits a pre-built instruction, such as the [`Op::Offload`] that
+    /// [`crate::xmnmc::xmr_instr`] returns.
+    pub fn raw(&mut self, op: Op) -> &mut Self {
+        self.items.push(Item::Fixed(op));
         self
     }
 
@@ -147,32 +149,46 @@ impl Asm {
 
     /// `lui rd, imm20` (`imm` is the already-shifted upper value).
     pub fn lui(&mut self, rd: Gpr, imm: u32) -> &mut Self {
-        self.raw(Instr::Lui { rd, imm })
+        self.raw(Op::Lui(UType { rd, imm }))
     }
 
     /// `addi rd, rs1, imm`.
     pub fn addi(&mut self, rd: Gpr, rs1: Gpr, imm: i32) -> &mut Self {
-        self.raw(Instr::OpImm {
-            op: AluImmOp::Addi,
-            rd,
-            rs1,
-            imm,
-        })
+        self.raw(Op::Addi(IType { rd, rs1, imm }))
     }
 
     /// `slli rd, rs1, shamt`.
     pub fn slli(&mut self, rd: Gpr, rs1: Gpr, shamt: i32) -> &mut Self {
-        self.raw(Instr::OpImm {
-            op: AluImmOp::Slli,
+        self.raw(Op::Slli(IType {
             rd,
             rs1,
             imm: shamt,
-        })
+        }))
     }
 
     /// Register–register ALU op.
     pub fn op(&mut self, op: AluOp, rd: Gpr, rs1: Gpr, rs2: Gpr) -> &mut Self {
-        self.raw(Instr::Op { op, rd, rs1, rs2 })
+        let r = RType { rd, rs1, rs2 };
+        self.raw(match op {
+            AluOp::Add => Op::Add(r),
+            AluOp::Sub => Op::Sub(r),
+            AluOp::Sll => Op::Sll(r),
+            AluOp::Slt => Op::Slt(r),
+            AluOp::Sltu => Op::Sltu(r),
+            AluOp::Xor => Op::Xor(r),
+            AluOp::Srl => Op::Srl(r),
+            AluOp::Sra => Op::Sra(r),
+            AluOp::Or => Op::Or(r),
+            AluOp::And => Op::And(r),
+            AluOp::Mul => Op::Mul(r),
+            AluOp::Mulh => Op::Mulh(r),
+            AluOp::Mulhsu => Op::Mulhsu(r),
+            AluOp::Mulhu => Op::Mulhu(r),
+            AluOp::Div => Op::Div(r),
+            AluOp::Divu => Op::Divu(r),
+            AluOp::Rem => Op::Rem(r),
+            AluOp::Remu => Op::Remu(r),
+        })
     }
 
     /// `add rd, rs1, rs2`.
@@ -187,11 +203,17 @@ impl Asm {
 
     /// Memory load.
     pub fn load(&mut self, op: LoadOp, rd: Gpr, rs1: Gpr, offset: i32) -> &mut Self {
-        self.raw(Instr::Load {
-            op,
+        let i = IType {
             rd,
             rs1,
-            offset,
+            imm: offset,
+        };
+        self.raw(match op {
+            LoadOp::Lb => Op::Lb(i),
+            LoadOp::Lh => Op::Lh(i),
+            LoadOp::Lw => Op::Lw(i),
+            LoadOp::Lbu => Op::Lbu(i),
+            LoadOp::Lhu => Op::Lhu(i),
         })
     }
 
@@ -212,11 +234,15 @@ impl Asm {
 
     /// Memory store.
     pub fn store(&mut self, op: StoreOp, rs2: Gpr, rs1: Gpr, offset: i32) -> &mut Self {
-        self.raw(Instr::Store {
-            op,
+        let s = SType {
             rs2,
             rs1,
-            offset,
+            off: offset,
+        };
+        self.raw(match op {
+            StoreOp::Sb => Op::Sb(s),
+            StoreOp::Sh => Op::Sh(s),
+            StoreOp::Sw => Op::Sw(s),
         })
     }
 
@@ -284,11 +310,11 @@ impl Asm {
 
     /// `ret` (pseudo: `jalr zero, 0(ra)`).
     pub fn ret(&mut self) -> &mut Self {
-        self.raw(Instr::Jalr {
+        self.raw(Op::Jalr(IType {
             rd: ZERO,
             rs1: RA,
-            offset: 0,
-        })
+            imm: 0,
+        }))
     }
 
     /// `nop` (pseudo: `addi zero, zero, 0`).
@@ -320,69 +346,82 @@ impl Asm {
 
     /// `ebreak` — simulation end marker.
     pub fn ebreak(&mut self) -> &mut Self {
-        self.raw(Instr::Ebreak)
+        self.raw(Op::Ebreak)
     }
 
     // ---- XCVPULP helpers (baseline kernels) ------------------------------
 
     /// `cv.lw rd, offset(rs1!)` — load word with post-increment.
     pub fn cv_lw_post(&mut self, rd: Gpr, rs1: Gpr, offset: i32) -> &mut Self {
-        self.raw(Instr::Pulp(PulpInstr::LoadPost {
-            op: LoadOp::Lw,
+        self.raw(Op::LwPost(IType {
             rd,
             rs1,
-            offset,
+            imm: offset,
         }))
     }
 
     /// Post-increment store of any width.
     pub fn cv_store_post(&mut self, op: StoreOp, rs2: Gpr, rs1: Gpr, offset: i32) -> &mut Self {
-        self.raw(Instr::Pulp(PulpInstr::StorePost {
-            op,
+        let s = SType {
             rs2,
             rs1,
-            offset,
-        }))
+            off: offset,
+        };
+        self.raw(match op {
+            StoreOp::Sb => Op::SbPost(s),
+            StoreOp::Sh => Op::ShPost(s),
+            StoreOp::Sw => Op::SwPost(s),
+        })
     }
 
     /// Packed-SIMD operation.
     pub fn pv(&mut self, op: PvOp, w: SimdWidth, rd: Gpr, rs1: Gpr, rs2: Gpr) -> &mut Self {
-        self.raw(Instr::Pulp(PulpInstr::Simd {
-            op,
-            w,
-            rd,
-            rs1,
-            rs2,
-        }))
+        let r = RType { rd, rs1, rs2 };
+        self.raw(match (w, op) {
+            (SimdWidth::B, PvOp::Add) => Op::PvAddB(r),
+            (SimdWidth::B, PvOp::Sub) => Op::PvSubB(r),
+            (SimdWidth::B, PvOp::Max) => Op::PvMaxB(r),
+            (SimdWidth::B, PvOp::Min) => Op::PvMinB(r),
+            (SimdWidth::B, PvOp::Dotsp) => Op::PvDotspB(r),
+            (SimdWidth::B, PvOp::Sdotsp) => Op::PvSdotspB(r),
+            (SimdWidth::B, PvOp::Dotup) => Op::PvDotupB(r),
+            (SimdWidth::H, PvOp::Add) => Op::PvAddH(r),
+            (SimdWidth::H, PvOp::Sub) => Op::PvSubH(r),
+            (SimdWidth::H, PvOp::Max) => Op::PvMaxH(r),
+            (SimdWidth::H, PvOp::Min) => Op::PvMinH(r),
+            (SimdWidth::H, PvOp::Dotsp) => Op::PvDotspH(r),
+            (SimdWidth::H, PvOp::Sdotsp) => Op::PvSdotspH(r),
+            (SimdWidth::H, PvOp::Dotup) => Op::PvDotupH(r),
+        })
     }
 
     /// `cv.mac rd, rs1, rs2` — scalar multiply-accumulate.
     pub fn cv_mac(&mut self, rd: Gpr, rs1: Gpr, rs2: Gpr) -> &mut Self {
-        self.raw(Instr::Pulp(PulpInstr::Mac { rd, rs1, rs2 }))
+        self.raw(Op::Mac(RType { rd, rs1, rs2 }))
     }
 
     /// `cv.max rd, rs1, rs2` — scalar maximum (ReLU building block).
     pub fn cv_max(&mut self, rd: Gpr, rs1: Gpr, rs2: Gpr) -> &mut Self {
-        self.raw(Instr::Pulp(PulpInstr::MaxS { rd, rs1, rs2 }))
+        self.raw(Op::MaxS(RType { rd, rs1, rs2 }))
     }
 
     /// `cv.setupi` — immediate-count hardware loop over the next
     /// `body_len` instructions.
     pub fn cv_setupi(&mut self, loop_id: bool, count: u16, body_len: u8) -> &mut Self {
-        self.raw(Instr::Pulp(PulpInstr::LoopSetupI {
+        self.raw(Op::LoopSetupI {
             loop_id,
-            count,
-            body_len,
-        }))
+            count: count.into(),
+            body_len: body_len.into(),
+        })
     }
 
     /// `cv.setup` — register-count hardware loop.
     pub fn cv_setup(&mut self, loop_id: bool, count: Gpr, body_len: u16) -> &mut Self {
-        self.raw(Instr::Pulp(PulpInstr::LoopSetup {
+        self.raw(Op::LoopSetup {
             loop_id,
             count,
-            body_len,
-        }))
+            body_len: body_len.into(),
+        })
     }
 
     // ---- assembly --------------------------------------------------------
@@ -398,8 +437,8 @@ impl Asm {
         let _ = base; // offsets are PC-relative; base kept for API clarity
         let mut words = Vec::with_capacity(self.items.len());
         for (i, item) in self.items.iter().enumerate() {
-            let instr = match *item {
-                Item::Fixed(instr) => instr,
+            let op = match *item {
+                Item::Fixed(op) => op,
                 Item::Branch {
                     op,
                     rs1,
@@ -414,11 +453,18 @@ impl Asm {
                     if !(-4096..4096).contains(&offset) {
                         return Err(AsmError::BranchOutOfRange { at: i, offset });
                     }
-                    Instr::Branch {
-                        op,
+                    let b = BType {
                         rs1,
                         rs2,
-                        offset: offset as i32,
+                        off: offset as i32,
+                    };
+                    match op {
+                        BranchOp::Eq => Op::Beq(b),
+                        BranchOp::Ne => Op::Bne(b),
+                        BranchOp::Lt => Op::Blt(b),
+                        BranchOp::Ge => Op::Bge(b),
+                        BranchOp::Ltu => Op::Bltu(b),
+                        BranchOp::Geu => Op::Bgeu(b),
                     }
                 }
                 Item::Jal { rd, target } => {
@@ -430,13 +476,13 @@ impl Asm {
                     if !(-(1 << 20)..(1 << 20)).contains(&offset) {
                         return Err(AsmError::JumpOutOfRange { at: i, offset });
                     }
-                    Instr::Jal {
+                    Op::Jal(UType {
                         rd,
-                        offset: offset as i32,
-                    }
+                        imm: offset as u32,
+                    })
                 }
             };
-            words.push(crate::rv32::encode(&instr));
+            words.push(crate::rv32::encode(&op));
         }
         Ok(words)
     }
@@ -454,7 +500,14 @@ mod tests {
         a.li(A0, 100);
         let w = a.assemble(0).unwrap();
         assert_eq!(w.len(), 1);
-        assert_eq!(decode(w[0]).unwrap().to_string(), "addi a0, zero, 100");
+        assert_eq!(
+            decode(w[0]),
+            Ok(Op::Addi(IType {
+                rd: A0,
+                rs1: ZERO,
+                imm: 100
+            }))
+        );
     }
 
     #[test]
@@ -468,13 +521,9 @@ mod tests {
             let mut reg = 0u32;
             for w in words {
                 match decode(w).unwrap() {
-                    Instr::Lui { imm, .. } => reg = imm,
-                    Instr::OpImm {
-                        op: AluImmOp::Addi,
-                        imm,
-                        ..
-                    } => reg = reg.wrapping_add(imm as u32),
-                    other => panic!("unexpected {other}"),
+                    Op::Lui(u) => reg = u.imm,
+                    Op::Addi(i) => reg = reg.wrapping_add(i.imm as u32),
+                    other => panic!("unexpected {other:?}"),
                 }
             }
             assert_eq!(reg, value as u32, "li {value:#x}");
@@ -491,14 +540,8 @@ mod tests {
         let back = a.bind_label();
         a.bne(A0, A1, back); // 0 offset back to itself
         let w = a.assemble(0).unwrap();
-        match decode(w[0]).unwrap() {
-            Instr::Branch { offset, .. } => assert_eq!(offset, 8),
-            other => panic!("{other}"),
-        }
-        match decode(w[2]).unwrap() {
-            Instr::Branch { offset, .. } => assert_eq!(offset, 0),
-            other => panic!("{other}"),
-        }
+        assert!(matches!(decode(w[0]), Ok(Op::Beq(b)) if b.off == 8));
+        assert!(matches!(decode(w[2]), Ok(Op::Bne(b)) if b.off == 0));
     }
 
     #[test]
@@ -529,6 +572,13 @@ mod tests {
         a.mv(A0, A1).nop().ret().ebreak();
         let w = a.assemble(0).unwrap();
         assert_eq!(w.len(), 4);
-        assert_eq!(decode(w[2]).unwrap().to_string(), "jalr zero, 0(ra)");
+        assert_eq!(
+            decode(w[2]),
+            Ok(Op::Jalr(IType {
+                rd: ZERO,
+                rs1: RA,
+                imm: 0
+            }))
+        );
     }
 }

@@ -37,9 +37,9 @@
 //!          word 2      cols (16) | rows (16)
 //! ```
 
+use crate::exec::Op;
 use crate::reg::Gpr;
-use crate::rv32::Instr;
-use crate::xmnmc::{self, MatReg, XInstr};
+use crate::xmnmc::{self, MatReg};
 use arcane_sim::Sew;
 use std::fmt;
 
@@ -342,24 +342,11 @@ impl fmt::Display for LaunchDecodeError {
 
 impl std::error::Error for LaunchDecodeError {}
 
-/// Builds the raw custom-2 instruction for `xmb` naming the three
+/// Builds the custom-2 [`Op::Offload`] for `xmb` naming the three
 /// operand-carrying CPU registers (the width suffix is immaterial —
 /// descriptors carry their own widths).
-pub fn xmb_instr(rs1: Gpr, rs2: Gpr, rs3: Gpr) -> Instr {
-    let raw = xmnmc::encode_raw(&XInstr {
-        func5: FUNC5_XMB,
-        width: Sew::Word,
-        rs1,
-        rs2,
-        rs3,
-    });
-    Instr::Custom2 {
-        raw,
-        rs1,
-        rs2,
-        rs3,
-        rd: Gpr::from_bits(0),
-    }
+pub fn xmb_instr(rs1: Gpr, rs2: Gpr, rs3: Gpr) -> Op {
+    xmnmc::xmk_instr(FUNC5_XMB, Sew::Word, rs1, rs2, rs3)
 }
 
 #[cfg(test)]
@@ -501,11 +488,9 @@ mod tests {
     #[test]
     fn xmb_instr_decodes_as_func5_30() {
         use crate::reg::{A0, A1, A2};
-        let i = xmb_instr(A0, A1, A2);
-        if let Instr::Custom2 { raw, .. } = i {
-            assert_eq!(xmnmc::decode_raw(raw).unwrap().func5, FUNC5_XMB);
-        } else {
+        let Op::Offload { raw, .. } = xmb_instr(A0, A1, A2) else {
             panic!("xmb must be a custom-2 instruction");
-        }
+        };
+        assert_eq!(xmnmc::decode_raw(raw).unwrap().func5, FUNC5_XMB);
     }
 }

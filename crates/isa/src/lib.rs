@@ -1,9 +1,14 @@
 //! Instruction-set definitions for the ARCANE reproduction.
 //!
-//! This crate provides every encoding used by the simulated system:
+//! This crate provides the instruction sets of the simulated system:
 //!
-//! * [`rv32`] — the RV32IM base ISA executed by the host CPU and, in the
-//!   paper, by the embedded cache-controller CPU (CV32E40X class cores).
+//! * [`exec`] — [`exec::Op`], the one host-instruction type: a flat enum
+//!   with one variant per RV32IM / XCVPULP operation plus the custom-2
+//!   offload, which the assembler emits and the core executes.
+//! * [`rv32`] — the binary encoding of the RV32IM base ISA executed by
+//!   the host CPU and, in the paper, by the embedded cache-controller CPU
+//!   (CV32E40X class cores): [`rv32::decode`] turns a word straight into
+//!   an [`exec::Op`] and [`rv32::encode`] turns it back.
 //! * [`xcvpulp`] — the packed-SIMD / DSP extension subset (modeled after
 //!   the CORE-V XCVPULP extensions of the CV32E40PX) used by the paper's
 //!   strongest CPU baseline in Figure 4.
@@ -19,15 +24,13 @@
 //! * [`asm`] — a small two-pass assembler with labels and pseudo
 //!   instructions, used to build every evaluation workload as real
 //!   machine code.
-//! * [`exec`] — the predecode stage of the execution engine: each
-//!   decoded instruction flattened into one [`exec::Op`], which the core
-//!   keeps per instruction word.
 //!
 //! # Examples
 //!
 //! ```
 //! use arcane_isa::asm::Asm;
-//! use arcane_isa::reg::{A0, A1};
+//! use arcane_isa::exec::{IType, Op};
+//! use arcane_isa::reg::A0;
 //!
 //! let mut a = Asm::new();
 //! a.li(A0, 41);
@@ -35,9 +38,9 @@
 //! a.ebreak();
 //! let words = a.assemble(0).expect("label resolution");
 //! assert_eq!(words.len(), 3);
-//! let decoded = arcane_isa::rv32::decode(words[1]).unwrap();
-//! assert_eq!(decoded.to_string(), "addi a0, a0, 1");
-//! # let _ = A1;
+//! let addi = Op::Addi(IType { rd: A0, rs1: A0, imm: 1 });
+//! assert_eq!(arcane_isa::rv32::decode(words[1]), Ok(addi));
+//! assert_eq!(arcane_isa::rv32::encode(&addi), words[1]);
 //! ```
 
 #![forbid(unsafe_code)]

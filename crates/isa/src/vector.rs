@@ -10,12 +10,10 @@
 //! The instruction set modeled here is the subset those micro-programs
 //! need: element-wise arithmetic (`.vv` and `.vx` forms), slides,
 //! broadcasts and reductions, with a `setvl`-style length/width control.
-//! Encodings are local to this simulator (NM-Carus uses its own custom
-//! encoding space too) and round-trip under property tests.
+//! The runtime hands the VPUs typed [`VInstr`] values and charges their
+//! issue as a fixed cycle cost, so no binary encoding is modelled.
 
-use crate::DecodeError;
 use arcane_sim::Sew;
-use std::fmt;
 
 /// A VPU vector register (`v0`–`v31`); physically one cache line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -31,20 +29,9 @@ impl Vr {
         }
     }
 
-    /// Creates a vector register from the low five bits.
-    pub const fn from_bits(index: u32) -> Vr {
-        Vr((index & 0x1f) as u8)
-    }
-
     /// Register index.
     pub const fn index(self) -> u8 {
         self.0
-    }
-}
-
-impl fmt::Display for Vr {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "v{}", self.0)
     }
 }
 
@@ -63,20 +50,9 @@ impl Sr {
         }
     }
 
-    /// Creates a scalar register from the low five bits.
-    pub const fn from_bits(index: u32) -> Sr {
-        Sr((index & 0x1f) as u8)
-    }
-
     /// Register index.
     pub const fn index(self) -> u8 {
         self.0
-    }
-}
-
-impl fmt::Display for Sr {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "s{}", self.0)
     }
 }
 
@@ -109,76 +85,7 @@ pub enum VOp {
     Xor,
 }
 
-impl VOp {
-    const ALL: [VOp; 12] = [
-        VOp::Add,
-        VOp::Sub,
-        VOp::Mul,
-        VOp::Macc,
-        VOp::Max,
-        VOp::Min,
-        VOp::Sll,
-        VOp::Srl,
-        VOp::Sra,
-        VOp::And,
-        VOp::Or,
-        VOp::Xor,
-    ];
-
-    const fn code(self) -> u32 {
-        match self {
-            VOp::Add => 0,
-            VOp::Sub => 1,
-            VOp::Mul => 2,
-            VOp::Macc => 3,
-            VOp::Max => 4,
-            VOp::Min => 5,
-            VOp::Sll => 6,
-            VOp::Srl => 7,
-            VOp::Sra => 8,
-            VOp::And => 9,
-            VOp::Or => 10,
-            VOp::Xor => 11,
-        }
-    }
-
-    const fn from_code(code: u32) -> Option<VOp> {
-        match code {
-            0 => Some(VOp::Add),
-            1 => Some(VOp::Sub),
-            2 => Some(VOp::Mul),
-            3 => Some(VOp::Macc),
-            4 => Some(VOp::Max),
-            5 => Some(VOp::Min),
-            6 => Some(VOp::Sll),
-            7 => Some(VOp::Srl),
-            8 => Some(VOp::Sra),
-            9 => Some(VOp::And),
-            10 => Some(VOp::Or),
-            11 => Some(VOp::Xor),
-            _ => None,
-        }
-    }
-
-    const fn mnemonic(self) -> &'static str {
-        match self {
-            VOp::Add => "vadd",
-            VOp::Sub => "vsub",
-            VOp::Mul => "vmul",
-            VOp::Macc => "vmacc",
-            VOp::Max => "vmax",
-            VOp::Min => "vmin",
-            VOp::Sll => "vsll",
-            VOp::Srl => "vsrl",
-            VOp::Sra => "vsra",
-            VOp::And => "vand",
-            VOp::Or => "vor",
-            VOp::Xor => "vxor",
-        }
-    }
-}
-
-/// A decoded NM-Carus-style vector instruction.
+/// An NM-Carus-style vector instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VInstr {
     /// `vsetvl vl, sew` — configure active vector length (in elements)
@@ -259,208 +166,4 @@ pub enum VInstr {
         /// Source.
         vs1: Vr,
     },
-}
-
-const CL_SETVL: u32 = 0;
-const CL_OPVV: u32 = 1;
-const CL_OPVX: u32 = 2;
-const CL_SLIDEDOWN: u32 = 3;
-const CL_SLIDEUP: u32 = 4;
-const CL_BROADCAST: u32 = 5;
-const CL_MOVE: u32 = 6;
-const CL_REDSUM: u32 = 7;
-const CL_REDMAX: u32 = 8;
-
-/// Encodes a vector instruction into its 32-bit binary form.
-///
-/// Layout: `[31:27]` class, `[26:22]` vd, `[21:17]` vs1, `[16:12]`
-/// vs2/rs, `[11:0]` immediate (`vl`, slide offset or `VOp` code).
-/// `SetVl` packs `vl` into `[21:10]` and `sew` into `[9:8]`.
-pub fn encode(v: &VInstr) -> u32 {
-    let pack = |class: u32, vd: u32, a: u32, b: u32, imm: u32| {
-        (class << 27) | (vd << 22) | (a << 17) | (b << 12) | (imm & 0xfff)
-    };
-    match *v {
-        VInstr::SetVl { vl, sew } => {
-            (CL_SETVL << 27) | ((vl as u32 & 0xfff) << 10) | ((sew.to_bits() as u32) << 8)
-        }
-        VInstr::OpVV { op, vd, vs1, vs2 } => pack(
-            CL_OPVV,
-            vd.index() as u32,
-            vs1.index() as u32,
-            vs2.index() as u32,
-            op.code(),
-        ),
-        VInstr::OpVX { op, vd, vs1, rs } => pack(
-            CL_OPVX,
-            vd.index() as u32,
-            vs1.index() as u32,
-            rs.index() as u32,
-            op.code(),
-        ),
-        VInstr::SlideDown { vd, vs1, offset } => pack(
-            CL_SLIDEDOWN,
-            vd.index() as u32,
-            vs1.index() as u32,
-            0,
-            offset as u32,
-        ),
-        VInstr::SlideUp { vd, vs1, offset } => pack(
-            CL_SLIDEUP,
-            vd.index() as u32,
-            vs1.index() as u32,
-            0,
-            offset as u32,
-        ),
-        VInstr::BroadcastX { vd, rs } => {
-            pack(CL_BROADCAST, vd.index() as u32, 0, rs.index() as u32, 0)
-        }
-        VInstr::Move { vd, vs1 } => pack(CL_MOVE, vd.index() as u32, vs1.index() as u32, 0, 0),
-        VInstr::RedSum { vd, vs1 } => pack(CL_REDSUM, vd.index() as u32, vs1.index() as u32, 0, 0),
-        VInstr::RedMax { vd, vs1 } => pack(CL_REDMAX, vd.index() as u32, vs1.index() as u32, 0, 0),
-    }
-}
-
-/// Decodes a 32-bit word as a vector instruction.
-///
-/// # Errors
-///
-/// Returns [`DecodeError`] for unallocated class or operation codes.
-pub fn decode(word: u32) -> Result<VInstr, DecodeError> {
-    let class = word >> 27;
-    let vd = Vr::from_bits(word >> 22);
-    let vs1 = Vr::from_bits(word >> 17);
-    let field_b = word >> 12 & 0x1f;
-    let imm = word & 0xfff;
-    match class {
-        CL_SETVL => {
-            let sew = Sew::from_bits((word >> 8 & 0x3) as u8)
-                .ok_or(DecodeError::new(word, "reserved vector sew"))?;
-            Ok(VInstr::SetVl {
-                vl: (word >> 10 & 0xfff) as u16,
-                sew,
-            })
-        }
-        CL_OPVV => Ok(VInstr::OpVV {
-            op: VOp::from_code(imm).ok_or(DecodeError::new(word, "unknown vector op"))?,
-            vd,
-            vs1,
-            vs2: Vr::from_bits(field_b),
-        }),
-        CL_OPVX => Ok(VInstr::OpVX {
-            op: VOp::from_code(imm).ok_or(DecodeError::new(word, "unknown vector op"))?,
-            vd,
-            vs1,
-            rs: Sr::from_bits(field_b),
-        }),
-        CL_SLIDEDOWN => Ok(VInstr::SlideDown {
-            vd,
-            vs1,
-            offset: imm as u16,
-        }),
-        CL_SLIDEUP => Ok(VInstr::SlideUp {
-            vd,
-            vs1,
-            offset: imm as u16,
-        }),
-        CL_BROADCAST => Ok(VInstr::BroadcastX {
-            vd,
-            rs: Sr::from_bits(field_b),
-        }),
-        CL_MOVE => Ok(VInstr::Move { vd, vs1 }),
-        CL_REDSUM => Ok(VInstr::RedSum { vd, vs1 }),
-        CL_REDMAX => Ok(VInstr::RedMax { vd, vs1 }),
-        _ => Err(DecodeError::new(word, "unknown vector instruction class")),
-    }
-}
-
-impl fmt::Display for VInstr {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match *self {
-            VInstr::SetVl { vl, sew } => write!(f, "vsetvl {vl}, {sew}"),
-            VInstr::OpVV { op, vd, vs1, vs2 } => {
-                write!(f, "{}.vv {vd}, {vs1}, {vs2}", op.mnemonic())
-            }
-            VInstr::OpVX { op, vd, vs1, rs } => {
-                write!(f, "{}.vx {vd}, {vs1}, {rs}", op.mnemonic())
-            }
-            VInstr::SlideDown { vd, vs1, offset } => {
-                write!(f, "vslidedown {vd}, {vs1}, {offset}")
-            }
-            VInstr::SlideUp { vd, vs1, offset } => write!(f, "vslideup {vd}, {vs1}, {offset}"),
-            VInstr::BroadcastX { vd, rs } => write!(f, "vmv.v.x {vd}, {rs}"),
-            VInstr::Move { vd, vs1 } => write!(f, "vmv.v.v {vd}, {vs1}"),
-            VInstr::RedSum { vd, vs1 } => write!(f, "vredsum {vd}, {vs1}"),
-            VInstr::RedMax { vd, vs1 } => write!(f, "vredmax {vd}, {vs1}"),
-        }
-    }
-}
-
-/// Returns every `VOp`, for exhaustive tests and generators.
-pub fn all_vops() -> &'static [VOp] {
-    &VOp::ALL
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn roundtrip(v: VInstr) {
-        let w = encode(&v);
-        let d = decode(w).unwrap_or_else(|e| panic!("{v}: {e}"));
-        assert_eq!(d, v, "encoding {w:#010x}");
-    }
-
-    #[test]
-    fn roundtrip_setvl() {
-        for sew in Sew::ALL {
-            roundtrip(VInstr::SetVl { vl: 1024, sew });
-            roundtrip(VInstr::SetVl { vl: 0, sew });
-        }
-    }
-
-    #[test]
-    fn roundtrip_all_ops() {
-        let vd = Vr::new(1).unwrap();
-        let vs1 = Vr::new(30).unwrap();
-        let vs2 = Vr::new(17).unwrap();
-        let rs = Sr::new(9).unwrap();
-        for &op in all_vops() {
-            roundtrip(VInstr::OpVV { op, vd, vs1, vs2 });
-            roundtrip(VInstr::OpVX { op, vd, vs1, rs });
-        }
-    }
-
-    #[test]
-    fn roundtrip_moves_slides_reductions() {
-        let vd = Vr::new(2).unwrap();
-        let vs1 = Vr::new(3).unwrap();
-        let rs = Sr::new(31).unwrap();
-        roundtrip(VInstr::SlideDown {
-            vd,
-            vs1,
-            offset: 1023,
-        });
-        roundtrip(VInstr::SlideUp { vd, vs1, offset: 7 });
-        roundtrip(VInstr::BroadcastX { vd, rs });
-        roundtrip(VInstr::Move { vd, vs1 });
-        roundtrip(VInstr::RedSum { vd, vs1 });
-        roundtrip(VInstr::RedMax { vd, vs1 });
-    }
-
-    #[test]
-    fn rejects_unknown_class() {
-        assert!(decode(31 << 27).is_err());
-    }
-
-    #[test]
-    fn display_examples() {
-        let v = VInstr::OpVX {
-            op: VOp::Macc,
-            vd: Vr::new(4).unwrap(),
-            vs1: Vr::new(5).unwrap(),
-            rs: Sr::new(6).unwrap(),
-        };
-        assert_eq!(v.to_string(), "vmacc.vx v4, v5, s6");
-    }
 }

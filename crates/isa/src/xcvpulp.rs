@@ -5,16 +5,13 @@
 //! post-increment memory accesses, hardware loops, scalar MAC and
 //! packed-SIMD (8-/16-bit sub-word) arithmetic including dot products.
 //!
-//! This module models the subset those convolution kernels need. The
-//! *semantics* follow the XCVPULP specification; the *binary encodings*
-//! are local to this simulator (placed in the RISC-V custom-0/custom-1
-//! spaces) because the CORE-V toolchain is not part of the reproduction.
-//! Encode/decode round-trips are property-tested.
-
-use crate::reg::Gpr;
-use crate::rv32::{opcode, LoadOp, StoreOp};
-use crate::DecodeError;
-use std::fmt;
+//! The reproduction models the subset those convolution kernels need, as
+//! the `cv.*` and `pv.*` variants of [`crate::exec::Op`]. The *semantics*
+//! follow the XCVPULP specification; the *binary encodings* are local to
+//! this simulator (placed in the RISC-V custom-0/custom-1 spaces by
+//! [`crate::rv32::encode`]) because the CORE-V toolchain is not part of
+//! the reproduction. This module holds the operation and width selectors
+//! the assembler and the core take as arguments.
 
 /// Sub-word width of a packed-SIMD operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -23,23 +20,6 @@ pub enum SimdWidth {
     B,
     /// Two 16-bit lanes per 32-bit register (`.h` suffix).
     H,
-}
-
-impl SimdWidth {
-    /// Number of packed elements in a 32-bit register.
-    pub const fn lanes(self) -> u32 {
-        match self {
-            SimdWidth::B => 4,
-            SimdWidth::H => 2,
-        }
-    }
-
-    const fn suffix(self) -> &'static str {
-        match self {
-            SimdWidth::B => "b",
-            SimdWidth::H => "h",
-        }
-    }
 }
 
 /// Packed-SIMD vector operation (element-wise or dot product).
@@ -59,506 +39,4 @@ pub enum PvOp {
     Sdotsp,
     /// `pv.dotup` — unsigned dot product.
     Dotup,
-}
-
-impl PvOp {
-    const fn mnemonic(self) -> &'static str {
-        match self {
-            PvOp::Add => "pv.add",
-            PvOp::Sub => "pv.sub",
-            PvOp::Max => "pv.max",
-            PvOp::Min => "pv.min",
-            PvOp::Dotsp => "pv.dotsp",
-            PvOp::Sdotsp => "pv.sdotsp",
-            PvOp::Dotup => "pv.dotup",
-        }
-    }
-
-    const fn code(self) -> u32 {
-        match self {
-            PvOp::Add => 0,
-            PvOp::Sub => 1,
-            PvOp::Max => 2,
-            PvOp::Min => 3,
-            PvOp::Dotsp => 4,
-            PvOp::Sdotsp => 5,
-            PvOp::Dotup => 6,
-        }
-    }
-
-    const fn from_code(code: u32) -> Option<PvOp> {
-        match code {
-            0 => Some(PvOp::Add),
-            1 => Some(PvOp::Sub),
-            2 => Some(PvOp::Max),
-            3 => Some(PvOp::Min),
-            4 => Some(PvOp::Dotsp),
-            5 => Some(PvOp::Sdotsp),
-            6 => Some(PvOp::Dotup),
-            _ => None,
-        }
-    }
-}
-
-/// A decoded XCVPULP instruction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PulpInstr {
-    /// `cv.lw rd, offset(rs1!)` — load, then `rs1 += offset`.
-    LoadPost {
-        /// Load width/signedness.
-        op: LoadOp,
-        /// Destination register.
-        rd: Gpr,
-        /// Base register, post-incremented by `offset`.
-        rs1: Gpr,
-        /// Signed post-increment.
-        offset: i32,
-    },
-    /// `cv.sw rs2, offset(rs1!)` — store, then `rs1 += offset`.
-    StorePost {
-        /// Store width.
-        op: StoreOp,
-        /// Data register.
-        rs2: Gpr,
-        /// Base register, post-incremented by `offset`.
-        rs1: Gpr,
-        /// Signed post-increment.
-        offset: i32,
-    },
-    /// Packed-SIMD operation on 8- or 16-bit sub-words.
-    Simd {
-        /// The SIMD operation.
-        op: PvOp,
-        /// Sub-word width.
-        w: SimdWidth,
-        /// Destination register (accumulator for `sdotsp`).
-        rd: Gpr,
-        /// First packed source.
-        rs1: Gpr,
-        /// Second packed source.
-        rs2: Gpr,
-    },
-    /// `cv.mac rd, rs1, rs2` — scalar multiply-accumulate, `rd += rs1·rs2`.
-    Mac {
-        /// Accumulator register.
-        rd: Gpr,
-        /// Multiplicand.
-        rs1: Gpr,
-        /// Multiplier.
-        rs2: Gpr,
-    },
-    /// `cv.max rd, rs1, rs2` — scalar signed maximum.
-    MaxS {
-        /// Destination register.
-        rd: Gpr,
-        /// First operand.
-        rs1: Gpr,
-        /// Second operand.
-        rs2: Gpr,
-    },
-    /// `cv.min rd, rs1, rs2` — scalar signed minimum.
-    MinS {
-        /// Destination register.
-        rd: Gpr,
-        /// First operand.
-        rs1: Gpr,
-        /// Second operand.
-        rs2: Gpr,
-    },
-    /// `cv.abs rd, rs1` — scalar absolute value.
-    Abs {
-        /// Destination register.
-        rd: Gpr,
-        /// Source operand.
-        rs1: Gpr,
-    },
-    /// `cv.setupi L, count, body_len` — immediate-count hardware loop.
-    ///
-    /// The next `body_len` instructions execute `count` times with zero
-    /// branch overhead.
-    LoopSetupI {
-        /// Hardware loop id (two nesting levels, as on RI5CY).
-        loop_id: bool,
-        /// Iteration count (12-bit immediate).
-        count: u16,
-        /// Body length in instructions (1–31).
-        body_len: u8,
-    },
-    /// `cv.setup L, rs1, body_len` — register-count hardware loop.
-    LoopSetup {
-        /// Hardware loop id.
-        loop_id: bool,
-        /// Register holding the iteration count.
-        count: Gpr,
-        /// Body length in instructions (12-bit immediate).
-        body_len: u16,
-    },
-}
-
-const F3_SIMD: u32 = 0b000;
-const F3_LOOPI: u32 = 0b001;
-const F3_LOOP: u32 = 0b010;
-
-/// Encodes an XCVPULP instruction into its 32-bit (local) binary form.
-pub fn encode(instr: &PulpInstr) -> u32 {
-    fn r_type(funct7: u32, funct3: u32, rd: Gpr, rs1: Gpr, rs2: Gpr, op: u32) -> u32 {
-        (funct7 << 25)
-            | ((rs2.index() as u32) << 20)
-            | ((rs1.index() as u32) << 15)
-            | (funct3 << 12)
-            | ((rd.index() as u32) << 7)
-            | op
-    }
-
-    match *instr {
-        PulpInstr::LoadPost {
-            op,
-            rd,
-            rs1,
-            offset,
-        } => {
-            let funct3 = match op {
-                LoadOp::Lb => 0b000,
-                LoadOp::Lh => 0b001,
-                LoadOp::Lw => 0b010,
-                LoadOp::Lbu => 0b100,
-                LoadOp::Lhu => 0b101,
-            };
-            ((offset as u32 & 0xfff) << 20)
-                | ((rs1.index() as u32) << 15)
-                | (funct3 << 12)
-                | ((rd.index() as u32) << 7)
-                | opcode::CUSTOM0
-        }
-        PulpInstr::StorePost {
-            op,
-            rs2,
-            rs1,
-            offset,
-        } => {
-            let funct3 = match op {
-                StoreOp::Sb => 0b011,
-                StoreOp::Sh => 0b110,
-                StoreOp::Sw => 0b111,
-            };
-            let imm = offset as u32;
-            ((imm >> 5 & 0x7f) << 25)
-                | ((rs2.index() as u32) << 20)
-                | ((rs1.index() as u32) << 15)
-                | (funct3 << 12)
-                | ((imm & 0x1f) << 7)
-                | opcode::CUSTOM0
-        }
-        PulpInstr::Simd {
-            op,
-            w,
-            rd,
-            rs1,
-            rs2,
-        } => {
-            let funct7 = (op.code() << 1)
-                | match w {
-                    SimdWidth::B => 0,
-                    SimdWidth::H => 1,
-                };
-            r_type(funct7, F3_SIMD, rd, rs1, rs2, opcode::CUSTOM1)
-        }
-        PulpInstr::Mac { rd, rs1, rs2 } => r_type(0x40, F3_SIMD, rd, rs1, rs2, opcode::CUSTOM1),
-        PulpInstr::MaxS { rd, rs1, rs2 } => r_type(0x41, F3_SIMD, rd, rs1, rs2, opcode::CUSTOM1),
-        PulpInstr::MinS { rd, rs1, rs2 } => r_type(0x42, F3_SIMD, rd, rs1, rs2, opcode::CUSTOM1),
-        PulpInstr::Abs { rd, rs1 } => {
-            r_type(0x43, F3_SIMD, rd, rs1, Gpr::from_bits(0), opcode::CUSTOM1)
-        }
-        PulpInstr::LoopSetupI {
-            loop_id,
-            count,
-            body_len,
-        } => {
-            ((count as u32 & 0xfff) << 20)
-                | (((body_len & 0x1f) as u32) << 15)
-                | (F3_LOOPI << 12)
-                | ((loop_id as u32) << 7)
-                | opcode::CUSTOM1
-        }
-        PulpInstr::LoopSetup {
-            loop_id,
-            count,
-            body_len,
-        } => {
-            ((body_len as u32 & 0xfff) << 20)
-                | ((count.index() as u32) << 15)
-                | (F3_LOOP << 12)
-                | ((loop_id as u32) << 7)
-                | opcode::CUSTOM1
-        }
-    }
-}
-
-/// Decodes a custom-0/custom-1 word as an XCVPULP instruction.
-///
-/// # Errors
-///
-/// Returns [`DecodeError`] for unallocated funct fields.
-pub fn decode(word: u32) -> Result<PulpInstr, DecodeError> {
-    let op = word & 0x7f;
-    let rd = Gpr::from_bits(word >> 7 & 0x1f);
-    let funct3 = word >> 12 & 0x7;
-    let rs1 = Gpr::from_bits(word >> 15 & 0x1f);
-    let rs2 = Gpr::from_bits(word >> 20 & 0x1f);
-    let funct7 = word >> 25 & 0x7f;
-
-    match op {
-        opcode::CUSTOM0 => {
-            let imm_i = (word as i32) >> 20;
-            let imm_s = (((word >> 25 & 0x7f) << 5 | (word >> 7 & 0x1f)) as i32) << 20 >> 20;
-            match funct3 {
-                0b000 => Ok(PulpInstr::LoadPost {
-                    op: LoadOp::Lb,
-                    rd,
-                    rs1,
-                    offset: imm_i,
-                }),
-                0b001 => Ok(PulpInstr::LoadPost {
-                    op: LoadOp::Lh,
-                    rd,
-                    rs1,
-                    offset: imm_i,
-                }),
-                0b010 => Ok(PulpInstr::LoadPost {
-                    op: LoadOp::Lw,
-                    rd,
-                    rs1,
-                    offset: imm_i,
-                }),
-                0b100 => Ok(PulpInstr::LoadPost {
-                    op: LoadOp::Lbu,
-                    rd,
-                    rs1,
-                    offset: imm_i,
-                }),
-                0b101 => Ok(PulpInstr::LoadPost {
-                    op: LoadOp::Lhu,
-                    rd,
-                    rs1,
-                    offset: imm_i,
-                }),
-                0b011 => Ok(PulpInstr::StorePost {
-                    op: StoreOp::Sb,
-                    rs2,
-                    rs1,
-                    offset: imm_s,
-                }),
-                0b110 => Ok(PulpInstr::StorePost {
-                    op: StoreOp::Sh,
-                    rs2,
-                    rs1,
-                    offset: imm_s,
-                }),
-                0b111 => Ok(PulpInstr::StorePost {
-                    op: StoreOp::Sw,
-                    rs2,
-                    rs1,
-                    offset: imm_s,
-                }),
-                _ => Err(DecodeError::new(word, "unknown custom-0 funct3")),
-            }
-        }
-        opcode::CUSTOM1 => match funct3 {
-            F3_SIMD => match funct7 {
-                0x40 => Ok(PulpInstr::Mac { rd, rs1, rs2 }),
-                0x41 => Ok(PulpInstr::MaxS { rd, rs1, rs2 }),
-                0x42 => Ok(PulpInstr::MinS { rd, rs1, rs2 }),
-                0x43 => Ok(PulpInstr::Abs { rd, rs1 }),
-                f if f < 0x40 => {
-                    let w = if f & 1 == 0 {
-                        SimdWidth::B
-                    } else {
-                        SimdWidth::H
-                    };
-                    let pv =
-                        PvOp::from_code(f >> 1).ok_or(DecodeError::new(word, "unknown pv op"))?;
-                    Ok(PulpInstr::Simd {
-                        op: pv,
-                        w,
-                        rd,
-                        rs1,
-                        rs2,
-                    })
-                }
-                _ => Err(DecodeError::new(word, "unknown custom-1 funct7")),
-            },
-            F3_LOOPI => Ok(PulpInstr::LoopSetupI {
-                loop_id: rd.index() & 1 == 1,
-                count: (word >> 20 & 0xfff) as u16,
-                body_len: rs1.index(),
-            }),
-            F3_LOOP => Ok(PulpInstr::LoopSetup {
-                loop_id: rd.index() & 1 == 1,
-                count: rs1,
-                body_len: (word >> 20 & 0xfff) as u16,
-            }),
-            _ => Err(DecodeError::new(word, "unknown custom-1 funct3")),
-        },
-        _ => Err(DecodeError::new(word, "not a custom-0/custom-1 opcode")),
-    }
-}
-
-impl fmt::Display for PulpInstr {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match *self {
-            PulpInstr::LoadPost {
-                op,
-                rd,
-                rs1,
-                offset,
-            } => write!(f, "cv.{}post {rd}, {offset}({rs1}!)", load_name(op)),
-            PulpInstr::StorePost {
-                op,
-                rs2,
-                rs1,
-                offset,
-            } => write!(f, "cv.{}post {rs2}, {offset}({rs1}!)", store_name(op)),
-            PulpInstr::Simd {
-                op,
-                w,
-                rd,
-                rs1,
-                rs2,
-            } => {
-                write!(f, "{}.{} {rd}, {rs1}, {rs2}", op.mnemonic(), w.suffix())
-            }
-            PulpInstr::Mac { rd, rs1, rs2 } => write!(f, "cv.mac {rd}, {rs1}, {rs2}"),
-            PulpInstr::MaxS { rd, rs1, rs2 } => write!(f, "cv.max {rd}, {rs1}, {rs2}"),
-            PulpInstr::MinS { rd, rs1, rs2 } => write!(f, "cv.min {rd}, {rs1}, {rs2}"),
-            PulpInstr::Abs { rd, rs1 } => write!(f, "cv.abs {rd}, {rs1}"),
-            PulpInstr::LoopSetupI {
-                loop_id,
-                count,
-                body_len,
-            } => write!(f, "cv.setupi l{}, {count}, {body_len}", loop_id as u8),
-            PulpInstr::LoopSetup {
-                loop_id,
-                count,
-                body_len,
-            } => write!(f, "cv.setup l{}, {count}, {body_len}", loop_id as u8),
-        }
-    }
-}
-
-fn load_name(op: LoadOp) -> &'static str {
-    match op {
-        LoadOp::Lb => "lb",
-        LoadOp::Lh => "lh",
-        LoadOp::Lw => "lw",
-        LoadOp::Lbu => "lbu",
-        LoadOp::Lhu => "lhu",
-    }
-}
-
-fn store_name(op: StoreOp) -> &'static str {
-    match op {
-        StoreOp::Sb => "sb",
-        StoreOp::Sh => "sh",
-        StoreOp::Sw => "sw",
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::reg::*;
-
-    fn roundtrip(i: PulpInstr) {
-        let w = encode(&i);
-        let d = decode(w).unwrap_or_else(|e| panic!("{i}: {e}"));
-        assert_eq!(d, i, "encoding {w:#010x}");
-    }
-
-    #[test]
-    fn roundtrip_post_increment() {
-        for op in [LoadOp::Lb, LoadOp::Lh, LoadOp::Lw, LoadOp::Lbu, LoadOp::Lhu] {
-            roundtrip(PulpInstr::LoadPost {
-                op,
-                rd: A0,
-                rs1: A1,
-                offset: -4,
-            });
-        }
-        for op in [StoreOp::Sb, StoreOp::Sh, StoreOp::Sw] {
-            roundtrip(PulpInstr::StorePost {
-                op,
-                rs2: A2,
-                rs1: A3,
-                offset: 2047,
-            });
-        }
-    }
-
-    #[test]
-    fn roundtrip_simd() {
-        for op in [
-            PvOp::Add,
-            PvOp::Sub,
-            PvOp::Max,
-            PvOp::Min,
-            PvOp::Dotsp,
-            PvOp::Sdotsp,
-            PvOp::Dotup,
-        ] {
-            for w in [SimdWidth::B, SimdWidth::H] {
-                roundtrip(PulpInstr::Simd {
-                    op,
-                    w,
-                    rd: T0,
-                    rs1: T1,
-                    rs2: T2,
-                });
-            }
-        }
-    }
-
-    #[test]
-    fn roundtrip_scalar_dsp() {
-        roundtrip(PulpInstr::Mac {
-            rd: S0,
-            rs1: S1,
-            rs2: S2,
-        });
-        roundtrip(PulpInstr::MaxS {
-            rd: S0,
-            rs1: S1,
-            rs2: S2,
-        });
-        roundtrip(PulpInstr::MinS {
-            rd: S0,
-            rs1: S1,
-            rs2: S2,
-        });
-        roundtrip(PulpInstr::Abs { rd: S0, rs1: S1 });
-    }
-
-    #[test]
-    fn roundtrip_hw_loops() {
-        roundtrip(PulpInstr::LoopSetupI {
-            loop_id: false,
-            count: 4095,
-            body_len: 31,
-        });
-        roundtrip(PulpInstr::LoopSetupI {
-            loop_id: true,
-            count: 1,
-            body_len: 1,
-        });
-        roundtrip(PulpInstr::LoopSetup {
-            loop_id: true,
-            count: A5,
-            body_len: 100,
-        });
-    }
-
-    #[test]
-    fn simd_width_lanes() {
-        assert_eq!(SimdWidth::B.lanes(), 4);
-        assert_eq!(SimdWidth::H.lanes(), 2);
-    }
 }

@@ -22,8 +22,9 @@
 //! cache-resident runtime decodes them **in software** — which is what
 //! makes the ISA extensible without hardware changes.
 
+use crate::exec::Op;
 use crate::reg::Gpr;
-use crate::rv32::{self, Instr};
+use crate::rv32;
 use crate::DecodeError;
 use arcane_sim::Sew;
 use std::fmt;
@@ -299,37 +300,30 @@ pub fn pack_kernel(
     )
 }
 
-/// Builds the raw custom-2 instruction for `xmr.[width]` naming the
+/// Builds the custom-2 [`Op::Offload`] for `xmr.[width]` naming the
 /// three operand-carrying CPU registers.
-pub fn xmr_instr(width: Sew, rs1: Gpr, rs2: Gpr, rs3: Gpr) -> Instr {
+pub fn xmr_instr(width: Sew, rs1: Gpr, rs2: Gpr, rs3: Gpr) -> Op {
     x_instr(FUNC5_XMR, width, rs1, rs2, rs3)
 }
 
-/// Builds the raw custom-2 instruction for `xmkN.[width]`.
+/// Builds the custom-2 [`Op::Offload`] for `xmkN.[width]`.
 ///
 /// # Panics
 ///
 /// Panics if `id > 30` (`31` is reserved for `xmr`).
-pub fn xmk_instr(id: u8, width: Sew, rs1: Gpr, rs2: Gpr, rs3: Gpr) -> Instr {
+pub fn xmk_instr(id: u8, width: Sew, rs1: Gpr, rs2: Gpr, rs3: Gpr) -> Op {
     assert!(id <= 30, "kernel ids are 0..=30");
     x_instr(id, width, rs1, rs2, rs3)
 }
 
-fn x_instr(func5: u8, width: Sew, rs1: Gpr, rs2: Gpr, rs3: Gpr) -> Instr {
-    let raw = encode_raw(&XInstr {
+fn x_instr(func5: u8, width: Sew, rs1: Gpr, rs2: Gpr, rs3: Gpr) -> Op {
+    rv32::offload(encode_raw(&XInstr {
         func5,
         width,
         rs1,
         rs2,
         rs3,
-    });
-    Instr::Custom2 {
-        raw,
-        rs1,
-        rs2,
-        rs3,
-        rd: Gpr::from_bits(0),
-    }
+    }))
 }
 
 /// Human-readable mnemonic for a `func5`/width pair, e.g. `xmk4.b`.

@@ -1,96 +1,207 @@
-//! Property tests for the ISA crate: encoders and decoders must agree
-//! for every instruction the generators can produce, and the assembler
+//! Property tests for the ISA crate: `decode(encode(op)) == op` for
+//! every [`Op`] variant over its full field ranges, and the assembler
 //! must resolve random label graphs.
 
 use arcane_isa::asm::Asm;
-use arcane_isa::reg::Gpr;
-use arcane_isa::rv32::{self, Instr, LoadOp, StoreOp};
-use arcane_isa::xcvpulp::{self, PulpInstr, PvOp, SimdWidth};
+use arcane_isa::exec::{BType, IType, Op, RType, SType, UType};
+use arcane_isa::reg::{Gpr, ZERO};
+use arcane_isa::rv32::{decode, encode};
 use proptest::prelude::*;
+use std::collections::HashSet;
+use std::mem::discriminant;
 
-fn gpr() -> impl Strategy<Value = Gpr> {
-    (0u8..32).prop_map(|i| Gpr::new(i).unwrap())
+/// Ops over a sign-extended 12-bit immediate.
+const I_OPS: [fn(IType) -> Op; 17] = [
+    Op::Jalr,
+    Op::Lb,
+    Op::Lh,
+    Op::Lw,
+    Op::Lbu,
+    Op::Lhu,
+    Op::Addi,
+    Op::Slti,
+    Op::Sltiu,
+    Op::Xori,
+    Op::Ori,
+    Op::Andi,
+    Op::LbPost,
+    Op::LhPost,
+    Op::LwPost,
+    Op::LbuPost,
+    Op::LhuPost,
+];
+
+/// Ops over a 5-bit shift amount.
+const SHIFT_OPS: [fn(IType) -> Op; 3] = [Op::Slli, Op::Srli, Op::Srai];
+
+const S_OPS: [fn(SType) -> Op; 6] = [Op::Sb, Op::Sh, Op::Sw, Op::SbPost, Op::ShPost, Op::SwPost];
+
+const B_OPS: [fn(BType) -> Op; 6] = [Op::Beq, Op::Bne, Op::Blt, Op::Bge, Op::Bltu, Op::Bgeu];
+
+const U_OPS: [fn(UType) -> Op; 2] = [Op::Lui, Op::Auipc];
+
+const R_OPS: [fn(RType) -> Op; 35] = [
+    Op::Add,
+    Op::Sub,
+    Op::Sll,
+    Op::Slt,
+    Op::Sltu,
+    Op::Xor,
+    Op::Srl,
+    Op::Sra,
+    Op::Or,
+    Op::And,
+    Op::Mul,
+    Op::Mulh,
+    Op::Mulhsu,
+    Op::Mulhu,
+    Op::Div,
+    Op::Divu,
+    Op::Rem,
+    Op::Remu,
+    Op::PvAddB,
+    Op::PvSubB,
+    Op::PvMaxB,
+    Op::PvMinB,
+    Op::PvDotspB,
+    Op::PvSdotspB,
+    Op::PvDotupB,
+    Op::PvAddH,
+    Op::PvSubH,
+    Op::PvMaxH,
+    Op::PvMinH,
+    Op::PvDotspH,
+    Op::PvSdotspH,
+    Op::PvDotupH,
+    Op::Mac,
+    Op::MaxS,
+    Op::MinS,
+];
+
+/// Number of [`Op`] variants.
+const VARIANTS: usize = 77;
+
+/// Field values, each drawn from the full range its encoding holds.
+#[derive(Debug, Clone, Copy, Default)]
+struct Fields {
+    regs: [u8; 3],
+    imm: i32,
+    shamt: i32,
+    branch: i32,
+    jal: i32,
+    upper: u32,
+    count: u32,
+    body: u32,
+    loop_id: bool,
+    custom2: u32,
 }
 
-fn load_op() -> impl Strategy<Value = LoadOp> {
-    prop_oneof![
-        Just(LoadOp::Lb),
-        Just(LoadOp::Lh),
-        Just(LoadOp::Lw),
-        Just(LoadOp::Lbu),
-        Just(LoadOp::Lhu)
-    ]
+fn fields() -> impl Strategy<Value = Fields> {
+    (
+        (0u8..32, 0u8..32, 0u8..32),
+        -2048i32..2048,
+        0i32..32,
+        (-2048i32..2048).prop_map(|x| x * 2),
+        (-(1i32 << 19)..1 << 19).prop_map(|x| x * 2),
+        any::<u32>(),
+        0u32..4096,
+        0u32..32,
+        any::<bool>(),
+        any::<u32>(),
+    )
+        .prop_map(
+            |(regs, imm, shamt, branch, jal, upper, count, body, loop_id, custom2)| Fields {
+                regs: [regs.0, regs.1, regs.2],
+                imm,
+                shamt,
+                branch,
+                jal,
+                upper,
+                count,
+                body,
+                loop_id,
+                custom2,
+            },
+        )
 }
 
-fn store_op() -> impl Strategy<Value = StoreOp> {
-    prop_oneof![Just(StoreOp::Sb), Just(StoreOp::Sh), Just(StoreOp::Sw)]
-}
-
-fn pulp_instr() -> impl Strategy<Value = PulpInstr> {
-    let imm12 = -2048i32..2048;
-    prop_oneof![
-        (load_op(), gpr(), gpr(), imm12.clone()).prop_map(|(op, rd, rs1, offset)| {
-            PulpInstr::LoadPost {
-                op,
-                rd,
-                rs1,
-                offset,
-            }
+/// One op of every variant, built from `f`.
+fn all_ops(f: &Fields) -> Vec<Op> {
+    let [rd, rs1, rs2] = f.regs.map(|i| Gpr::new(i).unwrap());
+    let i = IType {
+        rd,
+        rs1,
+        imm: f.imm,
+    };
+    let shift = IType { imm: f.shamt, ..i };
+    let r = RType { rd, rs1, rs2 };
+    // A random custom-2 word, with the register fields it names.
+    let raw = f.custom2 & !0x7f | 0x5b;
+    let mut ops = vec![
+        Op::Jal(UType {
+            rd,
+            imm: f.jal as u32,
         }),
-        (store_op(), gpr(), gpr(), imm12).prop_map(|(op, rs2, rs1, offset)| PulpInstr::StorePost {
-            op,
+        Op::Abs(RType { rs2: ZERO, ..r }),
+        Op::LoopSetupI {
+            loop_id: f.loop_id,
+            count: f.count,
+            body_len: f.body,
+        },
+        Op::LoopSetup {
+            loop_id: f.loop_id,
+            count: rs1,
+            body_len: f.count,
+        },
+        Op::Offload {
+            raw,
+            rd: Gpr::from_bits(raw >> 7),
+            rs1: Gpr::from_bits(raw >> 15),
+            rs2: Gpr::from_bits(raw >> 20),
+            rs3: Gpr::from_bits(raw >> 27),
+        },
+        Op::Fence,
+        Op::Ecall,
+        Op::Ebreak,
+    ];
+    ops.extend(I_OPS.map(|op| op(i)));
+    ops.extend(SHIFT_OPS.map(|op| op(shift)));
+    ops.extend(S_OPS.map(|op| {
+        op(SType {
             rs2,
             rs1,
-            offset
-        }),
-        (
-            prop_oneof![
-                Just(PvOp::Add),
-                Just(PvOp::Sub),
-                Just(PvOp::Max),
-                Just(PvOp::Min),
-                Just(PvOp::Dotsp),
-                Just(PvOp::Sdotsp),
-                Just(PvOp::Dotup)
-            ],
-            prop_oneof![Just(SimdWidth::B), Just(SimdWidth::H)],
-            gpr(),
-            gpr(),
-            gpr()
-        )
-            .prop_map(|(op, w, rd, rs1, rs2)| PulpInstr::Simd {
-                op,
-                w,
-                rd,
-                rs1,
-                rs2
-            }),
-        (gpr(), gpr(), gpr()).prop_map(|(rd, rs1, rs2)| PulpInstr::Mac { rd, rs1, rs2 }),
-        (gpr(), gpr(), gpr()).prop_map(|(rd, rs1, rs2)| PulpInstr::MaxS { rd, rs1, rs2 }),
-        (gpr(), gpr(), gpr()).prop_map(|(rd, rs1, rs2)| PulpInstr::MinS { rd, rs1, rs2 }),
-        (gpr(), gpr()).prop_map(|(rd, rs1)| PulpInstr::Abs { rd, rs1 }),
-        (any::<bool>(), 0u16..4096, 1u8..32).prop_map(|(loop_id, count, body_len)| {
-            PulpInstr::LoopSetupI {
-                loop_id,
-                count,
-                body_len,
-            }
-        }),
-        (any::<bool>(), gpr(), 0u16..4096).prop_map(|(loop_id, count, body_len)| {
-            PulpInstr::LoopSetup {
-                loop_id,
-                count,
-                body_len,
-            }
-        }),
-    ]
+            off: f.imm,
+        })
+    }));
+    ops.extend(B_OPS.map(|op| {
+        op(BType {
+            rs1,
+            rs2,
+            off: f.branch,
+        })
+    }));
+    ops.extend(U_OPS.map(|op| {
+        op(UType {
+            rd,
+            imm: f.upper & 0xffff_f000,
+        })
+    }));
+    ops.extend(R_OPS.map(|op| op(r)));
+    ops
+}
+
+#[test]
+fn generator_covers_every_variant() {
+    let ops = all_ops(&Fields::default());
+    let kinds: HashSet<_> = ops.iter().map(discriminant).collect();
+    assert_eq!((ops.len(), kinds.len()), (VARIANTS, VARIANTS));
 }
 
 proptest! {
     #[test]
-    fn xcvpulp_roundtrip(instr in pulp_instr()) {
-        let w = xcvpulp::encode(&instr);
-        prop_assert_eq!(xcvpulp::decode(w).unwrap(), instr);
+    fn op_encode_decode_roundtrip(kind in 0usize..VARIANTS, f in fields()) {
+        let op = all_ops(&f)[kind];
+        prop_assert_eq!(decode(encode(&op)), Ok(op));
     }
 
     /// Random straight-line programs with random backward/forward jumps
@@ -112,7 +223,8 @@ proptest! {
         let words = a.assemble(0).unwrap();
         // every jump offset must be word-aligned and in range
         for w in &words {
-            if let Ok(Instr::Jal { offset, .. }) = rv32::decode(*w) {
+            if let Ok(Op::Jal(u)) = decode(*w) {
+                let offset = u.imm as i32;
                 prop_assert_eq!(offset % 4, 0);
                 prop_assert!(offset.unsigned_abs() < (words.len() as u32 + 1) * 4);
             }

@@ -699,7 +699,7 @@ impl Cpu {
             .fetch(pc, now)
             .map_err(|source| CpuError::Bus { pc, source })?
             .data;
-        let op = Op::from(decode(word).map_err(|source| CpuError::Decode { pc, source })?);
+        let op = decode(word).map_err(|source| CpuError::Decode { pc, source })?;
         if keep {
             let idx = (pc >> 2) as usize;
             if idx >= self.ops.len() {
@@ -772,8 +772,9 @@ mod tests {
     use super::*;
     use crate::xif::NoCoprocessor;
     use arcane_isa::asm::Asm;
+    use arcane_isa::exec::UType;
     use arcane_isa::reg::*;
-    use arcane_isa::rv32::{encode, AluImmOp, AluOp, BranchOp, Instr};
+    use arcane_isa::rv32::{encode, AluOp};
     use arcane_isa::xcvpulp::{PvOp, SimdWidth};
 
     fn run_asm(build: impl FnOnce(&mut Asm)) -> (Cpu, SramBus, RunResult) {
@@ -1001,6 +1002,23 @@ mod tests {
     }
 
     #[test]
+    fn csr_word_faults_instead_of_ending_the_program() {
+        // `csrrs a0, 0x000, x0` and `csrrw x0, 0x001, x0` share bits
+        // 31:20 with `ecall` and `ebreak`, but must not stop the run as
+        // if the program had ended.
+        for word in [0x0000_2573, 0x0010_1073] {
+            let mut bus = SramBus::new(4096);
+            bus.load_program(0, &[word]);
+            let mut cpu = Cpu::new(0);
+            let err = cpu.run(&mut bus, &mut NoCoprocessor, 10).unwrap_err();
+            assert!(
+                matches!(err, CpuError::Decode { pc: 0, .. }),
+                "{word:#010x}"
+            );
+        }
+    }
+
+    #[test]
     fn out_of_fuel_is_reported() {
         let (_, _, r) = run_asm(|a| {
             let top = a.bind_label();
@@ -1014,36 +1032,34 @@ mod tests {
         // The word straddling 6..10 is `addi a0, a0, 1` and the one at
         // 10..14 is `ebreak`: fetching at a half-word PC would run them
         // silently. Both engines must fault on the jump instead.
-        let addi = encode(&Instr::OpImm {
-            op: AluImmOp::Addi,
+        let addi = encode(&Op::Addi(IType {
             rd: A0,
             rs1: A0,
             imm: 1,
-        });
-        let ebreak = encode(&Instr::Ebreak);
+        }));
+        let ebreak = encode(&Op::Ebreak);
         let tail = [
             (addi & 0xffff) << 16,
             (ebreak & 0xffff) << 16 | addi >> 16,
             ebreak >> 16,
         ];
-        let beq = encode(&Instr::Branch {
-            op: BranchOp::Eq,
+        let beq = encode(&Op::Beq(BType {
             rs1: ZERO,
             rs2: ZERO,
-            offset: 6,
-        });
-        let jalr = encode(&Instr::Jalr {
+            off: 6,
+        }));
+        let jalr = encode(&Op::Jalr(IType {
             rd: RA,
             rs1: ZERO,
-            offset: 6,
-        });
+            imm: 6,
+        }));
         // Entered at pc 2, the word straddling 2..6 is `addi a0, t1, 81`
         // (the `lui`'s high half and the `addi`'s low half): the run must
         // fault before fetching it.
-        let lui = encode(&Instr::Lui {
+        let lui = encode(&Op::Lui(UType {
             rd: T0,
             imm: 0x0513_0000,
-        });
+        }));
         let cases = [
             (0, [beq, tail[0], tail[1], tail[2]], 6),
             (0, [jalr, tail[0], tail[1], tail[2]], 6),

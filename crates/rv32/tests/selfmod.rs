@@ -4,8 +4,9 @@
 //! interpreter, which fetches every instruction.
 
 use arcane_isa::asm::Asm;
+use arcane_isa::exec::{IType, Op};
 use arcane_isa::reg::*;
-use arcane_isa::rv32::{encode, AluImmOp, Instr};
+use arcane_isa::rv32::encode;
 use arcane_rv32::{Cpu, NoCoprocessor, SramBus, StopReason};
 use arcane_sim::EngineMode;
 
@@ -26,12 +27,11 @@ fn run(engine: EngineMode, build: impl FnOnce(&mut Asm)) -> (Cpu, StopReason) {
 /// falls through into it. Both engines must execute the patched
 /// `addi a0, a0, 64`, not the original `addi a0, a0, 1`.
 fn patch_program(a: &mut Asm) {
-    let patched = encode(&Instr::OpImm {
-        op: AluImmOp::Addi,
+    let patched = encode(&Op::Addi(IType {
         rd: A0,
         rs1: A0,
         imm: 64,
-    });
+    }));
     a.li(A0, 0);
     a.li(T0, patched as i32);
     // The store target is the addi two instructions below the li
@@ -59,12 +59,11 @@ fn store_patches_upcoming_straight_line_instruction() {
 /// original instruction (predecoded on that pass), the store then
 /// rewrites it, and every later iteration must run the new opcode.
 fn patch_loop_program(a: &mut Asm) {
-    let nop_like = encode(&Instr::OpImm {
-        op: AluImmOp::Addi,
+    let nop_like = encode(&Op::Addi(IType {
         rd: A1,
         rs1: A1,
         imm: 100,
-    });
+    }));
     a.li(A0, 0); // iteration counter
     a.li(A1, 0); // accumulator
     a.li(A2, 3); // iterations
@@ -95,12 +94,11 @@ fn store_patches_cached_loop_body() {
 /// must drop its op before the wrap, not only on sequential
 /// fall-through.
 fn patch_hw_loop_program(a: &mut Asm) {
-    let patched = encode(&Instr::OpImm {
-        op: AluImmOp::Addi,
+    let patched = encode(&Op::Addi(IType {
         rd: A1,
         rs1: A1,
         imm: 100,
-    });
+    }));
     a.li(A1, 0); // accumulator
     a.li(T0, patched as i32);
     // Loop body: addi (the patch target) + sw (patches it), 3 times.
@@ -133,12 +131,11 @@ fn store_ending_hw_loop_body_invalidates_before_wrap() {
 /// *different* word every iteration. Each iteration must re-decode the
 /// word the previous one wrote, never reuse an older op.
 fn patch_hw_loop_nonidempotent(a: &mut Asm) {
-    let addi_1 = encode(&Instr::OpImm {
-        op: AluImmOp::Addi,
+    let addi_1 = encode(&Op::Addi(IType {
         rd: A1,
         rs1: A1,
         imm: 1,
-    });
+    }));
     a.li(A1, 0); // accumulator
                  // t0 holds the body[0] word; its addi immediate grows by 1 per
                  // iteration (the I-type immediate lives in bits 31:20).

@@ -4,6 +4,7 @@
 
 use arcane::core::kernels::KernelError;
 use arcane::core::{ArcaneConfig, ArcaneLlc};
+use arcane::isa::launch::{DescriptorBatch, LaunchDescriptor, OperandBinding, FUNC5_XMB};
 use arcane::isa::reg::{A0, A1, A2};
 use arcane::isa::xmnmc::{self, kernel_id, MatReg, XInstr, FUNC5_XMR};
 use arcane::mem::{Access, AccessSize, Bus, BusError, Memory, Sram};
@@ -203,6 +204,84 @@ fn empty_matrix_operand_is_killed_before_booking() {
         })
     );
     assert!(llc.records().is_empty());
+}
+
+/// Launches the 16x16 three-channel conv with its 3 KiB input bound at
+/// `a_addr`: one `xmr` per operand and `xmk4` on the legacy path, one
+/// `xmb` batch on the descriptor path.
+fn launch_conv_with_input_at(llc: &mut ArcaneLlc, a_addr: u32, launch: LaunchMode) -> XifResponse {
+    let sew = Sew::Word;
+    let bind = |reg, addr, cols, rows| OperandBinding {
+        reg: m(reg),
+        addr,
+        stride: 1,
+        cols,
+        rows,
+    };
+    let bindings = vec![
+        bind(0, a_addr, 16, 48),
+        bind(1, F_ADDR, 3, 9),
+        bind(2, R_ADDR, 7, 7),
+    ];
+    if launch == LaunchMode::Descriptor {
+        let batch = DescriptorBatch {
+            descriptors: vec![LaunchDescriptor {
+                kernel: kernel_id::CONV_LAYER_3CH,
+                width: sew,
+                alpha: 0,
+                beta: 0,
+                md: m(2),
+                ms1: m(0),
+                ms2: m(1),
+                ms3: m(0),
+                bindings,
+                token: 0,
+            }],
+        };
+        let words = batch.encode();
+        for (i, w) in words.iter().enumerate() {
+            llc.ext_mut().write_u32(BASE + 4 * i as u32, *w).unwrap();
+        }
+        return llc.offload(x(FUNC5_XMB, sew), BASE, words.len() as u32, 0, 0);
+    }
+    for (t, b) in bindings.iter().enumerate() {
+        let (r1, r2, r3) = xmnmc::pack_xmr(b.addr, 1, b.reg, b.cols, b.rows);
+        let resp = llc.offload(x(FUNC5_XMR, sew), r1, r2, r3, 2 * t as u64);
+        assert!(matches!(resp, XifResponse::Accept { .. }));
+    }
+    let (r1, r2, r3) = xmnmc::pack_kernel(0, 0, m(2), m(0), m(1), m(0));
+    llc.offload(x(kernel_id::CONV_LAYER_3CH, sew), r1, r2, r3, 6)
+}
+
+#[test]
+fn operand_outside_external_memory_is_killed_on_both_launch_paths() {
+    // The last 256 B of the 16 MiB external memory, and an address
+    // below it: the input reaches outside external memory either way.
+    // Ending exactly at the last byte, it runs.
+    let end = EXT_BASE + (16 << 20);
+    for (a_addr, inside) in [
+        (end - 256, false),
+        (0x1000_0000, false),
+        (end - 3 * 16 * 16 * 4, true),
+    ] {
+        for launch in LaunchMode::ALL {
+            let mut cfg = ArcaneConfig::with_lanes(4);
+            cfg.launch = launch;
+            let mut llc = ArcaneLlc::new(cfg);
+            let resp = launch_conv_with_input_at(&mut llc, a_addr, launch);
+            if inside {
+                assert!(matches!(resp, XifResponse::Accept { .. }), "{launch:?}");
+                assert_eq!(llc.records().len(), 1);
+                continue;
+            }
+            assert_eq!(resp, XifResponse::Reject, "{a_addr:#x} {launch:?}");
+            assert_eq!(
+                llc.last_error(),
+                Some(&KernelError::OperandOutOfRange { reg: m(0) })
+            );
+            assert!(llc.records().is_empty());
+        }
+    }
 }
 
 #[test]

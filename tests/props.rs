@@ -3,8 +3,7 @@
 use arcane::core::cache::{CacheTable, Victim};
 use arcane::fabric::ResourceChannel;
 use arcane::isa::reg::Gpr;
-use arcane::isa::rv32::{self, AluImmOp, AluOp, BranchOp, Instr, LoadOp, StoreOp};
-use arcane::isa::vector::{self, all_vops, Sr, VInstr, Vr};
+use arcane::isa::vector::{VInstr, Vr};
 use arcane::isa::xmnmc::{self, XInstr};
 use arcane::sim::Sew;
 use arcane::vpu::{Vpu, VpuConfig};
@@ -19,131 +18,7 @@ fn sew() -> impl Strategy<Value = Sew> {
     prop_oneof![Just(Sew::Byte), Just(Sew::Half), Just(Sew::Word)]
 }
 
-fn rv32_instr() -> impl Strategy<Value = Instr> {
-    let imm12 = -2048i32..2048;
-    let branch_off = (-2048i32..2048).prop_map(|x| x * 2);
-    let jal_off = (-100_000i32..100_000).prop_map(|x| x * 2);
-    prop_oneof![
-        (gpr(), any::<u32>()).prop_map(|(rd, v)| Instr::Lui {
-            rd,
-            imm: v & 0xffff_f000
-        }),
-        (gpr(), any::<u32>()).prop_map(|(rd, v)| Instr::Auipc {
-            rd,
-            imm: v & 0xffff_f000
-        }),
-        (gpr(), jal_off).prop_map(|(rd, offset)| Instr::Jal { rd, offset }),
-        (gpr(), gpr(), imm12.clone()).prop_map(|(rd, rs1, offset)| Instr::Jalr { rd, rs1, offset }),
-        (
-            prop_oneof![
-                Just(BranchOp::Eq),
-                Just(BranchOp::Ne),
-                Just(BranchOp::Lt),
-                Just(BranchOp::Ge),
-                Just(BranchOp::Ltu),
-                Just(BranchOp::Geu)
-            ],
-            gpr(),
-            gpr(),
-            branch_off
-        )
-            .prop_map(|(op, rs1, rs2, offset)| Instr::Branch {
-                op,
-                rs1,
-                rs2,
-                offset
-            }),
-        (
-            prop_oneof![
-                Just(LoadOp::Lb),
-                Just(LoadOp::Lh),
-                Just(LoadOp::Lw),
-                Just(LoadOp::Lbu),
-                Just(LoadOp::Lhu)
-            ],
-            gpr(),
-            gpr(),
-            imm12.clone()
-        )
-            .prop_map(|(op, rd, rs1, offset)| Instr::Load {
-                op,
-                rd,
-                rs1,
-                offset
-            }),
-        (
-            prop_oneof![Just(StoreOp::Sb), Just(StoreOp::Sh), Just(StoreOp::Sw)],
-            gpr(),
-            gpr(),
-            imm12.clone()
-        )
-            .prop_map(|(op, rs2, rs1, offset)| Instr::Store {
-                op,
-                rs2,
-                rs1,
-                offset
-            }),
-        (
-            prop_oneof![
-                Just(AluImmOp::Addi),
-                Just(AluImmOp::Slti),
-                Just(AluImmOp::Sltiu),
-                Just(AluImmOp::Xori),
-                Just(AluImmOp::Ori),
-                Just(AluImmOp::Andi)
-            ],
-            gpr(),
-            gpr(),
-            imm12
-        )
-            .prop_map(|(op, rd, rs1, imm)| Instr::OpImm { op, rd, rs1, imm }),
-        (
-            prop_oneof![
-                Just(AluImmOp::Slli),
-                Just(AluImmOp::Srli),
-                Just(AluImmOp::Srai)
-            ],
-            gpr(),
-            gpr(),
-            0i32..32
-        )
-            .prop_map(|(op, rd, rs1, imm)| Instr::OpImm { op, rd, rs1, imm }),
-        (
-            prop_oneof![
-                Just(AluOp::Add),
-                Just(AluOp::Sub),
-                Just(AluOp::Sll),
-                Just(AluOp::Slt),
-                Just(AluOp::Sltu),
-                Just(AluOp::Xor),
-                Just(AluOp::Srl),
-                Just(AluOp::Sra),
-                Just(AluOp::Or),
-                Just(AluOp::And),
-                Just(AluOp::Mul),
-                Just(AluOp::Mulh),
-                Just(AluOp::Mulhsu),
-                Just(AluOp::Mulhu),
-                Just(AluOp::Div),
-                Just(AluOp::Divu),
-                Just(AluOp::Rem),
-                Just(AluOp::Remu)
-            ],
-            gpr(),
-            gpr(),
-            gpr()
-        )
-            .prop_map(|(op, rd, rs1, rs2)| Instr::Op { op, rd, rs1, rs2 }),
-    ]
-}
-
 proptest! {
-    #[test]
-    fn rv32_encode_decode_roundtrip(instr in rv32_instr()) {
-        let word = rv32::encode(&instr);
-        prop_assert_eq!(rv32::decode(word).unwrap(), instr);
-    }
-
     #[test]
     fn xmnmc_encode_decode_roundtrip(
         func5 in 0u8..32,
@@ -155,36 +30,6 @@ proptest! {
         let x = XInstr { func5, width: sew, rs1, rs2, rs3 };
         let word = xmnmc::encode_raw(&x);
         prop_assert_eq!(xmnmc::decode_raw(word).unwrap(), x);
-    }
-
-    #[test]
-    fn vector_encode_decode_roundtrip(
-        class in 0usize..9,
-        op_idx in 0usize..12,
-        vd in 0u8..32,
-        vs1 in 0u8..32,
-        b in 0u8..32,
-        imm in 0u16..1024,
-        sew in sew(),
-    ) {
-        let vd = Vr::new(vd).unwrap();
-        let vs1 = Vr::new(vs1).unwrap();
-        let vs2 = Vr::new(b).unwrap();
-        let rs = Sr::new(b).unwrap();
-        let op = all_vops()[op_idx];
-        let v = match class {
-            0 => VInstr::SetVl { vl: imm, sew },
-            1 => VInstr::OpVV { op, vd, vs1, vs2 },
-            2 => VInstr::OpVX { op, vd, vs1, rs },
-            3 => VInstr::SlideDown { vd, vs1, offset: imm },
-            4 => VInstr::SlideUp { vd, vs1, offset: imm },
-            5 => VInstr::BroadcastX { vd, rs },
-            6 => VInstr::Move { vd, vs1 },
-            7 => VInstr::RedSum { vd, vs1 },
-            _ => VInstr::RedMax { vd, vs1 },
-        };
-        let word = vector::encode(&v);
-        prop_assert_eq!(vector::decode(word).unwrap(), v);
     }
 
     #[test]
