@@ -22,6 +22,8 @@ fn sr(i: u8) -> Sr {
 /// The micro-program keeps a stripe of `R` rows as accumulators, loads
 /// `B` in row tiles and drives `vmacc.vx` with the `A` scalars read
 /// through the eCPU port — the row-broadcast formulation NM-Carus uses.
+/// Each accumulator takes a tile's taps as one train
+/// ([`KernelCtx::macc_taps`]).
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct Gemm;
 
@@ -102,16 +104,14 @@ impl Kernel for Gemm {
                 let tk = TK.min(k_total - k0);
                 ctx.load_rows(&b, k0, tk, brow0)?;
                 for m in 0..sm {
-                    for k in 0..tk {
-                        let a_mk = ctx.peek(vr(arow0 + m), k0 + k, sew) as i32 as u32;
-                        ctx.set_scalar(sr(1), a_mk);
-                        ctx.exec(&[VInstr::OpVX {
-                            op: VOp::Macc,
-                            vd: vr(acc0 + m),
-                            vs1: vr(brow0 + k),
-                            rs: sr(1),
-                        }])?;
-                    }
+                    ctx.macc_taps(
+                        vr(acc0 + m),
+                        vr(arow0 + m),
+                        k0..k0 + tk,
+                        vr(brow0),
+                        sr(1),
+                        sew,
+                    )?;
                 }
                 k0 += tk;
             }

@@ -8,8 +8,8 @@
 //! * [`KernelCtx::load_rows`] — **allocation**: controller lock, dirty
 //!   write-backs, 2-D DMA of operand rows into the VPU's cache lines;
 //! * [`KernelCtx::exec`] / [`KernelCtx::set_scalar`] /
-//!   [`KernelCtx::peek`] — **compute**: eCPU issue overhead plus VPU
-//!   datapath cycles;
+//!   [`KernelCtx::peek`] / [`KernelCtx::macc_taps`] — **compute**: eCPU
+//!   issue overhead plus VPU datapath cycles;
 //! * [`KernelCtx::store_row`] / [`KernelCtx::store_row_strided`] —
 //!   **writeback**: lock, consolidation DMA back to memory, cache-line
 //!   release.
@@ -27,8 +27,12 @@ use arcane_fabric::{Fabric, PortStats, ResourceChannel};
 use arcane_isa::vector::{Sr, VInstr, Vr};
 use arcane_mem::Memory;
 use arcane_sim::{Phase, PhaseBreakdown, Sew};
-use arcane_vpu::Vpu;
+use arcane_vpu::{Vpu, VpuError};
 use std::ops::Range;
+
+/// Taps of a [`KernelCtx::macc_taps`] train computed per datapath pass
+/// (GeMM's `B` tiles hold 12 rows, so its trains take one pass).
+const TAPS_PER_PASS: usize = 16;
 
 /// Execution services available to a running kernel.
 #[derive(Debug)]
@@ -155,10 +159,17 @@ impl<'a> KernelCtx<'a> {
     /// VPU-side descriptor decoder under the batched pipeline.
     pub fn set_scalar(&mut self, rs: Sr, value: u32) {
         self.vpu.set_sreg(rs, value);
+        self.control_work(CRT.sreg_write);
+    }
+
+    /// Books `cycles` of scalar control traffic (register writes,
+    /// element reads): on the shared eCPU on the legacy launch path, on
+    /// the VPU-side descriptor decoder under the batched pipeline.
+    fn control_work(&mut self, cycles: u64) {
         if self.local_issue {
-            self.charge(Phase::Compute, CRT.sreg_write);
+            self.charge(Phase::Compute, cycles);
         } else {
-            self.ecpu_work(Phase::Compute, CRT.sreg_write);
+            self.ecpu_work(Phase::Compute, cycles);
         }
     }
 
@@ -171,11 +182,12 @@ impl<'a> KernelCtx<'a> {
     ///
     /// Panics if the element lies outside the register.
     pub fn peek(&mut self, vreg: Vr, idx: usize, sew: Sew) -> i64 {
-        if self.local_issue {
-            self.charge(Phase::Compute, CRT.elem_read);
-        } else {
-            self.ecpu_work(Phase::Compute, CRT.elem_read);
-        }
+        self.control_work(CRT.elem_read);
+        self.elem(vreg, idx, sew)
+    }
+
+    /// Element `idx` of register `vreg` at width `sew`, sign-extended.
+    fn elem(&self, vreg: Vr, idx: usize, sew: Sew) -> i64 {
         let line = &self.cache.data[self.line(vreg.index() as usize)];
         let o = idx * sew.bytes();
         match sew {
@@ -185,6 +197,82 @@ impl<'a> KernelCtx<'a> {
                 i32::from_le_bytes([line[o], line[o + 1], line[o + 2], line[o + 3]]) as i64
             }
         }
+    }
+
+    /// Runs a GeMM tap train: for each `k` in `ks`, in order, the tap
+    /// `acc += a_row[k] · v(b0 + k - ks.start)`, the `A` scalar read at
+    /// width `sew` and passed through scalar register `rs`.
+    ///
+    /// Each tap books on the cursor, calendars and ports exactly what
+    /// [`KernelCtx::peek`] of `a_row[k]`, [`KernelCtx::set_scalar`] of
+    /// `rs` and [`KernelCtx::exec`] of one `OpVX Macc` book, and `rs`
+    /// is left holding the last tap's scalar, as issuing the taps one
+    /// by one leaves it. The data effect is computed in one datapath
+    /// pass ([`Vpu::macc_train`]), bit-identical to the single taps.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`KernelError::Vpu`] if `acc`, `a_row` or a register of
+    /// the `B` tile lies beyond the register file; nothing is computed
+    /// or booked then.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an element of `ks` lies outside the register.
+    pub fn macc_taps(
+        &mut self,
+        acc: Vr,
+        a_row: Vr,
+        ks: Range<usize>,
+        b0: Vr,
+        rs: Sr,
+        sew: Sew,
+    ) -> Result<(), KernelError> {
+        let Some(last) = ks.len().checked_sub(1) else {
+            return Ok(());
+        };
+        self.vreg(acc.index().into())?;
+        self.vreg(a_row.index().into())?;
+        self.vreg(usize::from(b0.index()) + last)?;
+
+        // A train whose accumulator is its scalar row must read each
+        // scalar after the taps before it: one tap per pass.
+        let per_pass = if acc == a_row { 1 } else { TAPS_PER_PASS };
+        let mut scalars = [0u32; TAPS_PER_PASS];
+        let regs = self.regs();
+        let mut tap_cycles = 0;
+        for k0 in ks.clone().step_by(per_pass) {
+            let n = per_pass.min(ks.end - k0);
+            for (j, x) in scalars[..n].iter_mut().enumerate() {
+                *x = self.elem(a_row, k0 + j, sew) as i32 as u32;
+            }
+            let vs0 = self.vreg(usize::from(b0.index()) + (k0 - ks.start))?;
+            tap_cycles =
+                self.vpu
+                    .macc_train(&mut self.cache.data[regs.clone()], acc, vs0, &scalars[..n])?;
+            if k0 + n == ks.end {
+                self.vpu.set_sreg(rs, scalars[n - 1]);
+            }
+        }
+
+        for _ in ks {
+            self.control_work(CRT.elem_read);
+            self.control_work(CRT.sreg_write);
+            self.dispatch_work(1);
+            self.charge(Phase::Compute, tap_cycles);
+        }
+        Ok(())
+    }
+
+    /// Register `index` of the assigned VPU, if it exists.
+    fn vreg(&self, index: usize) -> Result<Vr, KernelError> {
+        u8::try_from(index)
+            .ok()
+            .and_then(Vr::new)
+            .filter(|_| index < self.vregs())
+            .ok_or(KernelError::Vpu(VpuError::BadVreg {
+                index: u8::try_from(index).unwrap_or(u8::MAX),
+            }))
     }
 
     fn line_index(&self, vreg: usize) -> usize {
@@ -411,6 +499,8 @@ impl<'a> KernelCtx<'a> {
 mod tests {
     use super::*;
     use crate::ArcaneConfig;
+    use arcane_fabric::{ArbiterKind, FabricConfig};
+    use arcane_isa::vector::VOp;
 
     /// A 64-line cache (two 4-lane VPUs' worth) over 1 MiB of external
     /// memory at `0x2000_0000`, and the shared channels of one LLC.
@@ -424,9 +514,18 @@ mod tests {
     }
 
     fn fixture() -> Fixture {
+        fixture_on(ArbiterKind::WholePhase)
+    }
+
+    /// [`fixture`] with the fabric granting under `arbiter`.
+    fn fixture_on(arbiter: ArbiterKind) -> Fixture {
         let cfg = ArcaneConfig {
             n_vpus: 2,
             ext_size: 1 << 20,
+            fabric: FabricConfig {
+                arbiter,
+                ..FabricConfig::default_config()
+            },
             ..ArcaneConfig::with_lanes(4)
         };
         Fixture {
@@ -624,5 +723,123 @@ mod tests {
         };
         c.load_rows(&mat, 0, 1, 0).unwrap();
         assert!(c.now() > 5_000, "transfer must wait for the DMA channel");
+    }
+
+    /// A fixture for tap-train timing: the eCPU calendar and the fabric
+    /// already hold windows with gaps of every size between them, and
+    /// VPU 0's registers hold pseudo-random bytes.
+    fn train_fixture(arbiter: ArbiterKind) -> Fixture {
+        let mut fx = fixture_on(arbiter);
+        for i in 0..60 {
+            fx.ecpu.reserve(1000 + i * 23, 1 + i % 9);
+            fx.fabric
+                .request(Fabric::vpu_port(1), 0x2000_0000, 1000 + i * 41, 3 + i % 11);
+        }
+        let mut x = 0x9e37_79b9u32;
+        for b in &mut fx.cache.data[..32 * 1024] {
+            x ^= x << 13;
+            x ^= x >> 17;
+            x ^= x << 5;
+            *b = x as u8;
+        }
+        fx
+    }
+
+    /// GeMM-shaped trains `(acc, a_row, ks, b0)` at three widths, plus
+    /// an accumulator inside its `B` tile and one that is its own
+    /// scalar row.
+    const TRAINS: [(usize, usize, Range<usize>, usize); 4] = [
+        (0, 8, 0..12, 16),
+        (1, 9, 12..19, 16),
+        (17, 10, 3..9, 16),
+        (3, 3, 0..5, 20),
+    ];
+
+    /// Runs [`TRAINS`] on `c`, each either as single `peek` /
+    /// `set_scalar` / `exec` taps or as one `macc_taps` call, then
+    /// broadcasts `sr1` (at full width) into register 31.
+    fn run_trains(c: &mut KernelCtx<'_>, fused: bool) {
+        let v = |i: usize| Vr::new(i as u8).unwrap();
+        let sr1 = Sr::new(1).unwrap();
+        for (sew, vl) in [(Sew::Byte, 48), (Sew::Half, 100), (Sew::Word, 7)] {
+            c.set_vl(vl, sew).unwrap();
+            for (acc, a_row, ks, b0) in TRAINS {
+                if fused {
+                    c.macc_taps(v(acc), v(a_row), ks, v(b0), sr1, sew).unwrap();
+                    continue;
+                }
+                for k in ks.clone() {
+                    let a = c.peek(v(a_row), k, sew) as i32 as u32;
+                    c.set_scalar(sr1, a);
+                    c.exec(&[VInstr::OpVX {
+                        op: VOp::Macc,
+                        vd: v(acc),
+                        vs1: v(b0 + k - ks.start),
+                        rs: sr1,
+                    }])
+                    .unwrap();
+                }
+            }
+        }
+        c.set_vl(1, Sew::Word).unwrap();
+        c.exec(&[VInstr::BroadcastX { vd: v(31), rs: sr1 }])
+            .unwrap();
+    }
+
+    #[test]
+    fn tap_train_books_and_computes_exactly_like_single_taps() {
+        for (arbiter, local_issue) in [
+            (ArbiterKind::WholePhase, false),
+            (ArbiterKind::WholePhase, true),
+            (ArbiterKind::RoundRobinBurst, false),
+        ] {
+            let (mut single, mut fused) = (train_fixture(arbiter), train_fixture(arbiter));
+            let outcome = |fx: &mut Fixture, fused: bool| {
+                let mut c = fx.ctx();
+                c.local_issue = local_issue;
+                run_trains(&mut c, fused);
+                (c.t, c.phases)
+            };
+            let want = outcome(&mut single, false);
+            let got = outcome(&mut fused, true);
+            let what = format!("{arbiter} local_issue={local_issue}");
+            assert_eq!(got, want, "cursor and phases, {what}");
+            assert_eq!(fused.ecpu.windows(), single.ecpu.windows(), "{what}");
+            assert_eq!(fused.ecpu_stats, single.ecpu_stats, "{what}");
+            assert_eq!(
+                fused.fabric.port_stats(),
+                single.fabric.port_stats(),
+                "{what}"
+            );
+            for (f, s) in fused
+                .fabric
+                .bank_channels()
+                .iter()
+                .zip(single.fabric.bank_channels())
+            {
+                assert_eq!(f.windows(), s.windows(), "fabric bank calendar, {what}");
+            }
+            assert!(
+                fused.cache.data == single.cache.data,
+                "register bytes (and sr1 in v31), {what}"
+            );
+        }
+    }
+
+    #[test]
+    fn tap_train_rejects_bad_registers_before_booking() {
+        let mut fx = fixture();
+        let mut c = fx.ctx();
+        let v = |i| Vr::new(i).unwrap();
+        let sr1 = Sr::new(1).unwrap();
+        // The B tile would run past register 31.
+        let err = c.macc_taps(v(0), v(8), 0..12, v(24), sr1, Sew::Byte);
+        assert_eq!(err, Err(KernelError::Vpu(VpuError::BadVreg { index: 35 })));
+        assert_eq!((c.t, c.phases), (1000, PhaseBreakdown::default()));
+        // An empty train books nothing either.
+        c.macc_taps(v(0), v(8), 3..3, v(16), sr1, Sew::Byte)
+            .unwrap();
+        assert_eq!(c.t, 1000);
+        assert!(fx.ecpu.is_empty());
     }
 }

@@ -274,7 +274,10 @@ pub fn decode(word: u32) -> Result<Op, DecodeError> {
             (0b000_0001, 0b111) => Op::Remu(r),
             _ => return err("unknown OP funct7/funct3"),
         },
-        MISC_MEM => Op::Fence,
+        // RV32I `fence` (any predecessor/successor set); `fence.i`
+        // (funct3 1) belongs to Zifencei, which the host lacks.
+        MISC_MEM if funct3 == 0 => Op::Fence,
+        MISC_MEM => return err("unknown MISC-MEM funct3"),
         SYSTEM => match word {
             ECALL => Op::Ecall,
             EBREAK => Op::Ebreak,
@@ -527,6 +530,20 @@ mod tests {
             assert_eq!(
                 decode(word),
                 Err(DecodeError::new(word, "unsupported SYSTEM instruction"))
+            );
+        }
+    }
+
+    #[test]
+    fn only_funct3_zero_misc_mem_words_are_fence() {
+        assert_eq!(decode(0x0000_000f), Ok(Op::Fence));
+        // fence rw, rw: predecessor/successor bits stay a fence.
+        assert_eq!(decode(0x0330_000f), Ok(Op::Fence));
+        // fence.i (Zifencei) and a reserved funct3.
+        for word in [0x0000_100f, 0x0000_700f] {
+            assert_eq!(
+                decode(word),
+                Err(DecodeError::new(word, "unknown MISC-MEM funct3"))
             );
         }
     }

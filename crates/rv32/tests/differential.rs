@@ -333,7 +333,7 @@ const TABLE: &[(u32, u32, Fmt)] = &[
     (F7F3, 0x0200_5033, Fmt::R(Op::Divu)),
     (F7F3, 0x0200_6033, Fmt::R(Op::Rem)),
     (F7F3, 0x0200_7033, Fmt::R(Op::Remu)),
-    (OPC, 0x0f, Fmt::Fixed(Op::Fence)),
+    (F3, 0x000f, Fmt::Fixed(Op::Fence)),
     (ALL, 0x0000_0073, Fmt::Fixed(Op::Ecall)),
     (ALL, 0x0010_0073, Fmt::Fixed(Op::Ebreak)),
     // XCVPULP, custom-0: post-increment loads and stores.

@@ -8,6 +8,12 @@
 //! happens once per vector instruction instead of once per element, and
 //! the compiler monomorphises and vectorises the inner loops.
 //!
+//! Kernels compute in place on the register lines: each [`Operand`] is
+//! another register, a broadcast scalar or the destination itself
+//! ([`InPlace`]), monomorphised per pairing so that no source line is
+//! ever copied. [`macc_train`] runs a whole train of `vmacc.vx` taps
+//! in one pass over the accumulator.
+//!
 //! Semantics are bit-for-bit those of the original i64 reference code
 //! (wrapping two's complement at the selected width), including the
 //! quirky shift behaviour it inherited from evaluating in i64:
@@ -18,6 +24,8 @@
 //! * `Srl`/`Sra` reduce the shift amount modulo the element width.
 
 use arcane_isa::vector::VOp;
+use std::iter::Repeat;
+use std::slice::ChunksExact;
 
 /// A machine element type the datapath operates on (i8/i16/i32),
 /// mirroring the reference interpreter's i64-at-width semantics.
@@ -150,48 +158,128 @@ impl_elem!(i8, u8, 1);
 impl_elem!(i16, u16, 2);
 impl_elem!(i32, u32, 4);
 
-/// Applies `op` element-wise over `n` elements: `dst[i] = a[i] op b[i]`
-/// (for `Macc`, `dst[i] += a[i] * b[i]`). The slices must each hold at
-/// least `n * E::BYTES` bytes; `a` and `b` must not alias `dst` (the
-/// caller stages sources in scratch lines).
-pub(crate) fn binary<E: Elem>(op: VOp, n: usize, dst: &mut [u8], a: &[u8], b: &[u8]) {
+/// One source operand of an element-wise kernel, read element by
+/// element alongside the destination line.
+pub(crate) trait Operand<E: Elem>: Iterator {
+    /// The operand's element at the position whose destination element
+    /// is `d` (read before `d` is written).
+    fn fetch(item: Self::Item, d: &[u8]) -> E;
+}
+
+/// Another register: its elements in order.
+impl<E: Elem> Operand<E> for ChunksExact<'_, u8> {
+    #[inline(always)]
+    fn fetch(item: &[u8], _: &[u8]) -> E {
+        E::load(item)
+    }
+}
+
+/// A scalar broadcast to every element.
+impl<E: Elem> Operand<E> for Repeat<E> {
+    #[inline(always)]
+    fn fetch(item: E, _: &[u8]) -> E {
+        item
+    }
+}
+
+/// The destination register itself: element `i` reads only element `i`
+/// of each operand, so an operand aliasing the destination is read in
+/// place just before that element is overwritten.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct InPlace;
+
+impl Iterator for InPlace {
+    type Item = ();
+
+    #[inline(always)]
+    fn next(&mut self) -> Option<()> {
+        Some(())
+    }
+}
+
+impl<E: Elem> Operand<E> for InPlace {
+    #[inline(always)]
+    fn fetch((): (), d: &[u8]) -> E {
+        E::load(d)
+    }
+}
+
+/// The elements of a register line as an [`Operand`].
+pub(crate) fn line<E: Elem>(bytes: &[u8]) -> ChunksExact<'_, u8> {
+    bytes.chunks_exact(E::BYTES)
+}
+
+/// Applies `op` element-wise over the first `n` elements of `dst`:
+/// `dst[i] = a[i] op b[i]` (for `Macc`, `dst[i] += a[i] * b[i]`).
+/// `dst` must hold at least `n * E::BYTES` bytes and each line operand
+/// at least `n` elements.
+pub(crate) fn binary<E: Elem, A: Operand<E>, B: Operand<E>>(
+    op: VOp,
+    n: usize,
+    dst: &mut [u8],
+    a: A,
+    b: B,
+) {
     macro_rules! lanes {
-        (|$x:ident, $y:ident| $e:expr) => {
-            for ((d, ax), bx) in dst
-                .chunks_exact_mut(E::BYTES)
-                .zip(a.chunks_exact(E::BYTES))
-                .zip(b.chunks_exact(E::BYTES))
-                .take(n)
-            {
-                let $x = E::load(ax);
-                let $y = E::load(bx);
-                ($e).store(d);
+        (|$d:ident, $x:ident, $y:ident| $e:expr) => {
+            for (($d, ai), bi) in dst[..n * E::BYTES].chunks_exact_mut(E::BYTES).zip(a).zip(b) {
+                let $x = A::fetch(ai, $d);
+                let $y = B::fetch(bi, $d);
+                ($e).store($d);
             }
         };
     }
     match op {
-        VOp::Add => lanes!(|x, y| x.wadd(y)),
-        VOp::Sub => lanes!(|x, y| x.wsub(y)),
-        VOp::Mul => lanes!(|x, y| x.wmul(y)),
-        VOp::Macc => {
-            for ((d, ax), bx) in dst
-                .chunks_exact_mut(E::BYTES)
-                .zip(a.chunks_exact(E::BYTES))
-                .zip(b.chunks_exact(E::BYTES))
-                .take(n)
-            {
-                let acc = E::load(d);
-                acc.wadd(E::load(ax).wmul(E::load(bx))).store(d);
+        VOp::Add => lanes!(|d, x, y| x.wadd(y)),
+        VOp::Sub => lanes!(|d, x, y| x.wsub(y)),
+        VOp::Mul => lanes!(|d, x, y| x.wmul(y)),
+        VOp::Macc => lanes!(|d, x, y| E::load(d).wadd(x.wmul(y))),
+        VOp::Max => lanes!(|d, x, y| x.emax(y)),
+        VOp::Min => lanes!(|d, x, y| x.emin(y)),
+        VOp::Sll => lanes!(|d, x, y| x.shl64(y)),
+        VOp::Srl => lanes!(|d, x, y| x.shr_l(y)),
+        VOp::Sra => lanes!(|d, x, y| x.shr_a(y)),
+        VOp::And => lanes!(|d, x, y| x.band(y)),
+        VOp::Or => lanes!(|d, x, y| x.bor(y)),
+        VOp::Xor => lanes!(|d, x, y| x.bxor(y)),
+    }
+}
+
+/// Elements one pass of [`macc_train`] keeps in registers.
+const TRAIN_BLOCK: usize = 64;
+
+/// A train of `vmacc.vx` taps in one pass over the first `n` elements
+/// of `dst`: `dst[i] += Σ_k scalars[k] · row_k[i]`, where `row_k` is
+/// the `k`-th `stride`-byte line of `rows`. Each element sums its taps
+/// in tap order at element width, so the result is bit-identical to
+/// issuing the taps one by one; `dst` must not be one of the rows.
+pub(crate) fn macc_train<E: Elem>(
+    n: usize,
+    dst: &mut [u8],
+    rows: &[u8],
+    stride: usize,
+    scalars: &[u32],
+) {
+    let mut acc = [E::from_i64(0); TRAIN_BLOCK];
+    for (blk, d) in dst[..n * E::BYTES]
+        .chunks_mut(TRAIN_BLOCK * E::BYTES)
+        .enumerate()
+    {
+        let o = blk * TRAIN_BLOCK * E::BYTES;
+        let acc = &mut acc[..d.len() / E::BYTES];
+        for (a, c) in acc.iter_mut().zip(d.chunks_exact(E::BYTES)) {
+            *a = E::load(c);
+        }
+        for (k, &s) in scalars.iter().enumerate() {
+            let s = E::from_i64(i64::from(s));
+            let row = &rows[k * stride + o..][..d.len()];
+            for (a, c) in acc.iter_mut().zip(row.chunks_exact(E::BYTES)) {
+                *a = a.wadd(s.wmul(E::load(c)));
             }
         }
-        VOp::Max => lanes!(|x, y| x.emax(y)),
-        VOp::Min => lanes!(|x, y| x.emin(y)),
-        VOp::Sll => lanes!(|x, y| x.shl64(y)),
-        VOp::Srl => lanes!(|x, y| x.shr_l(y)),
-        VOp::Sra => lanes!(|x, y| x.shr_a(y)),
-        VOp::And => lanes!(|x, y| x.band(y)),
-        VOp::Or => lanes!(|x, y| x.bor(y)),
-        VOp::Xor => lanes!(|x, y| x.bxor(y)),
+        for (a, c) in acc.iter().zip(d.chunks_exact_mut(E::BYTES)) {
+            a.store(c);
+        }
     }
 }
 
@@ -250,9 +338,11 @@ mod tests {
     fn macc_accumulates_in_place() {
         let mut d = (100i32).to_le_bytes().to_vec();
         let a = (3i32).to_le_bytes().to_vec();
-        let b = (-7i32).to_le_bytes().to_vec();
-        binary::<i32>(VOp::Macc, 1, &mut d, &a, &b);
+        binary::<i32, _, _>(VOp::Macc, 1, &mut d, line::<i32>(&a), std::iter::repeat(-7));
         assert_eq!(i32::from_le_bytes(d[..4].try_into().unwrap()), 100 - 21);
+        // The destination as both sources: 79 + 79 * 79.
+        binary::<i32, _, _>(VOp::Macc, 1, &mut d, InPlace, InPlace);
+        assert_eq!(i32::from_le_bytes(d[..4].try_into().unwrap()), 79 + 79 * 79);
     }
 
     #[test]

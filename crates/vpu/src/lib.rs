@@ -22,6 +22,10 @@
 //! slices (the `batch` module) rather than element-at-a-time `i64`
 //! loops — the per-element width dispatch of the original interpreter
 //! was the dominant compute-phase cost of whole-sweep simulations.
+//! The kernels compute in place on the register lines, with no staging
+//! copy: element `i` reads only element `i` of each operand, so the
+//! destination may alias any source. [`Vpu::macc_train`] runs a whole
+//! train of `vmacc.vx` taps in one pass.
 //!
 //! # Examples
 //!
@@ -52,8 +56,10 @@ mod batch;
 
 use arcane_isa::vector::{Sr, VInstr, VOp, Vr};
 use arcane_sim::Sew;
+use batch::InPlace;
 use std::error::Error;
 use std::fmt;
+use std::iter::repeat;
 
 /// Static configuration of one VPU instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -178,11 +184,6 @@ pub struct Vpu {
     sregs: [u32; 32],
     vl: usize,
     sew: Sew,
-    /// Staging lines for the batch kernels: sources are copied here so
-    /// the destination line can be written in place even when an
-    /// instruction names the same register as source and destination.
-    scratch_a: Vec<u8>,
-    scratch_b: Vec<u8>,
 }
 
 impl Vpu {
@@ -194,8 +195,6 @@ impl Vpu {
             sregs: [0; 32],
             vl: cfg.max_vl(Sew::Word),
             sew: Sew::Word,
-            scratch_a: vec![0; cfg.vlen_bytes],
-            scratch_b: vec![0; cfg.vlen_bytes],
         }
     }
 
@@ -278,18 +277,13 @@ impl Vpu {
                 let d = self.check_vreg(vd)?;
                 let a = self.check_vreg(vs1)?;
                 let b = self.check_vreg(vs2)?;
-                self.stage_line(regs, a, false);
-                self.stage_line(regs, b, true);
-                self.batch_binary(regs, op, d);
+                self.op_vv(regs, op, d, a, b);
                 Ok(self.timing.elementwise(self.vl, self.sew))
             }
             VInstr::OpVX { op, vd, vs1, rs } => {
                 let d = self.check_vreg(vd)?;
                 let a = self.check_vreg(vs1)?;
-                let scalar = self.truncate(self.sregs[rs.index() as usize]);
-                self.stage_line(regs, a, false);
-                self.stage_splat(scalar);
-                self.batch_binary(regs, op, d);
+                self.op_vx(regs, op, d, a, self.sregs[rs.index() as usize]);
                 Ok(self.timing.elementwise(self.vl, self.sew))
             }
             VInstr::SlideDown { vd, vs1, offset } => {
@@ -302,11 +296,11 @@ impl Vpu {
                 // is still reachable; elements past the register end
                 // read as zero.
                 let n_copy = self.cfg.max_vl(self.sew).saturating_sub(off).min(self.vl);
-                let scratch_a = &mut self.scratch_a;
-                scratch_a[..vlen].copy_from_slice(&regs[a * vlen..(a + 1) * vlen]);
-                let dst = &mut regs[d * vlen..d * vlen + self.vl * sz];
-                dst[..n_copy * sz].copy_from_slice(&scratch_a[off * sz..(off + n_copy) * sz]);
-                dst[n_copy * sz..].fill(0);
+                if n_copy > 0 {
+                    let src = a * vlen + off * sz;
+                    regs.copy_within(src..src + n_copy * sz, d * vlen);
+                }
+                regs[d * vlen + n_copy * sz..d * vlen + self.vl * sz].fill(0);
                 Ok(self.timing.elementwise(self.vl, self.sew))
             }
             VInstr::SlideUp { vd, vs1, offset } => {
@@ -316,10 +310,7 @@ impl Vpu {
                 let vlen = self.cfg.vlen_bytes;
                 let off = offset as usize;
                 let n = self.vl.saturating_sub(off);
-                let scratch_a = &mut self.scratch_a;
-                scratch_a[..n * sz].copy_from_slice(&regs[a * vlen..a * vlen + n * sz]);
-                regs[d * vlen + off * sz..d * vlen + (off + n) * sz]
-                    .copy_from_slice(&scratch_a[..n * sz]);
+                regs.copy_within(a * vlen..a * vlen + n * sz, d * vlen + off * sz);
                 Ok(self.timing.elementwise(self.vl, self.sew))
             }
             VInstr::BroadcastX { vd, rs } => {
@@ -370,49 +361,137 @@ impl Vpu {
         }
     }
 
+    /// Runs a train of `vmacc.vx` taps in one datapath pass: tap `k` is
+    /// `vd += scalars[k] · v(vs0 + k)` at the active vector length and
+    /// width, its scalar truncated as `OpVX` truncates a scalar
+    /// register. The register bytes equal those of issuing the taps in
+    /// order as single `OpVX Macc` instructions; no scalar register is
+    /// written. Returns the datapath cycles of one tap (every tap of a
+    /// train costs the same).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`VpuError::BadVreg`] if `vd` or a tap's register lies
+    /// beyond the register file; nothing is computed then.
+    ///
+    /// # Panics
+    ///
+    /// See [`Vpu::execute`].
+    pub fn macc_train(
+        &self,
+        regs: &mut [u8],
+        vd: Vr,
+        vs0: Vr,
+        scalars: &[u32],
+    ) -> Result<u64, VpuError> {
+        let d = self.check_vreg(vd)?;
+        let s0 = self.check_vreg(vs0)?;
+        let end = s0 + scalars.len();
+        if end > self.cfg.vregs {
+            return Err(VpuError::BadVreg {
+                index: u8::try_from(end - 1).unwrap_or(u8::MAX),
+            });
+        }
+        if (s0..end).contains(&d) {
+            // A tap reads the accumulator: issue the taps one by one.
+            for (k, &x) in scalars.iter().enumerate() {
+                self.op_vx(regs, VOp::Macc, d, s0 + k, x);
+            }
+        } else {
+            let vlen = self.cfg.vlen_bytes;
+            let (dst, rows) = if d < s0 {
+                let (lo, hi) = regs.split_at_mut(s0 * vlen);
+                (&mut lo[d * vlen..(d + 1) * vlen], &hi[..(end - s0) * vlen])
+            } else {
+                let (lo, hi) = regs.split_at_mut(d * vlen);
+                (&mut hi[..vlen], &lo[s0 * vlen..end * vlen])
+            };
+            let vl = self.vl;
+            match self.sew {
+                Sew::Byte => batch::macc_train::<i8>(vl, dst, rows, vlen, scalars),
+                Sew::Half => batch::macc_train::<i16>(vl, dst, rows, vlen, scalars),
+                Sew::Word => batch::macc_train::<i32>(vl, dst, rows, vlen, scalars),
+            }
+        }
+        Ok(self.timing.elementwise(self.vl, self.sew))
+    }
+
     /// Register `idx` of `regs`.
     fn line<'r>(&self, regs: &'r [u8], idx: usize) -> &'r [u8] {
         let vlen = self.cfg.vlen_bytes;
         &regs[idx * vlen..(idx + 1) * vlen]
     }
 
-    /// Copies the active `vl · sew` bytes of register `line` into one
-    /// of the two staging buffers (sources are staged so the
-    /// destination can alias either operand).
-    fn stage_line(&mut self, regs: &[u8], line: usize, second: bool) {
-        let nb = self.vl * self.sew.bytes();
-        let src = &self.line(regs, line)[..nb];
-        let dst = if second {
-            &mut self.scratch_b
-        } else {
-            &mut self.scratch_a
-        };
-        dst[..nb].copy_from_slice(src);
-    }
-
-    /// Fills the second staging buffer with a broadcast scalar
-    /// (already truncated to the active width).
-    fn stage_splat(&mut self, scalar: i64) {
-        let vl = self.vl;
+    /// `vd = vs1 op vs2` (register indices `d`, `a`, `b`) computed on
+    /// the register lines in place. Element `i` reads only element `i`
+    /// of each operand, so any operand may alias the destination.
+    fn op_vv(&self, regs: &mut [u8], op: VOp, d: usize, a: usize, b: usize) {
+        macro_rules! run {
+            ($e:ty) => {{
+                let vl = self.vl;
+                let vlen = self.cfg.vlen_bytes;
+                let r = |i: usize| i * vlen..(i + 1) * vlen;
+                if a == d && b == d {
+                    batch::binary::<$e, _, _>(op, vl, &mut regs[r(d)], InPlace, InPlace);
+                } else if a == d {
+                    let [dst, lb] = regs.get_disjoint_mut([r(d), r(b)]).expect("distinct");
+                    batch::binary::<$e, _, _>(op, vl, dst, InPlace, batch::line::<$e>(lb));
+                } else if b == d {
+                    let [dst, la] = regs.get_disjoint_mut([r(d), r(a)]).expect("distinct");
+                    batch::binary::<$e, _, _>(op, vl, dst, batch::line::<$e>(la), InPlace);
+                } else if a == b {
+                    let [dst, la] = regs.get_disjoint_mut([r(d), r(a)]).expect("distinct");
+                    let la = &*la;
+                    batch::binary::<$e, _, _>(
+                        op,
+                        vl,
+                        dst,
+                        batch::line::<$e>(la),
+                        batch::line::<$e>(la),
+                    );
+                } else {
+                    let [dst, la, lb] = regs
+                        .get_disjoint_mut([r(d), r(a), r(b)])
+                        .expect("distinct");
+                    batch::binary::<$e, _, _>(
+                        op,
+                        vl,
+                        dst,
+                        batch::line::<$e>(la),
+                        batch::line::<$e>(lb),
+                    );
+                }
+            }};
+        }
         match self.sew {
-            Sew::Byte => batch::splat::<i8>(vl, &mut self.scratch_b, scalar as i8),
-            Sew::Half => batch::splat::<i16>(vl, &mut self.scratch_b, scalar as i16),
-            Sew::Word => batch::splat::<i32>(vl, &mut self.scratch_b, scalar as i32),
+            Sew::Byte => run!(i8),
+            Sew::Half => run!(i16),
+            Sew::Word => run!(i32),
         }
     }
 
-    /// Runs the monomorphised batch kernel for `op` over the staged
-    /// sources, writing destination register `d` of `regs` in place.
-    fn batch_binary(&self, regs: &mut [u8], op: VOp, d: usize) {
-        let vlen = self.cfg.vlen_bytes;
-        let vl = self.vl;
-        let nb = vl * self.sew.bytes();
-        let (scratch_a, scratch_b) = (&self.scratch_a, &self.scratch_b);
-        let dst = &mut regs[d * vlen..d * vlen + nb];
+    /// `vd = vs1 op scalar` (register indices `d`, `a`; `scalar` is the
+    /// raw scalar register, truncated to the active width) computed on
+    /// the register lines in place; `vs1` may alias `vd`.
+    fn op_vx(&self, regs: &mut [u8], op: VOp, d: usize, a: usize, scalar: u32) {
+        macro_rules! run {
+            ($e:ty) => {{
+                let vl = self.vl;
+                let vlen = self.cfg.vlen_bytes;
+                let r = |i: usize| i * vlen..(i + 1) * vlen;
+                let x = repeat(scalar as $e);
+                if a == d {
+                    batch::binary::<$e, _, _>(op, vl, &mut regs[r(d)], InPlace, x);
+                } else {
+                    let [dst, la] = regs.get_disjoint_mut([r(d), r(a)]).expect("distinct");
+                    batch::binary::<$e, _, _>(op, vl, dst, batch::line::<$e>(la), x);
+                }
+            }};
+        }
         match self.sew {
-            Sew::Byte => batch::binary::<i8>(op, vl, dst, scratch_a, scratch_b),
-            Sew::Half => batch::binary::<i16>(op, vl, dst, scratch_a, scratch_b),
-            Sew::Word => batch::binary::<i32>(op, vl, dst, scratch_a, scratch_b),
+            Sew::Byte => run!(i8),
+            Sew::Half => run!(i16),
+            Sew::Word => run!(i32),
         }
     }
 
