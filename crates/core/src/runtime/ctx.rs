@@ -205,7 +205,9 @@ impl<'a> KernelCtx<'a> {
     ///
     /// Each tap books on the cursor, calendars and ports exactly what
     /// [`KernelCtx::peek`] of `a_row[k]`, [`KernelCtx::set_scalar`] of
-    /// `rs` and [`KernelCtx::exec`] of one `OpVX Macc` book, and `rs`
+    /// `rs` and [`KernelCtx::exec`] of one `OpVX Macc` book (in one
+    /// [`Fabric::issue_train`] walk when the dispatch descriptor is a
+    /// tap's only calendar booking), and `rs`
     /// is left holding the last tap's scalar, as issuing the taps one
     /// by one leaves it. The data effect is computed in one datapath
     /// pass ([`Vpu::macc_train`]), bit-identical to the single taps.
@@ -255,6 +257,17 @@ impl<'a> KernelCtx<'a> {
             }
         }
 
+        if self.local_issue && self.fabric.issue_on_fabric() {
+            // A tap's only calendar booking is its dispatch descriptor:
+            // book the whole train in one walk of the fabric bank.
+            let t0 = self.t;
+            let pre = CRT.elem_read + CRT.sreg_write;
+            self.t = self
+                .fabric
+                .issue_train(self.port, t0, ks.len() as u64, pre, tap_cycles);
+            self.phases.charge(Phase::Compute, self.t - t0);
+            return Ok(());
+        }
         for _ in ks {
             self.control_work(CRT.elem_read);
             self.control_work(CRT.sreg_write);
@@ -788,11 +801,10 @@ mod tests {
 
     #[test]
     fn tap_train_books_and_computes_exactly_like_single_taps() {
-        for (arbiter, local_issue) in [
-            (ArbiterKind::WholePhase, false),
-            (ArbiterKind::WholePhase, true),
-            (ArbiterKind::RoundRobinBurst, false),
-        ] {
+        for (arbiter, local_issue) in ArbiterKind::ALL
+            .into_iter()
+            .flat_map(|a| [(a, false), (a, true)])
+        {
             let (mut single, mut fused) = (train_fixture(arbiter), train_fixture(arbiter));
             let outcome = |fx: &mut Fixture, fused: bool| {
                 let mut c = fx.ctx();

@@ -10,15 +10,38 @@
 //! windows and books each request into the earliest gap that fits —
 //! first-come-first-served per kernel, interleaved across kernels.
 
+/// A busy window `[start, end)` in absolute cycles.
+type Window = (u64, u64);
+
+/// Windows a new hole opens with: one shift of the later windows pays
+/// for this many inserts, and the buffer stays about as large as a
+/// plain `Vec` of the windows (merges widen the hole again).
+const HOLE: usize = 64;
+
 /// A shared, single-ported resource booked in absolute-cycle windows.
 ///
 /// Nothing is ever unbooked: the busy set only grows. The calendar
 /// relies on that to remember one span a search already proved full
 /// (see [`ResourceChannel::reserve`]).
+///
+/// The windows live in one `Vec` around a movable hole (a gap buffer):
+/// window `i` sits at `buf[i]` before the hole and at
+/// `buf[i + hole_len]` after it. An insert or a merge first moves the
+/// hole to where it edits, shifting only the windows between the last
+/// edit and this one instead of every later window, and leaves the
+/// hole right before the window it touched. The hole therefore never
+/// reaches the physical end: the last window is always `buf.last()`,
+/// and a booking at or past the (cached) horizon is one compare and
+/// one push.
 #[derive(Debug, Clone, Default)]
 pub struct ResourceChannel {
-    /// Busy windows sorted by start time.
-    windows: Vec<(u64, u64)>,
+    /// Busy windows sorted by start time, around the hole
+    /// `hole..hole + hole_len` (whose contents are stale).
+    buf: Vec<Window>,
+    hole: usize,
+    hole_len: usize,
+    /// End of the last window (0 when idle forever).
+    horizon: u64,
     /// Index of the window the last booking landed in: where the next
     /// search starts (consecutive requests land next to each other).
     hint: usize,
@@ -57,7 +80,7 @@ impl ResourceChannel {
         if duration == 0 {
             return (earliest, earliest);
         }
-        if earliest >= self.horizon() {
+        if earliest >= self.horizon {
             self.append(earliest, earliest + duration);
             return (earliest, earliest + duration);
         }
@@ -68,11 +91,12 @@ impl ResourceChannel {
     /// last window when it ends exactly at `start`.
     #[inline]
     fn append(&mut self, start: u64, end: u64) {
-        match self.windows.last_mut() {
+        match self.buf.last_mut() {
             Some(w) if w.1 == start => w.1 = end,
-            _ => self.windows.push((start, end)),
+            _ => self.buf.push((start, end)),
         }
-        self.hint = self.windows.len() - 1;
+        self.horizon = end;
+        self.hint = self.len() - 1;
     }
 
     /// The gap search of [`ResourceChannel::reserve`] for a request
@@ -87,8 +111,9 @@ impl ResourceChannel {
         };
         let mut t = from;
         let mut i = self.first_ending_after(t);
-        while i < self.windows.len() {
-            let (s, e) = self.windows[i];
+        let n = self.len();
+        while i < n {
+            let (s, e) = self.get(i);
             if s >= t + duration {
                 break; // the gap before this window fits
             }
@@ -99,72 +124,129 @@ impl ResourceChannel {
         // booking about to be made at `t`.
         let a = if duration == d && from == b { a } else { from };
         self.full = (a, t + duration, duration);
-        self.splice(i, (t, t + duration));
+        if i == n {
+            self.append(t, t + duration);
+        } else {
+            self.splice(i, (t, t + duration));
+        }
         (t, t + duration)
     }
 
-    /// Books `win`, which lies in the gap before window `i`, coalescing
-    /// with exact neighbours. Returns the index of the window now
-    /// holding `win`.
-    fn splice(&mut self, i: usize, win: (u64, u64)) -> usize {
-        let touches_prev = i > 0 && self.windows[i - 1].1 == win.0;
-        let touches_next = i < self.windows.len() && self.windows[i].0 == win.1;
-        match (touches_prev, touches_next) {
+    /// Books `win`, which lies in the gap before window `i` (`i <
+    /// len`), coalescing with exact neighbours. Returns the index of
+    /// the window now holding `win`.
+    fn splice(&mut self, i: usize, win: Window) -> usize {
+        let touches_prev = i > 0 && self.get(i - 1).1 == win.0;
+        let touches_next = self.get(i).0 == win.1;
+        self.hint = match (touches_prev, touches_next) {
             (true, true) => {
-                self.windows[i - 1].1 = self.windows[i].1;
-                self.windows.remove(i);
+                self.merge_into_next(i - 1);
+                i - 1
             }
-            (true, false) => self.windows[i - 1].1 = win.1,
-            (false, true) => self.windows[i].0 = win.0,
-            (false, false) => self.windows.insert(i, win),
-        }
-        self.hint = if touches_prev { i - 1 } else { i };
+            (true, false) => {
+                let j = self.slot(i - 1);
+                self.buf[j].1 = win.1;
+                i - 1
+            }
+            (false, true) => {
+                let j = self.slot(i);
+                self.buf[j].0 = win.0;
+                i
+            }
+            (false, false) => {
+                self.insert(i, win);
+                i
+            }
+        };
+        debug_assert!(
+            self.hole + self.hole_len < self.buf.len(),
+            "the hole never reaches the physical end"
+        );
         self.hint
+    }
+
+    /// Position in `buf` of window `i`.
+    #[inline]
+    fn slot(&self, i: usize) -> usize {
+        if i < self.hole {
+            i
+        } else {
+            i + self.hole_len
+        }
+    }
+
+    /// Window `i`.
+    #[inline]
+    fn get(&self, i: usize) -> Window {
+        self.buf[self.slot(i)]
+    }
+
+    /// The windows before and after the hole.
+    fn halves(&self) -> (&[Window], &[Window]) {
+        let (front, rest) = self.buf.split_at(self.hole);
+        (front, &rest[self.hole_len..])
+    }
+
+    /// Moves the hole to just before window `i`, shifting the windows
+    /// between its old and its new place.
+    fn move_hole(&mut self, i: usize) {
+        let (h, l) = (self.hole, self.hole_len);
+        if l > 0 {
+            if i < h {
+                self.buf.copy_within(i..h, i + l);
+            } else {
+                self.buf.copy_within(h + l..i + l, h);
+            }
+        }
+        self.hole = i;
+    }
+
+    /// Inserts `win` as window `i` (`i < len`), leaving the hole right
+    /// before it. Without a hole, a new one of [`HOLE`] windows opens at
+    /// `i`: one shift of the later windows pays for that many inserts.
+    fn insert(&mut self, i: usize, win: Window) {
+        if self.hole_len == 0 {
+            let n = self.buf.len();
+            self.buf.resize(n + HOLE, (0, 0));
+            self.buf.copy_within(i..n, i + HOLE);
+            (self.hole, self.hole_len) = (i, HOLE);
+        } else {
+            self.move_hole(i);
+        }
+        self.hole_len -= 1;
+        self.buf[self.hole + self.hole_len] = win;
+    }
+
+    /// Removes window `i`, whose start window `i + 1` takes over (the
+    /// booking between them closed the gap), leaving the hole right
+    /// before the merged window.
+    fn merge_into_next(&mut self, i: usize) {
+        self.move_hole(i);
+        let start = self.buf[self.hole + self.hole_len].0;
+        self.hole_len += 1;
+        self.buf[self.hole + self.hole_len].0 = start;
     }
 
     /// Index of the first window ending after `t` (every earlier window
     /// ends at or before `t`), i.e. the `partition_point` of
     /// `end <= t`.
     ///
-    /// Consecutive requests land next to each other — a kernel's cursor
-    /// moves forward and fragmented/packed chunks start where the last
-    /// one ended — so the search gallops from the last booking's
-    /// window in whichever direction `t` lies, doubling its stride,
-    /// then binary-searches the bracket it found: O(log d) for a
-    /// request `d` windows from the previous one instead of O(log n)
-    /// over the whole calendar. The hint only steers the search; the
-    /// result is exactly the full binary search's.
+    /// Ends increase across the hole, so the answer lies before it
+    /// exactly when the last window before it ends after `t`; the
+    /// search then gallops within that half (see [`gallop`]). The hint
+    /// only steers the search; the result is exactly the full binary
+    /// search's.
     fn first_ending_after(&self, t: u64) -> usize {
-        let w = &self.windows;
-        let ends_by = |i: usize| w[i].1 <= t;
-        let h = self.hint.min(w.len());
-        // The answer lies in `lo..=hi`.
-        let (mut lo, mut hi) = (0, w.len());
-        if h < w.len() && ends_by(h) {
-            lo = h + 1;
-            let mut step = 1;
-            while h + step < w.len() {
-                if !ends_by(h + step) {
-                    hi = h + step;
-                    break;
-                }
-                lo = h + step + 1;
-                step *= 2;
-            }
+        let (front, back) = self.halves();
+        let i = if front.last().is_some_and(|w| w.1 > t) {
+            gallop(front, self.hint, t)
         } else {
-            hi = h;
-            let mut step = 1;
-            while step <= h {
-                if ends_by(h - step) {
-                    lo = h - step + 1;
-                    break;
-                }
-                hi = h - step;
-                step *= 2;
-            }
-        }
-        let i = lo + w[lo..hi].partition_point(|&(_, e)| e <= t);
-        debug_assert_eq!(i, w.partition_point(|&(_, e)| e <= t));
+            front.len() + gallop(back, self.hint.saturating_sub(front.len()), t)
+        };
+        debug_assert_eq!(
+            i,
+            front.partition_point(|&(_, e)| e <= t) + back.partition_point(|&(_, e)| e <= t)
+        );
         i
     }
 
@@ -183,7 +265,7 @@ impl ResourceChannel {
         let mut t = earliest;
         let mut first = None;
         while remaining > 0 {
-            if t >= self.horizon() {
+            if t >= self.horizon {
                 self.append(t, t + remaining);
                 first.get_or_insert(t);
                 t += remaining;
@@ -216,17 +298,70 @@ impl ResourceChannel {
         if total == 0 {
             return (earliest, earliest, 0);
         }
+        let i = self.first_ending_after(earliest);
+        self.pack(i, earliest, total, burst)
+    }
+
+    /// Books a train of `n` packed bookings of `total` cycles each:
+    /// exactly what `n` rounds of `cursor += pre`,
+    /// `(_, end, _) = reserve_packed(cursor, total, burst)`,
+    /// `cursor = end + post` book, starting from `cursor = earliest`.
+    ///
+    /// Each booking's walk starts from the window the previous one
+    /// landed in and steps forward to its own cursor instead of
+    /// searching the calendar again.
+    ///
+    /// Returns `(cursor, bursts, wait)`: the final cursor, the bursts
+    /// granted in all, and the cycles the bookings waited beyond their
+    /// service time (`end − cursor − total`, summed).
+    pub fn reserve_packed_train(
+        &mut self,
+        earliest: u64,
+        n: u64,
+        pre: u64,
+        total: u64,
+        burst: u64,
+        post: u64,
+    ) -> (u64, u64, u64) {
+        assert!(burst > 0, "burst must be positive");
+        if total == 0 {
+            return (earliest + n * (pre + post), 0, 0);
+        }
+        let (mut cursor, mut bursts, mut wait) = (earliest, 0, 0);
+        let mut i = self.first_ending_after(cursor);
+        for _ in 0..n {
+            cursor += pre;
+            while i < self.len() && self.get(i).1 <= cursor {
+                i += 1;
+            }
+            debug_assert_eq!(i, self.first_ending_after(cursor));
+            let (_, end, b) = self.pack(i, cursor, total, burst);
+            bursts += b;
+            wait += end - cursor - total;
+            cursor = end + post;
+            i = self.hint;
+        }
+        (cursor, bursts, wait)
+    }
+
+    /// The walk of every packed booking: books `total` cycles from `t`,
+    /// starting at window `i`, the first window ending after `t`. Fills
+    /// each gap it meets with as much as fits, counting the bursts that
+    /// slice splits into, and appends the rest at the horizon. Leaves
+    /// the hint on the window holding the last booked cycle.
+    ///
+    /// Returns `(first_start, last_end, bursts_granted)`.
+    #[inline]
+    fn pack(&mut self, mut i: usize, mut t: u64, total: u64, burst: u64) -> (u64, u64, u64) {
         let mut remaining = total;
-        let mut t = earliest;
         let mut first = None;
         let mut bursts = 0;
-        let mut i = self.first_ending_after(t);
-        while i < self.windows.len() {
-            let (s, e) = self.windows[i];
+        while i < self.len() {
+            let (s, e) = self.get(i);
             if s > t {
                 let take = remaining.min(s - t);
                 first.get_or_insert(t);
-                bursts += take.div_ceil(burst);
+                bursts += bursts_in(take, burst);
                 remaining -= take;
                 i = self.splice(i, (t, t + take));
                 t += take;
@@ -239,7 +374,7 @@ impl ResourceChannel {
             i += 1;
         }
         self.append(t, t + remaining);
-        bursts += remaining.div_ceil(burst);
+        bursts += bursts_in(remaining, burst);
         (first.unwrap_or(t), t + remaining, bursts)
     }
 
@@ -247,29 +382,82 @@ impl ResourceChannel {
     /// with starts, so it is the last window's end.
     #[inline]
     pub fn horizon(&self) -> u64 {
-        self.windows.last().map_or(0, |w| w.1)
+        self.horizon
     }
 
     /// The booked busy windows, sorted by start time. Disjoint and
     /// maximally coalesced: consecutive windows never touch.
-    pub fn windows(&self) -> &[(u64, u64)] {
-        &self.windows
+    pub fn windows(&self) -> Vec<(u64, u64)> {
+        let (front, back) = self.halves();
+        [front, back].concat()
     }
 
     /// Number of booked windows.
     pub fn len(&self) -> usize {
-        self.windows.len()
+        self.buf.len() - self.hole_len
     }
 
     /// `true` when nothing is booked.
     pub fn is_empty(&self) -> bool {
-        self.windows.is_empty()
+        self.len() == 0
     }
 
     /// Total busy cycles booked (utilisation numerator).
     pub fn busy_cycles(&self) -> u64 {
-        self.windows.iter().map(|&(s, e)| e - s).sum()
+        let (front, back) = self.halves();
+        front.iter().chain(back).map(|&(s, e)| e - s).sum()
     }
+}
+
+/// Bursts of at most `burst` cycles a slice of `take > 0` cycles
+/// splits into (no division when it fits in one).
+#[inline]
+fn bursts_in(take: u64, burst: u64) -> u64 {
+    if take <= burst {
+        1
+    } else {
+        take.div_ceil(burst)
+    }
+}
+
+/// Index of the first window of the sorted `w` ending after `t`.
+///
+/// Consecutive requests land next to each other — a kernel's cursor
+/// moves forward and fragmented/packed chunks start where the last one
+/// ended — so the search gallops from window `h` (the last booking's,
+/// clamped to `w`) in whichever direction `t` lies, doubling its
+/// stride, then binary-searches the bracket it found: O(log d) for a
+/// request `d` windows from the previous one instead of O(log n) over
+/// the whole calendar.
+fn gallop(w: &[Window], h: usize, t: u64) -> usize {
+    let ends_by = |i: usize| w[i].1 <= t;
+    let h = h.min(w.len());
+    // The answer lies in `lo..=hi`.
+    let (mut lo, mut hi) = (0, w.len());
+    if h < w.len() && ends_by(h) {
+        lo = h + 1;
+        let mut step = 1;
+        while h + step < w.len() {
+            if !ends_by(h + step) {
+                hi = h + step;
+                break;
+            }
+            lo = h + step + 1;
+            step *= 2;
+        }
+    } else {
+        hi = h;
+        let mut step = 1;
+        while step <= h {
+            if ends_by(h - step) {
+                lo = h - step + 1;
+                break;
+            }
+            hi = h - step;
+            step *= 2;
+        }
+    }
+    lo + w[lo..hi].partition_point(|&(_, e)| e <= t)
 }
 
 #[cfg(test)]

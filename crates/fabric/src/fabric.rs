@@ -229,6 +229,10 @@ pub struct Fabric {
     cfg: FabricConfig,
     banks: Vec<ResourceChannel>,
     ports: Vec<PortStats>,
+    /// [`FabricConfig::burst_cycles`], computed once.
+    burst_cycles: u64,
+    /// [`FabricConfig::issue_cycles`], computed once.
+    issue_cycles: u64,
 }
 
 impl Fabric {
@@ -243,6 +247,8 @@ impl Fabric {
         Fabric {
             banks: vec![ResourceChannel::new(); cfg.banks],
             ports: vec![PortStats::default(); 1 + n_vpus],
+            burst_cycles: cfg.burst_cycles(),
+            issue_cycles: cfg.issue_cycles(),
             cfg,
         }
     }
@@ -272,8 +278,17 @@ impl Fabric {
         self.cfg.arbiter.issue_on_fabric()
     }
 
+    /// The bank serving stripe `k` (`k mod banks`; no division on the
+    /// paper's single bank).
+    fn bank(&self, k: usize) -> usize {
+        match self.banks.len() {
+            1 => 0,
+            n => k % n,
+        }
+    }
+
     fn bank_of_addr(&self, addr: u32) -> usize {
-        (addr as u64 / BURST_BYTES) as usize % self.banks.len()
+        self.bank((addr as u64 / BURST_BYTES) as usize)
     }
 
     /// Grants one transaction on `bank` under the configured arbiter
@@ -286,11 +301,13 @@ impl Fabric {
         earliest: u64,
         duration: u64,
     ) -> Grant {
-        let burst = self.cfg.burst_cycles();
-        let grant = self
-            .cfg
-            .arbiter
-            .grant(&mut self.banks[bank], host, earliest, duration, burst);
+        let grant = self.cfg.arbiter.grant(
+            &mut self.banks[bank],
+            host,
+            earliest,
+            duration,
+            self.burst_cycles,
+        );
         let p = &mut self.ports[port];
         p.requests += 1;
         p.bursts += grant.bursts;
@@ -321,15 +338,48 @@ impl Fabric {
     /// Panics when called under an arbiter that keeps issue on the
     /// eCPU, or for the host port.
     pub fn issue(&mut self, port: usize, earliest: u64, n_instrs: u64) -> Grant {
+        let bank = self.issue_bank(port);
+        self.book(port, bank, false, earliest, n_instrs * self.issue_cycles)
+    }
+
+    /// Books a train of `n` single-instruction dispatches for `port`:
+    /// exactly what `n` rounds of `cursor += pre`,
+    /// `cursor = issue(port, cursor, 1).end + post` book, port
+    /// statistics included, starting from `cursor = earliest`, in one
+    /// calendar walk (both burst arbiters grant dispatch descriptors as
+    /// packed bookings). Returns the final cursor.
+    ///
+    /// # Panics
+    ///
+    /// As [`Fabric::issue`].
+    pub fn issue_train(&mut self, port: usize, earliest: u64, n: u64, pre: u64, post: u64) -> u64 {
+        let bank = self.issue_bank(port);
+        let (cursor, bursts, wait) = self.banks[bank].reserve_packed_train(
+            earliest,
+            n,
+            pre,
+            self.issue_cycles,
+            self.burst_cycles,
+            post,
+        );
+        let p = &mut self.ports[port];
+        p.requests += n;
+        p.bursts += bursts;
+        p.busy_cycles += n * self.issue_cycles;
+        p.wait_cycles += wait;
+        cursor
+    }
+
+    /// The bank `port`'s dispatch descriptors stream over, checking
+    /// that it may dispatch.
+    fn issue_bank(&self, port: usize) -> usize {
         assert!(
             self.issue_on_fabric(),
             "issue traffic stays on the eCPU under {}",
             self.cfg.arbiter
         );
         assert_ne!(port, HOST_PORT, "the host port does not dispatch kernels");
-        let duration = n_instrs * self.cfg.issue_cycles();
-        let bank = (port - 1) % self.banks.len();
-        self.book(port, bank, false, earliest, duration)
+        self.bank(port - 1)
     }
 
     /// Books the transfer of one launch-descriptor batch of `bytes`

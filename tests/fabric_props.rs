@@ -8,7 +8,11 @@
 //!   binary search over the window list grants, under request streams
 //!   that jump backwards and forwards, and on 1,000-window combs of
 //!   interleaved eCPU issue streams that preamble and packed trains
-//!   book into from earlier cycles;
+//!   book into from earlier cycles, and under streams of inserts,
+//!   merges and appends at random places of the calendar;
+//! * a train of packed bookings ([`ResourceChannel::reserve_packed_train`],
+//!   [`Fabric::issue_train`]) books exactly what its bookings made one
+//!   by one book;
 //! * the `whole-phase` fabric grants are bit-identical to direct
 //!   [`ResourceChannel::reserve`] grants on the same request stream
 //!   (the cycle-exactness guarantee every committed baseline relies
@@ -59,7 +63,7 @@ fn req() -> impl Strategy<Value = Req> {
 
 fn check_invariants(chan: &ResourceChannel, booked: u64) -> Result<(), TestCaseError> {
     let windows = chan.windows();
-    for w in windows {
+    for w in &windows {
         prop_assert!(w.0 < w.1, "window is non-empty: {w:?}");
     }
     for pair in windows.windows(2) {
@@ -354,7 +358,7 @@ proptest! {
                 ),
             };
             prop_assert_eq!(got, want, "grant for {:?} from {}", r, earliest);
-            prop_assert_eq!(chan.windows(), &oracle.windows[..], "identical calendars");
+            prop_assert_eq!(chan.windows(), oracle.windows, "identical calendars");
             prop_assert_eq!(chan.horizon(), oracle.windows.last().map_or(0, |w| w.1));
             last = got.1;
         }
@@ -368,11 +372,38 @@ const GEMM_WORK: u64 = 4;
 /// Issue slots each of the four streams books.
 const STREAM_SLOTS: usize = 500;
 
+/// Drives the legacy launch path's eCPU issue comb: four GeMM-shaped
+/// streams, starting at `offsets`, take turns booking 3-, 2- and
+/// 6-cycle slots 4 cycles apart, each turn `(slots, idle)` after an
+/// idle pause (the kernel waiting on its DMA). Every slot is booked
+/// through `book(earliest, duration)`, and its stream's cursor moves
+/// past the grant `book` returns.
+fn gemm_comb(
+    offsets: &[u64],
+    turns: &[(usize, u64)],
+    mut book: impl FnMut(u64, u64) -> Result<(u64, u64), TestCaseError>,
+) -> Result<(), TestCaseError> {
+    let mut cursor = offsets.to_vec();
+    let mut issued = [0usize; 4];
+    for (turn, &(n, idle)) in turns.iter().cycle().enumerate() {
+        if issued.iter().all(|&c| c == STREAM_SLOTS) {
+            break;
+        }
+        let k = turn % 4;
+        cursor[k] += idle;
+        let stop = STREAM_SLOTS.min(issued[k] + n);
+        while issued[k] < stop {
+            let d = GEMM_SLOTS[issued[k] % 3];
+            cursor[k] = book(cursor[k], d)?.1 + GEMM_WORK;
+            issued[k] += 1;
+        }
+    }
+    Ok(())
+}
+
 proptest! {
-    /// Calendars shaped like the legacy launch path's eCPU issue comb:
-    /// four GeMM-shaped streams take turns booking 3-, 2- and 6-cycle
-    /// slots 4 cycles apart, each turn after an idle pause (the kernel
-    /// waiting on its DMA). Fragmented preamble trains (chunk 16) and
+    /// Calendars shaped like the legacy launch path's eCPU issue comb
+    /// ([`gemm_comb`]). Fragmented preamble trains (chunk 16) and
     /// packed trains (burst 256) then start from random earlier cycles,
     /// mixed with single slots that search for shorter gaps. Every
     /// grant, burst count, window list and horizon matches the
@@ -385,25 +416,13 @@ proptest! {
     ) {
         let mut chan = ResourceChannel::new();
         let mut oracle = FullSearchChannel::default();
-        let mut cursor = offsets;
-        let mut issued = [0usize; 4];
-        for (turn, &(n, idle)) in turns.iter().cycle().enumerate() {
-            if issued.iter().all(|&c| c == STREAM_SLOTS) {
-                break;
-            }
-            let k = turn % 4;
-            cursor[k] += idle;
-            let stop = STREAM_SLOTS.min(issued[k] + n);
-            while issued[k] < stop {
-                let d = GEMM_SLOTS[issued[k] % 3];
-                let got = chan.reserve(cursor[k], d);
-                prop_assert_eq!(got, oracle.reserve(cursor[k], d));
-                cursor[k] = got.1 + GEMM_WORK;
-                issued[k] += 1;
-            }
-        }
+        gemm_comb(&offsets, &turns, |t, d| {
+            let got = chan.reserve(t, d);
+            prop_assert_eq!(got, oracle.reserve(t, d));
+            Ok(got)
+        })?;
         prop_assert!(chan.len() >= 1000, "a comb of {} windows", chan.len());
-        prop_assert_eq!(chan.windows(), &oracle.windows[..]);
+        prop_assert_eq!(chan.windows(), oracle.windows);
         for (kind, frac, total) in trains {
             let earliest = chan.horizon() * frac / 1000;
             let (got, want) = match kind {
@@ -423,8 +442,170 @@ proptest! {
                 }
             };
             prop_assert_eq!(got, want, "train {} of {} from {}", kind, total, earliest);
-            prop_assert_eq!(chan.windows(), &oracle.windows[..], "identical calendars");
+            prop_assert_eq!(chan.windows(), oracle.windows, "identical calendars");
             prop_assert_eq!(chan.horizon(), oracle.windows.last().map_or(0, |w| w.1));
+        }
+    }
+}
+
+proptest! {
+    /// GeMM tap trains on the dispatch path: one
+    /// [`ResourceChannel::reserve_packed_train`] books exactly what its
+    /// packed bookings made one by one book (each `pre` cycles after
+    /// the previous one's end plus `post`) — the same final cursor,
+    /// bursts, waits, window list and horizon — on 1,000+-window
+    /// [`gemm_comb`] calendars, from random earlier cycles, with bursts
+    /// short enough to split a slice.
+    #[test]
+    fn packed_train_matches_single_bookings(
+        offsets in prop::collection::vec(0u64..64, 4..5),
+        turns in prop::collection::vec((1usize..48, 0u64..400), 16..64),
+        trains in prop::collection::vec(
+            (0u64..1000, 0u64..40, 0u64..8, 1u64..6, 1u64..4, 0u64..16),
+            1..24,
+        ),
+    ) {
+        let mut single = ResourceChannel::new();
+        gemm_comb(&offsets, &turns, |t, d| Ok(single.reserve(t, d)))?;
+        prop_assert!(single.len() >= 1000, "a comb of {} windows", single.len());
+        let mut trained = single.clone();
+        for (frac, n, pre, total, burst, post) in trains {
+            let earliest = single.horizon() * frac / 1000;
+            let (mut cursor, mut bursts, mut wait) = (earliest, 0, 0);
+            for _ in 0..n {
+                cursor += pre;
+                let (_, end, b) = single.reserve_packed(cursor, total, burst);
+                bursts += b;
+                wait += end - cursor - total;
+                cursor = end + post;
+            }
+            prop_assert_eq!(
+                trained.reserve_packed_train(earliest, n, pre, total, burst, post),
+                (cursor, bursts, wait),
+                "train of {} from {}", n, earliest
+            );
+            prop_assert_eq!(trained.windows(), single.windows(), "identical calendars");
+            prop_assert_eq!(trained.horizon(), single.horizon());
+        }
+    }
+
+    /// [`Fabric::issue_train`] books exactly what the same dispatches
+    /// issued one by one book — final cursor, port statistics and bank
+    /// calendars — under both burst arbiters, between DMA requests of
+    /// every port.
+    #[test]
+    fn issue_train_matches_single_issues(
+        kind in prop_oneof![
+            Just(ArbiterKind::RoundRobinBurst),
+            Just(ArbiterKind::PriorityHost)
+        ],
+        banks in 1usize..3,
+        steps in prop::collection::vec(
+            (0usize..5, 0u64..3000, 0u64..200, 0u64..8, 0u64..16, any::<bool>()),
+            1..40,
+        ),
+    ) {
+        let cfg = FabricConfig { arbiter: kind, banks, ..FabricConfig::default() };
+        let (mut single, mut trained) = (Fabric::new(cfg, 4), Fabric::new(cfg, 4));
+        for (port, earliest, n, pre, post, as_train) in steps {
+            if !as_train || port == HOST_PORT {
+                let addr = 0x2000_0000 + (n as u32 % 4) * 1024;
+                let dur = n + 1;
+                let want = single.request(port, addr, earliest, dur);
+                prop_assert_eq!(trained.request(port, addr, earliest, dur), want);
+                continue;
+            }
+            let mut cursor = earliest;
+            for _ in 0..n {
+                cursor += pre;
+                cursor = single.issue(port, cursor, 1).end + post;
+            }
+            prop_assert_eq!(trained.issue_train(port, earliest, n, pre, post), cursor);
+            prop_assert_eq!(trained.port_stats(), single.port_stats());
+            for (t, s) in trained.bank_channels().iter().zip(single.bank_channels()) {
+                prop_assert_eq!(t.windows(), s.windows(), "identical bank calendars");
+                prop_assert_eq!(t.horizon(), s.horizon());
+            }
+        }
+    }
+}
+
+/// One booking of a stream that edits the calendar at random places,
+/// so its hole moves backwards and forwards.
+#[derive(Debug, Clone, Copy)]
+enum Edit {
+    /// A booking strictly inside a gap: a new window between two.
+    Insert,
+    /// A booking that exactly fills a gap: its neighbours merge.
+    Merge,
+    /// A booking at or just past the horizon.
+    Append,
+    /// A packed booking from inside a gap.
+    Packed,
+}
+
+proptest! {
+    /// Inserts, merges, appends and packed bookings at random places
+    /// of a comb calendar grant exactly what the full-search oracle
+    /// grants, and leave the same windows, horizon and busy cycles.
+    #[test]
+    fn hole_moving_streams_match_full_search_oracle(
+        teeth in 2u64..400,
+        edits in prop::collection::vec(
+            (
+                prop_oneof![
+                    Just(Edit::Insert),
+                    Just(Edit::Merge),
+                    Just(Edit::Append),
+                    Just(Edit::Packed)
+                ],
+                0usize..1_000_000,
+                1u64..40,
+            ),
+            1..300,
+        ),
+    ) {
+        let mut chan = ResourceChannel::new();
+        let mut oracle = FullSearchChannel::default();
+        for k in 0..teeth {
+            chan.reserve(10 * k, 4);
+            oracle.reserve(10 * k, 4);
+        }
+        for (edit, pick, d) in edits {
+            let w = &oracle.windows;
+            // The gap after window `j`, if there is one.
+            let gap = (w.len() >= 2).then(|| {
+                let j = pick % (w.len() - 1);
+                (w[j].1, w[j + 1].0 - w[j].1)
+            });
+            let (got, want) = match (edit, gap) {
+                (Edit::Insert, Some((g, len))) if len >= 3 => {
+                    let d = 1 + d % (len - 2);
+                    let (a, b) = (chan.reserve(g + 1, d), oracle.reserve(g + 1, d));
+                    ((a.0, a.1, 0), (b.0, b.1, 0))
+                }
+                (Edit::Insert | Edit::Merge, Some((g, len))) => {
+                    let (a, b) = (chan.reserve(g, len), oracle.reserve(g, len));
+                    ((a.0, a.1, 0), (b.0, b.1, 0))
+                }
+                (Edit::Packed, Some((g, len))) => {
+                    let (t, burst) = (g + pick as u64 % len, 1 + pick as u64 % 7);
+                    (
+                        chan.reserve_packed(t, d, burst),
+                        oracle.reserve_packed(t, d, burst),
+                    )
+                }
+                _ => {
+                    let t = chan.horizon() + d % 3;
+                    let (a, b) = (chan.reserve(t, d), oracle.reserve(t, d));
+                    ((a.0, a.1, 0), (b.0, b.1, 0))
+                }
+            };
+            prop_assert_eq!(got, want, "{:?} at {:?}", edit, gap);
+            prop_assert_eq!(chan.windows(), oracle.windows, "identical calendars");
+            prop_assert_eq!(chan.horizon(), oracle.windows.last().map_or(0, |w| w.1));
+            let busy: u64 = oracle.windows.iter().map(|&(s, e)| e - s).sum();
+            prop_assert_eq!(chan.busy_cycles(), busy);
         }
     }
 }
