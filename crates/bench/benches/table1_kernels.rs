@@ -2,7 +2,7 @@
 //! and encode/decode round-trips for every kernel × width.
 
 use arcane_isa::reg::{A0, A1, A2};
-use arcane_isa::xmnmc::{self, kernel_id, MatReg, XInstr, XmnmcOp, FUNC5_XMR};
+use arcane_isa::xmnmc::{self, kernel_id, MatReg, XInstr, FUNC5_XMR};
 use arcane_sim::Sew;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -68,15 +68,8 @@ fn print_table1() {
     // Demonstrate the Listing-1 operand packing end to end.
     let m = |i| MatReg::new(i).unwrap();
     let (r1, r2, r3) = xmnmc::pack_xmr(0x2000_0000, 1, m(0), 64, 192);
-    let x = XInstr {
-        func5: FUNC5_XMR,
-        width: Sew::Byte,
-        rs1: A0,
-        rs2: A1,
-        rs3: A2,
-    };
-    let op = XmnmcOp::decode(&x, r1, r2, r3).unwrap();
-    println!("example: xmr.b m0, A(64x192) decodes to {op:?}");
+    let binding = xmnmc::unpack_xmr(r1, r2, r3).unwrap();
+    println!("example: xmr.b m0, A(64x192) decodes to {binding:?}");
     println!();
 }
 

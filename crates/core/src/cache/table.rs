@@ -1,6 +1,8 @@
 //! The Cache Table (CT): fully-associative line state with a
 //! counter-based approximate-LRU replacement policy (paper §III-A1).
 
+use crate::LINE_BYTES;
+
 /// State of one cache line.
 ///
 /// A line is simultaneously one VPU vector register; `busy_until`
@@ -61,7 +63,6 @@ pub enum Victim {
 #[derive(Debug, Clone)]
 pub struct CacheTable {
     lines: Vec<LineState>,
-    line_bytes: usize,
     /// Accesses since the last LRU aging pass.
     accesses_since_aging: u32,
     /// Aging period (accesses between global decays).
@@ -84,21 +85,10 @@ pub struct CacheTable {
 const MRU_WAYS: usize = 8;
 
 impl CacheTable {
-    /// Creates a table of `n_lines` lines of `line_bytes` each.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `line_bytes` is a power of two — tag and
-    /// line-offset arithmetic here and in the controller mask instead
-    /// of dividing.
-    pub fn new(n_lines: usize, line_bytes: usize) -> Self {
-        assert!(
-            line_bytes.is_power_of_two(),
-            "cache line size must be a power of two, got {line_bytes}"
-        );
+    /// Creates a table of `n_lines` lines of [`LINE_BYTES`] each.
+    pub fn new(n_lines: usize) -> Self {
         CacheTable {
             lines: vec![LineState::empty(); n_lines],
-            line_bytes,
             accesses_since_aging: 0,
             aging_period: 64,
             epoch: 0,
@@ -116,14 +106,9 @@ impl CacheTable {
         self.lines.is_empty()
     }
 
-    /// Line size in bytes.
-    pub const fn line_bytes(&self) -> usize {
-        self.line_bytes
-    }
-
     /// The line-aligned tag of `addr`.
     pub fn tag_of(&self, addr: u32) -> u32 {
-        addr & !(self.line_bytes as u32 - 1)
+        addr & !(LINE_BYTES as u32 - 1)
     }
 
     /// Immutable view of line `idx`.
@@ -260,7 +245,7 @@ mod tests {
     use super::*;
 
     fn table() -> CacheTable {
-        CacheTable::new(8, 1024)
+        CacheTable::new(8)
     }
 
     #[test]
@@ -331,7 +316,7 @@ mod tests {
 
     #[test]
     fn aging_decays_counters() {
-        let mut t = CacheTable::new(2, 1024);
+        let mut t = CacheTable::new(2);
         t.line_mut(0).valid = true;
         t.touch(0);
         assert_eq!(t.age_of(0), u8::MAX);

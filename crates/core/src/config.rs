@@ -4,10 +4,13 @@ use crate::sched::SchedulerKind;
 use arcane_fabric::FabricConfig;
 use arcane_isa::launch::LaunchMode;
 use arcane_mem::ExtMem;
-use arcane_vpu::VpuConfig;
+use arcane_vpu::{VpuConfig, VLEN_BYTES, VREGS};
 
 /// Base address of the cached external-memory region.
 pub const EXT_BASE: u32 = 0x2000_0000;
+
+/// Cache line size in bytes: one VPU vector register.
+pub const LINE_BYTES: usize = VLEN_BYTES;
 
 /// External memory latency: first word of a burst.
 const EXT_FIRST_WORD: u64 = 10;
@@ -111,7 +114,8 @@ pub struct ArcaneConfig {
     /// Number of NM-Carus VPU instances building the data array
     /// (4 in every synthesized configuration of the paper).
     pub n_vpus: usize,
-    /// Per-VPU configuration (lanes, 32 × 1 KiB vector registers).
+    /// Per-VPU configuration: the lane count (the register file is the
+    /// fixed [`arcane_vpu::VREGS`] × [`arcane_vpu::VLEN_BYTES`]).
     pub vpu: VpuConfig,
     /// Size of the external memory at [`EXT_BASE`] in bytes.
     pub ext_size: usize,
@@ -152,19 +156,14 @@ impl ArcaneConfig {
         }
     }
 
-    /// Total number of cache lines (`n_vpus × vregs`).
+    /// Total number of cache lines (`n_vpus × VREGS`).
     pub(crate) const fn n_lines(&self) -> usize {
-        self.n_vpus * self.vpu.vregs
-    }
-
-    /// Cache line size in bytes (= VLEN).
-    pub const fn line_bytes(&self) -> usize {
-        self.vpu.vlen_bytes
+        self.n_vpus * VREGS
     }
 
     /// Total LLC capacity in bytes.
     pub const fn capacity_bytes(&self) -> usize {
-        self.n_lines() * self.line_bytes()
+        self.n_lines() * LINE_BYTES
     }
 
     /// The (empty) external memory behind the cache.
@@ -187,7 +186,6 @@ mod tests {
     fn paper_configuration_shape() {
         let c = ArcaneConfig::with_lanes(4);
         assert_eq!(c.n_lines(), 128);
-        assert_eq!(c.line_bytes(), 1024);
         assert_eq!(c.capacity_bytes(), 128 * 1024);
     }
 

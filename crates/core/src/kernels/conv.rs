@@ -10,6 +10,7 @@ use super::{check_width, require, Kernel, KernelError, ResolvedArgs};
 use crate::runtime::ctx::KernelCtx;
 use crate::runtime::map::MatView;
 use arcane_isa::vector::{Sr, VInstr, VOp, Vr};
+use arcane_vpu::VREGS;
 
 fn vr(i: usize) -> Vr {
     Vr::new(i as u8).expect("vreg index in range")
@@ -102,7 +103,7 @@ impl Kernel for Conv2d {
 
         // Layout: filter rows [0..k), inputs [k..k+S+K-1), accumulators
         // next, one scratch register last.
-        let stripe = ((ctx.vregs() - 2 - 2 * k) / 2).clamp(1, 8);
+        let stripe = ((VREGS - 2 - 2 * k) / 2).clamp(1, 8);
         let in0 = k;
         let acc0 = in0 + stripe + k - 1;
         let tmp = acc0 + stripe;
@@ -209,7 +210,7 @@ impl Kernel for ConvLayer3ch {
 
         // Layout: filter plane [0..k), inputs [k..k+S+K-1),
         // accumulators next, one scratch last.
-        let stripe = compute_stripe(ctx.vregs(), k);
+        let stripe = compute_stripe(VREGS, k);
         let in0 = k;
         let acc0 = in0 + stripe + k - 1;
         let tmp = acc0 + stripe;

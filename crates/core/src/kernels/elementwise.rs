@@ -10,6 +10,7 @@ use super::{check_width, require, Kernel, KernelError, ResolvedArgs};
 use crate::runtime::ctx::KernelCtx;
 use crate::runtime::map::MatView;
 use arcane_isa::vector::{Sr, VInstr, VOp, Vr};
+use arcane_vpu::VREGS;
 
 fn vr(i: usize) -> Vr {
     Vr::new(i as u8).expect("vreg index in range")
@@ -51,7 +52,7 @@ impl Kernel for MatAdd {
         let sew = args.width;
         ctx.set_vl(a.cols, sew)?;
         // Stripe the rows: half the registers for A, half for B.
-        let stripe = (ctx.vregs() / 2).max(1);
+        let stripe = (VREGS / 2).max(1);
         let mut row = 0;
         while row < a.rows {
             let n = stripe.min(a.rows - row);
@@ -106,7 +107,7 @@ impl Kernel for MatScale {
         ctx.set_vl(a.cols, sew)?;
         ctx.set_scalar(sr(2), args.alpha as i32 as u32);
         ctx.set_scalar(sr(3), args.beta as u32);
-        let stripe = ctx.vregs();
+        let stripe = VREGS;
         let mut row = 0;
         while row < a.rows {
             let n = stripe.min(a.rows - row);
@@ -163,7 +164,7 @@ impl Kernel for Transpose {
         let out = args.md;
         let sew = args.width;
         ctx.set_vl(a.cols, sew)?;
-        let stripe = ctx.vregs();
+        let stripe = VREGS;
         let pitch = out.pitch_bytes();
         let mut row = 0;
         while row < a.rows {

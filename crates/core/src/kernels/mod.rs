@@ -82,7 +82,9 @@ pub enum KernelError {
     },
     /// Operand widths disagree with the instruction width suffix.
     WidthMismatch,
-    /// An `xmb` launch-batch failed to decode (descriptor pipeline).
+    /// Launch operands failed to decode: an `xmb` batch (descriptor
+    /// pipeline), or a legacy `xmr`/`xmkN` word or operand register
+    /// (reserved width, out-of-range matrix register).
     Launch(LaunchDecodeError),
     /// The VPU rejected a vector instruction (runtime bug).
     Vpu(VpuError),
@@ -108,7 +110,7 @@ impl fmt::Display for KernelError {
             KernelError::WidthMismatch => {
                 f.write_str("operand width differs from instruction suffix")
             }
-            KernelError::Launch(e) => write!(f, "launch-batch decode failed: {e}"),
+            KernelError::Launch(e) => write!(f, "launch decode failed: {e}"),
             KernelError::Vpu(e) => write!(f, "vector unit fault: {e}"),
         }
     }

@@ -4,6 +4,7 @@ use super::{check_width, require, Kernel, KernelError, ResolvedArgs};
 use crate::runtime::ctx::KernelCtx;
 use crate::runtime::map::MatView;
 use arcane_isa::vector::{Sr, VInstr, VOp, Vr};
+use arcane_vpu::VREGS;
 
 fn vr(i: usize) -> Vr {
     Vr::new(i as u8).expect("vreg index in range")
@@ -51,8 +52,8 @@ impl Kernel for LeakyRelu {
         ctx.set_scalar(sr(1), args.alpha as u32);
 
         // Stripe: rows in vregs 0..stripe, scratch in the last register.
-        let stripe = ctx.vregs() - 1;
-        let tmp = vr(ctx.vregs() - 1);
+        let stripe = VREGS - 1;
+        let tmp = vr(VREGS - 1);
         let mut row = 0;
         while row < input.rows {
             let n = stripe.min(input.rows - row);

@@ -29,13 +29,13 @@ use crate::runtime::map::MatrixMap;
 use crate::StandardLlc;
 use arcane_fabric::{Fabric, PortStats, ResourceChannel, HOST_PORT};
 use arcane_isa::launch::{
-    DescriptorBatch, LaunchDescriptor, LaunchMode, OperandBinding, FUNC5_XMB,
+    DescriptorBatch, LaunchDecodeError, LaunchDescriptor, LaunchMode, OperandBinding, FUNC5_XMB,
 };
-use arcane_isa::xmnmc::{self, XmnmcOp};
+use arcane_isa::xmnmc::{self, FUNC5_XMR};
 use arcane_mem::{Access, AccessSize, BusError, ExtMem, Memory};
 use arcane_rv32::{Coprocessor, XifResponse};
 use arcane_sim::{CacheStats, ChannelUtil, LaunchStats, PhaseBreakdown, Sew};
-use arcane_vpu::Vpu;
+use arcane_vpu::{Vpu, VREGS};
 use std::collections::VecDeque;
 
 /// Completed-kernel record: identity, placement and phase timing.
@@ -95,6 +95,8 @@ pub struct ArcaneLlc {
     /// refills under the burst arbiters).
     fabric: Fabric,
     ecpu_chan: ResourceChannel,
+    /// eCPU requests and wait cycles; its busy cycles are the
+    /// calendar's ([`ResourceChannel::busy_cycles`]).
     ecpu_stats: PortStats,
     /// `xmr` decode work folded into the next kernel's preamble phase.
     pending_preamble: u64,
@@ -274,9 +276,8 @@ impl ArcaneLlc {
     /// configured [`crate::SchedulerKind`] place the kernel (§IV-B2;
     /// least-dirty by default, DESIGN.md §4.4).
     fn choose_vpu(&mut self) -> usize {
-        let vregs = self.cfg.vpu.vregs;
         let dirty: Vec<usize> = (0..self.cfg.n_vpus)
-            .map(|v| self.cache.table.dirty_in_range(v * vregs, (v + 1) * vregs))
+            .map(|v| self.cache.table.dirty_in_range(v * VREGS, (v + 1) * VREGS))
             .collect();
         let vpu = self
             .cfg
@@ -309,7 +310,6 @@ impl ArcaneLlc {
     fn book_ecpu(&mut self, earliest: u64, work: u64) -> (u64, u64) {
         let (start, end) = self.ecpu_chan.reserve_fragmented(earliest, work, 16);
         self.ecpu_stats.requests += 1;
-        self.ecpu_stats.busy_cycles += work;
         self.ecpu_stats.wait_cycles += (end - earliest).saturating_sub(work);
         (start, end)
     }
@@ -452,8 +452,7 @@ impl ArcaneLlc {
         let last_alloc_end = ctx.last_alloc_end;
 
         // Mark the VPU's lines busy-computing until the kernel retires.
-        let vregs = self.cfg.vpu.vregs;
-        for i in vpu * vregs..(vpu + 1) * vregs {
+        for i in vpu * VREGS..(vpu + 1) * VREGS {
             let l = self.cache.table.line_mut(i);
             l.busy_until = l.busy_until.max(end);
         }
@@ -559,7 +558,6 @@ impl ArcaneLlc {
             .fabric
             .issue_batch(HOST_PORT, addr, earliest, bytes.len() as u64);
         self.launch_stats.batches += 1;
-        self.launch_stats.batch_bytes += bytes.len() as u64;
 
         // Batch entry is paid once, by the first descriptor. Hazard
         // windows age against the replay cursor (not the host's launch
@@ -612,9 +610,10 @@ impl ArcaneLlc {
 
 impl Coprocessor for ArcaneLlc {
     fn offload(&mut self, raw: u32, rs1: u32, rs2: u32, rs3: u32, now: u64) -> XifResponse {
-        let x = match xmnmc::decode_raw(raw) {
-            Ok(x) => x,
-            Err(_) => return XifResponse::Reject,
+        // The host offloads only custom-2 words, so the reserved width
+        // is the one field `decode_raw` can refuse.
+        let Ok(x) = xmnmc::decode_raw(raw) else {
+            return self.reject(KernelError::Launch(LaunchDecodeError::BadWidth));
         };
         // Under the descriptor launch pipeline, func5 = 30 is the xmb
         // launch-batch instruction; its register values are a plain
@@ -624,53 +623,13 @@ impl Coprocessor for ArcaneLlc {
         if x.func5 == FUNC5_XMB && self.cfg.launch == LaunchMode::Descriptor {
             return self.handle_batch(rs1, rs2, rs3, now);
         }
-        let op = match XmnmcOp::decode(&x, rs1, rs2, rs3) {
-            Ok(op) => op,
-            Err(_) => return XifResponse::Reject,
+        let resp = if x.func5 == FUNC5_XMR {
+            xmnmc::unpack_xmr(rs1, rs2, rs3).map(|b| self.handle_reserve(x.width, &b, now))
+        } else {
+            xmnmc::unpack_kernel(x.func5, x.width, rs1, rs2, rs3)
+                .map(|desc| self.handle_kernel(&desc, now))
         };
-        match op {
-            XmnmcOp::MatReserve {
-                width,
-                md,
-                addr,
-                stride,
-                cols,
-                rows,
-            } => {
-                let binding = OperandBinding {
-                    reg: md,
-                    addr,
-                    stride,
-                    cols,
-                    rows,
-                };
-                self.handle_reserve(width, &binding, now)
-            }
-            XmnmcOp::Kernel {
-                id,
-                width,
-                alpha,
-                beta,
-                md,
-                ms1,
-                ms2,
-                ms3,
-            } => {
-                let desc = LaunchDescriptor {
-                    kernel: id,
-                    width,
-                    alpha,
-                    beta,
-                    md,
-                    ms1,
-                    ms2,
-                    ms3,
-                    bindings: Vec::new(),
-                    token: 0,
-                };
-                self.handle_kernel(&desc, now)
-            }
-        }
+        resp.unwrap_or_else(|e| self.reject(KernelError::Launch(e)))
     }
 }
 

@@ -27,7 +27,7 @@ use arcane_fabric::{Fabric, PortStats, ResourceChannel};
 use arcane_isa::vector::{Sr, VInstr, Vr};
 use arcane_mem::Memory;
 use arcane_sim::{Phase, PhaseBreakdown, Sew};
-use arcane_vpu::{Vpu, VpuError};
+use arcane_vpu::{max_vl, Vpu, VpuError, VLEN_BYTES, VREGS};
 use std::ops::Range;
 
 /// Taps of a [`KernelCtx::macc_taps`] train computed per datapath pass
@@ -38,7 +38,7 @@ const TAPS_PER_PASS: usize = 16;
 #[derive(Debug)]
 pub struct KernelCtx<'a> {
     /// The cache controller; the assigned VPU's registers are its lines
-    /// `vpu_index · vregs ..`.
+    /// `vpu_index · VREGS ..`.
     pub(crate) cache: &'a mut StandardLlc,
     /// The VPU the scheduler assigned to this kernel.
     pub(crate) vpu: &'a mut Vpu,
@@ -67,16 +67,6 @@ impl<'a> KernelCtx<'a> {
         self.vpu_index
     }
 
-    /// Number of vector registers available on the assigned VPU.
-    pub fn vregs(&self) -> usize {
-        self.vpu.config().vregs
-    }
-
-    /// Maximum vector length in elements for width `sew`.
-    pub fn max_vl(&self, sew: Sew) -> usize {
-        self.vpu.config().max_vl(sew)
-    }
-
     /// Current time cursor (absolute cycles).
     pub fn now(&self) -> u64 {
         self.t
@@ -93,8 +83,6 @@ impl<'a> KernelCtx<'a> {
         let t0 = self.t;
         let (_, end) = self.ecpu_chan.reserve(self.t, cycles);
         self.ecpu_stats.requests += 1;
-        self.ecpu_stats.bursts += 1;
-        self.ecpu_stats.busy_cycles += cycles;
         self.ecpu_stats.wait_cycles += (end - t0).saturating_sub(cycles);
         self.t = end;
         self.phases.charge(phase, end - t0);
@@ -282,21 +270,20 @@ impl<'a> KernelCtx<'a> {
         u8::try_from(index)
             .ok()
             .and_then(Vr::new)
-            .filter(|_| index < self.vregs())
+            .filter(|_| index < VREGS)
             .ok_or(KernelError::Vpu(VpuError::BadVreg {
                 index: u8::try_from(index).unwrap_or(u8::MAX),
             }))
     }
 
     fn line_index(&self, vreg: usize) -> usize {
-        self.vpu_index * self.vregs() + vreg
+        self.vpu_index * VREGS + vreg
     }
 
     /// Byte range of this VPU's register `vreg` in the data array.
     fn line(&self, vreg: usize) -> Range<usize> {
-        let vlen = self.vpu.config().vlen_bytes;
-        let o = self.line_index(vreg) * vlen;
-        o..o + vlen
+        let o = self.line_index(vreg) * VLEN_BYTES;
+        o..o + VLEN_BYTES
     }
 
     /// Payload bytes per cycle of the shared bus the DMA moves data on.
@@ -306,7 +293,7 @@ impl<'a> KernelCtx<'a> {
 
     /// Byte range of this VPU's whole register file in the data array.
     fn regs(&self) -> Range<usize> {
-        let n = self.vpu.config().capacity_bytes();
+        let n = VREGS * VLEN_BYTES;
         self.vpu_index * n..(self.vpu_index + 1) * n
     }
 
@@ -346,11 +333,10 @@ impl<'a> KernelCtx<'a> {
         n_rows: usize,
         vreg0: usize,
     ) -> Result<(), KernelError> {
-        let vlen = self.vpu.config().vlen_bytes;
-        if mat.row_bytes() as usize > vlen {
+        if mat.row_bytes() as usize > VLEN_BYTES {
             return Err(KernelError::RowTooWide {
                 cols: mat.cols,
-                max: vlen / mat.sew.bytes(),
+                max: max_vl(mat.sew),
             });
         }
         let t0 = self.t;

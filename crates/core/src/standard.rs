@@ -9,7 +9,7 @@
 //! `StandardLlc::access`.
 
 use crate::cache::{access_bytes, CacheTable, Victim};
-use crate::config::ArcaneConfig;
+use crate::config::{ArcaneConfig, LINE_BYTES};
 use arcane_mem::{Access, AccessSize, BusError, ExtMem, Memory};
 use arcane_sim::CacheStats;
 
@@ -17,8 +17,8 @@ use arcane_sim::CacheStats;
 #[derive(Debug)]
 pub struct StandardLlc {
     pub(crate) table: CacheTable,
-    /// The data array: line `i` occupies `i · line_bytes ..`. In
-    /// ARCANE, VPU `v`'s vector registers are lines `v · vregs ..`.
+    /// The data array: line `i` occupies `i · LINE_BYTES ..`. In
+    /// ARCANE, VPU `v`'s vector registers are lines `v · VREGS ..`.
     pub(crate) data: Vec<u8>,
     pub(crate) ext: ExtMem,
     pub(crate) stats: CacheStats,
@@ -29,7 +29,7 @@ impl StandardLlc {
     /// ARCANE configuration.
     pub fn new(cfg: &ArcaneConfig) -> Self {
         StandardLlc {
-            table: CacheTable::new(cfg.n_lines(), cfg.line_bytes()),
+            table: CacheTable::new(cfg.n_lines()),
             data: vec![0; cfg.capacity_bytes()],
             ext: cfg.ext_mem(),
             stats: CacheStats::default(),
@@ -124,13 +124,12 @@ impl StandardLlc {
         }
         let write = store.is_some();
         // Line size is a power of two, so the offset is a mask.
-        let lb = self.table.line_bytes();
-        let off = addr as usize & (lb - 1);
-        if off + size.bytes() as usize <= lb {
+        let off = addr as usize & (LINE_BYTES - 1);
+        if off + size.bytes() as usize <= LINE_BYTES {
             let mut t = self.admit_at(addr, size.bytes(), write, now, &mut admit);
             let line = self.resolve(addr, &mut t, None, &mut service)?;
             let value = store.unwrap_or(0);
-            let data = access_bytes(&mut self.data, line * lb + off, write, value, size);
+            let data = access_bytes(&mut self.data, line * LINE_BYTES + off, write, value, size);
             if write {
                 self.table.line_mut(line).dirty = true;
             }
@@ -144,7 +143,7 @@ impl StandardLlc {
             t = self.admit_at(a, 1, write, t, &mut admit);
             let line = self.resolve(a, &mut t, known, &mut service)?;
             known = Some(line);
-            let o = line * lb + (a as usize & (lb - 1));
+            let o = line * LINE_BYTES + (a as usize & (LINE_BYTES - 1));
             if write {
                 self.data[o] = vb[k];
                 self.table.line_mut(line).dirty = true;
@@ -238,7 +237,6 @@ impl StandardLlc {
     /// dirty, leaving it clean. Returns the burst cycles (0 when there
     /// was nothing to write).
     pub(crate) fn write_back(&mut self, i: usize) -> u64 {
-        let lb = self.table.line_bytes();
         let l = self.table.line_mut(i);
         if !(l.valid && l.dirty) {
             return 0;
@@ -246,22 +244,21 @@ impl StandardLlc {
         l.dirty = false;
         let tag = l.tag;
         self.ext
-            .write_bytes(tag, &self.data[i * lb..(i + 1) * lb])
+            .write_bytes(tag, &self.data[i * LINE_BYTES..(i + 1) * LINE_BYTES])
             .expect("cached tag maps to external memory");
         self.stats.writebacks.incr();
-        self.ext.burst_cycles(lb as u64)
+        self.ext.burst_cycles(LINE_BYTES as u64)
     }
 
     /// Writes back every dirty cached line overlapping `[start, end)`,
     /// in line order, and also drops each overlapping line when `drop`
     /// is set. Returns the write-back burst cycles.
     pub(crate) fn sweep(&mut self, start: u32, end: u32, drop: bool) -> u64 {
-        let lb = self.table.line_bytes() as u64;
         let mut cycles = 0;
         for i in 0..self.table.len() {
             let l = self.table.line(i);
             let tag = l.tag as u64;
-            if !(l.valid && tag < end as u64 && tag + lb > start as u64) {
+            if !(l.valid && tag < end as u64 && tag + LINE_BYTES as u64 > start as u64) {
                 continue;
             }
             cycles += self.write_back(i);
@@ -275,22 +272,20 @@ impl StandardLlc {
     /// Fills line `i` (already written back) with the block holding
     /// `addr`. Returns the burst cycles.
     fn fill(&mut self, i: usize, addr: u32) -> Result<u64, BusError> {
-        let lb = self.table.line_bytes();
         let tag = self.table.tag_of(addr);
         self.ext
-            .read_bytes(tag, &mut self.data[i * lb..(i + 1) * lb])?;
+            .read_bytes(tag, &mut self.data[i * LINE_BYTES..(i + 1) * LINE_BYTES])?;
         let l = self.table.line_mut(i);
         l.tag = tag;
         l.valid = true;
         l.dirty = false;
-        Ok(self.ext.burst_cycles(lb as u64))
+        Ok(self.ext.burst_cycles(LINE_BYTES as u64))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::ArcaneConfig;
 
     fn cache() -> StandardLlc {
         StandardLlc::new(&ArcaneConfig::with_lanes(4))

@@ -211,17 +211,6 @@ pub struct PortStats {
     pub wait_cycles: u64,
 }
 
-impl PortStats {
-    /// Fraction of `horizon` this port kept its path busy.
-    pub fn occupancy(&self, horizon: u64) -> f64 {
-        if horizon == 0 {
-            0.0
-        } else {
-            self.busy_cycles as f64 / horizon as f64
-        }
-    }
-}
-
 /// The shared-memory fabric: `1 + n_vpus` request ports multiplexed
 /// onto `banks` bank calendars under the configured arbiter.
 #[derive(Debug, Clone)]
@@ -551,7 +540,6 @@ mod tests {
         assert_eq!(s.requests, 2);
         assert_eq!(s.busy_cycles, 150);
         assert_eq!(s.wait_cycles, 100, "second transaction waited");
-        assert!((s.occupancy(150) - 1.0).abs() < 1e-12);
     }
 
     #[test]

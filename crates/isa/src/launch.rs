@@ -234,9 +234,7 @@ impl DescriptorBatch {
                 Ok(at)
             }
         };
-        let reg = |v: u32| -> Result<MatReg, LaunchDecodeError> {
-            MatReg::new((v & 0xf) as u8).ok_or(LaunchDecodeError::BadRegister { value: v as u16 })
-        };
+        let reg = |v: u32| mat_reg((v & 0xf) as u16);
         for _ in 0..count {
             let at = take(3)?;
             let (w0, w1, w2) = (words[at], words[at + 1], words[at + 2]);
@@ -250,15 +248,8 @@ impl DescriptorBatch {
             for _ in 0..n_bind {
                 let at = take(3)?;
                 let (b0, b1, b2) = (words[at], words[at + 1], words[at + 2]);
-                // Validate the full 16-bit field: truncating to u8
-                // first would let multiples of 256 alias register 0.
-                let value = (b1 & 0xffff) as u16;
-                let bound_reg = u8::try_from(value)
-                    .ok()
-                    .and_then(MatReg::new)
-                    .ok_or(LaunchDecodeError::BadRegister { value })?;
                 bindings.push(OperandBinding {
-                    reg: bound_reg,
+                    reg: mat_reg(b1 as u16)?,
                     addr: b0,
                     stride: (b1 >> 16) as u16,
                     cols: (b2 >> 16) as u16,
@@ -288,7 +279,23 @@ impl DescriptorBatch {
     }
 }
 
-/// Error produced while decoding a [`DescriptorBatch`].
+/// Checks one matrix-register field of either launch path (a
+/// descriptor, or the operand registers of a legacy `xmr`/`xmkN`). The
+/// whole field is checked: truncating it first would let multiples of
+/// 256 alias `m0`.
+///
+/// # Errors
+///
+/// [`LaunchDecodeError::BadRegister`] when `value` names no register.
+pub fn mat_reg(value: u16) -> Result<MatReg, LaunchDecodeError> {
+    u8::try_from(value)
+        .ok()
+        .and_then(MatReg::new)
+        .ok_or(LaunchDecodeError::BadRegister { value })
+}
+
+/// Error produced while decoding launch operands: a [`DescriptorBatch`],
+/// or the operand registers of a legacy `xmr`/`xmkN`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LaunchDecodeError {
     /// The first word does not open with `BATCH_MAGIC`.

@@ -19,10 +19,13 @@
 //!
 //! The host CPU never interprets these fields: it offloads the raw
 //! instruction plus the three register values over CV-X-IF, and the
-//! cache-resident runtime decodes them **in software** — which is what
-//! makes the ISA extensible without hardware changes.
+//! cache-resident runtime decodes them **in software** ([`unpack_xmr`],
+//! [`unpack_kernel`]) into the same records a descriptor batch decodes
+//! to — which is what makes the ISA extensible without hardware
+//! changes.
 
 use crate::exec::Op;
+use crate::launch::{self, LaunchDecodeError, LaunchDescriptor, OperandBinding};
 use crate::reg::Gpr;
 use crate::rv32;
 use crate::DecodeError;
@@ -147,126 +150,8 @@ pub fn decode_raw(word: u32) -> Result<XInstr, DecodeError> {
         width,
         rs1: Gpr::from_bits(word >> 15 & 0x1f),
         rs2: Gpr::from_bits(word >> 20 & 0x1f),
-        rs3: Gpr::from_bits(word >> 25 & 0x1f), // placeholder, fixed below
+        rs3: Gpr::from_bits(word >> 27 & 0x1f),
     })
-    .map(|mut x| {
-        x.rs3 = Gpr::from_bits(word >> 27 & 0x1f);
-        x
-    })
-}
-
-/// A fully decoded `xmnmc` operation: the instruction fields combined
-/// with the three source-register *values* sampled by the bridge.
-///
-/// This is what the C-RT kernel decoder consumes (paper §IV-B1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum XmnmcOp {
-    /// `xmr.[whb] md, &A, stride, cols, rows` — bind a memory region and
-    /// shape to a logical matrix register. Allocation is *deferred* until
-    /// a kernel uses the operand.
-    MatReserve {
-        /// Element width of the bound matrix.
-        width: Sew,
-        /// Destination logical matrix register.
-        md: MatReg,
-        /// Base address of the matrix in system memory.
-        addr: u32,
-        /// Row stride in elements (1 = densely packed rows).
-        stride: u16,
-        /// Number of columns.
-        cols: u16,
-        /// Number of rows.
-        rows: u16,
-    },
-    /// `xmkN.[whb]` — execute complex matrix kernel `N`.
-    Kernel {
-        /// Kernel id (`func5`, 0–30).
-        id: u8,
-        /// Element width the kernel operates on.
-        width: Sew,
-        /// First scalar parameter (e.g. GeMM α, LeakyReLU slope,
-        /// max-pool stride).
-        alpha: i16,
-        /// Second scalar parameter (e.g. GeMM β, max-pool window).
-        beta: i16,
-        /// Destination matrix register.
-        md: MatReg,
-        /// First source matrix register.
-        ms1: MatReg,
-        /// Second source matrix register (kernel-dependent).
-        ms2: MatReg,
-        /// Third source matrix register (kernel-dependent).
-        ms3: MatReg,
-    },
-}
-
-/// Error produced when the register values carried by an `xmnmc`
-/// instruction name an out-of-range matrix register.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OperandError {
-    /// Description of the offending field.
-    pub field: &'static str,
-    /// The out-of-range value.
-    pub value: u16,
-}
-
-impl fmt::Display for OperandError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "xmnmc operand {} = {} exceeds the matrix register file",
-            self.field, self.value
-        )
-    }
-}
-
-impl std::error::Error for OperandError {}
-
-fn mat_reg(field: &'static str, value: u16) -> Result<MatReg, OperandError> {
-    MatReg::new(value as u8).ok_or(OperandError { field, value })
-}
-
-impl XmnmcOp {
-    /// Decodes the operation from the instruction fields plus the three
-    /// source-register values (exactly the data the bridge samples).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OperandError`] when a matrix-register field is out of
-    /// range — the C-RT reports this to the host as an *illegal
-    /// instruction* (the kill path of §III-B).
-    pub fn decode(x: &XInstr, rs1: u32, rs2: u32, rs3: u32) -> Result<XmnmcOp, OperandError> {
-        let hi = |v: u32| (v >> 16) as u16;
-        let lo = |v: u32| v as u16;
-        if x.func5 == FUNC5_XMR {
-            Ok(XmnmcOp::MatReserve {
-                width: x.width,
-                md: mat_reg("md", lo(rs2))?,
-                addr: rs1,
-                stride: hi(rs2),
-                cols: hi(rs3),
-                rows: lo(rs3),
-            })
-        } else {
-            Ok(XmnmcOp::Kernel {
-                id: x.func5,
-                width: x.width,
-                alpha: hi(rs1) as i16,
-                beta: lo(rs1) as i16,
-                md: mat_reg("md", lo(rs2))?,
-                ms3: mat_reg("ms3", hi(rs2))?,
-                ms1: mat_reg("ms1", hi(rs3))?,
-                ms2: mat_reg("ms2", lo(rs3))?,
-            })
-        }
-    }
-
-    /// Element width the operation uses.
-    pub fn width(&self) -> Sew {
-        match *self {
-            XmnmcOp::MatReserve { width, .. } | XmnmcOp::Kernel { width, .. } => width,
-        }
-    }
 }
 
 /// Packs the three register values a host program must materialise
@@ -298,6 +183,53 @@ pub fn pack_kernel(
         (ms3.index() as u32) << 16 | md.index() as u32,
         (ms1.index() as u32) << 16 | ms2.index() as u32,
     )
+}
+
+/// Unpacks the three register values of an `xmr` into the binding it
+/// installs: the exact inverse of [`pack_xmr`]. The C-RT runs this in
+/// software (paper §IV-B1).
+///
+/// # Errors
+///
+/// [`LaunchDecodeError::BadRegister`] when the `md` field names no
+/// register; the host then receives the CV-X-IF kill.
+pub fn unpack_xmr(rs1: u32, rs2: u32, rs3: u32) -> Result<OperandBinding, LaunchDecodeError> {
+    Ok(OperandBinding {
+        reg: launch::mat_reg(rs2 as u16)?,
+        addr: rs1,
+        stride: (rs2 >> 16) as u16,
+        cols: (rs3 >> 16) as u16,
+        rows: rs3 as u16,
+    })
+}
+
+/// Unpacks the three register values of `xmk<id>.<width>` into the
+/// launch it requests, with no fresh bindings and token 0: the exact
+/// inverse of [`pack_kernel`].
+///
+/// # Errors
+///
+/// [`LaunchDecodeError::BadRegister`] when a matrix-register field
+/// names no register; the host then receives the CV-X-IF kill.
+pub fn unpack_kernel(
+    id: u8,
+    width: Sew,
+    rs1: u32,
+    rs2: u32,
+    rs3: u32,
+) -> Result<LaunchDescriptor, LaunchDecodeError> {
+    Ok(LaunchDescriptor {
+        kernel: id,
+        width,
+        alpha: (rs1 >> 16) as i16,
+        beta: rs1 as i16,
+        md: launch::mat_reg(rs2 as u16)?,
+        ms1: launch::mat_reg((rs3 >> 16) as u16)?,
+        ms2: launch::mat_reg(rs3 as u16)?,
+        ms3: launch::mat_reg((rs2 >> 16) as u16)?,
+        bindings: Vec::new(),
+        token: 0,
+    })
 }
 
 /// Builds the custom-2 [`Op::Offload`] for `xmr.[width]` naming the
@@ -366,79 +298,36 @@ mod tests {
     fn xmr_operand_packing() {
         let md = MatReg::new(3).unwrap();
         let (r1, r2, r3) = pack_xmr(0x2000_1000, 1, md, 64, 32);
-        let x = XInstr {
-            func5: FUNC5_XMR,
-            width: Sew::Half,
-            rs1: A0,
-            rs2: A1,
-            rs3: A2,
-        };
-        match XmnmcOp::decode(&x, r1, r2, r3).unwrap() {
-            XmnmcOp::MatReserve {
-                width,
-                md,
-                addr,
-                stride,
-                cols,
-                rows,
-            } => {
-                assert_eq!(width, Sew::Half);
-                assert_eq!(md.index(), 3);
-                assert_eq!(addr, 0x2000_1000);
-                assert_eq!(stride, 1);
-                assert_eq!(cols, 64);
-                assert_eq!(rows, 32);
-            }
-            other => panic!("{other:?}"),
-        }
+        assert_eq!(
+            unpack_xmr(r1, r2, r3),
+            Ok(OperandBinding {
+                reg: md,
+                addr: 0x2000_1000,
+                stride: 1,
+                cols: 64,
+                rows: 32,
+            })
+        );
     }
 
     #[test]
     fn kernel_operand_packing_negative_alpha() {
         let m = |i| MatReg::new(i).unwrap();
         let (r1, r2, r3) = pack_kernel(-3, 7, m(0), m(1), m(2), m(4));
-        let x = XInstr {
-            func5: kernel_id::GEMM,
-            width: Sew::Word,
-            rs1: A0,
-            rs2: A1,
-            rs3: A2,
-        };
-        match XmnmcOp::decode(&x, r1, r2, r3).unwrap() {
-            XmnmcOp::Kernel {
-                id,
-                alpha,
-                beta,
-                md,
-                ms1,
-                ms2,
-                ms3,
-                ..
-            } => {
-                assert_eq!(id, kernel_id::GEMM);
-                assert_eq!(alpha, -3);
-                assert_eq!(beta, 7);
-                assert_eq!(
-                    (md.index(), ms1.index(), ms2.index(), ms3.index()),
-                    (0, 1, 2, 4)
-                );
-            }
-            other => panic!("{other:?}"),
-        }
+        let d = unpack_kernel(kernel_id::GEMM, Sew::Word, r1, r2, r3).unwrap();
+        assert_eq!((d.kernel, d.width), (kernel_id::GEMM, Sew::Word));
+        assert_eq!((d.alpha, d.beta), (-3, 7));
+        assert_eq!((d.md, d.ms1, d.ms2, d.ms3), (m(0), m(1), m(2), m(4)));
     }
 
     #[test]
-    fn out_of_range_matrix_register_is_rejected() {
-        let x = XInstr {
-            func5: 0,
-            width: Sew::Word,
-            rs1: A0,
-            rs2: A1,
-            rs3: A2,
-        };
-        // md = 200 is far beyond NUM_MAT_REGS.
-        let err = XmnmcOp::decode(&x, 0, 200, 0).unwrap_err();
-        assert_eq!(err.field, "md");
+    fn register_fields_are_checked_whole() {
+        // 256 would alias m0 if the field were truncated to a byte.
+        for value in [16, 200, 256] {
+            let bad = LaunchDecodeError::BadRegister { value };
+            assert_eq!(unpack_xmr(0, value as u32, 0), Err(bad));
+            assert_eq!(unpack_kernel(0, Sew::Word, 0, value as u32, 0), Err(bad));
+        }
     }
 
     #[test]

@@ -1,11 +1,16 @@
 //! Property tests for the ISA crate: `decode(encode(op)) == op` for
-//! every [`Op`] variant over its full field ranges, and the assembler
-//! must resolve random label graphs.
+//! every [`Op`] variant over its full field ranges, `xmnmc` operand
+//! registers unpack into exactly the records they were packed from, an
+//! out-of-range matrix-register field is rejected whole on both launch
+//! paths, and the assembler must resolve random label graphs.
 
 use arcane_isa::asm::Asm;
 use arcane_isa::exec::{BType, IType, Op, RType, SType, UType};
+use arcane_isa::launch::{DescriptorBatch, LaunchDecodeError, LaunchDescriptor, OperandBinding};
 use arcane_isa::reg::{Gpr, ZERO};
 use arcane_isa::rv32::{decode, encode};
+use arcane_isa::xmnmc::{self, MatReg};
+use arcane_sim::Sew;
 use proptest::prelude::*;
 use std::collections::HashSet;
 use std::mem::discriminant;
@@ -197,7 +202,98 @@ fn generator_covers_every_variant() {
     assert_eq!((ops.len(), kinds.len()), (VARIANTS, VARIANTS));
 }
 
+fn mat_reg() -> impl Strategy<Value = MatReg> {
+    (0u8..16).prop_map(|i| MatReg::new(i).unwrap())
+}
+
+fn sew() -> impl Strategy<Value = Sew> {
+    (0u8..3).prop_map(|b| Sew::from_bits(b).unwrap())
+}
+
+/// A matrix-register field value past the register file, with the
+/// values a byte truncation would alias to a valid register.
+fn bad_reg_field() -> impl Strategy<Value = u16> {
+    prop_oneof![16u16..u16::MAX, Just(256u16), Just(272u16), Just(0xFF00u16)]
+}
+
 proptest! {
+    #[test]
+    fn xmnmc_operands_unpack_to_the_packed_records(
+        (addr, stride, cols, rows) in (any::<u32>(), any::<u16>(), any::<u16>(), any::<u16>()),
+        (alpha, beta) in (any::<i16>(), any::<i16>()),
+        regs in (mat_reg(), mat_reg(), mat_reg(), mat_reg()),
+        id in 0u8..31,
+        width in sew(),
+    ) {
+        let (md, ms1, ms2, ms3) = regs;
+        let (r1, r2, r3) = xmnmc::pack_xmr(addr, stride, md, cols, rows);
+        prop_assert_eq!(
+            xmnmc::unpack_xmr(r1, r2, r3),
+            Ok(OperandBinding { reg: md, addr, stride, cols, rows })
+        );
+        let (r1, r2, r3) = xmnmc::pack_kernel(alpha, beta, md, ms1, ms2, ms3);
+        prop_assert_eq!(
+            xmnmc::unpack_kernel(id, width, r1, r2, r3),
+            Ok(LaunchDescriptor {
+                kernel: id,
+                width,
+                alpha,
+                beta,
+                md,
+                ms1,
+                ms2,
+                ms3,
+                bindings: Vec::new(),
+                token: 0,
+            })
+        );
+    }
+
+    /// Every register field value past the file is `BadRegister` with
+    /// that value, from both unpackers (each field in turn) and from a
+    /// descriptor binding.
+    #[test]
+    fn register_fields_past_the_file_are_rejected_whole(
+        value in bad_reg_field(),
+        field in 0usize..4,
+        ok in mat_reg(),
+    ) {
+        let bad = Err(LaunchDecodeError::BadRegister { value });
+        let (v, ok) = (value as u32, ok.index() as u32);
+        prop_assert_eq!(xmnmc::unpack_xmr(0, 7 << 16 | v, 0), bad);
+        // Kernel register fields: md = lo(rs2), ms3 = hi(rs2),
+        // ms1 = hi(rs3), ms2 = lo(rs3).
+        let mut packed = [ok << 16 | ok; 2];
+        packed[field / 2] = if field % 2 == 0 {
+            packed[field / 2] & !0xffff | v
+        } else {
+            packed[field / 2] & 0xffff | v << 16
+        };
+        prop_assert_eq!(
+            xmnmc::unpack_kernel(0, Sew::Byte, 0, packed[0], packed[1]).map(|_| ()),
+            bad.map(|_| ())
+        );
+        let batch = DescriptorBatch {
+            descriptors: vec![LaunchDescriptor {
+                kernel: 0,
+                width: Sew::Byte,
+                alpha: 0,
+                beta: 0,
+                md: MatReg::new(0).unwrap(),
+                ms1: MatReg::new(0).unwrap(),
+                ms2: MatReg::new(0).unwrap(),
+                ms3: MatReg::new(0).unwrap(),
+                bindings: vec![OperandBinding { reg: MatReg::new(0).unwrap(), addr: 0, stride: 1, cols: 1, rows: 1 }],
+                token: 0,
+            }],
+        };
+        // Header, three descriptor words, then the binding: its second
+        // word carries the register in its low half.
+        let mut words = batch.encode();
+        words[5] = words[5] & !0xffff | v;
+        prop_assert_eq!(DescriptorBatch::decode(&words).map(|_| ()), bad.map(|_| ()));
+    }
+
     #[test]
     fn op_encode_decode_roundtrip(kind in 0usize..VARIANTS, f in fields()) {
         let op = all_ops(&f)[kind];

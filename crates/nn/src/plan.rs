@@ -14,8 +14,8 @@
 
 use crate::graph::{LayerGraph, TensorId, TensorKind};
 
-/// Cache-line/alignment quantum of the arena (= the 1 KiB VLEN).
-pub(crate) const ALIGN: u32 = 1024;
+/// Cache-line/alignment quantum of the arena (= the VLEN).
+pub(crate) const ALIGN: u32 = arcane_core::LINE_BYTES as u32;
 
 fn align_up(x: u32) -> u32 {
     (x + (ALIGN - 1)) & !(ALIGN - 1)

@@ -80,14 +80,10 @@ pub struct LaunchStats {
     pub descriptors: u64,
     /// Fresh operand bindings the descriptors installed.
     pub bindings: u64,
-    /// Encoded batch bytes carried over the fabric to the decoder.
-    pub batch_bytes: u64,
     /// eCPU cycles spent in batch entry + descriptor replay (the
     /// amortised successor of the legacy per-kernel preamble).
     pub decode_cycles: u64,
 }
-
-impl LaunchStats {}
 
 /// Utilisation of one shared channel or fabric port over a run: how
 /// many cycles it was busy, how long its clients waited for grants,

@@ -1,5 +1,6 @@
 //! Workload parameters and external-memory data layout.
 
+use arcane_core::LINE_BYTES;
 use arcane_sim::Sew;
 
 pub use arcane_core::EXT_BASE;
@@ -68,7 +69,7 @@ impl ConvLayerParams {
     }
 }
 
-/// External-memory placement of every workload buffer, 1 KiB-aligned
+/// External-memory placement of every workload buffer, cache-line-aligned
 /// with safety padding between regions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Layout {
@@ -88,8 +89,10 @@ pub struct Layout {
     pub end: u32,
 }
 
-fn align_1k(x: u32) -> u32 {
-    (x + 1023) & !1023
+/// Rounds `x` up to the next cache-line boundary.
+fn align_line(x: u32) -> u32 {
+    let line = LINE_BYTES as u32;
+    (x + line - 1) & !(line - 1)
 }
 
 impl Layout {
@@ -98,13 +101,13 @@ impl Layout {
         let esz = p.sew.bytes() as u32;
         let a = EXT_BASE;
         let a_size = (3 * p.h * p.w) as u32 * esz + 64;
-        let f = align_1k(a + a_size);
+        let f = align_line(a + a_size);
         let f_size = (3 * p.k * p.k) as u32 * esz + 64;
-        let f_padded = align_1k(f + f_size);
+        let f_padded = align_line(f + f_size);
         let fp_size = (3 * p.k * p.padded_k()) as u32 * esz + 64;
-        let temp = align_1k(f_padded + fp_size);
+        let temp = align_line(f_padded + fp_size);
         let temp_size = (p.conv_h() * p.conv_w()) as u32 * esz + 64;
-        let r = align_1k(temp + temp_size);
+        let r = align_line(temp + temp_size);
         let r_size = (p.pooled_h().max(1) * p.pooled_w().max(1)) as u32 * esz + 64;
         Layout {
             a,
@@ -112,7 +115,7 @@ impl Layout {
             f_padded,
             temp,
             r,
-            end: align_1k(r + r_size),
+            end: align_line(r + r_size),
         }
     }
 }

@@ -10,13 +10,15 @@
 //! 32-bit ones in the paper's Figure 4.
 //!
 //! A [`Vpu`] therefore holds no register bytes of its own: it executes
-//! on the `vregs × vlen_bytes` slice of the cache data array that its
-//! lines occupy, register `i` at byte `i · vlen_bytes`.
+//! on the [`VREGS`] × [`VLEN_BYTES`] slice of the cache data array that
+//! its lines occupy, register `i` at byte `i · VLEN_BYTES`. That
+//! geometry is fixed by the NM-Carus unit; the lane count is the only
+//! per-instance knob ([`VpuConfig`]).
 //!
 //! [`Vpu::execute`] interprets a program of
 //! [`arcane_isa::vector::VInstr`] with wrapping two's-complement
-//! semantics and returns the datapath cycles from the lane-limited
-//! `VpuTiming` model. Results are bit-exact against the golden scalar
+//! semantics and returns the datapath cycles from its lane-limited
+//! cycle model. Results are bit-exact against the golden scalar
 //! models (property-tested). Element-wise operations run as per-line
 //! batch kernels monomorphised per [`Sew`] over little-endian byte
 //! slices (the `batch` module) rather than element-at-a-time `i64`
@@ -32,10 +34,10 @@
 //! ```
 //! use arcane_isa::vector::{Sr, VInstr, VOp, Vr};
 //! use arcane_sim::Sew;
-//! use arcane_vpu::{Vpu, VpuConfig};
+//! use arcane_vpu::{Vpu, VpuConfig, VLEN_BYTES, VREGS};
 //!
 //! let mut vpu = Vpu::new(VpuConfig::with_lanes(4));
-//! let mut regs = vec![0u8; vpu.config().capacity_bytes()];
+//! let mut regs = vec![0u8; VREGS * VLEN_BYTES];
 //! let v = |i| Vr::new(i).unwrap();
 //! regs[..4].copy_from_slice(&[1, 2, 3, 4]);
 //! regs[1024..1028].copy_from_slice(&[10, 20, 30, 40]);
@@ -61,77 +63,42 @@ use std::error::Error;
 use std::fmt;
 use std::iter::repeat;
 
-/// Static configuration of one VPU instance.
+/// Vector registers per VPU (= cache lines each VPU contributes to the
+/// LLC).
+pub const VREGS: usize = 32;
+
+/// Bytes per vector register (= cache line size).
+pub const VLEN_BYTES: usize = 1024;
+
+/// Fixed pipeline overhead charged per vector instruction (decode +
+/// first-fill of the lane pipeline).
+const OP_OVERHEAD: u64 = 2;
+
+/// Maximum vector length in elements for a given element width.
+pub const fn max_vl(sew: Sew) -> usize {
+    VLEN_BYTES / sew.bytes()
+}
+
+/// Static configuration of one VPU instance. The register file is the
+/// NM-Carus one, [`VREGS`] × [`VLEN_BYTES`]; the lane count is the one
+/// knob.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VpuConfig {
     /// Number of 32-bit lanes in the datapath (the paper evaluates
     /// 2, 4 and 8).
     pub lanes: usize,
-    /// Number of vector registers (= cache lines contributed to the LLC).
-    pub vregs: usize,
-    /// Bytes per vector register (= cache line size; 1 KiB in the paper).
-    pub vlen_bytes: usize,
-    /// Fixed pipeline overhead charged per vector instruction
-    /// (decode + first-fill of the lane pipeline).
-    pub op_overhead: u64,
 }
 
 impl VpuConfig {
-    /// The paper's VPU shape (32 × 1 KiB registers) with `lanes` lanes.
+    /// A VPU with `lanes` lanes.
     pub const fn with_lanes(lanes: usize) -> Self {
-        VpuConfig {
-            lanes,
-            vregs: 32,
-            vlen_bytes: 1024,
-            op_overhead: 2,
-        }
-    }
-
-    /// Capacity of the register file in bytes (= cache slice size).
-    pub const fn capacity_bytes(&self) -> usize {
-        self.vregs * self.vlen_bytes
-    }
-
-    /// Maximum vector length in elements for a given element width.
-    pub const fn max_vl(&self, sew: Sew) -> usize {
-        self.vlen_bytes / sew.bytes()
-    }
-
-    /// Datapath throughput in bytes per cycle (32-bit lanes).
-    pub const fn bytes_per_cycle(&self) -> u64 {
-        (self.lanes * 4) as u64
+        VpuConfig { lanes }
     }
 }
 
 impl Default for VpuConfig {
     fn default() -> Self {
         VpuConfig::with_lanes(4)
-    }
-}
-
-/// Lane-limited cycle model helpers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct VpuTiming {
-    cfg: VpuConfig,
-}
-
-impl VpuTiming {
-    /// Creates the timing view of a configuration.
-    pub const fn new(cfg: VpuConfig) -> Self {
-        VpuTiming { cfg }
-    }
-
-    /// Cycles for one element-wise pass over `vl` elements of width
-    /// `sew`: `op_overhead + ceil(vl · sew / (4 · lanes))`.
-    pub fn elementwise(&self, vl: usize, sew: Sew) -> u64 {
-        let bytes = (vl * sew.bytes()) as u64;
-        self.cfg.op_overhead + bytes.div_ceil(self.cfg.bytes_per_cycle()).max(1)
-    }
-
-    /// Cycles for a reduction: one element-wise pass plus a
-    /// log₂(lanes) combine tree.
-    pub(crate) fn reduction(&self, vl: usize, sew: Sew) -> u64 {
-        self.elementwise(vl, sew) + (self.cfg.lanes.max(2)).ilog2() as u64
     }
 }
 
@@ -142,7 +109,7 @@ pub enum VpuError {
     VlTooLarge {
         /// Requested vector length.
         vl: usize,
-        /// Maximum for the configured `vlen` and element width.
+        /// Maximum for the element width.
         max: usize,
     },
     /// An instruction named a vector register beyond the configured file.
@@ -180,7 +147,6 @@ pub struct ExecStats {
 #[derive(Debug, Clone)]
 pub struct Vpu {
     cfg: VpuConfig,
-    timing: VpuTiming,
     sregs: [u32; 32],
     vl: usize,
     sew: Sew,
@@ -191,16 +157,10 @@ impl Vpu {
     pub fn new(cfg: VpuConfig) -> Self {
         Vpu {
             cfg,
-            timing: VpuTiming::new(cfg),
             sregs: [0; 32],
-            vl: cfg.max_vl(Sew::Word),
+            vl: max_vl(Sew::Word),
             sew: Sew::Word,
         }
-    }
-
-    /// The VPU configuration.
-    pub const fn config(&self) -> &VpuConfig {
-        &self.cfg
     }
 
     /// Writes scalar register `rs` (the eCPU does this before dispatch).
@@ -218,9 +178,22 @@ impl Vpu {
         self.sew
     }
 
+    /// Cycles of one element-wise pass at the active vector length
+    /// and width: `OP_OVERHEAD + ceil(vl · sew / (4 · lanes))`.
+    fn elementwise(&self) -> u64 {
+        let bytes = (self.vl * self.sew.bytes()) as u64;
+        OP_OVERHEAD + bytes.div_ceil((self.cfg.lanes * 4) as u64).max(1)
+    }
+
+    /// Cycles of a reduction: one element-wise pass plus a log₂(lanes)
+    /// combine tree.
+    fn reduction(&self) -> u64 {
+        self.elementwise() + (self.cfg.lanes.max(2)).ilog2() as u64
+    }
+
     fn check_vreg(&self, v: Vr) -> Result<usize, VpuError> {
         let i = v.index() as usize;
-        if i < self.cfg.vregs {
+        if i < VREGS {
             Ok(i)
         } else {
             Err(VpuError::BadVreg { index: v.index() })
@@ -239,7 +212,7 @@ impl Vpu {
     /// # Panics
     ///
     /// Panics if `regs` is shorter than a register named by `prog`
-    /// requires ([`VpuConfig::capacity_bytes`] covers every register).
+    /// requires (`VREGS * VLEN_BYTES` bytes cover every register).
     pub fn execute(&mut self, regs: &mut [u8], prog: &[VInstr]) -> Result<ExecStats, VpuError> {
         let mut stats = ExecStats::default();
         for instr in prog {
@@ -262,7 +235,7 @@ impl Vpu {
     pub fn execute_one(&mut self, regs: &mut [u8], instr: &VInstr) -> Result<u64, VpuError> {
         match *instr {
             VInstr::SetVl { vl, sew } => {
-                let max = self.cfg.max_vl(sew);
+                let max = max_vl(sew);
                 if vl as usize > max {
                     return Err(VpuError::VlTooLarge {
                         vl: vl as usize,
@@ -278,61 +251,61 @@ impl Vpu {
                 let a = self.check_vreg(vs1)?;
                 let b = self.check_vreg(vs2)?;
                 self.op_vv(regs, op, d, a, b);
-                Ok(self.timing.elementwise(self.vl, self.sew))
+                Ok(self.elementwise())
             }
             VInstr::OpVX { op, vd, vs1, rs } => {
                 let d = self.check_vreg(vd)?;
                 let a = self.check_vreg(vs1)?;
                 self.op_vx(regs, op, d, a, self.sregs[rs.index() as usize]);
-                Ok(self.timing.elementwise(self.vl, self.sew))
+                Ok(self.elementwise())
             }
             VInstr::SlideDown { vd, vs1, offset } => {
                 let d = self.check_vreg(vd)?;
                 let a = self.check_vreg(vs1)?;
                 let sz = self.sew.bytes();
-                let vlen = self.cfg.vlen_bytes;
                 let off = offset as usize;
                 // Slides read the full register, so data beyond `vl+off`
                 // is still reachable; elements past the register end
                 // read as zero.
-                let n_copy = self.cfg.max_vl(self.sew).saturating_sub(off).min(self.vl);
+                let n_copy = max_vl(self.sew).saturating_sub(off).min(self.vl);
                 if n_copy > 0 {
-                    let src = a * vlen + off * sz;
-                    regs.copy_within(src..src + n_copy * sz, d * vlen);
+                    let src = a * VLEN_BYTES + off * sz;
+                    regs.copy_within(src..src + n_copy * sz, d * VLEN_BYTES);
                 }
-                regs[d * vlen + n_copy * sz..d * vlen + self.vl * sz].fill(0);
-                Ok(self.timing.elementwise(self.vl, self.sew))
+                regs[d * VLEN_BYTES + n_copy * sz..d * VLEN_BYTES + self.vl * sz].fill(0);
+                Ok(self.elementwise())
             }
             VInstr::SlideUp { vd, vs1, offset } => {
                 let d = self.check_vreg(vd)?;
                 let a = self.check_vreg(vs1)?;
                 let sz = self.sew.bytes();
-                let vlen = self.cfg.vlen_bytes;
                 let off = offset as usize;
                 let n = self.vl.saturating_sub(off);
-                regs.copy_within(a * vlen..a * vlen + n * sz, d * vlen + off * sz);
-                Ok(self.timing.elementwise(self.vl, self.sew))
+                regs.copy_within(
+                    a * VLEN_BYTES..a * VLEN_BYTES + n * sz,
+                    d * VLEN_BYTES + off * sz,
+                );
+                Ok(self.elementwise())
             }
             VInstr::BroadcastX { vd, rs } => {
                 let d = self.check_vreg(vd)?;
                 let scalar = self.truncate(self.sregs[rs.index() as usize]);
-                let (vl, vlen) = (self.vl, self.cfg.vlen_bytes);
+                let vl = self.vl;
                 let nb = vl * self.sew.bytes();
-                let dst = &mut regs[d * vlen..d * vlen + nb];
+                let dst = &mut regs[d * VLEN_BYTES..d * VLEN_BYTES + nb];
                 match self.sew {
                     Sew::Byte => batch::splat::<i8>(vl, dst, scalar as i8),
                     Sew::Half => batch::splat::<i16>(vl, dst, scalar as i16),
                     Sew::Word => batch::splat::<i32>(vl, dst, scalar as i32),
                 }
-                Ok(self.timing.elementwise(self.vl, self.sew))
+                Ok(self.elementwise())
             }
             VInstr::Move { vd, vs1 } => {
                 let d = self.check_vreg(vd)?;
                 let a = self.check_vreg(vs1)?;
-                let vlen = self.cfg.vlen_bytes;
                 let nb = self.vl * self.sew.bytes();
-                regs.copy_within(a * vlen..a * vlen + nb, d * vlen);
-                Ok(self.timing.elementwise(self.vl, self.sew))
+                regs.copy_within(a * VLEN_BYTES..a * VLEN_BYTES + nb, d * VLEN_BYTES);
+                Ok(self.elementwise())
             }
             VInstr::RedSum { vd, vs1 } => {
                 let d = self.check_vreg(vd)?;
@@ -344,7 +317,7 @@ impl Vpu {
                     Sew::Word => batch::red_sum::<i32>(self.vl, src),
                 };
                 self.write_elem(regs, d, sum);
-                Ok(self.timing.reduction(self.vl, self.sew))
+                Ok(self.reduction())
             }
             VInstr::RedMax { vd, vs1 } => {
                 let d = self.check_vreg(vd)?;
@@ -356,7 +329,7 @@ impl Vpu {
                     Sew::Word => batch::red_max::<i32>(self.vl, src),
                 };
                 self.write_elem(regs, d, m);
-                Ok(self.timing.reduction(self.vl, self.sew))
+                Ok(self.reduction())
             }
         }
     }
@@ -387,7 +360,7 @@ impl Vpu {
         let d = self.check_vreg(vd)?;
         let s0 = self.check_vreg(vs0)?;
         let end = s0 + scalars.len();
-        if end > self.cfg.vregs {
+        if end > VREGS {
             return Err(VpuError::BadVreg {
                 index: u8::try_from(end - 1).unwrap_or(u8::MAX),
             });
@@ -398,28 +371,32 @@ impl Vpu {
                 self.op_vx(regs, VOp::Macc, d, s0 + k, x);
             }
         } else {
-            let vlen = self.cfg.vlen_bytes;
             let (dst, rows) = if d < s0 {
-                let (lo, hi) = regs.split_at_mut(s0 * vlen);
-                (&mut lo[d * vlen..(d + 1) * vlen], &hi[..(end - s0) * vlen])
+                let (lo, hi) = regs.split_at_mut(s0 * VLEN_BYTES);
+                (
+                    &mut lo[d * VLEN_BYTES..(d + 1) * VLEN_BYTES],
+                    &hi[..(end - s0) * VLEN_BYTES],
+                )
             } else {
-                let (lo, hi) = regs.split_at_mut(d * vlen);
-                (&mut hi[..vlen], &lo[s0 * vlen..end * vlen])
+                let (lo, hi) = regs.split_at_mut(d * VLEN_BYTES);
+                (
+                    &mut hi[..VLEN_BYTES],
+                    &lo[s0 * VLEN_BYTES..end * VLEN_BYTES],
+                )
             };
             let vl = self.vl;
             match self.sew {
-                Sew::Byte => batch::macc_train::<i8>(vl, dst, rows, vlen, scalars),
-                Sew::Half => batch::macc_train::<i16>(vl, dst, rows, vlen, scalars),
-                Sew::Word => batch::macc_train::<i32>(vl, dst, rows, vlen, scalars),
+                Sew::Byte => batch::macc_train::<i8>(vl, dst, rows, VLEN_BYTES, scalars),
+                Sew::Half => batch::macc_train::<i16>(vl, dst, rows, VLEN_BYTES, scalars),
+                Sew::Word => batch::macc_train::<i32>(vl, dst, rows, VLEN_BYTES, scalars),
             }
         }
-        Ok(self.timing.elementwise(self.vl, self.sew))
+        Ok(self.elementwise())
     }
 
     /// Register `idx` of `regs`.
     fn line<'r>(&self, regs: &'r [u8], idx: usize) -> &'r [u8] {
-        let vlen = self.cfg.vlen_bytes;
-        &regs[idx * vlen..(idx + 1) * vlen]
+        &regs[idx * VLEN_BYTES..(idx + 1) * VLEN_BYTES]
     }
 
     /// `vd = vs1 op vs2` (register indices `d`, `a`, `b`) computed on
@@ -429,8 +406,7 @@ impl Vpu {
         macro_rules! run {
             ($e:ty) => {{
                 let vl = self.vl;
-                let vlen = self.cfg.vlen_bytes;
-                let r = |i: usize| i * vlen..(i + 1) * vlen;
+                let r = |i: usize| i * VLEN_BYTES..(i + 1) * VLEN_BYTES;
                 if a == d && b == d {
                     batch::binary::<$e, _, _>(op, vl, &mut regs[r(d)], InPlace, InPlace);
                 } else if a == d {
@@ -477,8 +453,7 @@ impl Vpu {
         macro_rules! run {
             ($e:ty) => {{
                 let vl = self.vl;
-                let vlen = self.cfg.vlen_bytes;
-                let r = |i: usize| i * vlen..(i + 1) * vlen;
+                let r = |i: usize| i * VLEN_BYTES..(i + 1) * VLEN_BYTES;
                 let x = repeat(scalar as $e);
                 if a == d {
                     batch::binary::<$e, _, _>(op, vl, &mut regs[r(d)], InPlace, x);
@@ -505,7 +480,7 @@ impl Vpu {
 
     /// Writes `v` as element 0 of register `line` (reduction results).
     fn write_elem(&self, regs: &mut [u8], line: usize, v: i64) {
-        let bytes = &mut regs[line * self.cfg.vlen_bytes..];
+        let bytes = &mut regs[line * VLEN_BYTES..];
         match self.sew {
             Sew::Byte => bytes[0] = v as u8,
             Sew::Half => bytes[..2].copy_from_slice(&(v as i16).to_le_bytes()),
@@ -526,13 +501,11 @@ mod tests {
         Sr::new(i).unwrap()
     }
 
-    const VLEN: usize = 1024;
+    const VLEN: usize = VLEN_BYTES;
 
     /// A 4-lane VPU and a zeroed register file for it.
     fn vpu() -> (Vpu, Vec<u8>) {
-        let u = Vpu::new(VpuConfig::with_lanes(4));
-        let regs = vec![0; u.config().capacity_bytes()];
-        (u, regs)
+        (Vpu::new(VpuConfig::with_lanes(4)), vec![0; VREGS * VLEN])
     }
 
     fn set_words(regs: &mut [u8], line: usize, vals: &[i32]) {
@@ -727,15 +700,23 @@ mod tests {
 
     #[test]
     fn cycle_model_scales_with_lanes_and_sew() {
-        let cfg2 = VpuConfig::with_lanes(2);
-        let cfg8 = VpuConfig::with_lanes(8);
-        let t2 = VpuTiming::new(cfg2);
-        let t8 = VpuTiming::new(cfg8);
-        // 1024 int32 elements = 4096 bytes: 2 lanes -> 512 cycles, 8 -> 128.
-        assert_eq!(t2.elementwise(1024, Sew::Word), 2 + 512);
-        assert_eq!(t8.elementwise(1024, Sew::Word), 2 + 128);
+        let add = |lanes, vl, sew| {
+            let mut u = Vpu::new(VpuConfig::with_lanes(lanes));
+            let mut r = vec![0; VREGS * VLEN];
+            let add = VInstr::OpVV {
+                op: VOp::Add,
+                vd: v(2),
+                vs1: v(0),
+                vs2: v(1),
+            };
+            u.execute(&mut r, &[VInstr::SetVl { vl, sew }]).unwrap();
+            u.execute_one(&mut r, &add).unwrap()
+        };
+        // 256 int32 elements = 1024 bytes: 2 lanes -> 128 cycles, 8 -> 32.
+        assert_eq!(add(2, 256, Sew::Word), 2 + 128);
+        assert_eq!(add(8, 256, Sew::Word), 2 + 32);
         // int8 is 4x faster for the same element count.
-        assert_eq!(t8.elementwise(1024, Sew::Byte), 2 + 32);
+        assert_eq!(add(8, 256, Sew::Byte), 2 + 8);
     }
 
     #[test]
@@ -781,6 +762,5 @@ mod tests {
         )
         .unwrap();
         assert_eq!(r[8 * VLEN], 42);
-        assert_eq!(u.config().capacity_bytes(), 32 * 1024);
     }
 }

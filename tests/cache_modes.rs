@@ -4,7 +4,7 @@
 //! cycles. "Drop-in replacement for the conventional on-chip LLC" is a
 //! headline claim of the paper.
 
-use arcane::core::{ArcaneConfig, ArcaneLlc, StandardLlc, EXT_BASE};
+use arcane::core::{ArcaneConfig, ArcaneLlc, StandardLlc, EXT_BASE, LINE_BYTES};
 use arcane::mem::AccessSize;
 use arcane::workloads::rng;
 use rand::Rng;
@@ -16,7 +16,7 @@ fn normal_mode_matches_baseline_cache_exactly() {
     let cfg = ArcaneConfig::with_lanes(4);
     let mut smart = ArcaneLlc::new(cfg);
     let mut base = StandardLlc::new(&cfg);
-    let line = cfg.line_bytes() as u32;
+    let line = LINE_BYTES as u32;
     const N: u32 = 5_000;
     // Both caches are also checked against a flat copy of the region.
     let mut flat = vec![0u8; (0x80_0000 + N * 64 + line) as usize];

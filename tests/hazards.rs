@@ -4,7 +4,9 @@
 
 use arcane::core::kernels::KernelError;
 use arcane::core::{ArcaneConfig, ArcaneLlc};
-use arcane::isa::launch::{DescriptorBatch, LaunchDescriptor, OperandBinding, FUNC5_XMB};
+use arcane::isa::launch::{
+    DescriptorBatch, LaunchDecodeError, LaunchDescriptor, OperandBinding, FUNC5_XMB,
+};
 use arcane::isa::reg::{A0, A1, A2};
 use arcane::isa::xmnmc::{self, kernel_id, MatReg, XInstr, FUNC5_XMR};
 use arcane::mem::{Access, AccessSize, Bus, BusError, Memory, Sram};
@@ -162,6 +164,48 @@ fn unbound_matrix_is_killed() {
         llc.last_error(),
         Some(KernelError::UnboundMatrix { .. })
     ));
+}
+
+#[test]
+fn out_of_range_xmr_register_is_killed_not_aliased() {
+    let mut llc = ArcaneLlc::new(ArcaneConfig::with_lanes(4));
+    // md = 256 would alias m0 if the field were truncated to a byte.
+    let (r1, _, r3) = xmnmc::pack_xmr(A_ADDR, 1, m(0), 8, 8);
+    let resp = llc.offload(x(FUNC5_XMR, Sew::Word), r1, 1 << 16 | 256, r3, 0);
+    assert_eq!(resp, XifResponse::Reject);
+    assert_eq!(
+        llc.last_error(),
+        Some(&KernelError::Launch(LaunchDecodeError::BadRegister {
+            value: 256
+        }))
+    );
+    // So m0 stays unbound.
+    let (r1, r2, r3) = xmnmc::pack_kernel(0, 0, m(0), m(0), m(0), m(0));
+    let resp = llc.offload(x(kernel_id::LEAKY_RELU, Sew::Word), r1, r2, r3, 2);
+    assert_eq!(resp, XifResponse::Reject);
+    assert_eq!(
+        llc.last_error(),
+        Some(&KernelError::UnboundMatrix { reg: m(0) })
+    );
+}
+
+#[test]
+fn reserved_width_is_killed_with_its_own_error() {
+    let mut llc = ArcaneLlc::new(ArcaneConfig::with_lanes(4));
+    let (r1, r2, r3) = xmnmc::pack_kernel(0, 0, m(5), m(6), m(7), m(8));
+    let resp = llc.offload(x(kernel_id::GEMM, Sew::Word), r1, r2, r3, 0);
+    assert_eq!(resp, XifResponse::Reject);
+    assert!(matches!(
+        llc.last_error(),
+        Some(KernelError::UnboundMatrix { .. })
+    ));
+    // Width field (bits 8:7) = 3 is reserved.
+    let resp = llc.offload(x(kernel_id::GEMM, Sew::Word) | 3 << 7, r1, r2, r3, 2);
+    assert_eq!(resp, XifResponse::Reject);
+    assert_eq!(
+        llc.last_error(),
+        Some(&KernelError::Launch(LaunchDecodeError::BadWidth))
+    );
 }
 
 #[test]

@@ -6,7 +6,7 @@ use arcane::isa::reg::Gpr;
 use arcane::isa::vector::{Sr, VInstr, VOp, Vr};
 use arcane::isa::xmnmc::{self, XInstr};
 use arcane::sim::Sew;
-use arcane::vpu::{Vpu, VpuConfig};
+use arcane::vpu::{max_vl, Vpu, VpuConfig, VLEN_BYTES, VREGS};
 use arcane::workloads;
 use proptest::prelude::*;
 
@@ -132,9 +132,9 @@ proptest! {
     ) {
         let op = VOPS[op_idx];
         let mut vpu = Vpu::new(VpuConfig::with_lanes(4));
-        let max_vl = vpu.config().max_vl(sew);
+        let max_vl = max_vl(sew);
         let vl = 1 + vl_draw % max_vl;
-        let mut regs = random_regs(vpu.config().capacity_bytes(), seed);
+        let mut regs = random_regs(VREGS * VLEN_BYTES, seed);
         // Distinct registers, or one of the four aliasing patterns.
         let (d, x, y) = (base, (base + 7) % 32, (base + 19) % 32);
         let (vd, vs1, vs2) = [(d, x, y), (d, d, y), (d, x, d), (d, x, x), (d, d, d)][pattern];
@@ -190,11 +190,11 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let mut vpu = Vpu::new(VpuConfig::with_lanes(4));
-        let vl = 1 + vl_draw % vpu.config().max_vl(sew);
+        let vl = 1 + vl_draw % max_vl(sew);
         // The tile may hold the accumulator (then taps read it).
         let vs0 = vs0_draw % (33 - tk);
         let scalars = &scalars[..tk];
-        let mut single = random_regs(vpu.config().capacity_bytes(), seed);
+        let mut single = random_regs(VREGS * VLEN_BYTES, seed);
         let mut fused = single.clone();
         let rs = Sr::new(1).unwrap();
         vpu.execute(&mut single, &[VInstr::SetVl { vl: vl as u16, sew }]).unwrap();
@@ -214,7 +214,7 @@ proptest! {
         addrs in prop::collection::vec(0u32..(64 * 1024), 1..200),
         writes in prop::collection::vec(any::<bool>(), 1..200),
     ) {
-        let mut t = CacheTable::new(16, 1024);
+        let mut t = CacheTable::new(16);
         for (i, &addr) in addrs.iter().enumerate() {
             let write = writes[i % writes.len()];
             let line = match t.lookup(addr) {
