@@ -1,19 +1,29 @@
 //! The Cache Table (CT): fully-associative line state with a
 //! counter-based approximate-LRU replacement policy (paper §III-A1).
+//!
+//! The hardware compares every tag in parallel. The model keeps the
+//! valid lines in a tag-sorted index instead, so a lookup is a binary
+//! search and a range of addresses maps to a contiguous run of index
+//! entries.
 
 use crate::LINE_BYTES;
+use std::ops::Range;
 
 /// State of one cache line.
 ///
 /// A line is simultaneously one VPU vector register; `busy_until`
 /// implements the *busy computing* status of §III-A2 — while a kernel
 /// owns the line, normal cache operations must not touch it.
+///
+/// The tag and the valid bit change only through
+/// [`CacheTable::fill`] and [`CacheTable::invalidate`], which keep the
+/// table's tag index in step with them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LineState {
     /// Line-aligned base address of the cached block (valid lines only).
-    pub tag: u32,
+    tag: u32,
     /// The line holds a cached copy of memory.
-    pub valid: bool,
+    valid: bool,
     /// The line diverges from backing memory (write-back policy).
     pub dirty: bool,
     /// Absolute cycle until which the line belongs to an in-flight
@@ -42,6 +52,17 @@ impl LineState {
     /// `true` when a kernel owns the line at time `now`.
     const fn is_busy(&self, now: u64) -> bool {
         self.busy_until > now
+    }
+
+    /// Line-aligned base address of the cached block (meaningful only
+    /// while the line is valid).
+    pub const fn tag(&self) -> u32 {
+        self.tag
+    }
+
+    /// `true` when the line holds a cached copy of memory.
+    pub const fn is_valid(&self) -> bool {
+        self.valid
     }
 }
 
@@ -72,11 +93,16 @@ pub struct CacheTable {
     /// numbers an eager full-table decay pass would produce, without
     /// walking every line every period.
     epoch: u32,
+    /// `(tag, line)` of every valid line, sorted by tag. At most one
+    /// valid line holds a tag, so the tags are strictly increasing.
+    /// Only [`CacheTable::fill`] and [`CacheTable::invalidate`] change
+    /// a tag or a valid bit, and both edit this index with it.
+    index: Vec<(u32, u32)>,
     /// Recently-resolved `(tag, index)` pairs consulted before the
-    /// associative scan. Entries are *hints*: every hit is validated
-    /// against the line state, so external mutation through
-    /// [`CacheTable::line_mut`] can never produce a wrong lookup —
-    /// a stale hint just falls back to the scan.
+    /// index search: they only speed up the hit path. Entries are
+    /// *hints*: every hit is validated against the line state, so a
+    /// hint left stale by a refill or a drop just falls back to the
+    /// search.
     mru: [(u32, u32); MRU_WAYS],
 }
 
@@ -89,6 +115,7 @@ impl CacheTable {
     pub fn new(n_lines: usize) -> Self {
         CacheTable {
             lines: vec![LineState::empty(); n_lines],
+            index: Vec::with_capacity(n_lines),
             accesses_since_aging: 0,
             aging_period: 64,
             epoch: 0,
@@ -116,9 +143,80 @@ impl CacheTable {
         &self.lines[idx]
     }
 
-    /// Mutable view of line `idx`.
+    /// Mutable view of line `idx` (its dirty bit, busy window and
+    /// age; the tag and valid bit are private to the table).
     pub fn line_mut(&mut self, idx: usize) -> &mut LineState {
         &mut self.lines[idx]
+    }
+
+    /// Makes line `idx` a clean, valid copy of the block at `tag`,
+    /// replacing whatever it held (write it back first).
+    ///
+    /// # Panics
+    ///
+    /// Panics if another valid line already holds `tag`: the table
+    /// keeps at most one valid line per tag.
+    pub fn fill(&mut self, idx: usize, tag: u32) {
+        debug_assert_eq!(tag, self.tag_of(tag), "tags are line-aligned");
+        self.unindex(idx);
+        match self.index.binary_search_by_key(&tag, |&(t, _)| t) {
+            Err(k) => self.index.insert(k, (tag, idx as u32)),
+            Ok(k) => panic!("tag {tag:#x} is already cached in line {}", self.index[k].1),
+        }
+        let l = &mut self.lines[idx];
+        l.tag = tag;
+        l.valid = true;
+        l.dirty = false;
+        debug_assert!(self.check_index(), "tag index out of step after a fill");
+    }
+
+    /// Drops line `idx`: it becomes invalid and clean, and its contents
+    /// are discarded (write it back first).
+    pub fn invalidate(&mut self, idx: usize) {
+        self.unindex(idx);
+        let l = &mut self.lines[idx];
+        l.valid = false;
+        l.dirty = false;
+        debug_assert!(self.check_index(), "tag index out of step after a drop");
+    }
+
+    /// Removes line `idx`'s entry from the tag index, if it is valid.
+    fn unindex(&mut self, idx: usize) {
+        let l = &self.lines[idx];
+        if l.valid {
+            let k = self
+                .index
+                .binary_search_by_key(&l.tag, |&(t, _)| t)
+                .expect("a valid line is indexed");
+            self.index.remove(k);
+        }
+    }
+
+    /// Positions, in the tag index, of the valid lines overlapping
+    /// `[start, end)`: those whose tag lies in `[tag_of(start), end)`.
+    /// Tags are line-aligned, so that is exactly the set of lines with
+    /// `tag < end && tag + LINE_BYTES > start`.
+    pub(crate) fn overlapping(&self, start: u32, end: u32) -> Range<usize> {
+        let first = self.tag_of(start);
+        let lo = self.index.partition_point(|&(t, _)| t < first);
+        let hi = self.index.partition_point(|&(t, _)| t < end);
+        lo..hi.max(lo)
+    }
+
+    /// The line at position `k` of the tag index.
+    pub(crate) fn indexed(&self, k: usize) -> usize {
+        self.index[k].1 as usize
+    }
+
+    /// [`CacheTable::invalidate`]s every line at the tag-index
+    /// positions `span`, in one edit of the index.
+    pub(crate) fn invalidate_indexed(&mut self, span: Range<usize>) {
+        for (_, i) in self.index.drain(span) {
+            let l = &mut self.lines[i as usize];
+            l.valid = false;
+            l.dirty = false;
+        }
+        debug_assert!(self.check_index(), "tag index out of step after a drop");
     }
 
     /// Finds the valid line holding `addr`, if any, without updating
@@ -132,12 +230,10 @@ impl CacheTable {
     /// [`CacheTable::access`].
     ///
     /// The table is fully associative with at most one valid line per
-    /// tag (refill only allocates after a lookup miss), so the hinted
-    /// fast path and the associative scan return the same line. Hints
-    /// are validated against the line state, so external mutation
-    /// through [`CacheTable::line_mut`] can never produce a wrong
-    /// result — a stale hint just falls back to the scan, which
-    /// refreshes the hint array.
+    /// tag ([`CacheTable::fill`] enforces it), so the hinted fast path
+    /// and the index search return the same line. Hints are validated
+    /// against the line state, so a stale hint just falls back to the
+    /// search, which refreshes the hint array.
     fn probe(&mut self, addr: u32) -> Option<(usize, u32)> {
         let tag = self.tag_of(addr);
         for &(t, i) in &self.mru {
@@ -149,7 +245,8 @@ impl CacheTable {
                 break;
             }
         }
-        let pos = self.lines.iter().position(|l| l.valid && l.tag == tag)?;
+        let k = self.index.binary_search_by_key(&tag, |&(t, _)| t).ok()?;
+        let pos = self.index[k].1 as usize;
         self.mru.rotate_right(1);
         self.mru[0] = (tag, pos as u32);
         Some((pos, tag))
@@ -227,16 +324,23 @@ impl CacheTable {
             .count()
     }
 
-    /// Debug invariant: no two valid lines share a tag.
-    pub fn check_no_duplicate_tags(&self) -> bool {
-        let mut tags: Vec<u32> = self
-            .lines
-            .iter()
-            .filter(|l| l.valid)
-            .map(|l| l.tag)
-            .collect();
-        tags.sort_unstable();
-        tags.windows(2).all(|w| w[0] != w[1])
+    /// The tag index: every valid line as `(tag, line)`, in tag order.
+    #[cfg(test)]
+    pub(crate) fn indexed_lines(&self) -> &[(u32, u32)] {
+        &self.index
+    }
+
+    /// Debug invariant: the tag index is exactly the set of valid
+    /// lines' `(tag, line)` pairs, in strictly increasing tag order (so
+    /// no two valid lines share a tag).
+    pub fn check_index(&self) -> bool {
+        let sorted = self.index.windows(2).all(|w| w[0].0 < w[1].0);
+        let valid = self.lines.iter().filter(|l| l.valid).count();
+        let matching = self.index.iter().all(|&(t, i)| {
+            let l = &self.lines[i as usize];
+            l.valid && l.tag == t
+        });
+        sorted && matching && valid == self.index.len()
     }
 }
 
@@ -259,19 +363,60 @@ mod tests {
     #[test]
     fn lookup_finds_valid_lines_only() {
         let mut t = table();
-        t.line_mut(3).tag = 0x2000_0400;
         assert_eq!(t.lookup(0x2000_0410), None, "invalid line is not a hit");
-        t.line_mut(3).valid = true;
+        t.fill(3, 0x2000_0400);
         assert_eq!(t.lookup(0x2000_0410), Some(3));
+        t.invalidate(3);
+        assert_eq!(t.lookup(0x2000_0410), None, "a dropped line is not a hit");
+        assert_eq!(t.line(3).tag(), 0x2000_0400, "a drop keeps the stale tag");
+    }
+
+    #[test]
+    fn refill_moves_a_line_to_its_new_tag() {
+        let mut t = table();
+        t.fill(2, 0x1000);
+        t.lookup(0x1000); // leaves an MRU hint for 0x1000 -> line 2
+        t.fill(2, 0x3000);
+        assert_eq!(t.lookup(0x1000), None, "the stale hint is not a hit");
+        assert_eq!(t.lookup(0x3000), Some(2));
+        assert_eq!(t.indexed_lines(), &[(0x3000, 2)]);
+    }
+
+    #[test]
+    fn overlapping_selects_tags_in_range() {
+        let mut t = table();
+        for (i, tag) in [(5, 0x2c00), (0, 0x1000), (7, 0x1400), (1, 0x2000)] {
+            t.fill(i, tag);
+        }
+        let lines = |t: &CacheTable, s, e| -> Vec<usize> {
+            t.overlapping(s, e).map(|k| t.indexed(k)).collect()
+        };
+        assert_eq!(lines(&t, 0x13ff, 0x1401), [0, 7]);
+        assert_eq!(
+            lines(&t, 0x1400, 0x1400),
+            [] as [usize; 0],
+            "empty at a line start"
+        );
+        assert_eq!(lines(&t, 0x1410, 0x1410), [7], "empty inside a line");
+        assert_eq!(lines(&t, 0, u32::MAX), [0, 7, 1, 5]);
+        t.invalidate_indexed(t.overlapping(0x1000, 0x2001));
+        assert_eq!(t.indexed_lines(), &[(0x2c00, 5)]);
+        assert!(!t.line(1).is_valid());
+    }
+
+    #[test]
+    #[should_panic(expected = "already cached")]
+    fn a_tag_is_cached_once() {
+        let mut t = table();
+        t.fill(0, 0x1000);
+        t.fill(1, 0x1000);
     }
 
     #[test]
     fn victim_prefers_invalid_then_oldest() {
         let mut t = table();
         for i in 0..8 {
-            let l = t.line_mut(i);
-            l.valid = true;
-            l.tag = 0x2000_0000 + (i as u32) * 1024;
+            t.fill(i, 0x2000_0000 + (i as u32) * 1024);
         }
         t.touch(0);
         t.touch(1); // lines 2..7 remain at lru 0
@@ -279,7 +424,7 @@ mod tests {
             Victim::Line(i) => assert!(i >= 2, "touched lines must not be victims"),
             v => panic!("{v:?}"),
         }
-        t.line_mut(5).valid = false;
+        t.invalidate(5);
         assert_eq!(t.victim(0), Victim::Line(5), "invalid line wins");
     }
 
@@ -287,10 +432,8 @@ mod tests {
     fn victim_skips_busy_lines() {
         let mut t = table();
         for i in 0..8 {
-            let l = t.line_mut(i);
-            l.valid = true;
-            l.tag = (i as u32) * 1024;
-            l.busy_until = 100;
+            t.fill(i, (i as u32) * 1024);
+            t.line_mut(i).busy_until = 100;
         }
         assert_eq!(t.victim(50), Victim::AllBusyUntil(100));
         t.line_mut(2).busy_until = 0;
@@ -303,10 +446,8 @@ mod tests {
     fn clean_preferred_over_dirty_at_equal_age() {
         let mut t = table();
         for i in 0..8 {
-            let l = t.line_mut(i);
-            l.valid = true;
-            l.tag = (i as u32) * 1024;
-            l.dirty = i == 0;
+            t.fill(i, (i as u32) * 1024);
+            t.line_mut(i).dirty = i == 0;
         }
         match t.victim(0) {
             Victim::Line(i) => assert_ne!(i, 0),
@@ -317,7 +458,7 @@ mod tests {
     #[test]
     fn aging_decays_counters() {
         let mut t = CacheTable::new(2);
-        t.line_mut(0).valid = true;
+        t.fill(0, 0);
         t.touch(0);
         assert_eq!(t.age_of(0), u8::MAX);
         for _ in 0..64 {
@@ -325,16 +466,5 @@ mod tests {
         }
         assert!(t.age_of(0) < u8::MAX, "aging pass must decay counters");
         assert_eq!(t.age_of(1), u8::MAX, "line 1 was just touched");
-    }
-
-    #[test]
-    fn no_duplicate_tags_invariant() {
-        let mut t = table();
-        t.line_mut(0).valid = true;
-        t.line_mut(0).tag = 0x1000;
-        assert!(t.check_no_duplicate_tags());
-        t.line_mut(1).valid = true;
-        t.line_mut(1).tag = 0x1000;
-        assert!(!t.check_no_duplicate_tags());
     }
 }

@@ -81,6 +81,11 @@ impl Kernel for Conv2d {
             });
         }
         let k = f.rows;
+        if regs_for(k, 1) > VREGS {
+            return Err(KernelError::ShapeMismatch {
+                what: "conv2d filter exceeds the vector register budget",
+            });
+        }
         if a.rows < k || a.cols < k {
             return Err(KernelError::ShapeMismatch {
                 what: "conv2d input smaller than the filter",
@@ -102,8 +107,9 @@ impl Kernel for Conv2d {
         let k = f.rows;
 
         // Layout: filter rows [0..k), inputs [k..k+S+K-1), accumulators
-        // next, one scratch register last.
-        let stripe = ((VREGS - 2 - 2 * k) / 2).clamp(1, 8);
+        // next, one scratch register last (`validate` checked that a
+        // one-row stripe fits).
+        let stripe = (VREGS.saturating_sub(2 + 2 * k) / 2).clamp(1, 8);
         let in0 = k;
         let acc0 = in0 + stripe + k - 1;
         let tmp = acc0 + stripe;
@@ -181,6 +187,11 @@ impl Kernel for ConvLayer3ch {
             });
         }
         let k = f.cols;
+        if regs_for(k, compute_stripe(VREGS, k)) > VREGS {
+            return Err(KernelError::ShapeMismatch {
+                what: "conv_layer filter exceeds the vector register budget",
+            });
+        }
         let (h, ch, cw) = Self::conv_dims(&a, k);
         if h < k || a.cols < k {
             return Err(KernelError::ShapeMismatch {
@@ -293,8 +304,16 @@ fn slice_params(args: &ResolvedArgs, conv_rows: usize) -> Result<(usize, usize),
     Ok((y0, n))
 }
 
-/// Largest even stripe height fitting the register budget:
-/// `k (filter) + stripe + k - 1 (inputs) + stripe (accs) + 1 (scratch)`.
+/// Vector registers a stripe of `stripe` output rows takes under a
+/// `k × k` filter: `k` (filter) + `stripe + k - 1` (inputs) + `stripe`
+/// (accumulators) + 1 (scratch).
+const fn regs_for(k: usize, stripe: usize) -> usize {
+    2 * k + 2 * stripe
+}
+
+/// Largest even stripe height fitting the register budget
+/// ([`regs_for`]), at least 2: a filter too large for even that is
+/// rejected by `validate`.
 fn compute_stripe(vregs: usize, k: usize) -> usize {
     let budget = vregs as isize - 2 * k as isize;
     let s = (budget / 2).max(2) as usize & !1;
@@ -307,11 +326,14 @@ mod tests {
 
     #[test]
     fn stripe_fits_register_budget() {
-        for k in [1usize, 3, 5, 7] {
+        for k in 1usize..=14 {
             let s = compute_stripe(32, k);
             assert!(s >= 2 && s.is_multiple_of(2), "k={k}: stripe {s}");
-            // filter k + inputs (s + k - 1) + accs s + scratch 1
-            assert!(k + (s + k - 1) + s < 32, "k={k}: stripe {s} overflows");
+            assert!(regs_for(k, s) <= 32, "k={k}: stripe {s} overflows");
         }
+        assert!(
+            regs_for(15, compute_stripe(32, 15)) > 32,
+            "k=15 is rejected"
+        );
     }
 }

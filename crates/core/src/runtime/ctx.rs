@@ -306,11 +306,12 @@ impl<'a> KernelCtx<'a> {
     #[inline(never)]
     fn evict_vreg(&mut self, vreg: usize) -> u64 {
         let i = self.line_index(vreg);
-        let l = *self.cache.table.line(i);
-        if !l.valid {
+        if !self.cache.table.line(i).is_valid() {
             return 0;
         }
-        self.cache.sweep(l.tag, l.tag + 1, true)
+        let cycles = self.cache.write_back(i);
+        self.cache.table.invalidate(i);
+        cycles
     }
 
     /// Loads `n_rows` rows of `mat`, starting at `row0`, into
@@ -475,16 +476,25 @@ impl<'a> KernelCtx<'a> {
                 .saturating_sub(bytes_out as u64 / 4);
         let dma_end = self.fabric.request(self.port, dst_addr, self.t, cycles).end;
 
-        // Functional gather: vreg -> external memory.
+        // Functional gather: vreg -> external memory. A dense row goes
+        // straight from the register line; a strided one is gathered
+        // on the stack first (its elements all come from one line).
+        let sz = sew.bytes();
         let src = &self.cache.data[self.line(vreg)];
-        let mut out = Vec::with_capacity(n_out * sew.bytes());
-        for k in 0..n_out {
-            let o = (first_elem + k * elem_stride) * sew.bytes();
-            out.extend_from_slice(&src[o..o + sew.bytes()]);
-        }
+        let mut gathered = [0u8; VLEN_BYTES];
+        let out = if elem_stride == 1 {
+            &src[first_elem * sz..(first_elem + n_out) * sz]
+        } else {
+            let out = &mut gathered[..n_out * sz];
+            for (k, e) in out.chunks_exact_mut(sz).enumerate() {
+                let o = (first_elem + k * elem_stride) * sz;
+                e.copy_from_slice(&src[o..o + sz]);
+            }
+            out
+        };
         self.cache
             .ext
-            .write_bytes(dst_addr, &out)
+            .write_bytes(dst_addr, out)
             .expect("kernel destination must lie in external memory");
 
         let t_end = dma_end + CRT.lock_release;
@@ -563,10 +573,8 @@ mod tests {
 
         /// Marks line `i` as a valid dirty copy of the block at `tag`.
         fn dirty(&mut self, i: usize, tag: u32) {
-            let l = self.cache.table.line_mut(i);
-            l.valid = true;
-            l.dirty = true;
-            l.tag = tag;
+            self.cache.table.fill(i, tag);
+            self.cache.table.line_mut(i).dirty = true;
         }
     }
 
@@ -648,7 +656,7 @@ mod tests {
         let mut c = fx.ctx();
         assert!(c.evict_vreg(2) > 0, "the dirty line pays a burst");
         assert_eq!(c.evict_vreg(2), 0, "the line is gone after one eviction");
-        assert!(!fx.cache.table.line(2).valid);
+        assert!(!fx.cache.table.line(2).is_valid());
         assert_eq!(fx.cache.stats().writebacks.get(), 1);
         assert_eq!(fx.cache.ext.read_u32(tag + 1020).unwrap(), 0x5a5a_5a5a);
     }
@@ -664,6 +672,12 @@ mod tests {
         assert!(c.phases.writeback > 0);
         for k in 0..4u32 {
             assert_eq!(fx.cache.ext.read_u32(0x2000_4000 + k * 4).unwrap(), 2 * k);
+        }
+        // A dense row is written straight from the line, from `first_elem`.
+        fx.ctx()
+            .store_row_strided(3, 5, 1, 3, Sew::Word, 0x2000_5000);
+        for k in 0..3u32 {
+            assert_eq!(fx.cache.ext.read_u32(0x2000_5000 + k * 4).unwrap(), 5 + k);
         }
     }
 

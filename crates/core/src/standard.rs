@@ -191,7 +191,7 @@ impl StandardLlc {
         service: &mut impl FnMut(u32, u64, u64) -> u64,
     ) -> Result<usize, BusError> {
         let hit = match known {
-            Some(line) if self.table.line(line).tag == self.table.tag_of(addr) => {
+            Some(line) if self.table.line(line).tag() == self.table.tag_of(addr) => {
                 self.table.touch(line);
                 Some(line)
             }
@@ -238,11 +238,11 @@ impl StandardLlc {
     /// was nothing to write).
     pub(crate) fn write_back(&mut self, i: usize) -> u64 {
         let l = self.table.line_mut(i);
-        if !(l.valid && l.dirty) {
+        if !(l.is_valid() && l.dirty) {
             return 0;
         }
         l.dirty = false;
-        let tag = l.tag;
+        let tag = l.tag();
         self.ext
             .write_bytes(tag, &self.data[i * LINE_BYTES..(i + 1) * LINE_BYTES])
             .expect("cached tag maps to external memory");
@@ -251,20 +251,21 @@ impl StandardLlc {
     }
 
     /// Writes back every dirty cached line overlapping `[start, end)`,
-    /// in line order, and also drops each overlapping line when `drop`
-    /// is set. Returns the write-back burst cycles.
+    /// and also drops each overlapping line when `drop` is set. Returns
+    /// the write-back burst cycles.
+    ///
+    /// Only the lines in range are visited, through the table's tag
+    /// index, so the write-backs go in tag order. The order is not
+    /// observable: each one writes a distinct block of external memory,
+    /// and the cycles and the write-back count are sums.
     pub(crate) fn sweep(&mut self, start: u32, end: u32, drop: bool) -> u64 {
+        let span = self.table.overlapping(start, end);
         let mut cycles = 0;
-        for i in 0..self.table.len() {
-            let l = self.table.line(i);
-            let tag = l.tag as u64;
-            if !(l.valid && tag < end as u64 && tag + LINE_BYTES as u64 > start as u64) {
-                continue;
-            }
-            cycles += self.write_back(i);
-            if drop {
-                self.table.line_mut(i).valid = false;
-            }
+        for k in span.clone() {
+            cycles += self.write_back(self.table.indexed(k));
+        }
+        if drop {
+            self.table.invalidate_indexed(span);
         }
         cycles
     }
@@ -275,10 +276,7 @@ impl StandardLlc {
         let tag = self.table.tag_of(addr);
         self.ext
             .read_bytes(tag, &mut self.data[i * LINE_BYTES..(i + 1) * LINE_BYTES])?;
-        let l = self.table.line_mut(i);
-        l.tag = tag;
-        l.valid = true;
-        l.dirty = false;
+        self.table.fill(i, tag);
         Ok(self.ext.burst_cycles(LINE_BYTES as u64))
     }
 }
@@ -334,18 +332,16 @@ mod tests {
     fn sweep_writes_back_and_drops_overlapping_lines() {
         let mut c = cache();
         for (i, tag) in [(0, 0x2000_1000), (1, 0x2000_2000)] {
-            let l = c.table.line_mut(i);
-            l.valid = true;
-            l.dirty = true;
-            l.tag = tag;
+            c.table.fill(i, tag);
+            c.table.line_mut(i).dirty = true;
         }
         assert!(c.sweep(0x2000_13ff, 0x2000_1401, false) > 0);
         assert_eq!(c.stats().writebacks.get(), 1, "only line 0 overlaps");
-        assert!(c.table.line(0).valid && !c.table.line(0).dirty);
+        assert!(c.table.line(0).is_valid() && !c.table.line(0).dirty);
         assert!(c.table.line(1).dirty, "line 1 is untouched");
         c.sweep(0x2000_1000, 0x2000_2400, true);
         assert_eq!(c.stats().writebacks.get(), 2, "line 0 is already clean");
-        assert!(!c.table.line(0).valid && !c.table.line(1).valid);
+        assert!(!c.table.line(0).is_valid() && !c.table.line(1).is_valid());
     }
 
     #[test]
@@ -354,5 +350,248 @@ mod tests {
         assert!(c
             .host_access(0x1000_0000, false, 0, AccessSize::Word, 0)
             .is_err());
+    }
+}
+
+/// Oracle properties for the Cache Table's tag index: random fills,
+/// drops, dirty marks, lookups and sweeps on tables of 16–256 lines,
+/// each checked against a reference that scans every line.
+#[cfg(test)]
+mod index_props {
+    use super::StandardLlc;
+    use crate::cache::CacheTable;
+    use crate::config::{EXT_BASE, LINE_BYTES};
+    use arcane_mem::{ExtMem, Memory};
+    use arcane_sim::CacheStats;
+    use proptest::prelude::*;
+
+    /// Distinct blocks the random traffic maps to: enough that fills
+    /// collide with cached tags and sweeps span several lines.
+    const BLOCKS: u32 = 384;
+    const EXT_SIZE: usize = BLOCKS as usize * LINE_BYTES;
+
+    /// One line of the reference table.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    struct RefLine {
+        valid: bool,
+        tag: u32,
+        dirty: bool,
+    }
+
+    /// The reference: every line's state, scanned in full for each query.
+    struct Reference {
+        lines: Vec<RefLine>,
+        ext: ExtMem,
+        writebacks: u64,
+    }
+
+    impl Reference {
+        fn lookup(&self, addr: u32) -> Option<usize> {
+            let tag = addr & !(LINE_BYTES as u32 - 1);
+            self.lines.iter().position(|l| l.valid && l.tag == tag)
+        }
+
+        /// The full-scan sweep: every line, in line order, tested for
+        /// overlap with `[start, end)`.
+        fn sweep(&mut self, data: &[u8], start: u32, end: u32, drop: bool) -> u64 {
+            let mut cycles = 0;
+            for (i, l) in self.lines.iter_mut().enumerate() {
+                let tag = l.tag as u64;
+                if !(l.valid && tag < end as u64 && tag + LINE_BYTES as u64 > start as u64) {
+                    continue;
+                }
+                if l.dirty {
+                    l.dirty = false;
+                    let line = &data[i * LINE_BYTES..(i + 1) * LINE_BYTES];
+                    self.ext.write_bytes(l.tag, line).unwrap();
+                    self.writebacks += 1;
+                    cycles += self.ext.burst_cycles(LINE_BYTES as u64);
+                }
+                if drop {
+                    l.valid = false;
+                }
+            }
+            cycles
+        }
+
+        /// `(tag, line)` of every valid line, in tag order.
+        fn valid_set(&self) -> Vec<(u32, u32)> {
+            let mut set: Vec<(u32, u32)> = (self.lines.iter().enumerate())
+                .filter(|(_, l)| l.valid)
+                .map(|(i, l)| (l.tag, i as u32))
+                .collect();
+            set.sort_unstable();
+            set
+        }
+    }
+
+    /// A cache of `n_lines` lines over [`BLOCKS`] blocks of external memory,
+    /// and its reference. Each line's data is a distinct byte pattern, so a
+    /// write-back of the wrong line or to the wrong block shows.
+    fn setup(n_lines: usize) -> (StandardLlc, Reference) {
+        let ext = ExtMem::new(EXT_BASE, EXT_SIZE, 10, 1);
+        let data = (0..n_lines * LINE_BYTES)
+            .map(|b| (b / LINE_BYTES * 7 + b % 251) as u8)
+            .collect();
+        let llc = StandardLlc {
+            table: CacheTable::new(n_lines),
+            data,
+            ext: ext.clone(),
+            stats: CacheStats::default(),
+        };
+        let reference = Reference {
+            lines: vec![
+                RefLine {
+                    valid: false,
+                    tag: 0,
+                    dirty: false
+                };
+                n_lines
+            ],
+            ext,
+            writebacks: 0,
+        };
+        (llc, reference)
+    }
+
+    /// A random address range of one of three kinds: empty (at a line
+    /// start or inside a line), inside one line, or crossing lines.
+    fn range(kind: u8, a: u32, b: u32) -> (u32, u32) {
+        let start = EXT_BASE + a % EXT_SIZE as u32;
+        match kind % 4 {
+            0 => (start, start),
+            1 => (
+                start & !(LINE_BYTES as u32 - 1),
+                start & !(LINE_BYTES as u32 - 1),
+            ),
+            2 => {
+                let room = LINE_BYTES as u32 - (start % LINE_BYTES as u32);
+                (start, start + 1 + b % room)
+            }
+            _ => (start, start + 1 + b % (8 * LINE_BYTES as u32)),
+        }
+    }
+
+    /// One random step: `(op, line, a, b)`.
+    fn steps() -> impl Strategy<Value = Vec<(u8, u32, u32, u32)>> {
+        prop::collection::vec((0u8..16, any::<u32>(), any::<u32>(), any::<u32>()), 1..120)
+    }
+
+    /// Applies one step to both sides; a lookup or a sweep also checks
+    /// that both sides return the same.
+    fn step(
+        llc: &mut StandardLlc,
+        r: &mut Reference,
+        (op, line, a, b): (u8, u32, u32, u32),
+    ) -> Result<(), TestCaseError> {
+        // Half the steps go to lines 0..4, so one line is often filled,
+        // looked up, dropped and refilled within a case.
+        let n = r.lines.len();
+        let i = match line & 1 {
+            0 => (line >> 1) as usize % 4,
+            _ => (line >> 1) as usize % n,
+        };
+        let addr = EXT_BASE + a % EXT_SIZE as u32;
+        match op {
+            // Fill line `i` with a block no other valid line holds, as a
+            // refill after a lookup miss does (written back first).
+            0..=5 => {
+                let tag = addr & !(LINE_BYTES as u32 - 1);
+                if r.lookup(tag).is_none() {
+                    llc.write_back(i);
+                    llc.table.fill(i, tag);
+                    if r.lines[i].valid && r.lines[i].dirty {
+                        let data = &llc.data[i * LINE_BYTES..(i + 1) * LINE_BYTES];
+                        r.ext.write_bytes(r.lines[i].tag, data).unwrap();
+                        r.writebacks += 1;
+                    }
+                    r.lines[i] = RefLine {
+                        valid: true,
+                        tag,
+                        dirty: false,
+                    };
+                }
+            }
+            6 => {
+                llc.table.invalidate(i);
+                r.lines[i].valid = false;
+                r.lines[i].dirty = false;
+            }
+            7..=9 => {
+                if r.lines[i].valid {
+                    llc.table.line_mut(i).dirty = true;
+                    r.lines[i].dirty = true;
+                }
+            }
+            // Look up line `i`'s block (valid, or a stale tag left by a drop
+            // or a refill, which may still sit in a lookup hint), or any.
+            10..=12 => {
+                let addr = match op {
+                    12 => addr,
+                    _ => r.lines[i].tag | (a % LINE_BYTES as u32),
+                };
+                prop_assert_eq!(llc.table.lookup(addr), r.lookup(addr), "lookup {:#x}", addr);
+            }
+            _ => {
+                let (start, end) = range(b as u8, a, b >> 8);
+                let drop = op == 15;
+                let data = llc.data.clone();
+                let got = llc.sweep(start, end, drop);
+                let want = r.sweep(&data, start, end, drop);
+                prop_assert_eq!(got, want, "sweep [{:#x}, {:#x}) cycles", start, end);
+            }
+        }
+        Ok(())
+    }
+
+    /// Every line's valid bit, dirty bit and (valid) tag agree, and so do
+    /// the write-back count and external memory.
+    fn same_state(llc: &StandardLlc, r: &Reference) -> Result<(), TestCaseError> {
+        for (i, want) in r.lines.iter().enumerate() {
+            let got = llc.table.line(i);
+            prop_assert_eq!(got.is_valid(), want.valid, "line {} valid", i);
+            prop_assert_eq!(got.dirty, want.dirty, "line {} dirty", i);
+            if want.valid {
+                prop_assert_eq!(got.tag(), want.tag, "line {} tag", i);
+            }
+        }
+        prop_assert_eq!(llc.stats.writebacks.get(), r.writebacks);
+        Ok(())
+    }
+
+    proptest! {
+        #[test]
+        fn cache_index_sweep_matches_full_scan(n_lines in 16usize..257, ops in steps()) {
+            let (mut llc, mut r) = setup(n_lines);
+            for s in ops {
+                step(&mut llc, &mut r, s)?;
+                same_state(&llc, &r)?;
+            }
+            let (mut got, mut want) = (vec![0; EXT_SIZE], vec![0; EXT_SIZE]);
+            llc.ext.read_bytes(EXT_BASE, &mut got).unwrap();
+            r.ext.read_bytes(EXT_BASE, &mut want).unwrap();
+            prop_assert!(got == want, "external memory differs");
+        }
+
+        #[test]
+        fn cache_index_lookup_matches_full_scan(n_lines in 16usize..257, ops in steps(), probes in prop::collection::vec(any::<u32>(), 1..64)) {
+            let (mut llc, mut r) = setup(n_lines);
+            for s in ops {
+                step(&mut llc, &mut r, s)?;
+            }
+            for a in probes {
+                let addr = EXT_BASE + a % EXT_SIZE as u32;
+                prop_assert_eq!(llc.table.lookup(addr), r.lookup(addr), "lookup {:#x}", addr);
+            }
+        }
+
+        #[test]
+        fn cache_index_equals_valid_lines(n_lines in 16usize..257, ops in steps()) {
+            let (mut llc, mut r) = setup(n_lines);
+            for s in ops {
+                step(&mut llc, &mut r, s)?;
+                prop_assert_eq!(llc.table.indexed_lines(), &r.valid_set()[..]);
+            }
+        }
     }
 }

@@ -15,7 +15,8 @@ type Window = (u64, u64);
 
 /// Windows a new hole opens with: one shift of the later windows pays
 /// for this many inserts, and the buffer stays about as large as a
-/// plain `Vec` of the windows (merges widen the hole again).
+/// plain `Vec` of the windows (merges widen the hole again, and a hole
+/// past a quarter of the buffer shrinks back to this).
 const HOLE: usize = 64;
 
 /// A shared, single-ported resource booked in absolute-cycle windows.
@@ -220,11 +221,23 @@ impl ResourceChannel {
     /// Removes window `i`, whose start window `i + 1` takes over (the
     /// booking between them closed the gap), leaving the hole right
     /// before the merged window.
+    ///
+    /// Each merge widens the hole by one. Once it is wider than [`HOLE`]
+    /// and a quarter of the buffer, the windows after it move down to
+    /// leave [`HOLE`] again: otherwise the buffer would keep a slot for
+    /// every window ever merged away. One such move pays for at least
+    /// a quarter of the buffer's merges.
     fn merge_into_next(&mut self, i: usize) {
         self.move_hole(i);
         let start = self.buf[self.hole + self.hole_len].0;
         self.hole_len += 1;
         self.buf[self.hole + self.hole_len].0 = start;
+        let (h, l) = (self.hole, self.hole_len);
+        if l > HOLE && l >= self.buf.len() / 4 {
+            self.buf.copy_within(h + l.., h + HOLE);
+            self.buf.truncate(self.buf.len() - (l - HOLE));
+            self.hole_len = HOLE;
+        }
     }
 
     /// Index of the first window ending after `t` (every earlier window
@@ -555,5 +568,33 @@ mod tests {
         let before = c.busy_cycles();
         let (_, _, _) = c.reserve_packed(0, 20, 4);
         assert_eq!(c.busy_cycles(), before + 20);
+    }
+
+    #[test]
+    fn merges_shrink_a_wide_hole() {
+        let mut c = ResourceChannel::new();
+        // A comb of 1000 windows, then 999 exact-fit bookings that merge
+        // it into one window.
+        for k in 0..1000 {
+            c.reserve(10 * k, 5);
+        }
+        for _ in 0..999 {
+            c.reserve(0, 5);
+        }
+        assert_eq!(c.windows(), [(0, 9995)]);
+        assert!(c.buf.len() <= 1 + 4 * HOLE, "buffer of {}", c.buf.len());
+        // The slots the merges freed take new windows without growing
+        // the allocation.
+        let cap = c.buf.capacity();
+        for k in 0..700 {
+            c.reserve(20_000 + 10 * k, 5);
+        }
+        assert_eq!(c.buf.capacity(), cap, "the appends reuse the freed slots");
+        assert_eq!(c.len(), 701);
+        assert_eq!(
+            c.windows()[1..4],
+            [(20_000, 20_005), (20_010, 20_015), (20_020, 20_025)]
+        );
+        assert_eq!(c.busy_cycles(), 9995 + 3500);
     }
 }

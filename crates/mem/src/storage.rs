@@ -74,6 +74,11 @@ fn offset_of(base: u32, size: usize, addr: u32, len: usize) -> Result<usize, Bus
 
 /// Single-cycle on-chip SRAM (instruction memory banks, eMEM).
 ///
+/// The device has a fixed size, but only the bytes up to the highest
+/// one written so far are stored: the rest reads as zeros, as a fresh
+/// SRAM does. A 128 KiB instruction memory holding a 5 KiB program
+/// therefore stores 5 KiB.
+///
 /// # Examples
 ///
 /// ```
@@ -87,6 +92,8 @@ fn offset_of(base: u32, size: usize, addr: u32, len: usize) -> Result<usize, Bus
 #[derive(Debug, Clone)]
 pub struct Sram {
     base: u32,
+    size: usize,
+    /// Bytes `0..data.len()` of the device; every later byte is zero.
     data: Vec<u8>,
 }
 
@@ -95,7 +102,8 @@ impl Sram {
     pub fn new(base: u32, size: usize) -> Self {
         Sram {
             base,
-            data: vec![0; size],
+            size,
+            data: Vec::new(),
         }
     }
 
@@ -106,10 +114,22 @@ impl Sram {
     ///
     /// Panics if the words do not fit.
     pub fn load_words(&mut self, addr: u32, words: &[u32]) {
-        for (i, w) in words.iter().enumerate() {
-            self.write_u32(addr + (i as u32) * 4, *w)
-                .expect("program exceeds SRAM");
+        let off =
+            offset_of(self.base, self.size, addr, words.len() * 4).expect("program exceeds SRAM");
+        let bytes = self.stored_mut(off, words.len() * 4);
+        for (b, w) in bytes.chunks_exact_mut(4).zip(words) {
+            b.copy_from_slice(&w.to_le_bytes());
         }
+    }
+
+    /// The stored bytes `off..off + len`, storing zeros up to their end
+    /// first if they lie past it.
+    fn stored_mut(&mut self, off: usize, len: usize) -> &mut [u8] {
+        let end = off + len;
+        if end > self.data.len() {
+            self.data.resize(end, 0);
+        }
+        &mut self.data[off..end]
     }
 }
 
@@ -119,20 +139,28 @@ impl Memory for Sram {
     }
 
     fn len(&self) -> usize {
-        self.data.len()
+        self.size
     }
 
     #[inline]
     fn read_bytes(&self, addr: u32, buf: &mut [u8]) -> Result<(), BusError> {
-        let off = offset_of(self.base, self.data.len(), addr, buf.len())?;
-        buf.copy_from_slice(&self.data[off..off + buf.len()]);
+        let off = offset_of(self.base, self.size, addr, buf.len())?;
+        match self.data.get(off..off + buf.len()) {
+            Some(stored) => buf.copy_from_slice(stored),
+            None => {
+                let stored = self.data.get(off..).unwrap_or_default();
+                let (head, tail) = buf.split_at_mut(stored.len());
+                head.copy_from_slice(stored);
+                tail.fill(0);
+            }
+        }
         Ok(())
     }
 
     #[inline]
     fn write_bytes(&mut self, addr: u32, buf: &[u8]) -> Result<(), BusError> {
-        let off = offset_of(self.base, self.data.len(), addr, buf.len())?;
-        self.data[off..off + buf.len()].copy_from_slice(buf);
+        let off = offset_of(self.base, self.size, addr, buf.len())?;
+        self.stored_mut(off, buf.len()).copy_from_slice(buf);
         Ok(())
     }
 }
@@ -148,13 +176,15 @@ const PAGE: usize = 4096;
 /// [`ExtMem::burst_cycles`] to price line refills and tile transfers.
 ///
 /// Storage is paged lazily: a 4 KiB page is allocated by the first
-/// write that touches it, and a page never written reads as zeros. A
-/// 16 MiB device therefore costs nothing to build, and only the pages
+/// write that touches it, and a page never written reads as zeros. The
+/// page table itself only reaches as far as the highest page written.
+/// A 16 MiB device therefore costs nothing to build, and only the pages
 /// a run actually uses are ever resident.
 #[derive(Debug, Clone)]
 pub struct ExtMem {
     base: u32,
     size: usize,
+    /// Pages `0..pages.len()`; every later page reads as zeros.
     pages: Vec<Option<Box<[u8; PAGE]>>>,
     first_word_cycles: u64,
     per_word_cycles: u64,
@@ -167,7 +197,7 @@ impl ExtMem {
         ExtMem {
             base,
             size,
-            pages: vec![None; size.div_ceil(PAGE)],
+            pages: Vec::new(),
             first_word_cycles,
             per_word_cycles,
         }
@@ -204,9 +234,9 @@ impl Memory for ExtMem {
         while !buf.is_empty() {
             let at = off % PAGE;
             let (head, rest) = buf.split_at_mut(buf.len().min(PAGE - at));
-            match &self.pages[off / PAGE] {
-                Some(page) => head.copy_from_slice(&page[at..at + head.len()]),
-                None => head.fill(0),
+            match self.pages.get(off / PAGE) {
+                Some(Some(page)) => head.copy_from_slice(&page[at..at + head.len()]),
+                _ => head.fill(0),
             }
             off += head.len();
             buf = rest;
@@ -220,7 +250,11 @@ impl Memory for ExtMem {
         while !buf.is_empty() {
             let at = off % PAGE;
             let (head, rest) = buf.split_at(buf.len().min(PAGE - at));
-            let page = self.pages[off / PAGE].get_or_insert_with(|| Box::new([0; PAGE]));
+            let p = off / PAGE;
+            if p >= self.pages.len() {
+                self.pages.resize(p + 1, None);
+            }
+            let page = self.pages[p].get_or_insert_with(|| Box::new([0; PAGE]));
             page[at..at + head.len()].copy_from_slice(head);
             off += head.len();
             buf = rest;
@@ -242,6 +276,19 @@ mod tests {
         m.write_u32(0x11c, 42).unwrap();
         assert_eq!(m.read_u32(0x11c).unwrap(), 42);
         assert!(m.write_u32(0x11d, 0).is_err(), "crosses the end");
+    }
+
+    #[test]
+    fn sram_stores_only_what_was_written() {
+        let mut m = Sram::new(0x100, 128 << 10);
+        assert_eq!(m.len(), 128 << 10);
+        assert_eq!(m.read_u32(0x100 + (100 << 10)).unwrap(), 0);
+        m.write_u32(0x110, 0x0403_0201).unwrap();
+        assert_eq!(m.data.len(), 0x14, "stores up to the last byte written");
+        let mut b = [0xffu8; 8];
+        m.read_bytes(0x112, &mut b).unwrap();
+        assert_eq!(b, [3, 4, 0, 0, 0, 0, 0, 0], "a read straddling the end");
+        assert!(m.read_u32((0x100 + (128 << 10) - 2) as u32).is_err());
     }
 
     #[test]
@@ -289,13 +336,9 @@ mod tests {
     fn extmem_new_allocates_no_pages() {
         let m = ExtMem::new(0x2000_0000, 16 << 20, 10, 1);
         assert_eq!(m.len(), 16 << 20);
-        assert_eq!(m.pages.len(), (16 << 20) / PAGE);
-        assert!(m.pages.iter().all(Option::is_none));
+        assert!(m.pages.is_empty(), "no page table either");
         assert_eq!(m.read_u32(0x2000_0000 + (8 << 20)).unwrap(), 0);
-        assert!(
-            m.pages.iter().all(Option::is_none),
-            "reads allocate nothing"
-        );
+        assert!(m.pages.is_empty(), "reads allocate nothing");
     }
 
     #[test]

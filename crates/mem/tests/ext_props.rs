@@ -1,9 +1,10 @@
-//! Model test for the lazily paged [`ExtMem`]: random reads and writes
-//! behave exactly like the same accesses on one flat zero-initialised
-//! byte array — page-straddling accesses, the last byte, and
-//! out-of-range addresses (identical [`BusError`]s) included.
+//! Model tests for the lazily stored memories, the paged [`ExtMem`] and
+//! the grow-on-write [`Sram`]: random reads and writes behave exactly
+//! like the same accesses on one flat zero-initialised byte array —
+//! page-straddling accesses, reads past the stored image, the last
+//! byte, and out-of-range addresses (identical [`BusError`]s) included.
 
-use arcane_mem::{BusError, ExtMem, Memory};
+use arcane_mem::{BusError, ExtMem, Memory, Sram};
 use proptest::prelude::*;
 
 const BASE: u32 = 0x2000_0000;
@@ -73,6 +74,35 @@ proptest! {
         }
         let mut all = vec![0; SIZE];
         ext.read_bytes(BASE, &mut all).unwrap();
+        prop_assert_eq!(all, flat.data, "final contents");
+    }
+}
+
+proptest! {
+    #[test]
+    fn sram_matches_flat_model_past_the_loaded_image(
+        image in prop::collection::vec(any::<u32>(), 0..300),
+        ops in prop::collection::vec((any::<bool>(), addr(), 0usize..9000, any::<u8>()), 1..60),
+    ) {
+        let mut sram = Sram::new(BASE, SIZE);
+        let mut flat = FlatMem { data: vec![0; SIZE] };
+        sram.load_words(BASE, &image);
+        let bytes: Vec<u8> = image.iter().flat_map(|w| w.to_le_bytes()).collect();
+        flat.write(BASE, &bytes).unwrap();
+        prop_assert_eq!(sram.len(), SIZE);
+        for (i, (is_write, addr, len, fill)) in ops.into_iter().enumerate() {
+            prop_assert_eq!(sram.contains(addr, len as u32), flat.range(addr, len).is_ok());
+            if is_write {
+                let buf: Vec<u8> = (0..len).map(|k| fill.wrapping_add(k as u8)).collect();
+                prop_assert_eq!(sram.write_bytes(addr, &buf), flat.write(addr, &buf), "op {}", i);
+            } else {
+                let (mut got, mut want) = (vec![0xa5; len], vec![0xa5; len]);
+                prop_assert_eq!(sram.read_bytes(addr, &mut got), flat.read(addr, &mut want), "op {}", i);
+                prop_assert_eq!(got, want, "op {} read {} bytes at {:#x}", i, len, addr);
+            }
+        }
+        let mut all = vec![0xa5; SIZE];
+        sram.read_bytes(BASE, &mut all).unwrap();
         prop_assert_eq!(all, flat.data, "final contents");
     }
 }

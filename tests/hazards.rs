@@ -229,6 +229,42 @@ fn shape_mismatch_is_killed() {
 }
 
 #[test]
+fn conv_filter_past_the_register_budget_is_killed_before_booking() {
+    // A K x K conv2d stripe needs 2K + 2 of the 32 vector registers;
+    // the fused layer needs 2K + 4. Each launch is otherwise valid.
+    let cases = [
+        // xmk3: A 16x16, F 16x16 -> R 1x1.
+        (kernel_id::CONV2D, (16, 16), (16, 16), (1, 1), "conv2d"),
+        // xmk4: A 3 planes of 16x16, F 3 planes of 15x15 -> pooled 1x1.
+        (
+            kernel_id::CONV_LAYER_3CH,
+            (16, 48),
+            (15, 45),
+            (1, 1),
+            "conv_layer",
+        ),
+    ];
+    for (id, a, f, r, name) in cases {
+        let mut llc = ArcaneLlc::new(ArcaneConfig::with_lanes(4));
+        let sew = Sew::Word;
+        for (reg, addr, (cols, rows)) in [(0, A_ADDR, a), (1, F_ADDR, f), (2, R_ADDR, r)] {
+            let (r1, r2, r3) = xmnmc::pack_xmr(addr, 1, m(reg), cols, rows);
+            llc.offload(x(FUNC5_XMR, sew), r1, r2, r3, 2 * reg as u64);
+        }
+        let (r1, r2, r3) = xmnmc::pack_kernel(0, 0, m(2), m(0), m(1), m(0));
+        let resp = llc.offload(x(id, sew), r1, r2, r3, 6);
+        assert_eq!(resp, XifResponse::Reject, "{name}");
+        assert!(
+            matches!(llc.last_error(), Some(KernelError::ShapeMismatch { what })
+                if what.contains("register budget")),
+            "{name}: {:?}",
+            llc.last_error()
+        );
+        assert!(llc.records().is_empty(), "{name}: nothing was booked");
+    }
+}
+
+#[test]
 fn empty_matrix_operand_is_killed_before_booking() {
     let mut llc = ArcaneLlc::new(ArcaneConfig::with_lanes(4));
     let sew = Sew::Word;

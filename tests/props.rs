@@ -221,11 +221,7 @@ proptest! {
                 Some(l) => l,
                 None => match t.victim(0) {
                     Victim::Line(l) => {
-                        let tag = t.tag_of(addr);
-                        let s = t.line_mut(l);
-                        s.tag = tag;
-                        s.valid = true;
-                        s.dirty = false;
+                        t.fill(l, t.tag_of(addr));
                         l
                     }
                     Victim::AllBusyUntil(_) => unreachable!("no busy lines"),
@@ -235,11 +231,12 @@ proptest! {
                 t.line_mut(line).dirty = true;
             }
             t.touch(line);
-            prop_assert!(t.check_no_duplicate_tags());
+            prop_assert!(t.check_index());
+            prop_assert_eq!(t.lookup(addr), Some(line));
             // dirty implies valid
             for j in 0..t.len() {
                 let l = t.line(j);
-                prop_assert!(!l.dirty || l.valid);
+                prop_assert!(!l.dirty || l.is_valid());
             }
         }
     }
