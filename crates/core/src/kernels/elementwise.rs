@@ -6,7 +6,7 @@
 //! natural next entries of a tinyML library: matrix addition, scalar
 //! scale-and-shift (requantisation) and transpose.
 
-use super::{check_width, require, Kernel, KernelError, ResolvedArgs};
+use super::{check_width, require, sra_amount, Kernel, KernelError, ResolvedArgs};
 use crate::runtime::ctx::KernelCtx;
 use crate::runtime::map::MatView;
 use arcane_isa::vector::{Sr, VInstr, VOp, Vr};
@@ -106,7 +106,7 @@ impl Kernel for MatScale {
         let sew = args.width;
         ctx.set_vl(a.cols, sew)?;
         ctx.set_scalar(sr(2), args.alpha as i32 as u32);
-        ctx.set_scalar(sr(3), args.beta as u32);
+        ctx.set_scalar(sr(3), sra_amount(args.beta, sew));
         let stripe = VREGS;
         let mut row = 0;
         while row < a.rows {

@@ -238,6 +238,13 @@ pub(crate) fn check_width(view: &MatView, width: Sew) -> Result<(), KernelError>
     }
 }
 
+/// The `Sra` amount that shifts a `sew` element right by `shift`
+/// (`0..32`): the VPU reduces amounts modulo the element width, but a
+/// shift past the width must fill with the sign, as width − 1 does.
+pub(crate) fn sra_amount(shift: i16, sew: Sew) -> u32 {
+    (shift as u32).min(8 * sew.bytes() as u32 - 1)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

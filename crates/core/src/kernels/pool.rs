@@ -4,6 +4,7 @@ use super::{check_width, require, Kernel, KernelError, ResolvedArgs};
 use crate::runtime::ctx::KernelCtx;
 use crate::runtime::map::MatView;
 use arcane_isa::vector::{VInstr, VOp, Vr};
+use arcane_vpu::VREGS;
 
 fn vr(i: usize) -> Vr {
     Vr::new(i as u8).expect("vreg index in range")
@@ -42,6 +43,13 @@ impl Kernel for MaxPool {
         if win > ms1.rows || win > ms1.cols {
             return Err(KernelError::ShapeMismatch {
                 what: "maxpool window exceeds the input",
+            });
+        }
+        // `run` holds the window's rows plus the vertical maximum, the
+        // sweep accumulator and its scratch.
+        if win + 3 > VREGS {
+            return Err(KernelError::ShapeMismatch {
+                what: "maxpool window exceeds the vector register budget",
             });
         }
         let oh = out_dim(ms1.rows, win, stride);

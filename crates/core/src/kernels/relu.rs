@@ -1,6 +1,6 @@
 //! `xmk1` — LeakyReLU activation.
 
-use super::{check_width, require, Kernel, KernelError, ResolvedArgs};
+use super::{check_width, require, sra_amount, Kernel, KernelError, ResolvedArgs};
 use crate::runtime::ctx::KernelCtx;
 use crate::runtime::map::MatView;
 use arcane_isa::vector::{Sr, VInstr, VOp, Vr};
@@ -49,7 +49,7 @@ impl Kernel for LeakyRelu {
         let sew = args.width;
         ctx.set_vl(input.cols, sew)?;
         ctx.set_scalar(sr(0), 0);
-        ctx.set_scalar(sr(1), args.alpha as u32);
+        ctx.set_scalar(sr(1), sra_amount(args.alpha, sew));
 
         // Stripe: rows in vregs 0..stripe, scratch in the last register.
         let stripe = VREGS - 1;

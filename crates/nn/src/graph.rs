@@ -13,6 +13,8 @@
 //! reshapes a pointwise convolution needs).
 
 use arcane_sim::Sew;
+use arcane_workloads::{self as golden, Matrix};
+use std::borrow::Cow;
 use std::fmt;
 
 /// Handle to a tensor in a [`LayerGraph`].
@@ -194,6 +196,26 @@ impl LayerGraph {
             .filter(|(_, t)| t.kind == TensorKind::Input)
             .map(|(i, _)| TensorId(i))
             .collect()
+    }
+
+    /// Pairs each input tensor with its matrix from `inputs` (the
+    /// seeding contract: declaration order).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the input count or an input shape disagrees.
+    pub(crate) fn bind_inputs<'m>(&self, inputs: &'m [Matrix]) -> Vec<(TensorId, &'m Matrix)> {
+        let ids = self.inputs();
+        assert_eq!(ids.len(), inputs.len(), "declared vs provided inputs");
+        for (&id, m) in ids.iter().zip(inputs) {
+            let name = &self.tensor(id).name;
+            assert_eq!(
+                self.shape(id),
+                (m.rows(), m.cols()),
+                "input shape mismatch for {name}"
+            );
+        }
+        ids.into_iter().zip(inputs).collect()
     }
 
     /// The tensor behind a handle.
@@ -403,11 +425,88 @@ impl LayerGraph {
         dest
     }
 
+    // ----- reference evaluation ---------------------------------------------
+
+    /// Evaluates the graph on the host, node by node in order, with the
+    /// golden kernels of `arcane_workloads` (GeMM at α = 1, β = 0): the
+    /// bit-exact outputs a simulated run of the graph must produce, in
+    /// [`LayerGraph::outputs`] order. A view reads its storage root
+    /// reshaped; `inputs` fills the inputs in declaration order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the input count or an input shape disagrees with the
+    /// graph.
+    pub fn reference(&self, inputs: &[Matrix]) -> Vec<Matrix> {
+        let mut values: Vec<Option<Cow<Matrix>>> = vec![None; self.tensors.len()];
+        for (id, m) in self.bind_inputs(inputs) {
+            values[id.0] = Some(Cow::Borrowed(m));
+        }
+        let sew = self.sew;
+        for node in &self.nodes {
+            let v = |id| self.value(&values, id);
+            let (dest, out) = match *node {
+                Node::Conv2d {
+                    input,
+                    filter,
+                    dest,
+                } => (dest, golden::conv2d(&v(input), &v(filter), sew)),
+                Node::DepthwiseConv {
+                    input,
+                    filter,
+                    channels,
+                    dest,
+                } => (
+                    dest,
+                    golden::depthwise_conv(&v(input), &v(filter), channels, sew),
+                ),
+                Node::Gemm { a, b, dest } => (dest, golden::gemm(&v(a), &v(b), None, 1, 0, sew)),
+                Node::ResidualAdd { a, b, dest } => (dest, golden::mat_add(&v(a), &v(b), sew)),
+                Node::Requantise {
+                    input,
+                    mul,
+                    shift,
+                    dest,
+                } => (
+                    dest,
+                    golden::mat_scale(&v(input), mul.into(), shift as u32, sew),
+                ),
+                Node::LeakyRelu { input, shift, dest } => {
+                    (dest, golden::leaky_relu(&v(input), shift as u32, sew))
+                }
+                Node::MaxPool {
+                    input,
+                    win,
+                    stride,
+                    dest,
+                } => (dest, golden::maxpool(&v(input), win, stride)),
+                Node::Transpose { input, dest } => (dest, golden::transpose(&v(input))),
+            };
+            values[dest.0] = Some(Cow::Owned(out));
+        }
+        let out = |&id| self.value(&values, id).into_owned();
+        self.outputs.iter().map(out).collect()
+    }
+
+    /// The value of `id` among the evaluated `values`: its storage
+    /// root's matrix, reshaped when `id` is a view.
+    fn value<'v>(&self, values: &'v [Option<Cow<Matrix>>], id: TensorId) -> Cow<'v, Matrix> {
+        let root = values[self.storage_root(id).0]
+            .as_deref()
+            .expect("nodes run in order, so every operand is computed");
+        let (rows, cols) = self.shape(id);
+        if (root.rows(), root.cols()) == (rows, cols) {
+            Cow::Borrowed(root)
+        } else {
+            Cow::Owned(root.reshape(rows, cols))
+        }
+    }
+
     // ----- composite blocks -------------------------------------------------
 
     /// ReLU-attention block with residual: the quantised-integer
-    /// attention surrogate built entirely from Table I kernels
-    /// (see [`arcane_workloads::transformer_encoder_block`]):
+    /// attention surrogate (softmax becomes a requantised LeakyReLU) built
+    /// entirely from Table I kernels:
     /// `X + requant(relu(requant(Q·Kᵀ)) · V)` with `Q/K/V = X·Wq/Wk/Wv`.
     pub fn attention_block(
         &mut self,
@@ -522,5 +621,38 @@ mod tests {
         assert_eq!(g.shape(y), (8, 8));
         // 7 GeMMs + transpose + 4 requant + 2 relu + 2 residual adds.
         assert_eq!(g.nodes().len(), 16);
+    }
+
+    #[test]
+    fn reference_with_zero_weights_passes_x_through() {
+        // Every GeMM yields zero, requantise and ReLU keep it zero, and
+        // both residual adds pass X through unchanged.
+        let mut g = LayerGraph::new(Sew::Byte);
+        let x = g.input("x", 2, 3);
+        let w = [(3, 3), (3, 3), (3, 3), (3, 4), (4, 3)].map(|(r, c)| g.input("w", r, c));
+        let y = g.transformer_block(x, w[0], w[1], w[2], w[3], w[4], 2, 3);
+        g.mark_output(y);
+        let xm = Matrix::from_values(2, 3, &[1, -2, 3, 4, -5, 6]);
+        let mut inputs = vec![xm.clone()];
+        inputs.extend(w.map(|t| Matrix::zero(g.shape(t).0, g.shape(t).1)));
+        assert_eq!(g.reference(&inputs), vec![xm]);
+    }
+
+    #[test]
+    fn reference_reads_views_and_returns_outputs_in_marking_order() {
+        let mut g = LayerGraph::new(Sew::Byte);
+        let x = g.input("x", 2, 3);
+        let v = g.view(x, 3, 2);
+        let t = g.transpose(v);
+        g.mark_output(t);
+        g.mark_output(v);
+        let out = g.reference(&[Matrix::from_values(2, 3, &[1, 2, 3, 4, 5, 6])]);
+        assert_eq!(
+            out,
+            [
+                Matrix::from_values(2, 3, &[1, 3, 5, 2, 4, 6]),
+                Matrix::from_values(3, 2, &[1, 2, 3, 4, 5, 6]),
+            ]
+        );
     }
 }

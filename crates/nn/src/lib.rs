@@ -23,12 +23,13 @@
 //! 5. **Suite** — [`suite`]: the three evaluation workloads
 //!    (depthwise-separable conv layer, residual bottleneck with
 //!    requantise fusion, int8 transformer encoder block), each verified
-//!    bit-exactly against its golden model in `arcane_workloads`.
+//!    bit-exactly against [`LayerGraph::reference`], which evaluates
+//!    any graph with the golden kernels of `arcane_workloads`.
 //!
 //! # Examples
 //!
 //! Build, compile and run a tiny residual block, bit-exact against the
-//! golden pipeline:
+//! graph reference:
 //!
 //! ```
 //! use arcane_core::ArcaneConfig;
@@ -55,4 +56,4 @@ pub use arcane_isa::launch::LaunchMode;
 pub use compile::{compile, split_rows, CompileError, CompileOptions, DescriptorTable, NnProgram};
 pub use graph::{LayerGraph, Node, Tensor, TensorId, TensorKind};
 pub use plan::{GraphLayout, Placement};
-pub use run::{run_graph_with_engine, GraphRunReport};
+pub use run::{run_graph_with_engine, GraphRunReport, RunError};

@@ -7,17 +7,56 @@
 //! every output tensor back — mirroring `arcane_system::driver` for
 //! graph workloads.
 
-use crate::compile::{compile, CompileOptions, NnProgram};
+use crate::compile::{compile, CompileError, CompileOptions, NnProgram};
 use crate::graph::LayerGraph;
+use arcane_core::kernels::KernelError;
 use arcane_core::{ArcaneConfig, KernelRecord, LaunchMode};
 use arcane_mem::Memory;
+use arcane_rv32::{CpuError, StopReason};
 use arcane_sim::{ChannelUtil, EngineMode, LaunchStats, PhaseBreakdown};
 use arcane_system::report::PhaseSplitRow;
 use arcane_system::{ArcaneSoc, EXT_BASE};
 use arcane_workloads::Matrix;
+use std::error::Error;
+use std::fmt;
 
 /// Simulation fuel: generous headroom for the largest graph programs.
 const FUEL: u64 = 4_000_000_000;
+
+/// Why a graph run produced no outputs.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum RunError {
+    /// The graph did not compile.
+    Compile(CompileError),
+    /// The host program faulted: a bus fault, or an offload the LLC
+    /// rejected.
+    Fault {
+        /// The host-side fault.
+        cpu: CpuError,
+        /// The LLC's last kernel error ([`arcane_core::ArcaneLlc::last_error`]),
+        /// which names the cause of a rejected offload.
+        kernel: Option<KernelError>,
+    },
+    /// The program stopped short of its closing `ebreak` (fuel ran out).
+    Stopped(StopReason),
+}
+
+impl fmt::Display for RunError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            RunError::Compile(e) => write!(f, "graph does not compile: {e}"),
+            RunError::Fault { cpu, kernel } => {
+                write!(f, "graph host program faulted: {cpu}")?;
+                kernel
+                    .as_ref()
+                    .map_or(Ok(()), |k| write!(f, " (kernel error: {k})"))
+            }
+            RunError::Stopped(why) => write!(f, "graph program stopped early: {why:?}"),
+        }
+    }
+}
+
+impl Error for RunError {}
 
 /// Outcome of one graph run.
 #[derive(Debug, Clone)]
@@ -77,19 +116,24 @@ impl GraphRunReport {
 ///
 /// `inputs` seeds the graph's input tensors in declaration order.
 ///
+/// # Errors
+///
+/// Returns [`RunError`] if the graph does not compile, the host
+/// program faults (e.g. a rejected offload), or the run exhausts fuel.
+///
 /// # Panics
 ///
-/// Panics if an input shape disagrees with its tensor, the host
-/// program faults (e.g. a rejected offload), or the run exhausts fuel.
+/// Panics if an input count or shape disagrees with the graph, or the
+/// compiled arena does not fit `cfg.ext_size`.
 pub fn run_graph_with_engine(
     cfg: ArcaneConfig,
     graph: &LayerGraph,
     inputs: &[Matrix],
     opts: &CompileOptions,
     engine: EngineMode,
-) -> GraphRunReport {
+) -> Result<GraphRunReport, RunError> {
     let sew = graph.sew();
-    let program: NnProgram = compile(graph, EXT_BASE, opts).expect("graph must compile");
+    let program: NnProgram = compile(graph, EXT_BASE, opts).map_err(RunError::Compile)?;
     assert!(
         (program.mem_end - EXT_BASE) as usize <= cfg.ext_size,
         "graph arena (plus descriptor tables and host-traffic window) exceeds external memory"
@@ -108,22 +152,8 @@ pub fn run_graph_with_engine(
             .write_bytes(table.addr, &bytes)
             .unwrap();
     }
-    let input_ids = graph.inputs();
-    assert_eq!(
-        input_ids.len(),
-        inputs.len(),
-        "graph declares {} inputs, {} provided",
-        input_ids.len(),
-        inputs.len()
-    );
-    for (&id, mat) in input_ids.iter().zip(inputs) {
+    for (id, mat) in graph.bind_inputs(inputs) {
         let p = program.layout.place(id);
-        assert_eq!(
-            (p.rows, p.cols),
-            (mat.rows(), mat.cols()),
-            "input shape mismatch for {}",
-            graph.tensor(id).name
-        );
         soc.llc_mut()
             .ext_mut()
             .write_bytes(p.addr, &mat.to_bytes(sew))
@@ -131,18 +161,15 @@ pub fn run_graph_with_engine(
     }
 
     soc.load_program(&program.asm);
-    let run = match soc.run_with_engine(FUEL, engine) {
-        Ok(run) => run,
-        Err(e) => panic!(
-            "graph host program faulted: {e} (kernel error: {:?})",
-            soc.llc().last_error()
-        ),
-    };
-    assert_eq!(
-        run.stop,
-        arcane_rv32::StopReason::Break,
-        "graph program must run to completion (fuel?)"
-    );
+    let run = soc
+        .run_with_engine(FUEL, engine)
+        .map_err(|cpu| RunError::Fault {
+            cpu,
+            kernel: soc.llc().last_error().cloned(),
+        })?;
+    if run.stop != StopReason::Break {
+        return Err(RunError::Stopped(run.stop));
+    }
 
     let llc = soc.llc();
     let mut outputs = Vec::with_capacity(graph.outputs().len());
@@ -156,7 +183,7 @@ pub fn run_graph_with_engine(
     let phases = records
         .iter()
         .fold(PhaseBreakdown::default(), |acc, r| acc + r.phases);
-    GraphRunReport {
+    Ok(GraphRunReport {
         cycles: run.cycles.max(llc.completion_time()),
         instret: run.instret,
         kernels: records.len(),
@@ -168,5 +195,5 @@ pub fn run_graph_with_engine(
         channels: llc.channel_utilisation(),
         launch: program.launch,
         launch_stats: *llc.launch_stats(),
-    }
+    })
 }

@@ -1,9 +1,9 @@
 //! The canned graph workloads of the evaluation: builders that pair a
 //! [`LayerGraph`] with deterministic inputs and the bit-exact golden
-//! outputs from `arcane_workloads`.
+//! outputs of [`LayerGraph::reference`].
 
 use crate::compile::CompileOptions;
-use crate::graph::LayerGraph;
+use crate::graph::{LayerGraph, TensorId};
 use crate::run::{run_graph_with_engine, GraphRunReport};
 use arcane_core::ArcaneConfig;
 use arcane_sim::{EngineMode, Sew};
@@ -30,12 +30,28 @@ pub struct BuiltGraph {
 }
 
 impl BuiltGraph {
-    /// Runs the workload on `cfg` with `instances`-way kernel splitting
-    /// and verifies every output bit-exactly against the golden model.
+    /// Pairs `graph` with its `inputs` (in declaration order) and the
+    /// golden outputs [`LayerGraph::reference`] computes from them.
     ///
     /// # Panics
     ///
-    /// Panics on any output mismatch or host fault.
+    /// Panics if the inputs disagree with the graph's input tensors.
+    pub fn new(name: &'static str, graph: LayerGraph, inputs: Vec<Matrix>) -> Self {
+        let golden = graph.reference(&inputs);
+        BuiltGraph {
+            name,
+            graph,
+            inputs,
+            golden,
+        }
+    }
+
+    /// Runs the workload on `cfg` with `instances`-way kernel splitting
+    /// and verifies every output bit-exactly against [`BuiltGraph::golden`].
+    ///
+    /// # Panics
+    ///
+    /// Panics on any output mismatch or [`RunError`](crate::RunError).
     pub fn run_verified(&self, cfg: ArcaneConfig, instances: usize) -> GraphRunReport {
         self.run_verified_with(cfg, &CompileOptions::with_instances(instances))
     }
@@ -47,10 +63,11 @@ impl BuiltGraph {
     ///
     /// # Panics
     ///
-    /// Panics on any output mismatch or host fault.
+    /// Panics on any output mismatch or [`RunError`](crate::RunError).
     pub fn run_verified_with(&self, cfg: ArcaneConfig, opts: &CompileOptions) -> GraphRunReport {
         let report =
-            run_graph_with_engine(cfg, &self.graph, &self.inputs, opts, EngineMode::current());
+            run_graph_with_engine(cfg, &self.graph, &self.inputs, opts, EngineMode::current())
+                .unwrap_or_else(|e| panic!("{}: {e}", self.name));
         let instances = opts.instances;
         assert_eq!(
             report.outputs.len(),
@@ -61,7 +78,7 @@ impl BuiltGraph {
         for (i, (got, want)) in report.outputs.iter().zip(&self.golden).enumerate() {
             assert_eq!(
                 got, want,
-                "{}: output {i} diverges from the golden model (instances={instances})",
+                "{}: output {i} diverges from the reference (instances={instances})",
                 self.name
             );
         }
@@ -71,64 +88,34 @@ impl BuiltGraph {
 
 /// The depthwise-separable conv layer: depthwise conv over `channels`
 /// planes, 1×1 pointwise mix as a GeMM over the flattened planes,
-/// requantise, LeakyReLU.
-///
-/// # Panics
-///
-/// Panics if a flattened conv plane would exceed the 1 KiB vector
-/// length (keep `(h-k+1)·(w-k+1)·esz ≤ 1024`).
+/// requantise, LeakyReLU. A flattened conv plane is one GeMM row, so
+/// keep `(h-k+1)·(w-k+1)·esz ≤ 1024` for the graph to run (past that,
+/// the run returns a [`RunError::Fault`](crate::RunError::Fault)).
 pub fn depthwise_separable(h: usize, w: usize, k: usize, sew: Sew, seed: u64) -> BuiltGraph {
     let channels = 3;
     let (oh, ow) = (h - k + 1, w - k + 1);
-    assert!(
-        oh * ow * sew.bytes() <= 1024,
-        "pointwise GeMM rows must fit one vector register"
-    );
-    let mut rng = workloads::rng(seed);
-    let a = workloads::random_matrix(&mut rng, channels * h, w, sew, RANGE);
-    let f = workloads::random_matrix(&mut rng, channels * k, k, sew, RANGE);
-    let pw = workloads::random_matrix(&mut rng, 1, channels, sew, RANGE);
-
     let mut g = LayerGraph::new(sew);
-    let x = g.input("x", channels * h, w);
-    let fd = g.input("f_dw", channels * k, k);
-    let wp = g.input("w_pw", 1, channels);
+    let decls = [
+        ("x", channels * h, w),
+        ("f_dw", channels * k, k),
+        ("w_pw", 1, channels),
+    ];
+    let ([x, fd, wp], inputs) = random_inputs(&mut g, seed, decls);
     let dw = g.depthwise_conv(x, fd, channels);
     let planes = g.view(dw, channels, oh * ow);
     let mixed = g.gemm(wp, planes);
     let q = g.requantise(mixed, 1, SHIFT);
     let y = g.leaky_relu(q, RELU_SHIFT);
     g.mark_output(y);
-
-    let golden = workloads::depthwise_separable_layer(
-        &a,
-        &f,
-        &pw,
-        channels,
-        SHIFT as u32,
-        RELU_SHIFT as u32,
-        sew,
-    );
-    BuiltGraph {
-        name: "depthwise_separable",
-        graph: g,
-        inputs: vec![a, f, pw],
-        golden: vec![golden],
-    }
+    BuiltGraph::new("depthwise_separable", g, inputs)
 }
 
 /// The residual bottleneck with requantise fusion: two GeMMs, each
 /// requantised, a LeakyReLU between them, and the residual add.
 pub fn residual_bottleneck(n: usize, d: usize, sew: Sew, seed: u64) -> BuiltGraph {
-    let mut rng = workloads::rng(seed);
-    let x = workloads::random_matrix(&mut rng, n, d, sew, RANGE);
-    let w1 = workloads::random_matrix(&mut rng, d, d, sew, RANGE);
-    let w2 = workloads::random_matrix(&mut rng, d, d, sew, RANGE);
-
     let mut g = LayerGraph::new(sew);
-    let tx = g.input("x", n, d);
-    let tw1 = g.input("w1", d, d);
-    let tw2 = g.input("w2", d, d);
+    let ([tx, tw1, tw2], inputs) =
+        random_inputs(&mut g, seed, [("x", n, d), ("w1", d, d), ("w2", d, d)]);
     let h = g.gemm(tx, tw1);
     let hq = g.requantise(h, 1, SHIFT);
     let ha = g.leaky_relu(hq, RELU_SHIFT);
@@ -136,55 +123,43 @@ pub fn residual_bottleneck(n: usize, d: usize, sew: Sew, seed: u64) -> BuiltGrap
     let yq = g.requantise(y, 1, SHIFT);
     let out = g.residual_add(tx, yq);
     g.mark_output(out);
-
-    let golden = workloads::residual_bottleneck(&x, &w1, &w2, SHIFT as u32, RELU_SHIFT as u32, sew);
-    BuiltGraph {
-        name: "residual_bottleneck",
-        graph: g,
-        inputs: vec![x, w1, w2],
-        golden: vec![golden],
-    }
+    BuiltGraph::new("residual_bottleneck", g, inputs)
 }
 
 /// The int8 transformer encoder block: ReLU-attention with residual,
 /// then the two-GeMM MLP with residual — a 16-node graph that lowers
 /// to the longest kernel chain in the tree.
 pub fn transformer_block(t: usize, d: usize, f: usize, sew: Sew, seed: u64) -> BuiltGraph {
-    let mut rng = workloads::rng(seed);
-    let x = workloads::random_matrix(&mut rng, t, d, sew, RANGE);
-    let wq = workloads::random_matrix(&mut rng, d, d, sew, RANGE);
-    let wk = workloads::random_matrix(&mut rng, d, d, sew, RANGE);
-    let wv = workloads::random_matrix(&mut rng, d, d, sew, RANGE);
-    let w1 = workloads::random_matrix(&mut rng, d, f, sew, RANGE);
-    let w2 = workloads::random_matrix(&mut rng, f, d, sew, RANGE);
-
     let mut g = LayerGraph::new(sew);
-    let tx = g.input("x", t, d);
-    let twq = g.input("wq", d, d);
-    let twk = g.input("wk", d, d);
-    let twv = g.input("wv", d, d);
-    let tw1 = g.input("w1", d, f);
-    let tw2 = g.input("w2", f, d);
-    let y = g.transformer_block(tx, twq, twk, twv, tw1, tw2, SHIFT, RELU_SHIFT);
+    let decls = [
+        ("x", t, d),
+        ("wq", d, d),
+        ("wk", d, d),
+        ("wv", d, d),
+        ("w1", d, f),
+        ("w2", f, d),
+    ];
+    let ([x, wq, wk, wv, w1, w2], inputs) = random_inputs(&mut g, seed, decls);
+    let y = g.transformer_block(x, wq, wk, wv, w1, w2, SHIFT, RELU_SHIFT);
     g.mark_output(y);
+    BuiltGraph::new("transformer_block", g, inputs)
+}
 
-    let golden = workloads::transformer_encoder_block(
-        &x,
-        &wq,
-        &wk,
-        &wv,
-        &w1,
-        &w2,
-        SHIFT as u32,
-        RELU_SHIFT as u32,
-        sew,
-    );
-    BuiltGraph {
-        name: "transformer_block",
-        graph: g,
-        inputs: vec![x, wq, wk, wv, w1, w2],
-        golden: vec![golden],
-    }
+/// Declares one input of `g` per `(name, rows, cols)` and draws its
+/// values from `seed`'s stream, in declaration order.
+fn random_inputs<const N: usize>(
+    g: &mut LayerGraph,
+    seed: u64,
+    decls: [(&str, usize, usize); N],
+) -> ([TensorId; N], Vec<Matrix>) {
+    let mut rng = workloads::rng(seed);
+    let sew = g.sew();
+    let mut values = Vec::with_capacity(N);
+    let ids = decls.map(|(name, rows, cols)| {
+        values.push(workloads::random_matrix(&mut rng, rows, cols, sew, RANGE));
+        g.input(name, rows, cols)
+    });
+    (ids, values)
 }
 
 #[cfg(test)]
@@ -225,7 +200,7 @@ mod tests {
     fn conv2d_and_maxpool_nodes_run_bit_exact() {
         // The canned workloads never emit Conv2d or MaxPool nodes; this
         // pins their lowering (operand binding order, α/β packing of
-        // stride/window) end-to-end against the golden models.
+        // stride/window) end-to-end against the reference.
         let sew = Sew::Byte;
         let mut rng = workloads::rng(31);
         let a = workloads::random_matrix(&mut rng, 12, 12, sew, RANGE);
@@ -237,14 +212,7 @@ mod tests {
         let p = g.maxpool(c, 3, 2);
         let t = g.transpose(p);
         g.mark_output(t);
-        let conv = workloads::conv2d(&a, &f, sew);
-        let want = workloads::transpose(&workloads::maxpool(&conv, 3, 2));
-        let built = BuiltGraph {
-            name: "conv_maxpool",
-            graph: g,
-            inputs: vec![a, f],
-            golden: vec![want],
-        };
+        let built = BuiltGraph::new("conv_maxpool", g, vec![a, f]);
         let r = built.run_verified(cfg(4), 1);
         assert_eq!(r.kernels, 3);
         // Both backends emit from the same launch list: same slice

@@ -209,6 +209,15 @@ impl Cpu {
         self.ops.clear();
     }
 
+    /// Sizes the empty predecoded-op table for a loaded image of
+    /// `words` instruction words (call after [`Cpu::reset`]), so a run
+    /// fills it in place instead of regrowing it from empty. A PC past
+    /// the image still grows the table on demand.
+    pub fn size_op_table(&mut self, words: usize) {
+        self.ops.clear();
+        self.ops.resize(words, None);
+    }
+
     /// Loads `addr` into `rd`, sized and extended per `op`, at the
     /// access cycles.
     #[inline(always)]

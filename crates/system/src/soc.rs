@@ -101,6 +101,7 @@ impl ArcaneSoc {
         let words = asm.assemble(0).expect("program assembles");
         self.shared.imem.borrow_mut().load_words(0, &words);
         self.cpu.reset(0);
+        self.cpu.size_op_table(words.len());
     }
 
     /// Mutable access to the LLC (workload seeding, kernel registry).
@@ -214,6 +215,7 @@ impl BaselineSoc {
         let words = asm.assemble(0).expect("program assembles");
         self.imem.load_words(0, &words);
         self.cpu.reset(0);
+        self.cpu.size_op_table(words.len());
     }
 
     /// Mutable access to the cache (workload seeding via `ext_mut`).

@@ -116,24 +116,24 @@ pub fn conv2d(a: &Matrix, f: &Matrix, sew: Sew) -> Matrix {
 ///
 /// Panics on inconsistent plane geometry.
 pub fn conv_layer_3ch(a: &Matrix, f: &Matrix, sew: Sew) -> Matrix {
-    let conv = conv_sum_3ch(a, f, sew);
-    let rows = conv.rows() & !1;
-    conv_finish(&conv.row_slice(0, rows), sew)
-}
-
-/// Row-slice variant of [`conv_layer_3ch`]: computes conv rows
-/// `[y0, y0 + n_rows)` only (the multi-instance work split).
-///
-/// # Panics
-///
-/// Panics on inconsistent geometry or an odd/misaligned slice.
-pub fn conv_layer_3ch_slice(a: &Matrix, f: &Matrix, sew: Sew, y0: usize, n_rows: usize) -> Matrix {
-    assert!(
-        y0.is_multiple_of(2) && n_rows.is_multiple_of(2),
-        "slice must be even-aligned"
-    );
-    let conv = conv_sum_3ch(a, f, sew);
-    conv_finish(&conv.row_slice(y0, n_rows), sew)
+    assert_eq!(a.rows() % 3, 0, "input must stack 3 planes");
+    assert_eq!(f.rows(), 3 * f.cols(), "filter must stack 3 square planes");
+    let (h, k) = (a.rows() / 3, f.cols());
+    let planes: Vec<Matrix> = (0..3)
+        .map(|c| conv2d(&a.row_slice(c * h, h), &f.row_slice(c * k, k), sew))
+        .collect();
+    // Pooling consumes conv rows in pairs: an odd last row is dropped.
+    let (oh, ow) = (planes[0].rows() & !1, planes[0].cols());
+    let mut relu = Matrix::zero(oh, ow);
+    for y in 0..oh {
+        for x in 0..ow {
+            let sum = planes
+                .iter()
+                .fold(0i64, |acc, p| wrap(acc.wrapping_add(p.get(y, x)), sew));
+            relu.set(y, x, sum.max(0));
+        }
+    }
+    maxpool(&relu, 2, 2)
 }
 
 /// CPU-semantics variant of the fused layer: accumulation in 32-bit
@@ -243,136 +243,6 @@ pub fn depthwise_conv(a: &Matrix, f: &Matrix, channels: usize, sew: Sew) -> Matr
     out
 }
 
-/// Golden model of the depthwise-separable conv layer graph: depthwise
-/// conv, 1×1 pointwise mix (`pw`: `C_out × C` weights applied by GeMM
-/// over the flattened conv planes), scale-shift requantisation, then
-/// LeakyReLU. Output is `C_out × (H'·W')`.
-///
-/// # Panics
-///
-/// Panics on inconsistent geometry.
-pub fn depthwise_separable_layer(
-    a: &Matrix,
-    f: &Matrix,
-    pw: &Matrix,
-    channels: usize,
-    shift: u32,
-    relu_shift: u32,
-    sew: Sew,
-) -> Matrix {
-    let dw = depthwise_conv(a, f, channels, sew);
-    let plane_elems = (dw.rows() / channels) * dw.cols();
-    let planes = dw.reshape(channels, plane_elems);
-    let mixed = gemm(pw, &planes, None, 1, 0, sew);
-    let q = mat_scale(&mixed, 1, shift, sew);
-    leaky_relu(&q, relu_shift, sew)
-}
-
-/// Golden model of the residual bottleneck graph with requantise
-/// fusion: `Y = X + requant(GeMM(relu(requant(GeMM(X·W1)))·W2))` —
-/// two GeMMs, each followed by a scale-shift requantisation, a
-/// shift-LeakyReLU between them, and the residual add at the end.
-///
-/// # Panics
-///
-/// Panics on inconsistent shapes.
-pub fn residual_bottleneck(
-    x: &Matrix,
-    w1: &Matrix,
-    w2: &Matrix,
-    shift: u32,
-    relu_shift: u32,
-    sew: Sew,
-) -> Matrix {
-    let h = gemm(x, w1, None, 1, 0, sew);
-    let hq = mat_scale(&h, 1, shift, sew);
-    let ha = leaky_relu(&hq, relu_shift, sew);
-    let y = gemm(&ha, w2, None, 1, 0, sew);
-    let yq = mat_scale(&y, 1, shift, sew);
-    mat_add(x, &yq, sew)
-}
-
-/// Golden model of the int8 transformer encoder block graph
-/// (ReLU-attention formulation — the quantised-integer surrogate for
-/// softmax, so the whole block stays inside the Table I kernel set):
-///
-/// ```text
-/// Q = X·Wq   K = X·Wk   V = X·Wv
-/// A = relu(requant(Q·Kᵀ))          attention scores
-/// X₁ = X + requant(A·V)            attention + residual
-/// H = relu(requant(X₁·W1))         MLP up-projection
-/// Y = X₁ + requant(H·W2)           MLP down-projection + residual
-/// ```
-///
-/// `x` is `T × D`; `wq`/`wk`/`wv` are `D × D`; `w1` is `D × F` and
-/// `w2` is `F × D`. Everything wraps at `sew` exactly like the VPU
-/// datapath.
-///
-/// # Panics
-///
-/// Panics on inconsistent shapes.
-#[allow(clippy::too_many_arguments)]
-pub fn transformer_encoder_block(
-    x: &Matrix,
-    wq: &Matrix,
-    wk: &Matrix,
-    wv: &Matrix,
-    w1: &Matrix,
-    w2: &Matrix,
-    shift: u32,
-    relu_shift: u32,
-    sew: Sew,
-) -> Matrix {
-    let q = gemm(x, wq, None, 1, 0, sew);
-    let k = gemm(x, wk, None, 1, 0, sew);
-    let v = gemm(x, wv, None, 1, 0, sew);
-    let kt = transpose(&k);
-    let s = gemm(&q, &kt, None, 1, 0, sew);
-    let sq = mat_scale(&s, 1, shift, sew);
-    let a = leaky_relu(&sq, relu_shift, sew);
-    let p = gemm(&a, &v, None, 1, 0, sew);
-    let pq = mat_scale(&p, 1, shift, sew);
-    let x1 = mat_add(x, &pq, sew);
-    let h = gemm(&x1, w1, None, 1, 0, sew);
-    let hq = mat_scale(&h, 1, shift, sew);
-    let ha = leaky_relu(&hq, relu_shift, sew);
-    let y = gemm(&ha, w2, None, 1, 0, sew);
-    let yq = mat_scale(&y, 1, shift, sew);
-    mat_add(&x1, &yq, sew)
-}
-
-fn conv_sum_3ch(a: &Matrix, f: &Matrix, sew: Sew) -> Matrix {
-    assert_eq!(a.rows() % 3, 0, "input must stack 3 planes");
-    assert_eq!(f.rows(), 3 * f.cols(), "filter must stack 3 square planes");
-    let h = a.rows() / 3;
-    let k = f.cols();
-    let oh = h - k + 1;
-    let ow = a.cols() - k + 1;
-    let mut conv = Matrix::zero(oh, ow);
-    for c in 0..3 {
-        let plane = a.row_slice(c * h, h);
-        let filt = f.row_slice(c * k, k);
-        let pc = conv2d(&plane, &filt, sew);
-        for y in 0..oh {
-            for x in 0..ow {
-                conv.set(y, x, wrap(conv.get(y, x).wrapping_add(pc.get(y, x)), sew));
-            }
-        }
-    }
-    conv
-}
-
-fn conv_finish(conv: &Matrix, sew: Sew) -> Matrix {
-    let relu = leaky_relu(conv, 31, sew); // shift 31 == hard ReLU for our ranges
-    let mut relu0 = Matrix::zero(relu.rows(), relu.cols());
-    for y in 0..relu.rows() {
-        for x in 0..relu.cols() {
-            relu0.set(y, x, relu.get(y, x).max(0));
-        }
-    }
-    maxpool(&relu0, 2, 2)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -450,41 +320,6 @@ mod tests {
         for c in 0..3 {
             let want = conv2d(&a.row_slice(c * 6, 6), &f.row_slice(c * 3, 3), Sew::Byte);
             assert_eq!(got.row_slice(c * 4, 4), want, "channel {c}");
-        }
-    }
-
-    #[test]
-    fn transformer_block_shape_and_identity_weights() {
-        // With zero weights every GeMM output is zero, requant/relu keep
-        // it zero, and both residual adds pass X through unchanged.
-        let x = Matrix::from_values(2, 3, &[1, -2, 3, 4, -5, 6]);
-        let z3 = Matrix::zero(3, 3);
-        let z34 = Matrix::zero(3, 4);
-        let z43 = Matrix::zero(4, 3);
-        let y = transformer_encoder_block(&x, &z3, &z3, &z3, &z34, &z43, 2, 3, Sew::Byte);
-        assert_eq!(y, x);
-    }
-
-    #[test]
-    fn residual_bottleneck_zero_weights_is_identity() {
-        let x = Matrix::from_values(2, 2, &[7, -8, 9, -10]);
-        let z = Matrix::zero(2, 2);
-        assert_eq!(residual_bottleneck(&x, &z, &z, 1, 2, Sew::Byte), x);
-    }
-
-    #[test]
-    fn slice_matches_full() {
-        let mut rng = crate::rng(3);
-        let a = crate::random_matrix(&mut rng, 3 * 10, 12, Sew::Byte, 4);
-        let f = crate::random_matrix(&mut rng, 9, 3, Sew::Byte, 4);
-        let full = conv_layer_3ch(&a, &f, Sew::Byte);
-        let top = conv_layer_3ch_slice(&a, &f, Sew::Byte, 0, 4);
-        let bot = conv_layer_3ch_slice(&a, &f, Sew::Byte, 4, 4);
-        for y in 0..2 {
-            for x in 0..full.cols() {
-                assert_eq!(top.get(y, x), full.get(y, x));
-                assert_eq!(bot.get(y, x), full.get(y + 2, x));
-            }
         }
     }
 }

@@ -18,9 +18,8 @@ mod golden;
 mod matrix;
 
 pub use golden::{
-    conv2d, conv_layer_3ch, conv_layer_3ch_cpu, conv_layer_3ch_slice, depthwise_conv,
-    depthwise_separable_layer, gemm, leaky_relu, mat_add, mat_scale, maxpool, residual_bottleneck,
-    transformer_encoder_block, transpose,
+    conv2d, conv_layer_3ch, conv_layer_3ch_cpu, depthwise_conv, gemm, leaky_relu, mat_add,
+    mat_scale, maxpool, transpose,
 };
 pub use matrix::Matrix;
 

@@ -325,6 +325,30 @@ fn mat_scale_matches_golden() {
 }
 
 #[test]
+fn shifts_past_the_element_width_fill_with_the_sign() {
+    // Requantise and LeakyReLU accept shifts 0..32 at every width. A
+    // shift at or past the element width must act as an arithmetic
+    // shift (0 or -1), not wrap modulo the width like the VPU's `Sra`.
+    let mut rng = workloads::rng(24);
+    for sew in Sew::ALL {
+        for shift in [7, 8, 9, 15, 16, 17, 25, 31] {
+            let a = workloads::random_matrix(&mut rng, 5, 12, sew, 100);
+            let mut rig = Rig::new(4);
+            let (pa, pr) = (BASE, BASE + 0x10000);
+            rig.write(pa, &a, sew);
+            rig.xmr(0, pa, 5, 12, sew);
+            rig.xmr(1, pr, 5, 12, sew);
+            rig.xmk(kernel_id::MAT_SCALE, sew, -3, shift, 1, 0, 0, 0);
+            let want = workloads::mat_scale(&a, -3, shift as u32, sew);
+            assert_eq!(rig.read(pr, 5, 12, sew), want, "requantise {sew}>>{shift}");
+            rig.xmk(kernel_id::LEAKY_RELU, sew, shift, 0, 1, 0, 0, 0);
+            let want = workloads::leaky_relu(&a, shift as u32, sew);
+            assert_eq!(rig.read(pr, 5, 12, sew), want, "leaky_relu {sew}>>{shift}");
+        }
+    }
+}
+
+#[test]
 fn transpose_matches_golden() {
     let mut rng = workloads::rng(23);
     for sew in Sew::ALL {

@@ -107,8 +107,8 @@ fn descriptor_mode_graph_engines_identical() {
         let opts = CompileOptions::descriptor(instances);
         let mut cfg = ArcaneConfig::with_lanes(8);
         cfg.n_vpus = instances;
-        let block = run_graph_with_engine(cfg, &b.graph, &b.inputs, &opts, EngineMode::Block);
-        let interp = run_graph_with_engine(cfg, &b.graph, &b.inputs, &opts, EngineMode::Interp);
+        let run = |engine| run_graph_with_engine(cfg, &b.graph, &b.inputs, &opts, engine).unwrap();
+        let (block, interp) = (run(EngineMode::Block), run(EngineMode::Interp));
         assert_eq!(block.cycles, interp.cycles, "cycle divergence x{instances}");
         assert_eq!(
             block.instret, interp.instret,

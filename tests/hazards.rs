@@ -265,6 +265,30 @@ fn conv_filter_past_the_register_budget_is_killed_before_booking() {
 }
 
 #[test]
+fn maxpool_window_past_the_register_budget_is_killed_before_booking() {
+    // A W x W window needs W row registers plus three for the vertical
+    // maximum, the sweep and its scratch: 30 is the first that does not
+    // fit the 32 vector registers. A 30x30 input pooled to 1x1 is
+    // otherwise valid.
+    let mut llc = ArcaneLlc::new(ArcaneConfig::with_lanes(4));
+    let sew = Sew::Word;
+    for (reg, addr, n) in [(0, A_ADDR, 30), (2, R_ADDR, 1)] {
+        let (r1, r2, r3) = xmnmc::pack_xmr(addr, 1, m(reg), n, n);
+        llc.offload(x(FUNC5_XMR, sew), r1, r2, r3, 2 * reg as u64);
+    }
+    let (r1, r2, r3) = xmnmc::pack_kernel(1, 30, m(2), m(0), m(0), m(0));
+    let resp = llc.offload(x(kernel_id::MAXPOOL, sew), r1, r2, r3, 6);
+    assert_eq!(resp, XifResponse::Reject);
+    assert!(
+        matches!(llc.last_error(), Some(KernelError::ShapeMismatch { what })
+            if what.contains("register budget")),
+        "{:?}",
+        llc.last_error()
+    );
+    assert!(llc.records().is_empty(), "nothing was booked");
+}
+
+#[test]
 fn empty_matrix_operand_is_killed_before_booking() {
     let mut llc = ArcaneLlc::new(ArcaneConfig::with_lanes(4));
     let sew = Sew::Word;

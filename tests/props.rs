@@ -258,30 +258,4 @@ proptest! {
             prop_assert!(w[0].1 <= w[1].0, "windows overlap: {:?}", w);
         }
     }
-
-    #[test]
-    fn conv_layer_slices_compose_to_full(
-        h in 5usize..12,
-        w in 5usize..12,
-        seed in 0u64..1000,
-    ) {
-        let k = 3;
-        prop_assume!(h >= k && w >= k);
-        let conv_rows = (h - k + 1) & !1;
-        prop_assume!(conv_rows >= 4);
-        let mut rng = workloads::rng(seed);
-        let a = workloads::random_matrix(&mut rng, 3 * h, w, Sew::Byte, 4);
-        let f = workloads::random_matrix(&mut rng, 3 * k, k, Sew::Byte, 4);
-        let full = workloads::conv_layer_3ch(&a, &f, Sew::Byte);
-        let cut = (conv_rows / 2) & !1;
-        let top = workloads::conv_layer_3ch_slice(&a, &f, Sew::Byte, 0, cut);
-        let bot = workloads::conv_layer_3ch_slice(&a, &f, Sew::Byte, cut, conv_rows - cut);
-        for y in 0..full.rows() {
-            for x in 0..full.cols() {
-                let want = full.get(y, x);
-                let got = if y < cut / 2 { top.get(y, x) } else { bot.get(y - cut / 2, x) };
-                prop_assert_eq!(got, want, "({}, {})", y, x);
-            }
-        }
-    }
 }
