@@ -81,7 +81,7 @@ pub enum Victim {
 /// The number of lines equals the aggregate vector-register capacity of
 /// the system (`n_vpus × 32`), and the line length equals the maximum
 /// supported vector size (1 KiB), exactly as §III-A1 prescribes.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CacheTable {
     lines: Vec<LineState>,
     /// Accesses since the last LRU aging pass.
@@ -236,14 +236,8 @@ impl CacheTable {
     /// search, which refreshes the hint array.
     fn probe(&mut self, addr: u32) -> Option<(usize, u32)> {
         let tag = self.tag_of(addr);
-        for &(t, i) in &self.mru {
-            if t == tag {
-                let l = &self.lines[i as usize];
-                if l.valid && l.tag == tag {
-                    return Some((i as usize, tag));
-                }
-                break;
-            }
+        if let Some(i) = self.hinted(tag) {
+            return Some((i, tag));
         }
         let k = self.index.binary_search_by_key(&tag, |&(t, _)| t).ok()?;
         let pos = self.index[k].1 as usize;
@@ -252,9 +246,31 @@ impl CacheTable {
         Some((pos, tag))
     }
 
+    /// The hint scan of [`CacheTable::probe`]: the line the first MRU
+    /// hint for `tag` names, if that line is still valid and holds
+    /// `tag`; `None` when no hint names `tag` or the first one is
+    /// stale. Leaves the hints untouched.
+    ///
+    /// Always inlined: it is the whole lookup of a conventional-LLC
+    /// host hit (`StandardLlc::host_access`).
+    #[inline(always)]
+    pub(crate) fn hinted(&self, tag: u32) -> Option<usize> {
+        for &(t, i) in &self.mru {
+            if t == tag {
+                let l = &self.lines[i as usize];
+                return (l.valid && l.tag == tag).then_some(i as usize);
+            }
+        }
+        None
+    }
+
     /// Marks line `idx` as just used (approximate LRU: the counter is
     /// set to the maximum; every [`aging period`](Self::new) accesses
     /// every counter decays by one — applied lazily via the epoch).
+    ///
+    /// Always inlined: it runs on every cache hit, including the
+    /// inlined hit head of `StandardLlc::host_access`.
+    #[inline(always)]
     pub fn touch(&mut self, idx: usize) {
         self.lines[idx].lru = u8::MAX;
         self.lines[idx].lru_epoch = self.epoch;

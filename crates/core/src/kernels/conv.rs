@@ -6,7 +6,7 @@
 //! matrices of arbitrary dimensions (§IV-A2).
 
 use super::pool::out_dim;
-use super::{check_width, require, Kernel, KernelError, ResolvedArgs};
+use super::{check_rows, check_width, require, Kernel, KernelError, ResolvedArgs};
 use crate::runtime::ctx::KernelCtx;
 use crate::runtime::map::MatView;
 use arcane_isa::vector::{Sr, VInstr, VOp, Vr};
@@ -75,6 +75,7 @@ impl Kernel for Conv2d {
         check_width(&a, args.width)?;
         check_width(&f, args.width)?;
         check_width(&args.md, args.width)?;
+        check_rows(&[&a, &f, &args.md])?;
         if f.rows != f.cols || f.rows == 0 {
             return Err(KernelError::ShapeMismatch {
                 what: "conv2d filter must be square and non-empty",
@@ -176,6 +177,7 @@ impl Kernel for ConvLayer3ch {
         check_width(&a, args.width)?;
         check_width(&f, args.width)?;
         check_width(&args.md, args.width)?;
+        check_rows(&[&a, &f, &args.md])?;
         if a.rows % 3 != 0 {
             return Err(KernelError::ShapeMismatch {
                 what: "conv_layer input must stack 3 channel planes row-wise",

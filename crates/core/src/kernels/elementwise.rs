@@ -6,7 +6,7 @@
 //! natural next entries of a tinyML library: matrix addition, scalar
 //! scale-and-shift (requantisation) and transpose.
 
-use super::{check_width, require, sra_amount, Kernel, KernelError, ResolvedArgs};
+use super::{check_rows, check_width, require, sra_amount, Kernel, KernelError, ResolvedArgs};
 use crate::runtime::ctx::KernelCtx;
 use crate::runtime::map::MatView;
 use arcane_isa::vector::{Sr, VInstr, VOp, Vr};
@@ -36,6 +36,7 @@ impl Kernel for MatAdd {
         check_width(&a, args.width)?;
         check_width(&b, args.width)?;
         check_width(&args.md, args.width)?;
+        check_rows(&[&a, &b, &args.md])?;
         if (a.rows, a.cols) != (args.md.rows, args.md.cols)
             || (b.rows, b.cols) != (args.md.rows, args.md.cols)
         {
@@ -88,6 +89,7 @@ impl Kernel for MatScale {
         let a = require(args.ms1, "mat_scale needs ms1 (A)")?;
         check_width(&a, args.width)?;
         check_width(&args.md, args.width)?;
+        check_rows(&[&a, &args.md])?;
         if (a.rows, a.cols) != (args.md.rows, args.md.cols) {
             return Err(KernelError::ShapeMismatch {
                 what: "mat_scale output shape must equal input shape",
@@ -151,6 +153,9 @@ impl Kernel for Transpose {
         let a = require(args.ms1, "transpose needs ms1 (A)")?;
         check_width(&a, args.width)?;
         check_width(&args.md, args.width)?;
+        // The destination is written column by column, so only `A`'s
+        // rows must fit a register.
+        check_rows(&[&a])?;
         if (a.rows, a.cols) != (args.md.cols, args.md.rows) {
             return Err(KernelError::ShapeMismatch {
                 what: "transpose destination must be (A.cols, A.rows)",

@@ -1,6 +1,6 @@
 //! `xmk0` — General Matrix Multiplication.
 
-use super::{check_width, require, Kernel, KernelError, ResolvedArgs};
+use super::{check_rows, check_width, require, Kernel, KernelError, ResolvedArgs};
 use crate::runtime::ctx::KernelCtx;
 use crate::runtime::map::MatView;
 use arcane_isa::vector::{Sr, VInstr, VOp, Vr};
@@ -43,6 +43,7 @@ impl Kernel for Gemm {
         check_width(&a, args.width)?;
         check_width(&b, args.width)?;
         check_width(&args.md, args.width)?;
+        check_rows(&[&a, &b, &args.md])?;
         if a.cols != b.rows {
             return Err(KernelError::ShapeMismatch {
                 what: "gemm inner dimensions (A.cols, B.rows) differ",
@@ -57,6 +58,7 @@ impl Kernel for Gemm {
         if args.beta != 0 {
             let c = require(args.ms3, "gemm with beta != 0 needs ms3 (C)")?;
             check_width(&c, args.width)?;
+            check_rows(&[&c])?;
             if (c.rows, c.cols) != (args.md.rows, args.md.cols) {
                 return Err(KernelError::ShapeMismatch {
                     what: "gemm C must match the destination shape",

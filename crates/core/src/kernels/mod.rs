@@ -24,7 +24,7 @@ use crate::runtime::map::MatView;
 use arcane_isa::launch::LaunchDecodeError;
 use arcane_isa::xmnmc::{kernel_id, MatReg};
 use arcane_sim::Sew;
-use arcane_vpu::VpuError;
+use arcane_vpu::{max_vl, VpuError, VLEN_BYTES};
 use std::error::Error;
 use std::fmt;
 
@@ -235,6 +235,20 @@ pub(crate) fn check_width(view: &MatView, width: Sew) -> Result<(), KernelError>
         Ok(())
     } else {
         Err(KernelError::WidthMismatch)
+    }
+}
+
+/// Rejects operands whose rows do not fit one vector register (the
+/// one-line-per-row limit, `cols · esz ≤ VLEN_BYTES`). Each kernel's
+/// `validate` passes every operand it loads or stores row by row, so a
+/// too-wide row is refused before the preamble is booked.
+pub(crate) fn check_rows(views: &[&MatView]) -> Result<(), KernelError> {
+    match views.iter().find(|v| v.row_bytes() as usize > VLEN_BYTES) {
+        Some(v) => Err(KernelError::RowTooWide {
+            cols: v.cols,
+            max: max_vl(v.sew),
+        }),
+        None => Ok(()),
     }
 }
 

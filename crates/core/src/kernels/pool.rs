@@ -1,6 +1,6 @@
 //! `xmk2` — 2-D max-pooling.
 
-use super::{check_width, require, Kernel, KernelError, ResolvedArgs};
+use super::{check_rows, check_width, require, Kernel, KernelError, ResolvedArgs};
 use crate::runtime::ctx::KernelCtx;
 use crate::runtime::map::MatView;
 use arcane_isa::vector::{VInstr, VOp, Vr};
@@ -33,6 +33,7 @@ impl Kernel for MaxPool {
         let ms1 = require(args.ms1, "maxpool needs ms1")?;
         check_width(&ms1, args.width)?;
         check_width(&args.md, args.width)?;
+        check_rows(&[&ms1, &args.md])?;
         let stride = args.alpha as usize;
         let win = args.beta as usize;
         if args.alpha < 1 || args.beta < 1 {

@@ -1,6 +1,6 @@
 //! `xmk1` — LeakyReLU activation.
 
-use super::{check_width, require, sra_amount, Kernel, KernelError, ResolvedArgs};
+use super::{check_rows, check_width, require, sra_amount, Kernel, KernelError, ResolvedArgs};
 use crate::runtime::ctx::KernelCtx;
 use crate::runtime::map::MatView;
 use arcane_isa::vector::{Sr, VInstr, VOp, Vr};
@@ -30,6 +30,7 @@ impl Kernel for LeakyRelu {
         let ms1 = require(args.ms1, "leaky_relu needs ms1")?;
         check_width(&ms1, args.width)?;
         check_width(&args.md, args.width)?;
+        check_rows(&[&ms1, &args.md])?;
         if (ms1.rows, ms1.cols) != (args.md.rows, args.md.cols) {
             return Err(KernelError::ShapeMismatch {
                 what: "leaky_relu output shape must equal input shape",

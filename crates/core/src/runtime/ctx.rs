@@ -20,14 +20,14 @@
 
 use crate::cache::LockWindows;
 use crate::config::{dma_cycles, CRT};
-use crate::kernels::KernelError;
+use crate::kernels::{check_rows, KernelError};
 use crate::runtime::map::MatView;
 use crate::StandardLlc;
 use arcane_fabric::{Fabric, PortStats, ResourceChannel};
 use arcane_isa::vector::{Sr, VInstr, Vr};
 use arcane_mem::Memory;
 use arcane_sim::{Phase, PhaseBreakdown, Sew};
-use arcane_vpu::{max_vl, Vpu, VpuError, VLEN_BYTES, VREGS};
+use arcane_vpu::{Vpu, VpuError, VLEN_BYTES, VREGS};
 use std::ops::Range;
 
 /// Taps of a [`KernelCtx::macc_taps`] train computed per datapath pass
@@ -334,12 +334,7 @@ impl<'a> KernelCtx<'a> {
         n_rows: usize,
         vreg0: usize,
     ) -> Result<(), KernelError> {
-        if mat.row_bytes() as usize > VLEN_BYTES {
-            return Err(KernelError::RowTooWide {
-                cols: mat.cols,
-                max: max_vl(mat.sew),
-            });
-        }
+        check_rows(&[mat])?;
         let t0 = self.t;
         let mut work = CRT.lock_acquire + CRT.tile_overhead;
 

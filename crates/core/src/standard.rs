@@ -62,10 +62,53 @@ impl StandardLlc {
     /// One host access through the cache. Returns data and cycles
     /// (1-cycle hit; miss adds writeback + refill bursts).
     ///
+    /// The hit head is inlined into the caller: an access inside one
+    /// line whose tag an MRU hint resolves to a valid line is served
+    /// here, with the same LRU touch, hit count, data movement and
+    /// dirty mark as the general path. That line was filled from
+    /// external memory, so the range check holds without being made,
+    /// and with no admission hook nothing stalls. Everything else
+    /// (misses, stale or missing hints, line-crossing accesses, out of
+    /// range addresses) takes the general path out of line.
+    ///
     /// # Errors
     ///
     /// Returns [`BusError::OutOfRange`] outside the cached region.
+    #[inline(always)]
     pub fn host_access(
+        &mut self,
+        addr: u32,
+        write: bool,
+        value: u32,
+        size: AccessSize,
+        now: u64,
+    ) -> Result<Access, BusError> {
+        let off = addr as usize & (LINE_BYTES - 1);
+        if off + size.bytes() as usize <= LINE_BYTES {
+            if let Some(line) = self.table.hinted(self.table.tag_of(addr)) {
+                self.table.touch(line);
+                self.stats.hits.incr();
+                let data =
+                    access_bytes(&mut self.data, line * LINE_BYTES + off, write, value, size);
+                if write {
+                    self.table.line_mut(line).dirty = true;
+                }
+                return Ok(Access::new(data, 1));
+            }
+        }
+        self.host_access_general(addr, write, value, size, now)
+    }
+
+    /// [`StandardLlc::host_access`] through [`StandardLlc::access`]
+    /// alone, with no admission wait and a miss service of its raw
+    /// burst cycles. Out of line: the inlined hit head serves almost
+    /// every host access.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BusError::OutOfRange`] outside the cached region.
+    #[inline(never)]
+    fn host_access_general(
         &mut self,
         addr: u32,
         write: bool,
@@ -592,6 +635,109 @@ mod index_props {
                 step(&mut llc, &mut r, s)?;
                 prop_assert_eq!(llc.table.indexed_lines(), &r.valid_set()[..]);
             }
+        }
+    }
+}
+
+/// Oracle for the inlined hit head of [`StandardLlc::host_access`]: one
+/// random access sequence replayed on two caches, one through
+/// `host_access` and the other through the general path alone, must
+/// leave both in the same state after every access.
+#[cfg(test)]
+mod hit_head_props {
+    use super::StandardLlc;
+    use crate::cache::CacheTable;
+    use crate::config::{EXT_BASE, LINE_BYTES};
+    use arcane_mem::{AccessSize, ExtMem, Memory};
+    use arcane_sim::CacheStats;
+    use proptest::prelude::*;
+
+    /// Lines of each cache, as in the 4-VPU configuration.
+    const LINES: usize = 128;
+    /// Blocks of external memory: twice the lines, so a walk over them
+    /// evicts valid lines, dirty ones among them.
+    const BLOCKS: u32 = 2 * LINES as u32;
+    const EXT_SIZE: usize = BLOCKS as usize * LINE_BYTES;
+    /// Blocks of the hot set the odd steps mostly revisit: more than the
+    /// table's MRU hints, so hints go stale and get replaced.
+    const HOT: usize = 12;
+
+    /// An empty cache over external memory holding a distinct byte
+    /// pattern per block, so data from the wrong line or block shows.
+    fn cache() -> StandardLlc {
+        let mut ext = ExtMem::new(EXT_BASE, EXT_SIZE, 10, 1);
+        let image: Vec<u8> = (0..EXT_SIZE)
+            .map(|b| (b / LINE_BYTES * 13 + b % 253) as u8)
+            .collect();
+        ext.write_bytes(EXT_BASE, &image).unwrap();
+        StandardLlc {
+            table: CacheTable::new(LINES),
+            data: vec![0; LINES * LINE_BYTES],
+            ext,
+            stats: CacheStats::default(),
+        }
+    }
+
+    /// Access `k` of a sequence, drawn from `(kind, a)`: its address,
+    /// size and direction.
+    ///
+    /// Even steps walk the blocks from `start` on, one new block each,
+    /// so a sequence of more than 256 steps touches more than 128
+    /// distinct lines. Odd steps mostly revisit the hot set, sometimes
+    /// pick any block or an address outside the cached region. The
+    /// offset in the line is aligned, misaligned inside the line, or
+    /// crossing into the next line.
+    fn access(k: usize, start: u32, hot: &[u32], kind: u8, a: u32) -> (u32, AccessSize, bool) {
+        let size = [AccessSize::Byte, AccessSize::Half, AccessSize::Word][kind as usize % 3];
+        let write = kind & 4 != 0;
+        let sz = size.bytes();
+        let block = if k.is_multiple_of(2) {
+            (start + k as u32 / 2) % BLOCKS
+        } else {
+            match (kind >> 3) & 7 {
+                0..=5 => hot[(a >> 16) as usize % HOT],
+                6 => (a >> 16) % BLOCKS,
+                _ if a & 1 == 0 => return (EXT_BASE - sz, size, write),
+                _ => return (EXT_BASE + EXT_SIZE as u32 - 1, size, write),
+            }
+        };
+        let line = LINE_BYTES as u32;
+        let off = match kind >> 6 {
+            0 => a % (line / sz) * sz,
+            1 => a % (line - sz + 1),
+            2 if sz > 1 => line - 1 - a % (sz - 1),
+            _ => a % line,
+        };
+        // The last block has no next line: a crossing access there
+        // leaves the cached region.
+        (EXT_BASE + block * line + off, size, write)
+    }
+
+    proptest! {
+        #[test]
+        fn cache_hit_head_matches_general_path(
+            start in 0..BLOCKS,
+            hot in prop::collection::vec(0..BLOCKS, HOT..HOT + 1),
+            steps in prop::collection::vec((any::<u8>(), any::<u32>(), any::<u32>()), 260..520),
+        ) {
+            let (mut head, mut general) = (cache(), cache());
+            let mut now = 0;
+            for (k, &(kind, a, value)) in steps.iter().enumerate() {
+                let (addr, size, write) = access(k, start, &hot, kind, a);
+                let got = head.host_access(addr, write, value, size, now);
+                let want = general.host_access_general(addr, write, value, size, now);
+                prop_assert_eq!(got, want, "access {} at {:#x}", k, addr);
+                prop_assert_eq!(head.stats, general.stats, "access {}", k);
+                prop_assert!(head.table == general.table, "line states or hints differ after access {}", k);
+                now += got.map_or(1, |acc| acc.cycles);
+            }
+            prop_assert!(head.data == general.data, "cached data differs");
+            head.flush_all();
+            general.flush_all();
+            let (mut got, mut want) = (vec![0; EXT_SIZE], vec![0; EXT_SIZE]);
+            head.ext.read_bytes(EXT_BASE, &mut got).unwrap();
+            general.ext.read_bytes(EXT_BASE, &mut want).unwrap();
+            prop_assert!(got == want, "external memory differs");
         }
     }
 }

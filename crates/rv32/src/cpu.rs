@@ -103,16 +103,19 @@ impl Error for CpuError {
     }
 }
 
-/// Where control goes after an executed op.
-#[derive(Debug, Clone, Copy)]
-enum Flow {
-    /// Fall through to the next instruction.
-    Next,
-    /// Continue at this word-aligned target.
-    Jump(u32),
-    /// The program ends after this instruction.
-    Stop(StopReason),
-}
+/// Where control goes after an executed op, as one word: a
+/// word-aligned jump target (low two bits `00`), or one of the odd
+/// codes below. The run loop's tail tests bits of one register instead
+/// of matching an enum.
+type Ctl = u32;
+
+/// Fall through to the next instruction.
+const NEXT: Ctl = 0b01;
+/// `ebreak`: the program ends after this instruction. Bit 1 marks a
+/// stop.
+const BREAK: Ctl = 0b11;
+/// `ecall`: the program ends after this instruction.
+const ECALL: Ctl = 0b111;
 
 #[derive(Debug, Clone, Copy, Default)]
 struct HwLoop {
@@ -229,7 +232,7 @@ impl Cpu {
         rd: Gpr,
         addr: u32,
         op: LoadOp,
-    ) -> Result<(Flow, u64), CpuError> {
+    ) -> Result<(Ctl, u64), CpuError> {
         let size = match op {
             LoadOp::Lb | LoadOp::Lbu => AccessSize::Byte,
             LoadOp::Lh | LoadOp::Lhu => AccessSize::Half,
@@ -249,7 +252,7 @@ impl Cpu {
                 LoadOp::Lw => v,
             },
         );
-        Ok((Flow::Next, acc.cycles + self.misaligned_extra(addr, size)))
+        Ok((NEXT, acc.cycles + self.misaligned_extra(addr, size)))
     }
 
     /// `cv.l*`: loads from `rs1`, then post-increments `rs1` by `imm`.
@@ -261,7 +264,7 @@ impl Cpu {
         now: u64,
         i: IType,
         op: LoadOp,
-    ) -> Result<(Flow, u64), CpuError> {
+    ) -> Result<(Ctl, u64), CpuError> {
         let addr = self.reg(i.rs1);
         let done = self.load(bus, pc, now, i.rd, addr, op)?;
         // post-increment must survive rd == rs1 (rd wins on real HW
@@ -281,7 +284,7 @@ impl Cpu {
         addr: u32,
         rs2: Gpr,
         size: AccessSize,
-    ) -> Result<(Flow, u64), CpuError> {
+    ) -> Result<(Ctl, u64), CpuError> {
         let acc = bus
             .write(addr, self.reg(rs2), size, now)
             .map_err(|source| CpuError::Bus { pc, source })?;
@@ -295,7 +298,7 @@ impl Cpu {
                 *op = None;
             }
         }
-        Ok((Flow::Next, acc.cycles + self.misaligned_extra(addr, size)))
+        Ok((NEXT, acc.cycles + self.misaligned_extra(addr, size)))
     }
 
     /// `cv.s*`: stores to `rs1`, then post-increments `rs1` by `off`.
@@ -307,7 +310,7 @@ impl Cpu {
         now: u64,
         s: SType,
         size: AccessSize,
-    ) -> Result<(Flow, u64), CpuError> {
+    ) -> Result<(Ctl, u64), CpuError> {
         let addr = self.reg(s.rs1);
         let done = self.store(bus, pc, now, addr, s.rs2, size)?;
         self.set_reg(s.rs1, addr.wrapping_add(s.off as u32));
@@ -337,26 +340,26 @@ impl Cpu {
 
     /// `rd = v` at `cost`, falling through.
     #[inline(always)]
-    fn write(&mut self, rd: Gpr, v: u32, cost: u64) -> (Flow, u64) {
+    fn write(&mut self, rd: Gpr, v: u32, cost: u64) -> (Ctl, u64) {
         self.set_reg(rd, v);
-        (Flow::Next, cost)
+        (NEXT, cost)
     }
 
     /// `rd = f(rs1, imm)` at `cost`.
     #[inline(always)]
-    fn ri(&mut self, i: IType, cost: u64, f: impl FnOnce(u32, u32) -> u32) -> (Flow, u64) {
+    fn ri(&mut self, i: IType, cost: u64, f: impl FnOnce(u32, u32) -> u32) -> (Ctl, u64) {
         self.write(i.rd, f(self.reg(i.rs1), i.imm as u32), cost)
     }
 
     /// `rd = f(rs1, rs2)` at `cost`.
     #[inline(always)]
-    fn rr(&mut self, r: RType, cost: u64, f: impl FnOnce(u32, u32) -> u32) -> (Flow, u64) {
+    fn rr(&mut self, r: RType, cost: u64, f: impl FnOnce(u32, u32) -> u32) -> (Ctl, u64) {
         self.write(r.rd, f(self.reg(r.rs1), self.reg(r.rs2)), cost)
     }
 
     /// `rd = f(rd, rs1, rs2)`: the accumulating XCVPULP ops.
     #[inline(always)]
-    fn acc(&mut self, r: RType, f: impl FnOnce(u32, u32, u32) -> u32) -> (Flow, u64) {
+    fn acc(&mut self, r: RType, f: impl FnOnce(u32, u32, u32) -> u32) -> (Ctl, u64) {
         let v = f(self.reg(r.rd), self.reg(r.rs1), self.reg(r.rs2));
         self.write(r.rd, v, self.timing.simd)
     }
@@ -364,7 +367,7 @@ impl Cpu {
     /// A packed-SIMD op (`op` and `w` are constants at every call site,
     /// so the inlined [`pv_exec`] folds to the one lane loop).
     #[inline(always)]
-    fn pv(&mut self, r: RType, op: PvOp, w: SimdWidth) -> (Flow, u64) {
+    fn pv(&mut self, r: RType, op: PvOp, w: SimdWidth) -> (Ctl, u64) {
         self.acc(r, |d, a, b| pv_exec(op, w, d, a, b))
     }
 
@@ -375,9 +378,9 @@ impl Cpu {
     /// RISC-V instruction-address-misaligned exception), before `rd`
     /// is linked.
     #[inline(always)]
-    fn jump(pc: u32, target: u32) -> Result<Flow, CpuError> {
+    fn jump(pc: u32, target: u32) -> Result<Ctl, CpuError> {
         if target.is_multiple_of(4) {
-            Ok(Flow::Jump(target))
+            Ok(target)
         } else {
             Err(CpuError::MisalignedPc { pc, target })
         }
@@ -385,24 +388,25 @@ impl Cpu {
 
     /// `jal`/`jalr`: jumps to `target`, linking `rd`.
     #[inline(always)]
-    fn jump_link(&mut self, pc: u32, rd: Gpr, target: u32) -> Result<(Flow, u64), CpuError> {
-        let flow = Cpu::jump(pc, target)?;
+    fn jump_link(&mut self, pc: u32, rd: Gpr, target: u32) -> Result<(Ctl, u64), CpuError> {
+        let ctl = Cpu::jump(pc, target)?;
         self.set_reg(rd, pc.wrapping_add(4));
-        Ok((flow, self.timing.jump))
+        Ok((ctl, self.timing.jump))
     }
 
     #[inline(always)]
-    fn branch(&self, pc: u32, b: BType, taken: bool) -> Result<(Flow, u64), CpuError> {
+    fn branch(&self, pc: u32, b: BType, taken: bool) -> Result<(Ctl, u64), CpuError> {
         if taken {
-            let flow = Cpu::jump(pc, pc.wrapping_add(b.off as u32))?;
-            Ok((flow, self.timing.branch_taken))
+            let ctl = Cpu::jump(pc, pc.wrapping_add(b.off as u32))?;
+            Ok((ctl, self.timing.branch_taken))
         } else {
-            Ok((Flow::Next, self.timing.branch_not_taken))
+            Ok((NEXT, self.timing.branch_not_taken))
         }
     }
 
     /// Executes one predecoded op at `pc`, `now` being the cycle count
-    /// before it. Returns where control goes and the op's cycle cost.
+    /// before it. Returns where control goes (a [`Ctl`] word) and the
+    /// op's cycle cost.
     ///
     /// It touches registers, hardware loops, the bus and the
     /// coprocessor, never `self.pc`, `self.cycles` or `self.instret`:
@@ -415,7 +419,7 @@ impl Cpu {
         op: Op,
         pc: u32,
         now: u64,
-    ) -> Result<(Flow, u64), CpuError> {
+    ) -> Result<(Ctl, u64), CpuError> {
         use AccessSize::{Byte, Half, Word};
         use SimdWidth::{B, H};
         Ok(match op {
@@ -497,9 +501,9 @@ impl Cpu {
                 }
             }),
             Op::Remu(r) => self.rr(r, self.timing.div, |a, b| a.checked_rem(b).unwrap_or(a)),
-            Op::Fence => (Flow::Next, self.timing.alu),
-            Op::Ecall => (Flow::Stop(StopReason::Ecall), self.timing.alu),
-            Op::Ebreak => (Flow::Stop(StopReason::Break), self.timing.alu),
+            Op::Fence => (NEXT, self.timing.alu),
+            Op::Ecall => (ECALL, self.timing.alu),
+            Op::Ebreak => (BREAK, self.timing.alu),
             Op::LbPost(i) => self.load_post(bus, pc, now, i, LoadOp::Lb)?,
             Op::LhPost(i) => self.load_post(bus, pc, now, i, LoadOp::Lh)?,
             Op::LwPost(i) => self.load_post(bus, pc, now, i, LoadOp::Lw)?,
@@ -532,7 +536,7 @@ impl Cpu {
                 body_len,
             } => {
                 self.setup_loop(pc, loop_id, count, body_len);
-                (Flow::Next, self.timing.loop_setup)
+                (NEXT, self.timing.loop_setup)
             }
             Op::LoopSetup {
                 loop_id,
@@ -540,7 +544,7 @@ impl Cpu {
                 body_len,
             } => {
                 self.setup_loop(pc, loop_id, self.reg(count), body_len);
-                (Flow::Next, self.timing.loop_setup)
+                (NEXT, self.timing.loop_setup)
             }
             Op::Offload {
                 raw,
@@ -553,24 +557,26 @@ impl Cpu {
                     if let Some(v) = writeback {
                         self.set_reg(rd, v);
                     }
-                    (Flow::Next, cycles.max(1))
+                    (NEXT, cycles.max(1))
                 }
                 XifResponse::Reject => return Err(CpuError::RejectedOffload { pc, raw }),
             },
         })
     }
 
-    /// Where control goes after the op at `pc` retires with `flow`:
+    /// Where control goes after the op at `pc` retires with `ctl`:
     /// the jump target, or the next instruction — redirected to the
-    /// loop start when `pc` closes an active hardware-loop body.
+    /// loop start when `pc` closes an active hardware-loop body. A stop
+    /// op falls through like any other, so it too closes a loop body.
     ///
     /// Loop 0 is the innermost per the XPULP convention. Guarded by one
     /// flag so plain RV32IM code pays a single predictable branch.
     #[inline(always)]
-    fn next_pc(&mut self, pc: u32, flow: Flow) -> u32 {
-        let next = match flow {
-            Flow::Jump(target) => target,
-            Flow::Next | Flow::Stop(_) => pc.wrapping_add(4),
+    fn next_pc(&mut self, pc: u32, ctl: Ctl) -> u32 {
+        let next = if ctl & 1 == 0 {
+            ctl
+        } else {
+            pc.wrapping_add(4)
         };
         if !self.loops_active || next != pc.wrapping_add(4) {
             return next;
@@ -666,15 +672,19 @@ impl Cpu {
                     Err(e) => break Err(e),
                 },
             };
-            let (flow, cost) = match self.exec(bus, xif, op, pc, cycles) {
+            let (ctl, cost) = match self.exec(bus, xif, op, pc, cycles) {
                 Ok(done) => done,
                 Err(e) => break Err(e),
             };
             cycles += cost;
             left -= 1;
-            pc = self.next_pc(pc, flow);
-            if let Flow::Stop(reason) = flow {
-                break Ok(reason);
+            pc = self.next_pc(pc, ctl);
+            if ctl & 0b10 != 0 {
+                break Ok(if ctl == BREAK {
+                    StopReason::Break
+                } else {
+                    StopReason::Ecall
+                });
             }
         };
         let retired = max_instrs - left;

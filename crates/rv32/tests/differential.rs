@@ -22,9 +22,13 @@
 //! a loop re-runs both and both must re-decode), forward and backward
 //! branches (fuel bounds the infinite loops), hardware loops (register
 //! counts seeded large enough that a random fuel budget often runs out
-//! inside a nested loop body) and packed-SIMD ops. The generator builds
-//! its words with the production encoder. Failures must reproduce: the
-//! proptest shim is deterministic per test name.
+//! inside a nested loop body), `ebreak`/`ecall` inside loop bodies
+//! (their last slot included) and packed-SIMD ops. A run that stops on
+//! `ebreak` or `ecall` is resumed a few times, so the PC and the
+//! hardware-loop counters a stop leaves behind are compared through
+//! what runs next. The generator builds its words with the production
+//! encoder. Failures must reproduce: the proptest shim is deterministic
+//! per test name.
 
 use arcane_isa::exec::{BType, IType, Op, RType, SType, UType};
 use arcane_isa::reg::{Gpr, ZERO};
@@ -43,6 +47,9 @@ const RAM: usize = 64 * 1024;
 
 /// Fuel per case (small, so random backward branches terminate fast).
 const FUEL: u64 = 20_000;
+
+/// Times a run that stopped on `ebreak` or `ecall` is resumed.
+const RESUMES: usize = 3;
 
 fn gpr(i: u8) -> Gpr {
     Gpr::new(i % 32).expect("masked")
@@ -113,6 +120,8 @@ fn word_of(s: Spec, index: usize, len: usize) -> u32 {
             rd,
             imm: (s.imm as u32) & 0x0000_f000,
         }),
+        // A stop inside the body (often inside a hardware loop).
+        11 if s.aux.is_multiple_of(4) => [Op::Ebreak, Op::Ecall][usize::from(s.rd % 2)],
         // Raw word: usually undecodable — both engines must raise the
         // identical decode error at the identical pc.
         11 => return s.imm as u32 ^ 0x8000_0513,
@@ -197,7 +206,11 @@ fn set_reg(words: &mut Vec<u32>, rd: Gpr, hi: u32, lo: i32) {
 /// into RAM so loads/stores mostly land in bounds, loop counts,
 /// instruction words and negative values), an optional hardware-loop
 /// nest, the generated body, and `ebreak`.
-fn build_image(specs: &[Spec], nest: bool) -> Vec<u32> {
+///
+/// With the nest, `stop` may also put an `ebreak` (`stop & 8` clear)
+/// or `ecall` at body slot `stop & 7` when that is below 5: slot 2 is
+/// the inner loop's last, slot 4 the outer loop's last.
+fn build_image(specs: &[Spec], nest: bool, stop: u8) -> Vec<u32> {
     let mut words = Vec::new();
     // Seed x1..x15 with in-range data addresses.
     for (i, r) in (1u8..16).enumerate() {
@@ -254,6 +267,11 @@ fn build_image(specs: &[Spec], nest: bool) -> Vec<u32> {
     let body_at = words.len();
     for (i, s) in specs.iter().enumerate() {
         words.push(word_of(*s, body_at + i, body_at + specs.len() + 1));
+    }
+    let slot = usize::from(stop & 7);
+    if nest && slot < 5 && slot < specs.len() {
+        let op = if stop & 8 == 0 { Op::Ebreak } else { Op::Ecall };
+        words[body_at + slot] = encode(&op);
     }
     words.push(encode(&Op::Ebreak));
     words
@@ -455,8 +473,10 @@ fn oracle_decode(w: u32) -> Option<Op> {
     })
 }
 
+/// Each run's result and the PC it left, then the final registers, PC,
+/// cycles, retired instructions and memory.
 type Outcome = (
-    Result<RunResult, CpuError>,
+    Vec<(Result<RunResult, CpuError>, u32)>,
     [u32; 32],
     u32,
     u64,
@@ -464,14 +484,41 @@ type Outcome = (
     Vec<u8>,
 );
 
+/// Calls `run` with the fuel left, then again while a run ends on
+/// `ebreak` or `ecall` with fuel to spare, at most [`RESUMES`] more
+/// times. `run` returns its result and the PC it left.
+fn runs(
+    fuel: u64,
+    mut run: impl FnMut(u64) -> (Result<RunResult, CpuError>, u32),
+) -> Vec<(Result<RunResult, CpuError>, u32)> {
+    let mut left = fuel;
+    let mut out = Vec::new();
+    for _ in 0..=RESUMES {
+        let (r, pc) = run(left);
+        out.push((r, pc));
+        match r {
+            Ok(RunResult {
+                stop: StopReason::Break | StopReason::Ecall,
+                instret,
+                ..
+            }) if instret < left => left -= instret,
+            _ => break,
+        }
+    }
+    out
+}
+
 fn run_engine(words: &[u32], fuel: u64, engine: EngineMode) -> Outcome {
     let mut bus = SramBus::new(RAM);
     bus.load_program(0, words);
     let mut cpu = Cpu::new(0);
-    let result = cpu.run_with_engine(&mut bus, &mut NoCoprocessor, fuel, engine);
+    let results = runs(fuel, |left| {
+        let r = cpu.run_with_engine(&mut bus, &mut NoCoprocessor, left, engine);
+        (r, cpu.pc())
+    });
     let regs: [u32; 32] = std::array::from_fn(|i| cpu.reg(gpr(i as u8)));
     (
-        result,
+        results,
         regs,
         cpu.pc(),
         cpu.cycles(),
@@ -484,8 +531,11 @@ fn run_oracle(words: &[u32], fuel: u64) -> Outcome {
     let mut bus = SramBus::new(RAM);
     bus.load_program(0, words);
     let mut o = Oracle::default();
-    let result = o.run(&mut bus, &mut NoCoprocessor, fuel);
-    (result, o.regs, o.pc, o.cycles, o.instret, ram(&bus))
+    let results = runs(fuel, |left| {
+        let r = o.run(&mut bus, &mut NoCoprocessor, left);
+        (r, o.pc)
+    });
+    (results, o.regs, o.pc, o.cycles, o.instret, ram(&bus))
 }
 
 fn ram(bus: &SramBus) -> Vec<u8> {
@@ -527,25 +577,26 @@ impl Oracle {
         }
     }
 
+    /// Steps until a stop or until `fuel` more instructions retire;
+    /// reports this run's instructions and cycles alone.
     fn run<X: Coprocessor>(
         &mut self,
         bus: &mut SramBus,
         xif: &mut X,
         fuel: u64,
     ) -> Result<RunResult, CpuError> {
-        while self.instret < fuel {
-            if let Some(stop) = self.step(bus, xif)? {
-                return Ok(RunResult {
-                    instret: self.instret,
-                    cycles: self.cycles,
-                    stop,
-                });
+        let (instret, cycles) = (self.instret, self.cycles);
+        let mut stop = StopReason::OutOfFuel;
+        while self.instret - instret < fuel {
+            if let Some(s) = self.step(bus, xif)? {
+                stop = s;
+                break;
             }
         }
         Ok(RunResult {
-            instret: self.instret,
-            cycles: self.cycles,
-            stop: StopReason::OutOfFuel,
+            instret: self.instret - instret,
+            cycles: self.cycles - cycles,
+            stop,
         })
     }
 
@@ -923,23 +974,26 @@ fn spec_strategy() -> impl Strategy<Value = Spec> {
         })
 }
 
-/// The run result with a decode error's wording blanked: the oracle's
-/// table knows that a word is rejected, not why.
-fn verdict(r: &Result<RunResult, CpuError>) -> Result<RunResult, CpuError> {
-    match *r {
+/// Each run's result, with a decode error's wording blanked (the
+/// oracle's table knows that a word is rejected, not why), and its PC.
+fn verdicts(
+    runs: &[(Result<RunResult, CpuError>, u32)],
+) -> Vec<(Result<RunResult, CpuError>, u32)> {
+    let verdict = |r: &Result<RunResult, CpuError>| match *r {
         Err(CpuError::Decode { pc, source }) => Err(CpuError::Decode {
             pc,
             source: DecodeError::new(source.word, ""),
         }),
         other => other,
-    }
+    };
+    runs.iter().map(|(r, pc)| (verdict(r), *pc)).collect()
 }
 
 fn assert_same(what: &str, got: &Outcome, want: &Outcome) -> TestCaseResult {
     prop_assert_eq!(
-        verdict(&got.0),
-        verdict(&want.0),
-        "{}: run result diverged",
+        verdicts(&got.0),
+        verdicts(&want.0),
+        "{}: run results or the PCs after them diverged",
         what
     );
     prop_assert_eq!(got.1, want.1, "{}: registers diverged", what);
@@ -955,9 +1009,10 @@ proptest! {
     fn engines_agree_on_random_programs(
         specs in prop::collection::vec(spec_strategy(), 1..96),
         nest in any::<bool>(),
+        stop in any::<u8>(),
         fuel in 1u64..FUEL,
     ) {
-        let words = build_image(&specs, nest);
+        let words = build_image(&specs, nest, stop);
         let oracle = run_oracle(&words, fuel);
         assert_same("block", &run_engine(&words, fuel, EngineMode::Block), &oracle)?;
         assert_same("interp", &run_engine(&words, fuel, EngineMode::Interp), &oracle)?;
@@ -1018,7 +1073,7 @@ fn out_of_fuel_stops_at_identical_state() {
     let blk = run_engine(&words, FUEL, EngineMode::Block);
     let interp = run_engine(&words, FUEL, EngineMode::Interp);
     assert_eq!(blk.0, interp.0);
-    assert_eq!(blk.0.unwrap().stop, StopReason::OutOfFuel);
+    assert_eq!(blk.0[0].0.unwrap().stop, StopReason::OutOfFuel);
     assert_eq!(blk.4, FUEL);
     assert_eq!(blk.4, interp.4);
 }

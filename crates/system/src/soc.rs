@@ -162,7 +162,9 @@ struct BaselineBus<'a> {
 }
 
 impl Bus for BaselineBus<'_> {
-    #[inline]
+    // Always inlined, with `StandardLlc::host_access`'s hit head, so a
+    // cache hit runs inside the ISS loop without a call.
+    #[inline(always)]
     fn read(&mut self, addr: u32, size: AccessSize, now: u64) -> Result<Access, BusError> {
         if (addr as usize) < IMEM_SIZE {
             let mut b = [0u8; 4];
@@ -173,7 +175,7 @@ impl Bus for BaselineBus<'_> {
         self.llc.host_access(addr, false, 0, size, now)
     }
 
-    #[inline]
+    #[inline(always)]
     fn write(
         &mut self,
         addr: u32,

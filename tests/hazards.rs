@@ -289,6 +289,37 @@ fn maxpool_window_past_the_register_budget_is_killed_before_booking() {
 }
 
 #[test]
+fn row_too_wide_is_killed_before_booking() {
+    // A 4x300 int32 matrix has 1,200-byte rows: one row no longer fits a
+    // 1 KiB vector register. LeakyReLU must refuse it in `validate`,
+    // before its eCPU preamble is booked.
+    let mut llc = ArcaneLlc::new(ArcaneConfig::with_lanes(4));
+    let sew = Sew::Word;
+    for (reg, addr) in [(0, A_ADDR), (2, R_ADDR)] {
+        let (r1, r2, r3) = xmnmc::pack_xmr(addr, 1, m(reg), 300, 4);
+        llc.offload(x(FUNC5_XMR, sew), r1, r2, r3, 2 * reg as u64);
+    }
+    let ecpu_busy = |llc: &ArcaneLlc| {
+        let util = llc.channel_utilisation();
+        util.iter().find(|c| c.label == "ecpu").unwrap().busy_cycles
+    };
+    let (busy, done) = (ecpu_busy(&llc), llc.completion_time());
+    let (r1, r2, r3) = xmnmc::pack_kernel(0, 0, m(2), m(0), m(0), m(0));
+    let resp = llc.offload(x(kernel_id::LEAKY_RELU, sew), r1, r2, r3, 6);
+    assert_eq!(resp, XifResponse::Reject);
+    assert_eq!(
+        llc.last_error(),
+        Some(&KernelError::RowTooWide {
+            cols: 300,
+            max: 256
+        })
+    );
+    assert!(llc.records().is_empty(), "nothing was booked");
+    assert_eq!(ecpu_busy(&llc), busy, "no eCPU cycles were booked");
+    assert_eq!(llc.completion_time(), done);
+}
+
+#[test]
 fn empty_matrix_operand_is_killed_before_booking() {
     let mut llc = ArcaneLlc::new(ArcaneConfig::with_lanes(4));
     let sew = Sew::Word;
