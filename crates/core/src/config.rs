@@ -12,6 +12,11 @@ pub const EXT_BASE: u32 = 0x2000_0000;
 /// Cache line size in bytes: one VPU vector register.
 pub const LINE_BYTES: usize = VLEN_BYTES;
 
+/// Rounds `addr` up to the next cache-line boundary.
+pub const fn align_line(addr: u32) -> u32 {
+    addr.next_multiple_of(LINE_BYTES as u32)
+}
+
 /// External memory latency: first word of a burst.
 const EXT_FIRST_WORD: u64 = 10;
 

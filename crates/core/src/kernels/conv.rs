@@ -6,19 +6,11 @@
 //! matrices of arbitrary dimensions (§IV-A2).
 
 use super::pool::out_dim;
-use super::{check_rows, check_width, require, Kernel, KernelError, ResolvedArgs};
+use super::{check_rows, check_width, require, sr, stripes, vr, Kernel, KernelError, ResolvedArgs};
 use crate::runtime::ctx::KernelCtx;
 use crate::runtime::map::MatView;
-use arcane_isa::vector::{Sr, VInstr, VOp, Vr};
+use arcane_isa::vector::{VInstr, VOp};
 use arcane_vpu::VREGS;
-
-fn vr(i: usize) -> Vr {
-    Vr::new(i as u8).expect("vreg index in range")
-}
-
-fn sr(i: u8) -> Sr {
-    Sr::new(i).expect("sreg index in range")
-}
 
 /// Emits the tap loop for one channel of one stripe: for every filter
 /// tap `(ky, kx)` (filter row `ky` loaded in vreg `ky`), broadcast the
@@ -119,9 +111,7 @@ impl Kernel for Conv2d {
         ctx.set_vl(f.cols, sew)?;
         ctx.load_rows(&f, 0, k, 0)?;
 
-        let mut y0 = 0;
-        while y0 < out.rows {
-            let rows = stripe.min(out.rows - y0);
+        for (y0, rows) in stripes(out.rows, stripe) {
             ctx.set_vl(a.cols, sew)?;
             ctx.load_rows(&a, y0, rows + k - 1, in0)?;
             for sy in 0..rows {
@@ -134,7 +124,6 @@ impl Kernel for Conv2d {
             for sy in 0..rows {
                 ctx.store_row(acc0 + sy, out.cols, sew, out.row_addr(y0 + sy));
             }
-            y0 += rows;
         }
         Ok(())
     }
@@ -230,10 +219,8 @@ impl Kernel for ConvLayer3ch {
 
         ctx.set_scalar(sr(0), 0);
 
-        let mut y0 = y0_slice;
-        let y_end = y0_slice + n_rows;
-        while y0 < y_end {
-            let rows = stripe.min(y_end - y0);
+        for (y, rows) in stripes(n_rows, stripe) {
+            let y0 = y0_slice + y;
             ctx.set_vl(a.cols, sew)?;
             for sy in 0..rows {
                 ctx.exec(&[VInstr::BroadcastX {
@@ -281,10 +268,9 @@ impl Kernel for ConvLayer3ch {
                         vs2: vr(tmp),
                     },
                 ])?;
-                let pooled_row = (y0 - y0_slice) / POOL + p;
+                let pooled_row = y / POOL + p;
                 ctx.store_row_strided(top, 0, POOL, pw, sew, out.row_addr(pooled_row));
             }
-            y0 += rows;
         }
         Ok(())
     }

@@ -6,19 +6,14 @@
 //! natural next entries of a tinyML library: matrix addition, scalar
 //! scale-and-shift (requantisation) and transpose.
 
-use super::{check_rows, check_width, require, sra_amount, Kernel, KernelError, ResolvedArgs};
+use super::{
+    check_rows, check_width, require, sr, sra_amount, stripes, vr, Kernel, KernelError,
+    ResolvedArgs,
+};
 use crate::runtime::ctx::KernelCtx;
 use crate::runtime::map::MatView;
-use arcane_isa::vector::{Sr, VInstr, VOp, Vr};
+use arcane_isa::vector::{VInstr, VOp};
 use arcane_vpu::VREGS;
-
-fn vr(i: usize) -> Vr {
-    Vr::new(i as u8).expect("vreg index in range")
-}
-
-fn sr(i: u8) -> Sr {
-    Sr::new(i).expect("sreg index in range")
-}
 
 /// `xmk5` — matrix addition: `R = A + B` (wrapping at the instruction
 /// width). Operands: `md` = R, `ms1` = A, `ms2` = B.
@@ -54,9 +49,7 @@ impl Kernel for MatAdd {
         ctx.set_vl(a.cols, sew)?;
         // Stripe the rows: half the registers for A, half for B.
         let stripe = (VREGS / 2).max(1);
-        let mut row = 0;
-        while row < a.rows {
-            let n = stripe.min(a.rows - row);
+        for (row, n) in stripes(a.rows, stripe) {
             ctx.load_rows(&a, row, n, 0)?;
             ctx.load_rows(&b, row, n, stripe)?;
             for r in 0..n {
@@ -68,7 +61,6 @@ impl Kernel for MatAdd {
                 }])?;
                 ctx.store_row(r, args.md.cols, sew, args.md.row_addr(row + r));
             }
-            row += n;
         }
         Ok(())
     }
@@ -110,9 +102,7 @@ impl Kernel for MatScale {
         ctx.set_scalar(sr(2), args.alpha as i32 as u32);
         ctx.set_scalar(sr(3), sra_amount(args.beta, sew));
         let stripe = VREGS;
-        let mut row = 0;
-        while row < a.rows {
-            let n = stripe.min(a.rows - row);
+        for (row, n) in stripes(a.rows, stripe) {
             ctx.load_rows(&a, row, n, 0)?;
             for r in 0..n {
                 ctx.exec(&[
@@ -131,7 +121,6 @@ impl Kernel for MatScale {
                 ])?;
                 ctx.store_row(r, args.md.cols, sew, args.md.row_addr(row + r));
             }
-            row += n;
         }
         Ok(())
     }
@@ -171,16 +160,13 @@ impl Kernel for Transpose {
         ctx.set_vl(a.cols, sew)?;
         let stripe = VREGS;
         let pitch = out.pitch_bytes();
-        let mut row = 0;
-        while row < a.rows {
-            let n = stripe.min(a.rows - row);
+        for (row, n) in stripes(a.rows, stripe) {
             ctx.load_rows(&a, row, n, 0)?;
             for r in 0..n {
                 // Row (row + r) of A becomes column (row + r) of R.
                 let dst = out.addr + (row + r) as u32 * sew.bytes() as u32;
                 ctx.store_row_as_column(r, a.cols, sew, dst, pitch);
             }
-            row += n;
         }
         Ok(())
     }

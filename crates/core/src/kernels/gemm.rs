@@ -1,17 +1,9 @@
 //! `xmk0` — General Matrix Multiplication.
 
-use super::{check_rows, check_width, require, Kernel, KernelError, ResolvedArgs};
+use super::{check_rows, check_width, require, sr, stripes, vr, Kernel, KernelError, ResolvedArgs};
 use crate::runtime::ctx::KernelCtx;
 use crate::runtime::map::MatView;
-use arcane_isa::vector::{Sr, VInstr, VOp, Vr};
-
-fn vr(i: usize) -> Vr {
-    Vr::new(i as u8).expect("vreg index in range")
-}
-
-fn sr(i: u8) -> Sr {
-    Sr::new(i).expect("sreg index in range")
-}
+use arcane_isa::vector::{VInstr, VOp};
 
 /// GeMM: `R = α·(A × B) + β·C` with wrapping arithmetic at the
 /// instruction width.
@@ -87,9 +79,7 @@ impl Kernel for Gemm {
         ctx.set_scalar(sr(2), args.alpha as i32 as u32);
         ctx.set_scalar(sr(3), args.beta as i32 as u32);
 
-        let mut m0 = 0;
-        while m0 < m_total {
-            let sm = SM.min(m_total - m0);
+        for (m0, sm) in stripes(m_total, SM) {
             // A rows must fit one register each (cols = K).
             ctx.set_vl(k_total, sew)?;
             ctx.load_rows(&a, m0, sm, arow0)?;
@@ -101,9 +91,7 @@ impl Kernel for Gemm {
                     rs: sr(0),
                 }])?;
             }
-            let mut k0 = 0;
-            while k0 < k_total {
-                let tk = TK.min(k_total - k0);
+            for (k0, tk) in stripes(k_total, TK) {
                 ctx.load_rows(&b, k0, tk, brow0)?;
                 for m in 0..sm {
                     ctx.macc_taps(
@@ -115,7 +103,6 @@ impl Kernel for Gemm {
                         sew,
                     )?;
                 }
-                k0 += tk;
             }
             // Scale and add beta*C, then write the stripe back.
             for m in 0..sm {
@@ -147,7 +134,6 @@ impl Kernel for Gemm {
                 }
                 ctx.store_row(acc0 + m, out.cols, sew, out.row_addr(m0 + m));
             }
-            m0 += sm;
         }
         Ok(())
     }

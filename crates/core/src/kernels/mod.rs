@@ -22,6 +22,7 @@ use relu::LeakyRelu;
 use crate::runtime::ctx::KernelCtx;
 use crate::runtime::map::MatView;
 use arcane_isa::launch::LaunchDecodeError;
+use arcane_isa::vector::{Sr, Vr};
 use arcane_isa::xmnmc::{kernel_id, MatReg};
 use arcane_sim::Sew;
 use arcane_vpu::{max_vl, VpuError, VLEN_BYTES};
@@ -252,6 +253,29 @@ pub(crate) fn check_rows(views: &[&MatView]) -> Result<(), KernelError> {
     }
 }
 
+/// Vector register `i` of a kernel's register layout.
+pub(crate) fn vr(i: usize) -> Vr {
+    Vr::new(i as u8).expect("vreg index in range")
+}
+
+/// Scalar register `i`.
+pub(crate) fn sr(i: u8) -> Sr {
+    Sr::new(i).expect("sreg index in range")
+}
+
+/// The stripes `(first_row, rows)` that cover rows `0..total` in order:
+/// `height` rows each, the last one shorter when `height` does not
+/// divide `total`.
+///
+/// # Panics
+///
+/// Panics if `height` is zero.
+pub(crate) fn stripes(total: usize, height: usize) -> impl Iterator<Item = (usize, usize)> {
+    (0..total)
+        .step_by(height)
+        .map(move |row| (row, height.min(total - row)))
+}
+
 /// The `Sra` amount that shifts a `sew` element right by `shift`
 /// (`0..32`): the VPU reduces amounts modulo the element width, but a
 /// shift past the width must fill with the sign, as width − 1 does.
@@ -276,6 +300,14 @@ mod tests {
             lib.get(9),
             Err(KernelError::UnknownKernel { id: 9 })
         ));
+    }
+
+    #[test]
+    fn stripes_cover_every_row_once() {
+        let got: Vec<_> = stripes(10, 4).collect();
+        assert_eq!(got, [(0, 4), (4, 4), (8, 2)]);
+        assert_eq!(stripes(8, 4).collect::<Vec<_>>(), [(0, 4), (4, 4)]);
+        assert_eq!(stripes(0, 4).count(), 0);
     }
 
     #[test]

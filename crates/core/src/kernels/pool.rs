@@ -1,14 +1,10 @@
 //! `xmk2` — 2-D max-pooling.
 
-use super::{check_rows, check_width, require, Kernel, KernelError, ResolvedArgs};
+use super::{check_rows, check_width, require, vr, Kernel, KernelError, ResolvedArgs};
 use crate::runtime::ctx::KernelCtx;
 use crate::runtime::map::MatView;
-use arcane_isa::vector::{VInstr, VOp, Vr};
+use arcane_isa::vector::{VInstr, VOp};
 use arcane_vpu::VREGS;
-
-fn vr(i: usize) -> Vr {
-    Vr::new(i as u8).expect("vreg index in range")
-}
 
 /// Max-pooling with window `β` and stride `α` (Table I: `stride`,
 /// `win_size`): `out[y][x] = max A[y·s .. y·s+w)[x·s .. x·s+w)`.

@@ -1,18 +1,13 @@
 //! `xmk1` — LeakyReLU activation.
 
-use super::{check_rows, check_width, require, sra_amount, Kernel, KernelError, ResolvedArgs};
+use super::{
+    check_rows, check_width, require, sr, sra_amount, stripes, vr, Kernel, KernelError,
+    ResolvedArgs,
+};
 use crate::runtime::ctx::KernelCtx;
 use crate::runtime::map::MatView;
-use arcane_isa::vector::{Sr, VInstr, VOp, Vr};
+use arcane_isa::vector::{VInstr, VOp};
 use arcane_vpu::VREGS;
-
-fn vr(i: usize) -> Vr {
-    Vr::new(i as u8).expect("vreg index in range")
-}
-
-fn sr(i: u8) -> Sr {
-    Sr::new(i).expect("sreg index in range")
-}
 
 /// LeakyReLU: `out = x ≥ 0 ? x : x >> α` (negative slope `2^-α`,
 /// the shift-based form used by quantised integer networks).
@@ -55,9 +50,7 @@ impl Kernel for LeakyRelu {
         // Stripe: rows in vregs 0..stripe, scratch in the last register.
         let stripe = VREGS - 1;
         let tmp = vr(VREGS - 1);
-        let mut row = 0;
-        while row < input.rows {
-            let n = stripe.min(input.rows - row);
+        for (row, n) in stripes(input.rows, stripe) {
             ctx.load_rows(&input, row, n, 0)?;
             for r in 0..n {
                 let x = vr(r);
@@ -91,7 +84,6 @@ impl Kernel for LeakyRelu {
                 ])?;
                 ctx.store_row(r, out.cols, sew, out.row_addr(row + r));
             }
-            row += n;
         }
         Ok(())
     }

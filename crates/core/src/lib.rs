@@ -71,7 +71,7 @@ mod sched;
 mod standard;
 
 pub use arcane_isa::launch::LaunchMode;
-pub use config::{ArcaneConfig, EXT_BASE, LINE_BYTES};
+pub use config::{align_line, ArcaneConfig, EXT_BASE, LINE_BYTES};
 pub use llc::{ArcaneLlc, KernelRecord};
 pub use runtime::map::MatView;
 pub use sched::SchedulerKind;

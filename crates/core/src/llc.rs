@@ -460,31 +460,23 @@ impl ArcaneLlc {
         // Address Table: WAR protection on sources until the last
         // allocation, RAW/WAW protection on the destination until
         // writeback completes.
-        for s in &sources {
+        let operands = sources
+            .iter()
+            .map(|s| (s, OperandKind::Source, last_alloc_end))
+            .chain([(&args.md, OperandKind::Destination, end)]);
+        for (view, kind, protect_until) in operands {
             let entry = AtEntry {
-                start: s.addr,
-                end: s.end_addr(),
-                kind: OperandKind::Source,
-                protect_until: last_alloc_end,
-                matrix: s.phys_id,
+                start: view.addr,
+                end: view.end_addr(),
+                kind,
+                protect_until,
+                matrix: view.phys_id,
             };
             if self.at.register(entry, hazard_clock).is_err() {
                 return Err(KernelError::ShapeMismatch {
                     what: "address table exhausted",
                 });
             }
-        }
-        let dest_entry = AtEntry {
-            start: args.md.addr,
-            end: args.md.end_addr(),
-            kind: OperandKind::Destination,
-            protect_until: end,
-            matrix: args.md.phys_id,
-        };
-        if self.at.register(dest_entry, hazard_clock).is_err() {
-            return Err(KernelError::ShapeMismatch {
-                what: "address table exhausted",
-            });
         }
 
         self.vpu_free_at[vpu] = end;

@@ -314,6 +314,34 @@ impl<'a> KernelCtx<'a> {
         cycles
     }
 
+    /// One locked 2-D DMA transfer, the Matrix Allocator's step for
+    /// allocation and writeback alike (§III-A2, §III-A4): takes the
+    /// controller lock, pays `setup` cycles, writes back the dirty
+    /// cached lines over `span`, books the `cycles`-long burst train on
+    /// the fabric (granted under the configured arbiter: one contiguous
+    /// window under whole-phase) and releases the lock. The whole
+    /// window is charged to `phase` and held as a lock window. The
+    /// caller moves the data.
+    ///
+    /// A writeback also drops the lines it wrote back: host-dirty bytes
+    /// sharing a line with the destination reach memory first, and no
+    /// stale copy outlives the store.
+    fn locked_dma(&mut self, phase: Phase, setup: u64, span: Range<u32>, cycles: u64) {
+        let t0 = self.t;
+        let flush = self
+            .cache
+            .sweep(span.start, span.end, phase == Phase::Writeback);
+        let dma_start = t0 + CRT.lock_acquire + setup + flush;
+        let t_end = self
+            .fabric
+            .request(self.port, span.start, dma_start, cycles)
+            .end
+            + CRT.lock_release;
+        self.phases.charge(phase, t_end - t0);
+        self.t = t_end;
+        self.locks.add(t0, t_end);
+    }
+
     /// Loads `n_rows` rows of `mat`, starting at `row0`, into
     /// consecutive vector registers beginning at `vreg0` (one row per
     /// register). One 2-D DMA transaction under the controller lock.
@@ -335,26 +363,17 @@ impl<'a> KernelCtx<'a> {
         vreg0: usize,
     ) -> Result<(), KernelError> {
         check_rows(&[mat])?;
-        let t0 = self.t;
-        let mut work = CRT.lock_acquire + CRT.tile_overhead;
-
+        // Free the target registers.
+        let mut setup = CRT.tile_overhead;
+        for v in vreg0..vreg0 + n_rows {
+            setup += self.evict_vreg(v);
+        }
         // Coherence, the software-driven DMA's first step (§III-A4):
         // allocation reads must observe host stores that are still
-        // cache-resident, so push the dirty lines these rows overlap out
-        // to memory.
+        // cache-resident, so the step pushes the dirty lines these rows
+        // overlap out to memory.
         let start = mat.row_addr(row0);
         let end = mat.row_addr(row0 + n_rows - 1) + mat.row_bytes();
-        work += self.cache.sweep(start, end, false);
-
-        // Free the target registers.
-        for v in vreg0..vreg0 + n_rows {
-            work += self.evict_vreg(v);
-        }
-
-        self.t += work;
-
-        // The shared fabric: the DMA's burst train is granted under the
-        // configured arbiter (one contiguous window under whole-phase).
         let row_bytes = mat.row_bytes() as usize;
         let bytes = (n_rows * row_bytes) as u64;
         let cycles = dma_cycles(n_rows as u64, bytes, self.bus_width())
@@ -363,7 +382,7 @@ impl<'a> KernelCtx<'a> {
                 .ext
                 .burst_cycles(bytes)
                 .saturating_sub(bytes.div_ceil(4));
-        let dma_end = self.fabric.request(self.port, start, self.t, cycles).end;
+        self.locked_dma(Phase::Allocation, setup, start..end, cycles);
 
         // Functional copy: external memory -> vector registers.
         for r in 0..n_rows {
@@ -375,12 +394,7 @@ impl<'a> KernelCtx<'a> {
                 .expect("operand rows must lie in external memory");
             dst[row_bytes..].fill(0);
         }
-
-        let t_end = dma_end + CRT.lock_release;
-        self.phases.charge(Phase::Allocation, t_end - t0);
-        self.t = t_end;
-        self.locks.add(t0, t_end);
-        self.last_alloc_end = self.last_alloc_end.max(t_end);
+        self.last_alloc_end = self.last_alloc_end.max(self.t);
         Ok(())
     }
 
@@ -406,21 +420,13 @@ impl<'a> KernelCtx<'a> {
         dst_addr: u32,
         dst_pitch_bytes: u32,
     ) {
-        let t0 = self.t;
-        let mut work = CRT.lock_acquire;
         let sz = sew.bytes();
         let span = dst_pitch_bytes * (n as u32 - 1) + sz as u32;
-        // Write back, then drop, the lines overlapping the destination:
-        // host-dirty bytes sharing a line with it are preserved, and no
-        // stale copy outlives the store.
-        work += self.cache.sweep(dst_addr, dst_addr + span, true);
-        self.t += work;
-
         // Scattered single-element writes cannot burst: every element
         // pays a random-access cost.
         let cycles = dma_cycles(n as u64, (n * sz) as u64, self.bus_width())
             + self.cache.ext.first_word_cycles() * n as u64 / 4;
-        let dma_end = self.fabric.request(self.port, dst_addr, self.t, cycles).end;
+        self.locked_dma(Phase::Writeback, 0, dst_addr..dst_addr + span, cycles);
 
         let src = &self.cache.data[self.line(vreg)];
         for (i, e) in src[..n * sz].chunks_exact(sz).enumerate() {
@@ -429,11 +435,6 @@ impl<'a> KernelCtx<'a> {
                 .write_bytes(dst_addr + i as u32 * dst_pitch_bytes, e)
                 .expect("kernel destination must lie in external memory");
         }
-
-        let t_end = dma_end + CRT.lock_release;
-        self.phases.charge(Phase::Writeback, t_end - t0);
-        self.t = t_end;
-        self.locks.add(t0, t_end);
     }
 
     /// Gathers `n_out` elements of `vreg` — elements
@@ -453,14 +454,7 @@ impl<'a> KernelCtx<'a> {
         sew: Sew,
         dst_addr: u32,
     ) {
-        let t0 = self.t;
-        let mut work = CRT.lock_acquire;
-
         let bytes_out = (n_out * sew.bytes()) as u32;
-        // Release the destination's lines, as in `store_row_as_column`.
-        work += self.cache.sweep(dst_addr, dst_addr + bytes_out, true);
-        self.t += work;
-
         // A dense row (stride 1) is a single-row burst for the DMA.
         let rows = if elem_stride == 1 { 1 } else { n_out };
         let cycles = dma_cycles(rows as u64, bytes_out as u64, self.bus_width())
@@ -469,7 +463,7 @@ impl<'a> KernelCtx<'a> {
                 .ext
                 .burst_cycles(bytes_out as u64)
                 .saturating_sub(bytes_out as u64 / 4);
-        let dma_end = self.fabric.request(self.port, dst_addr, self.t, cycles).end;
+        self.locked_dma(Phase::Writeback, 0, dst_addr..dst_addr + bytes_out, cycles);
 
         // Functional gather: vreg -> external memory. A dense row goes
         // straight from the register line; a strided one is gathered
@@ -491,11 +485,6 @@ impl<'a> KernelCtx<'a> {
             .ext
             .write_bytes(dst_addr, out)
             .expect("kernel destination must lie in external memory");
-
-        let t_end = dma_end + CRT.lock_release;
-        self.phases.charge(Phase::Writeback, t_end - t0);
-        self.t = t_end;
-        self.locks.add(t0, t_end);
     }
 }
 
@@ -674,6 +663,43 @@ mod tests {
         for k in 0..3u32 {
             assert_eq!(fx.cache.ext.read_u32(0x2000_5000 + k * 4).unwrap(), 5 + k);
         }
+    }
+
+    /// One 31-byte int8 row through each DMA service on an idle fabric,
+    /// each from a fresh fixture: the cycles the cursor advances and
+    /// the phase that pays them. Every service keeps its own cost
+    /// formula. A dense writeback takes `bytes / 4` off the burst
+    /// latency where an allocation takes `bytes.div_ceil(4)`, so the
+    /// store costs one cycle more than the load of the same row.
+    #[test]
+    fn dma_services_keep_their_cost_formulas() {
+        let row = MatView {
+            addr: 0x2000_0000,
+            rows: 1,
+            cols: 31,
+            stride: 1,
+            sew: Sew::Byte,
+            phys_id: 0,
+        };
+        let dst = 0x2000_4000;
+        let cost = |service: &dyn Fn(&mut KernelCtx<'_>)| {
+            let mut fx = fixture();
+            let mut c = fx.ctx();
+            service(&mut c);
+            (c.t - 1000, c.phases)
+        };
+        let load = cost(&|c| c.load_rows(&row, 0, 1, 0).unwrap());
+        let store = cost(&|c| c.store_row(0, 31, Sew::Byte, dst));
+        let column = cost(&|c| c.store_row_as_column(0, 31, Sew::Byte, dst, 64));
+        let phases = |allocation, writeback| PhaseBreakdown {
+            allocation,
+            writeback,
+            ..PhaseBreakdown::default()
+        };
+        assert_eq!(load, (96, phases(96, 0)));
+        assert_eq!(store, (47, phases(0, 47)));
+        assert_eq!(column, (144, phases(0, 144)));
+        assert_eq!(store.0, load.0 - CRT.tile_overhead + 1);
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //! ```
 
 use crate::exec::{BType, IType, Op, RType, SType, UType};
-use crate::reg::{Gpr, RA, ZERO};
+use crate::reg::{Gpr, A0, A1, A2, RA, ZERO};
 use crate::rv32::{AluOp, BranchOp, LoadOp, StoreOp};
 use crate::xcvpulp::{PvOp, SimdWidth};
 use std::collections::HashMap;
@@ -143,6 +143,21 @@ impl Asm {
     pub fn raw(&mut self, op: Op) -> &mut Self {
         self.items.push(Item::Fixed(op));
         self
+    }
+
+    /// Listing 1's offload idiom: loads the three packed operand words
+    /// into `a0`–`a2`, then appends the custom-2 instruction that
+    /// `instr` builds over those registers (such as
+    /// [`crate::xmnmc::xmr_instr`]).
+    pub fn offload(
+        &mut self,
+        operands: (u32, u32, u32),
+        instr: impl FnOnce(Gpr, Gpr, Gpr) -> Op,
+    ) -> &mut Self {
+        self.li(A0, operands.0 as i32);
+        self.li(A1, operands.1 as i32);
+        self.li(A2, operands.2 as i32);
+        self.raw(instr(A0, A1, A2))
     }
 
     // ---- RV32I -----------------------------------------------------------

@@ -13,6 +13,7 @@
 use crate::exec::{BType, IType, Op, RType, SType, UType};
 use crate::reg::{Gpr, ZERO};
 use crate::DecodeError;
+use arcane_sim::Sew;
 
 /// Conditional branch comparison.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -44,6 +45,18 @@ pub enum LoadOp {
     Lbu,
     /// `lhu` — unsigned half-word.
     Lhu,
+}
+
+impl LoadOp {
+    /// The load that reads one `sew` element sign-extended: `lb`, `lh`
+    /// or `lw`.
+    pub const fn signed(sew: Sew) -> LoadOp {
+        match sew {
+            Sew::Byte => LoadOp::Lb,
+            Sew::Half => LoadOp::Lh,
+            Sew::Word => LoadOp::Lw,
+        }
+    }
 }
 
 /// Memory store width.

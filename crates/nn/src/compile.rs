@@ -39,12 +39,13 @@
 
 use crate::graph::{LayerGraph, Node, TensorId};
 use crate::plan::{GraphLayout, Placement};
+use arcane_core::align_line;
 use arcane_fabric::{HostTraffic, HostTrafficGen};
 use arcane_isa::asm::Asm;
 use arcane_isa::launch::{
     xmb_instr, DescriptorBatch, LaunchDescriptor, LaunchMode, OperandBinding,
 };
-use arcane_isa::reg::{A0, A1, A2, T0, T1};
+use arcane_isa::reg::{T0, T1};
 use arcane_isa::rv32::LoadOp;
 use arcane_isa::xmnmc::{self, kernel_id, MatReg, NUM_MAT_REGS};
 use arcane_sim::Sew;
@@ -207,10 +208,6 @@ pub fn split_rows(total: usize, n: usize) -> Vec<(usize, usize)> {
     out
 }
 
-fn align_line(x: u32) -> u32 {
-    x.next_multiple_of(LINE_BYTES)
-}
-
 fn check_dims(rows: usize, cols: usize) -> Result<(), CompileError> {
     if rows <= u16::MAX as usize && cols <= u16::MAX as usize {
         Ok(())
@@ -221,14 +218,6 @@ fn check_dims(rows: usize, cols: usize) -> Result<(), CompileError> {
 
 fn m(i: u8) -> MatReg {
     MatReg::new(i).expect("matrix register")
-}
-
-fn load_op(sew: Sew) -> LoadOp {
-    match sew {
-        Sew::Byte => LoadOp::Lb,
-        Sew::Half => LoadOp::Lh,
-        Sew::Word => LoadOp::Lw,
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -486,17 +475,12 @@ impl Program {
         }
     }
 
-    /// Materialises the packed operand values in `a0`–`a2`.
-    fn vals(&mut self, vals: (u32, u32, u32)) {
-        self.asm.li(A0, vals.0 as i32);
-        self.asm.li(A1, vals.1 as i32);
-        self.asm.li(A2, vals.2 as i32);
-    }
-
     /// `xmr` binding `reg` to region `r`.
     fn xmr(&mut self, sew: Sew, reg: u8, r: Region) {
-        self.vals(xmnmc::pack_xmr(r.addr, 1, m(reg), r.cols, r.rows));
-        self.asm.raw(xmnmc::xmr_instr(sew, A0, A1, A2));
+        self.asm.offload(
+            xmnmc::pack_xmr(r.addr, 1, m(reg), r.cols, r.rows),
+            |r1, r2, r3| xmnmc::xmr_instr(sew, r1, r2, r3),
+        );
         self.reservations += 1;
     }
 
@@ -531,7 +515,7 @@ impl Program {
         launch: LaunchMode,
         tables: Vec<DescriptorTable>,
     ) -> NnProgram {
-        let op = load_op(graph.sew());
+        let op = LoadOp::signed(graph.sew());
         for &out in graph.outputs() {
             self.asm.li(T0, layout.place(out).addr as i32);
             self.asm.load(op, T1, T0, 0);
@@ -574,8 +558,10 @@ fn emit_legacy(graph: &LayerGraph, lowering: &Lowering, opts: &CompileOptions) -
             }
             p.xmr(sew, MD, l.md);
             // The unused ms3 slot names ms1: always bound, never read.
-            p.vals(xmnmc::pack_kernel(l.alpha, l.beta, md, ms1, ms2, ms1));
-            p.asm.raw(xmnmc::xmk_instr(l.kernel, sew, A0, A1, A2));
+            p.asm.offload(
+                xmnmc::pack_kernel(l.alpha, l.beta, md, ms1, ms2, ms1),
+                |r1, r2, r3| xmnmc::xmk_instr(l.kernel, sew, r1, r2, r3),
+            );
             p.launched(1);
         }
     }
@@ -629,10 +615,8 @@ fn emit_descriptor(
             .iter()
             .map(|d| d.bindings.len())
             .sum::<usize>();
-        p.asm.li(A0, cursor as i32);
-        p.asm.li(A1, words.len() as i32);
-        p.asm.li(A2, tables.len() as i32);
-        p.asm.raw(xmb_instr(A0, A1, A2));
+        p.asm
+            .offload((cursor, words.len() as u32, tables.len() as u32), xmb_instr);
         p.launched(batch.descriptors.len());
         let addr = cursor;
         cursor += 4 * words.len() as u32;

@@ -13,13 +13,10 @@
 //! they resolve to their root tensor's address with their own shape.
 
 use crate::graph::{LayerGraph, TensorId, TensorKind};
+use arcane_core::align_line;
 
 /// Cache-line/alignment quantum of the arena (= the VLEN).
 pub(crate) const ALIGN: u32 = arcane_core::LINE_BYTES as u32;
-
-fn align_up(x: u32) -> u32 {
-    (x + (ALIGN - 1)) & !(ALIGN - 1)
-}
 
 /// Where one tensor lives: base address plus its (dense) geometry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,7 +72,7 @@ impl GraphLayout {
             };
             n
         ];
-        let mut cursor = align_up(base);
+        let mut cursor = align_line(base);
         let mut assign = |places: &mut Vec<Placement>, id: usize| {
             let t = &graph.tensors()[id];
             places[id] = Placement {
@@ -83,7 +80,7 @@ impl GraphLayout {
                 rows: t.rows,
                 cols: t.cols,
             };
-            cursor = align_up(cursor + (t.elems() * esz) as u32);
+            cursor = align_line(cursor + (t.elems() * esz) as u32);
         };
         // Inputs first, then producing intermediates.
         for (i, t) in graph.tensors().iter().enumerate() {

@@ -48,21 +48,3 @@ impl Timing {
         }
     }
 }
-
-impl Default for Timing {
-    fn default() -> Self {
-        Timing::cv32e40x()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn default_matches_cv32e40x() {
-        assert_eq!(Timing::default(), Timing::cv32e40x());
-        assert_eq!(Timing::cv32e40x().div, 35);
-        assert_eq!(Timing::cv32e40x().alu, 1);
-    }
-}

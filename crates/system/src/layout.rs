@@ -1,6 +1,6 @@
 //! Workload parameters and external-memory data layout.
 
-use arcane_core::LINE_BYTES;
+use arcane_core::align_line;
 use arcane_sim::Sew;
 
 pub use arcane_core::EXT_BASE;
@@ -87,12 +87,6 @@ pub struct Layout {
     pub r: u32,
     /// One past the last used byte.
     pub end: u32,
-}
-
-/// Rounds `x` up to the next cache-line boundary.
-fn align_line(x: u32) -> u32 {
-    let line = LINE_BYTES as u32;
-    (x + line - 1) & !(line - 1)
 }
 
 impl Layout {

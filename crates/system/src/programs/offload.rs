@@ -8,16 +8,9 @@
 
 use crate::layout::{ConvLayerParams, Layout};
 use arcane_isa::asm::Asm;
-use arcane_isa::reg::{A0, A1, A2, T0, T1};
+use arcane_isa::reg::{T0, T1};
+use arcane_isa::rv32::LoadOp;
 use arcane_isa::xmnmc::{self, kernel_id, MatReg};
-
-use super::scalar::load_op;
-
-fn emit_packed(a: &mut Asm, vals: (u32, u32, u32)) {
-    a.li(A0, vals.0 as i32);
-    a.li(A1, vals.1 as i32);
-    a.li(A2, vals.2 as i32);
-}
 
 /// Builds the offload program. `instances > 1` splits the layer
 /// row-wise into that many `xmk4` invocations with distinct destination
@@ -31,18 +24,17 @@ pub fn conv_layer(p: &ConvLayerParams, l: &Layout, instances: usize) -> Asm {
     let mut a = Asm::new();
     let m = |i: u8| MatReg::new(i).expect("matrix register");
     let esz = p.sew.bytes() as u32;
+    let xmr = |r1, r2, r3| xmnmc::xmr_instr(p.sew, r1, r2, r3);
 
     // xmr m0, A (3H x W); xmr m1, F (3K x K)
-    emit_packed(
-        &mut a,
+    a.offload(
         xmnmc::pack_xmr(l.a, 1, m(0), p.w as u16, (3 * p.h) as u16),
+        xmr,
     );
-    a.raw(xmnmc::xmr_instr(p.sew, A0, A1, A2));
-    emit_packed(
-        &mut a,
+    a.offload(
         xmnmc::pack_xmr(l.f, 1, m(1), p.k as u16, (3 * p.k) as u16),
+        xmr,
     );
-    a.raw(xmnmc::xmr_instr(p.sew, A0, A1, A2));
 
     let slices = split_rows(p.conv_h_even(), instances);
     let mut y0 = 0usize;
@@ -50,28 +42,20 @@ pub fn conv_layer(p: &ConvLayerParams, l: &Layout, instances: usize) -> Asm {
     for (i, rows) in slices.iter().enumerate() {
         let dest = l.r + (y0 as u32 / 2) * p.pooled_w() as u32 * esz;
         let md = m(2 + i as u8);
-        emit_packed(
-            &mut a,
+        a.offload(
             xmnmc::pack_xmr(dest, 1, md, p.pooled_w() as u16, (rows / 2) as u16),
+            xmr,
         );
-        a.raw(xmnmc::xmr_instr(p.sew, A0, A1, A2));
         // xmk4 md, m0, m1 with the row-slice extension in alpha/beta.
         let (alpha, beta) = if instances == 1 {
             (0, 0)
         } else {
             (y0 as i16, *rows as i16)
         };
-        emit_packed(
-            &mut a,
+        a.offload(
             xmnmc::pack_kernel(alpha, beta, md, m(0), m(1), m(0)),
+            |r1, r2, r3| xmnmc::xmk_instr(kernel_id::CONV_LAYER_3CH, p.sew, r1, r2, r3),
         );
-        a.raw(xmnmc::xmk_instr(
-            kernel_id::CONV_LAYER_3CH,
-            p.sew,
-            A0,
-            A1,
-            A2,
-        ));
         sync_addrs.push(dest);
         y0 += rows;
     }
@@ -79,7 +63,7 @@ pub fn conv_layer(p: &ConvLayerParams, l: &Layout, instances: usize) -> Asm {
     // Synchronise: read the first element of each destination slice.
     for addr in sync_addrs {
         a.li(T0, addr as i32);
-        a.load(load_op(p.sew), T1, T0, 0);
+        a.load(LoadOp::signed(p.sew), T1, T0, 0);
     }
     a.ebreak();
     a

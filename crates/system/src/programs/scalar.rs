@@ -6,14 +6,6 @@ use arcane_isa::reg::*;
 use arcane_isa::rv32::{LoadOp, StoreOp};
 use arcane_sim::Sew;
 
-pub(crate) fn load_op(sew: Sew) -> LoadOp {
-    match sew {
-        Sew::Byte => LoadOp::Lb,
-        Sew::Half => LoadOp::Lh,
-        Sew::Word => LoadOp::Lw,
-    }
-}
-
 pub(crate) fn store_op(sew: Sew) -> StoreOp {
     match sew {
         Sew::Byte => StoreOp::Sb,
@@ -39,7 +31,7 @@ pub fn conv_layer(p: &ConvLayerParams, l: &Layout) -> Asm {
     let mut a = Asm::new();
     let esz = p.sew.bytes() as i32;
     let sh = shift_of(p.sew);
-    let ld = load_op(p.sew);
+    let ld = LoadOp::signed(p.sew);
     let st = store_op(p.sew);
 
     // ---- pass 1: convolution + ReLU -> temp ---------------------------
@@ -112,7 +104,7 @@ pub fn conv_layer(p: &ConvLayerParams, l: &Layout) -> Asm {
 /// otherwise plain branches (CV32E40X).
 pub(crate) fn emit_pool_pass(a: &mut Asm, p: &ConvLayerParams, l: &Layout, use_cv_max: bool) {
     let esz = p.sew.bytes() as i32;
-    let ld = load_op(p.sew);
+    let ld = LoadOp::signed(p.sew);
     let st = store_op(p.sew);
     let (ph, pw) = (p.pooled_h(), p.pooled_w());
     if ph == 0 || pw == 0 {

@@ -1,4 +1,4 @@
-//! Smoke tests that exercise the main path of each of the six
+//! Smoke tests that exercise the main path of each of the seven
 //! `examples/` programs at small problem sizes, so the examples cannot
 //! silently rot: every API call they demonstrate is replayed here
 //! (same call sequence, smaller shapes) and checked for the same
