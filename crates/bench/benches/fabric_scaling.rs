@@ -5,8 +5,8 @@
 //! Under the legacy `whole-phase` arbiter every DMA transaction books
 //! one contiguous window and every vector instruction costs exclusive
 //! eCPU cycles, so multi-instance scaling flattens at 2 VPUs (the
-//! plateau ROADMAP calls out). The burst arbiters decompose the same
-//! traffic into line-sized bursts that interleave across ports and
+//! plateau ROADMAP calls out). The burst arbiters let the same traffic
+//! fill the idle slices other ports leave, interleaving across ports, and
 //! stream dispatch descriptors to per-VPU sequencers — the 4-VPU
 //! configuration then beats the 2-VPU one, which is the paper's own
 //! multi-instance claim (120× multi vs 84× single).
@@ -22,8 +22,8 @@
 //!    separates from round-robin-burst.
 
 use arcane_core::{ArcaneConfig, SchedulerKind};
-use arcane_fabric::{ArbiterKind, HostTraffic};
-use arcane_nn::{suite, CompileOptions};
+use arcane_fabric::ArbiterKind;
+use arcane_nn::{suite, CompileOptions, HostTraffic};
 use arcane_sim::Sew;
 use arcane_system::driver::{run_arcane_conv_with, run_scalar_conv};
 use arcane_system::{format_channel_table, ConvLayerParams};

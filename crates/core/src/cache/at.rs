@@ -36,8 +36,6 @@ pub(crate) struct AtEntry {
     /// Absolute cycle at which the protection lapses
     /// (allocation end for sources, writeback end for destinations).
     pub protect_until: u64,
-    /// Physical matrix id the region belongs to (after renaming).
-    pub matrix: u32,
 }
 
 impl AtEntry {
@@ -130,7 +128,6 @@ mod tests {
             end,
             kind,
             protect_until: until,
-            matrix: 0,
         }
     }
 

@@ -470,7 +470,6 @@ impl ArcaneLlc {
                 end: view.end_addr(),
                 kind,
                 protect_until,
-                matrix: view.phys_id,
             };
             if self.at.register(entry, hazard_clock).is_err() {
                 return Err(KernelError::ShapeMismatch {

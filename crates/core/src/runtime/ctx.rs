@@ -93,8 +93,8 @@ impl<'a> KernelCtx<'a> {
     /// software issue ([`crate::config::CrtTiming::vinstr_issue`] exclusive
     /// cycles per instruction); under the burst arbiters the
     /// instructions travel as dispatch descriptors over the shared
-    /// fabric to the VPU's own sequencer, contending with DMA bursts at
-    /// burst granularity.
+    /// fabric to the VPU's own sequencer, weaving into the idle slices
+    /// DMA traffic leaves.
     /// Under the descriptor launch pipeline the per-VPU decoder replays
     /// the predecoded micro-program itself: the same per-instruction
     /// cost, but on this kernel's private cursor rather than the shared
@@ -575,7 +575,6 @@ mod tests {
             cols: 8,
             stride: 2, // pitch 16 elements
             sew: Sew::Word,
-            phys_id: 0,
         };
         c.load_rows(&mat, 1, 2, 5).unwrap();
         assert!(c.phases.allocation > 0);
@@ -601,7 +600,6 @@ mod tests {
             cols: 300, // 1200 bytes > 1024
             stride: 1,
             sew: Sew::Word,
-            phys_id: 0,
         };
         assert!(matches!(
             c.load_rows(&mat, 0, 1, 0),
@@ -623,7 +621,6 @@ mod tests {
             cols: 4,
             stride: 1,
             sew: Sew::Byte,
-            phys_id: 0,
         };
         c.load_rows(&mat, 0, 1, 0).unwrap();
         // The allocator must see the host's 0xAB, not stale memory.
@@ -679,7 +676,6 @@ mod tests {
             cols: 31,
             stride: 1,
             sew: Sew::Byte,
-            phys_id: 0,
         };
         let dst = 0x2000_4000;
         let cost = |service: &dyn Fn(&mut KernelCtx<'_>)| {
@@ -753,7 +749,6 @@ mod tests {
             cols: 4,
             stride: 1,
             sew: Sew::Word,
-            phys_id: 0,
         };
         c.load_rows(&mat, 0, 1, 0).unwrap();
         assert!(c.now() > 5_000, "transfer must wait for the DMA channel");

@@ -5,13 +5,13 @@
 //! *without* loading any data — allocation is deferred until a kernel
 //! needs the operand. Rebinding a register that an earlier, still-queued
 //! kernel uses would be a WAW hazard on the register file; the decoder
-//! resolves it by **renaming**: every binding receives a fresh physical
-//! id, and kernels capture the physical binding at decode time.
+//! resolves it by **renaming**: kernels capture the binding by value at
+//! decode time, so a later rebind never reaches them.
 
 use arcane_isa::xmnmc::{MatReg, NUM_MAT_REGS};
 use arcane_sim::Sew;
 
-/// A resolved matrix operand: the physical binding a kernel works on.
+/// A resolved matrix operand: the binding a kernel works on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MatView {
     /// Base address in system memory.
@@ -25,8 +25,6 @@ pub struct MatView {
     pub stride: usize,
     /// Element width.
     pub sew: Sew,
-    /// Physical id assigned at binding time (renaming tag).
-    pub phys_id: u32,
 }
 
 impl MatView {
@@ -61,23 +59,12 @@ impl MatView {
 }
 
 /// The statically allocated matrix map of the C-RT: one slot per
-/// logical matrix register plus a monotonically increasing physical id
-/// counter implementing renaming.
-#[derive(Debug, Clone)]
+/// logical matrix register, and the count of rebinds renaming
+/// resolved.
+#[derive(Debug, Clone, Default)]
 pub(crate) struct MatrixMap {
     slots: [Option<MatView>; NUM_MAT_REGS as usize],
-    next_phys: u32,
     renames: u64,
-}
-
-impl Default for MatrixMap {
-    fn default() -> Self {
-        MatrixMap {
-            slots: [None; NUM_MAT_REGS as usize],
-            next_phys: 0,
-            renames: 0,
-        }
-    }
 }
 
 impl MatrixMap {
@@ -86,10 +73,10 @@ impl MatrixMap {
         MatrixMap::default()
     }
 
-    /// Binds `reg` to a new physical matrix; returns the view.
+    /// Binds `reg` to a region; returns the view.
     ///
     /// A rebind of a live register is counted as a rename (the old
-    /// physical binding stays captured by any kernel that resolved it
+    /// binding stays captured by any kernel that resolved it
     /// earlier, so no hazard materialises).
     pub fn bind(
         &mut self,
@@ -110,14 +97,12 @@ impl MatrixMap {
             cols,
             stride,
             sew,
-            phys_id: self.next_phys,
         };
-        self.next_phys += 1;
         self.slots[idx] = Some(view);
         view
     }
 
-    /// Resolves a logical register to its current physical binding.
+    /// Resolves a logical register to its current binding.
     pub fn resolve(&self, reg: MatReg) -> Option<MatView> {
         self.slots[reg.index() as usize]
     }
@@ -144,7 +129,6 @@ mod tests {
             cols: 8,
             stride: 1,
             sew: Sew::Half,
-            phys_id: 0,
         };
         assert_eq!(v.pitch_bytes(), 16);
         assert_eq!(v.row_addr(2), 0x1020);
@@ -160,7 +144,6 @@ mod tests {
             cols: 4,
             stride: 2,
             sew: Sew::Word,
-            phys_id: 0,
         };
         assert_eq!(v.pitch_bytes(), 32);
         assert_eq!(v.row_bytes(), 16);
@@ -171,8 +154,7 @@ mod tests {
     fn rebinding_renames() {
         let mut map = MatrixMap::new();
         let a = map.bind(m(0), 0x1000, 2, 2, 1, Sew::Word);
-        let b = map.bind(m(0), 0x2000, 4, 4, 1, Sew::Word);
-        assert_ne!(a.phys_id, b.phys_id, "renaming allocates a fresh id");
+        map.bind(m(0), 0x2000, 4, 4, 1, Sew::Word);
         assert_eq!(map.renames(), 1);
         assert_eq!(map.resolve(m(0)).unwrap().addr, 0x2000);
         // The first binding is still usable by whoever captured it.

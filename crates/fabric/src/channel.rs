@@ -295,52 +295,49 @@ impl ResourceChannel {
 
     /// Books `total` cycles of *work-conserving* shared-resource time
     /// starting no earlier than `earliest`: every idle slice is taken
-    /// as found, in bursts of at most `burst` cycles, so concurrent
-    /// transactions interleave at burst granularity instead of pushing
-    /// each other's whole phases to the horizon. This is the eager-
-    /// simulation equivalent of a round-robin bus arbiter: a stream
-    /// booked later weaves into every gap the earlier streams left.
+    /// as found, so concurrent transactions interleave instead of
+    /// pushing each other's whole phases to the horizon. This is the
+    /// eager-simulation equivalent of a round-robin bus arbiter: a
+    /// stream booked later weaves into every gap the earlier streams
+    /// left. Slices that touch coalesce, so no burst size would change
+    /// where any cycle lands.
     ///
-    /// One walk fills each gap it meets with as much as fits, counting
-    /// the bursts that slice splits into, and appends the rest at the
-    /// horizon.
+    /// One walk fills each gap it meets with as much as fits and
+    /// appends the rest at the horizon.
     ///
-    /// Returns `(first_start, last_end, bursts_granted)`.
-    pub fn reserve_packed(&mut self, earliest: u64, total: u64, burst: u64) -> (u64, u64, u64) {
-        assert!(burst > 0, "burst must be positive");
+    /// Returns `(first_start, last_end)`.
+    pub fn reserve_packed(&mut self, earliest: u64, total: u64) -> (u64, u64) {
         if total == 0 {
-            return (earliest, earliest, 0);
+            return (earliest, earliest);
         }
         let i = self.first_ending_after(earliest);
-        self.pack(i, earliest, total, burst)
+        self.pack(i, earliest, total)
     }
 
     /// Books a train of `n` packed bookings of `total` cycles each:
     /// exactly what `n` rounds of `cursor += pre`,
-    /// `(_, end, _) = reserve_packed(cursor, total, burst)`,
-    /// `cursor = end + post` book, starting from `cursor = earliest`.
+    /// `(_, end) = reserve_packed(cursor, total)`, `cursor = end + post`
+    /// book, starting from `cursor = earliest`.
     ///
     /// Each booking's walk starts from the window the previous one
     /// landed in and steps forward to its own cursor instead of
     /// searching the calendar again.
     ///
-    /// Returns `(cursor, bursts, wait)`: the final cursor, the bursts
-    /// granted in all, and the cycles the bookings waited beyond their
-    /// service time (`end − cursor − total`, summed).
+    /// Returns `(cursor, wait)`: the final cursor and the cycles the
+    /// bookings waited beyond their service time (`end − cursor −
+    /// total`, summed).
     pub fn reserve_packed_train(
         &mut self,
         earliest: u64,
         n: u64,
         pre: u64,
         total: u64,
-        burst: u64,
         post: u64,
-    ) -> (u64, u64, u64) {
-        assert!(burst > 0, "burst must be positive");
+    ) -> (u64, u64) {
         if total == 0 {
-            return (earliest + n * (pre + post), 0, 0);
+            return (earliest + n * (pre + post), 0);
         }
-        let (mut cursor, mut bursts, mut wait) = (earliest, 0, 0);
+        let (mut cursor, mut wait) = (earliest, 0);
         let mut i = self.first_ending_after(cursor);
         for _ in 0..n {
             cursor += pre;
@@ -348,38 +345,35 @@ impl ResourceChannel {
                 i += 1;
             }
             debug_assert_eq!(i, self.first_ending_after(cursor));
-            let (_, end, b) = self.pack(i, cursor, total, burst);
-            bursts += b;
+            let (_, end) = self.pack(i, cursor, total);
             wait += end - cursor - total;
             cursor = end + post;
             i = self.hint;
         }
-        (cursor, bursts, wait)
+        (cursor, wait)
     }
 
     /// The walk of every packed booking: books `total` cycles from `t`,
     /// starting at window `i`, the first window ending after `t`. Fills
-    /// each gap it meets with as much as fits, counting the bursts that
-    /// slice splits into, and appends the rest at the horizon. Leaves
-    /// the hint on the window holding the last booked cycle.
+    /// each gap it meets with as much as fits and appends the rest at
+    /// the horizon. Leaves the hint on the window holding the last
+    /// booked cycle.
     ///
-    /// Returns `(first_start, last_end, bursts_granted)`.
+    /// Returns `(first_start, last_end)`.
     #[inline]
-    fn pack(&mut self, mut i: usize, mut t: u64, total: u64, burst: u64) -> (u64, u64, u64) {
+    fn pack(&mut self, mut i: usize, mut t: u64, total: u64) -> (u64, u64) {
         let mut remaining = total;
         let mut first = None;
-        let mut bursts = 0;
         while i < self.len() {
             let (s, e) = self.get(i);
             if s > t {
                 let take = remaining.min(s - t);
                 first.get_or_insert(t);
-                bursts += bursts_in(take, burst);
                 remaining -= take;
                 i = self.splice(i, (t, t + take));
                 t += take;
                 if remaining == 0 {
-                    return (first.unwrap_or(t), t, bursts);
+                    return (first.unwrap_or(t), t);
                 }
                 continue; // the gap is filled: window `i` now starts at or before `t`
             }
@@ -387,8 +381,7 @@ impl ResourceChannel {
             i += 1;
         }
         self.append(t, t + remaining);
-        bursts += bursts_in(remaining, burst);
-        (first.unwrap_or(t), t + remaining, bursts)
+        (first.unwrap_or(t), t + remaining)
     }
 
     /// Latest booked end time (0 when idle forever). Ends increase
@@ -419,17 +412,6 @@ impl ResourceChannel {
     pub fn busy_cycles(&self) -> u64 {
         let (front, back) = self.halves();
         front.iter().chain(back).map(|&(s, e)| e - s).sum()
-    }
-}
-
-/// Bursts of at most `burst` cycles a slice of `take > 0` cycles
-/// splits into (no division when it fits in one).
-#[inline]
-fn bursts_in(take: u64, burst: u64) -> u64 {
-    if take <= burst {
-        1
-    } else {
-        take.div_ceil(burst)
     }
 }
 
@@ -543,21 +525,18 @@ mod tests {
         for k in 0..10u64 {
             c.reserve(12 * k, 6);
         }
-        let (first, end, bursts) = c.reserve_packed(0, 30, 16);
+        let (first, end) = c.reserve_packed(0, 30);
         assert_eq!(first, 6, "first grant lands in the first gap");
         assert_eq!(end, 60, "five 6-cycle gaps absorb 30 cycles");
-        assert_eq!(bursts, 5);
         // The comb is now solid up to 60.
         assert_eq!(c.windows()[0], (0, 66));
     }
 
     #[test]
-    fn packed_respects_burst_cap() {
+    fn packed_grants_an_idle_channel_densely() {
         let mut c = ResourceChannel::new();
-        let (first, end, bursts) = c.reserve_packed(100, 40, 16);
-        assert_eq!((first, end), (100, 140), "idle channel grants densely");
-        assert_eq!(bursts, 3, "16 + 16 + 8");
-        assert_eq!(c.len(), 1, "adjacent bursts coalesce");
+        assert_eq!(c.reserve_packed(100, 40), (100, 140));
+        assert_eq!(c.len(), 1);
     }
 
     #[test]
@@ -566,7 +545,7 @@ mod tests {
         c.reserve(0, 5);
         c.reserve(8, 5);
         let before = c.busy_cycles();
-        let (_, _, _) = c.reserve_packed(0, 20, 4);
+        c.reserve_packed(0, 20);
         assert_eq!(c.busy_cycles(), before + 20);
     }
 

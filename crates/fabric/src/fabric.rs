@@ -10,16 +10,17 @@
 //!   shared channel (cycle-identical to the pre-fabric calendar
 //!   booking), host refills ride a dedicated slave path that never
 //!   contends, and vector issue stays on the exclusive eCPU calendar.
-//! * [`ArbiterKind::RoundRobinBurst`] — every transaction is decomposed
-//!   into line-sized bursts that weave into whatever gaps concurrent
-//!   transactions left (work-conserving round-robin arbitration), and
-//!   vector instructions reach the VPUs as small dispatch descriptors
-//!   over the same fabric (autonomous per-VPU sequencers instead of
-//!   per-instruction eCPU software issue).
+//! * [`ArbiterKind::RoundRobinBurst`] — every transaction fills
+//!   whatever idle slices concurrent transactions left, earliest first
+//!   (work-conserving round-robin arbitration; no burst size enters a
+//!   grant, since slices that touch merge), and vector instructions
+//!   reach the VPUs as small dispatch descriptors over the same fabric
+//!   (autonomous per-VPU sequencers instead of per-instruction eCPU
+//!   software issue).
 //! * [`ArbiterKind::PriorityHost`] — like round-robin-burst for kernel
 //!   traffic, but host transactions are granted contiguously at the
 //!   earliest gap, minimising host miss latency at the cost of kernel
-//!   burst stalls.
+//!   stalls.
 
 use crate::channel::ResourceChannel;
 use std::fmt;
@@ -27,8 +28,8 @@ use std::fmt;
 /// Index of the host slave port (VPU controller `v` is port `v + 1`).
 pub const HOST_PORT: usize = 0;
 
-/// Burst granularity in bytes: one cache line, the unit a burst
-/// arbiter grants before re-arbitrating (and the bank interleave).
+/// The bank interleave in bytes: one cache line. Consecutive lines of
+/// external memory map to consecutive banks; this is all it decides.
 const BURST_BYTES: u64 = 1024;
 
 /// Size of one vector-instruction dispatch descriptor in bytes (opcode
@@ -60,11 +61,6 @@ impl FabricConfig {
         }
     }
 
-    /// Cycles one full (1 KiB) burst occupies a bank.
-    pub fn burst_cycles(&self) -> u64 {
-        self.payload_cycles(BURST_BYTES)
-    }
-
     /// Cycles a payload of `bytes` occupies a bank at the configured
     /// bus width (minimum one cycle; a zero width counts as one byte
     /// per cycle). This is the exact fuel a launch-descriptor batch
@@ -86,16 +82,14 @@ impl Default for FabricConfig {
     }
 }
 
-/// One granted transaction: the absolute-cycle span it occupies and
-/// the number of bursts it was decomposed into.
+/// One granted transaction: the absolute-cycle span it occupies. A
+/// split grant's span is longer than its service time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Grant {
-    /// First cycle of the first burst.
+    /// First granted cycle.
     pub start: u64,
-    /// Last cycle (exclusive) of the last burst.
+    /// Last granted cycle (exclusive).
     pub end: u64,
-    /// Bursts the transaction was granted as (1 = contiguous).
-    pub bursts: u64,
 }
 
 /// The fabric's grant discipline: how one transaction's cycles are
@@ -109,14 +103,13 @@ pub enum ArbiterKind {
     /// pre-fabric `ResourceChannel` model.
     #[default]
     WholePhase,
-    /// Work-conserving round-robin: every transaction is decomposed
-    /// into bursts that fill the earliest idle slices, so concurrent
-    /// streams interleave at burst granularity. Host and kernel
-    /// traffic share the banks symmetrically.
+    /// Work-conserving round-robin: every transaction fills the
+    /// earliest idle slices, so concurrent streams interleave. Host
+    /// and kernel traffic share the banks symmetrically.
     RoundRobinBurst,
-    /// Round-robin bursts for kernel traffic, contiguous earliest-gap
+    /// Round-robin slices for kernel traffic, contiguous earliest-gap
     /// grants for the host: the host's miss refills are never split,
-    /// so host latency is minimised while kernel bursts weave around
+    /// so host latency is minimised while kernel traffic weaves around
     /// them.
     PriorityHost,
 }
@@ -139,8 +132,7 @@ impl ArbiterKind {
     }
 
     /// Books one transaction of `duration` cycles on `chan`, no earlier
-    /// than `earliest`, in bursts of at most `burst` cycles where the
-    /// discipline splits. `host` marks a host-port transaction (miss
+    /// than `earliest`. `host` marks a host-port transaction (miss
     /// refill or writeback line); every other transaction is kernel
     /// traffic (DMA, dispatch or descriptor trains).
     ///
@@ -153,33 +145,23 @@ impl ArbiterKind {
         host: bool,
         earliest: u64,
         duration: u64,
-        burst: u64,
     ) -> Grant {
-        match (self, host) {
+        let (start, end) = match (self, host) {
             // Dedicated host slave path: fixed service latency, no
             // contention with kernel traffic (the legacy model).
-            (ArbiterKind::WholePhase, true) => Grant {
-                start: earliest,
-                end: earliest + duration,
-                bursts: 1,
-            },
+            (ArbiterKind::WholePhase, true) => (earliest, earliest + duration),
             (ArbiterKind::WholePhase, false) | (ArbiterKind::PriorityHost, true) => {
-                let (start, end) = chan.reserve(earliest, duration);
-                Grant {
-                    start,
-                    end,
-                    bursts: 1,
-                }
+                chan.reserve(earliest, duration)
             }
             (ArbiterKind::RoundRobinBurst, _) | (ArbiterKind::PriorityHost, false) => {
-                let (start, end, bursts) = chan.reserve_packed(earliest, duration, burst);
-                Grant { start, end, bursts }
+                chan.reserve_packed(earliest, duration)
             }
-        }
+        };
+        Grant { start, end }
     }
 
     /// `true` when vector-instruction dispatch rides the fabric as
-    /// descriptor bursts (autonomous per-VPU sequencers); `false` when
+    /// dispatch descriptors (autonomous per-VPU sequencers); `false` when
     /// it stays on the exclusive eCPU calendar (software issue).
     pub(crate) fn issue_on_fabric(self) -> bool {
         self != ArbiterKind::WholePhase
@@ -197,8 +179,6 @@ impl fmt::Display for ArbiterKind {
 pub struct PortStats {
     /// Transactions issued through this port.
     pub requests: u64,
-    /// Bursts the transactions were granted as.
-    pub bursts: u64,
     /// Service cycles of the port's transactions. Under the burst
     /// arbiters every one of these cycles occupies a bank calendar;
     /// under [`ArbiterKind::WholePhase`] the host port's transactions ride the
@@ -218,8 +198,6 @@ pub struct Fabric {
     cfg: FabricConfig,
     banks: Vec<ResourceChannel>,
     ports: Vec<PortStats>,
-    /// [`FabricConfig::burst_cycles`], computed once.
-    burst_cycles: u64,
     /// [`FabricConfig::issue_cycles`], computed once.
     issue_cycles: u64,
 }
@@ -236,7 +214,6 @@ impl Fabric {
         Fabric {
             banks: vec![ResourceChannel::new(); cfg.banks],
             ports: vec![PortStats::default(); 1 + n_vpus],
-            burst_cycles: cfg.burst_cycles(),
             issue_cycles: cfg.issue_cycles(),
             cfg,
         }
@@ -290,16 +267,12 @@ impl Fabric {
         earliest: u64,
         duration: u64,
     ) -> Grant {
-        let grant = self.cfg.arbiter.grant(
-            &mut self.banks[bank],
-            host,
-            earliest,
-            duration,
-            self.burst_cycles,
-        );
+        let grant = self
+            .cfg
+            .arbiter
+            .grant(&mut self.banks[bank], host, earliest, duration);
         let p = &mut self.ports[port];
         p.requests += 1;
-        p.bursts += grant.bursts;
         p.busy_cycles += duration;
         p.wait_cycles += (grant.end - earliest).saturating_sub(duration);
         grant
@@ -343,17 +316,10 @@ impl Fabric {
     /// As [`Fabric::issue`].
     pub fn issue_train(&mut self, port: usize, earliest: u64, n: u64, pre: u64, post: u64) -> u64 {
         let bank = self.issue_bank(port);
-        let (cursor, bursts, wait) = self.banks[bank].reserve_packed_train(
-            earliest,
-            n,
-            pre,
-            self.issue_cycles,
-            self.burst_cycles,
-            post,
-        );
+        let (cursor, wait) =
+            self.banks[bank].reserve_packed_train(earliest, n, pre, self.issue_cycles, post);
         let p = &mut self.ports[port];
         p.requests += n;
-        p.bursts += bursts;
         p.busy_cycles += n * self.issue_cycles;
         p.wait_cycles += wait;
         cursor
@@ -377,8 +343,8 @@ impl Fabric {
     /// Batches are control traffic on the *shared* path under every
     /// arbiter: whole-phase grants them as one contiguous window (they
     /// contend with kernel DMA, unlike the host's dedicated slave
-    /// path), while the burst arbiters weave them burst-by-burst into
-    /// whatever gaps concurrent DMA trains left — which is what keeps
+    /// path), while the burst arbiters weave them into whatever gaps
+    /// concurrent DMA trains left — which is what keeps
     /// batch fetches off the critical path of in-flight allocations.
     pub fn issue_batch(&mut self, port: usize, addr: u32, earliest: u64, bytes: u64) -> Grant {
         let duration = self.cfg.payload_cycles(bytes);
@@ -423,7 +389,6 @@ mod tests {
         let c = FabricConfig::default();
         assert_eq!(c.arbiter, ArbiterKind::WholePhase);
         assert_eq!(c.banks, 1);
-        assert_eq!(c.burst_cycles(), 256);
         assert_eq!(c.issue_cycles(), 2);
     }
 
@@ -435,7 +400,6 @@ mod tests {
             let g = f.request(port, 0x2000_0000, t, d);
             let (s, e) = direct.reserve(t, d);
             assert_eq!((g.start, g.end), (s, e));
-            assert_eq!(g.bursts, 1);
         }
     }
 
@@ -463,7 +427,7 @@ mod tests {
         f.request(1, 0x2000_0000, 500, 100); // gap [100, 500)
         let g = f.request(2, 0x2000_0000, 0, 600);
         assert_eq!(g.start, 100, "burst grant fills the gap");
-        assert!(g.bursts >= 2);
+        assert!(g.end - g.start > 600, "split around the booked slice");
     }
 
     #[test]
@@ -476,10 +440,8 @@ mod tests {
         // A host line that fits a gap lands in the earliest one; one
         // that does not is never split — it goes past the comb whole.
         let small = f.request(HOST_PORT, 0x2000_0000, 0, 15);
-        assert_eq!(small.bursts, 1, "host transaction is never split");
         assert_eq!((small.start, small.end), (20, 35), "earliest whole gap");
         let big = f.request(HOST_PORT, 0x2000_0000, 0, 30);
-        assert_eq!(big.bursts, 1, "host transaction is never split");
         assert_eq!((big.start, big.end), (780, 810), "no 30-cycle gap fits");
     }
 
@@ -509,8 +471,7 @@ mod tests {
         // A 64-byte batch = 16 payload cycles on the 4 B/cyc bus,
         // granted contiguously after the booked DMA phase.
         let g = f.issue_batch(HOST_PORT, 0x2000_0000, 0, 64);
-        assert_eq!((g.start, g.end), (1000, 1016));
-        assert_eq!(g.bursts, 1, "whole-phase grants batches contiguously");
+        assert_eq!((g.start, g.end), (1000, 1016), "one contiguous grant");
     }
 
     #[test]
@@ -520,7 +481,7 @@ mod tests {
         f.request(1, 0x2000_0000, 20, 10); // gap [10, 20)
         let g = f.issue_batch(HOST_PORT, 0x2000_0000, 0, 64);
         assert_eq!(g.start, 10, "batch fills the DMA gap");
-        assert!(g.bursts >= 2);
+        assert!(g.end - g.start > 16, "split around the booked slice");
     }
 
     #[test]

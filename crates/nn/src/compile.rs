@@ -6,7 +6,9 @@
 //! becomes a run of kernel launches, each naming the dense operand
 //! regions it reads and writes. Both launch backends
 //! ([`CompileOptions::launch`]) emit from that one launch list, and
-//! they share the host-traffic window, the traffic-burst rule and the
+//! they share the host-traffic window cursor (one word store per cache
+//! line, each a line past the previous one, wrapping to the window's
+//! start after every burst), the traffic-burst rule and the
 //! output-sync epilogue:
 //!
 //! * **Legacy** (default) — the host-program idiom of the paper's
@@ -15,11 +17,10 @@
 //!   issues the `xmr` reservations for the operands the kernel touches,
 //!   then issues the `xmkN` itself. A fixed trio of logical matrix
 //!   registers (`m0` = destination, `m1`/`m2` = sources) is rebound
-//!   before every kernel — the C-RT's renaming gives each binding a
-//!   fresh physical identity, so chained kernels keep their captured
-//!   operands while the host moves on (§IV-B1). An operand shared by
-//!   every slice of a node (GeMM's weights) is bound once, before the
-//!   slices.
+//!   before every kernel — the C-RT's renaming captures each binding
+//!   by value at decode, so chained kernels keep their operands while
+//!   the host moves on (§IV-B1). An operand shared by every slice of a
+//!   node (GeMM's weights) is bound once, before the slices.
 //! * **Descriptor** — the batched launch pipeline (ARCHITECTURE.md
 //!   "Launch pipeline"): a linear-scan tensor-register allocator keeps
 //!   hot operand regions bound across the whole kernel chain over all
@@ -40,7 +41,6 @@
 use crate::graph::{LayerGraph, Node, TensorId};
 use crate::plan::{GraphLayout, Placement};
 use arcane_core::align_line;
-use arcane_fabric::{HostTraffic, HostTrafficGen};
 use arcane_isa::asm::Asm;
 use arcane_isa::launch::{
     xmb_instr, DescriptorBatch, LaunchDescriptor, LaunchMode, OperandBinding,
@@ -49,6 +49,7 @@ use arcane_isa::reg::{T0, T1};
 use arcane_isa::rv32::LoadOp;
 use arcane_isa::xmnmc::{self, kernel_id, MatReg, NUM_MAT_REGS};
 use arcane_sim::Sew;
+use arcane_system::programs::split_rows;
 use arcane_system::IMEM_SIZE;
 use std::collections::HashMap;
 use std::error::Error;
@@ -103,6 +104,31 @@ impl fmt::Display for CompileError {
 }
 
 impl Error for CompileError {}
+
+/// Host-traffic knob for compiled graph programs: every `period`
+/// kernels, the host dirties `bytes` of external memory (one word
+/// store per cache line touched). Scheduler and arbiter policies only
+/// diverge under this mixed host/kernel load: a kernel chain alone
+/// never dirties a line from the host side.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HostTraffic {
+    /// Kernels between traffic bursts (≥ 1).
+    pub period: usize,
+    /// Span of external memory each burst dirties, in bytes.
+    pub bytes: u32,
+}
+
+impl HostTraffic {
+    /// A burst of `bytes` dirtied after every `period` kernels.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `period` is zero.
+    pub fn new(period: usize, bytes: u32) -> Self {
+        assert!(period > 0, "traffic period must be at least one kernel");
+        HostTraffic { period, bytes }
+    }
+}
 
 /// Compiler knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -190,22 +216,6 @@ pub struct NnProgram {
     /// Encoded descriptor tables to seed before running (empty on the
     /// legacy path).
     pub tables: Vec<DescriptorTable>,
-}
-
-/// Splits `total` rows into `n` (clamped to `total`) contiguous chunks,
-/// returned as `(first_row, n_rows)`, sizes differing by at most one.
-pub fn split_rows(total: usize, n: usize) -> Vec<(usize, usize)> {
-    let n = n.clamp(1, total);
-    let base = total / n;
-    let extra = total % n;
-    let mut out = Vec::with_capacity(n);
-    let mut y = 0;
-    for i in 0..n {
-        let len = base + usize::from(i < extra);
-        out.push((y, len));
-        y += len;
-    }
-    out
 }
 
 fn check_dims(rows: usize, cols: usize) -> Result<(), CompileError> {
@@ -452,7 +462,9 @@ struct Program {
     asm: Asm,
     kernels: usize,
     reservations: usize,
-    traffic: Option<(HostTraffic, HostTrafficGen)>,
+    traffic: Option<HostTraffic>,
+    /// First byte of the host-traffic scratch window.
+    scratch: u32,
     host_stores: usize,
     mem_end: u32,
 }
@@ -464,14 +476,16 @@ impl Program {
     /// any operand or descriptor table.
     fn new(end: u32, knob: Option<HostTraffic>) -> Self {
         let scratch = align_line(end);
-        let span = |k: HostTraffic| k.bytes.next_multiple_of(LINE_BYTES).max(LINE_BYTES);
         Program {
             asm: Asm::new(),
             kernels: 0,
             reservations: 0,
-            traffic: knob.map(|k| (k, HostTrafficGen::new(scratch, span(k), LINE_BYTES))),
+            traffic: knob,
+            scratch,
             host_stores: 0,
-            mem_end: knob.map_or(end, |k| scratch + span(k)),
+            mem_end: knob.map_or(end, |k| {
+                scratch + k.bytes.next_multiple_of(LINE_BYTES).max(LINE_BYTES)
+            }),
         }
     }
 
@@ -485,20 +499,23 @@ impl Program {
     }
 
     /// Counts `n` just-launched kernels. After every `period`-th kernel
-    /// the host dirties the scratch window: one word store per cache
-    /// line (the generator walks the window round-robin, so the working
-    /// set is re-dirtied on every burst).
+    /// the host dirties the scratch window: one word store per line,
+    /// `ceil(bytes / LINE_BYTES)` stores, each one line past the
+    /// previous one. The window holds exactly one burst's lines, so the
+    /// cursor wraps to the window's start after every burst, and every
+    /// burst re-dirties the same working set.
     fn launched(&mut self, n: usize) {
         let first = self.kernels;
         self.kernels += n;
-        let Some((knob, traffic_gen)) = self.traffic.as_mut() else {
+        let Some(knob) = self.traffic else {
             return;
         };
         for k in first + 1..=self.kernels {
             if !k.is_multiple_of(knob.period) {
                 continue;
             }
-            for addr in traffic_gen.burst(knob.bytes) {
+            for line in 0..knob.bytes.div_ceil(LINE_BYTES) {
+                let addr = self.scratch + line * LINE_BYTES;
                 self.asm.li(T0, addr as i32);
                 self.asm.li(T1, self.host_stores as i32);
                 self.asm.sw(T1, T0, 0);
@@ -796,20 +813,6 @@ mod tests {
     }
 
     #[test]
-    fn split_rows_covers_total() {
-        for (total, n) in [(10, 4), (3, 4), (16, 1), (7, 7)] {
-            let s = split_rows(total, n);
-            assert_eq!(s.iter().map(|&(_, l)| l).sum::<usize>(), total);
-            assert!(s.iter().all(|&(_, l)| l > 0));
-            let mut y = 0;
-            for &(y0, l) in &s {
-                assert_eq!(y0, y);
-                y += l;
-            }
-        }
-    }
-
-    #[test]
     fn instance_split_multiplies_gemm_kernels() {
         let g = gemm_graph(8, 8);
         let one = compile(&g, 0x2000_0000, &CompileOptions::with_instances(1)).unwrap();
@@ -925,27 +928,30 @@ mod tests {
         assert_eq!(quiet.host_stores, 0);
         assert_eq!(quiet.mem_end, quiet.layout.end);
 
-        let opts = CompileOptions {
-            instances: 1,
-            host_traffic: Some(HostTraffic::new(2, 3 * LINE_BYTES)),
-            ..CompileOptions::default()
-        };
-        let noisy = compile(&g, 0x2000_0000, &opts).unwrap();
-        // 4 kernels → bursts after kernels 2 and 4, 3 stores each.
-        assert_eq!(noisy.kernels, 4);
-        assert_eq!(noisy.host_stores, 6);
-        assert!(noisy.mem_end >= noisy.layout.end + 3 * LINE_BYTES);
-        assert!(noisy.mem_end.is_multiple_of(LINE_BYTES));
+        // A partial line rounds up to a whole store.
+        for bytes in [3 * LINE_BYTES, 2 * LINE_BYTES + 1] {
+            let opts = CompileOptions {
+                instances: 1,
+                host_traffic: Some(HostTraffic::new(2, bytes)),
+                ..CompileOptions::default()
+            };
+            let noisy = compile(&g, 0x2000_0000, &opts).unwrap();
+            // 4 kernels → bursts after kernels 2 and 4, 3 stores each.
+            assert_eq!(noisy.kernels, 4);
+            assert_eq!(noisy.host_stores, 6, "{bytes} B");
+            assert!(noisy.mem_end >= noisy.layout.end + 3 * LINE_BYTES);
+            assert!(noisy.mem_end.is_multiple_of(LINE_BYTES));
 
-        // The descriptor backend injects the same store train, placed
-        // past its table region.
-        let dopts = CompileOptions {
-            launch: LaunchMode::Descriptor,
-            ..opts
-        };
-        let dnoisy = compile(&g, 0x2000_0000, &dopts).unwrap();
-        assert_eq!(dnoisy.host_stores, 6);
-        assert!(dnoisy.tables.iter().all(|t| t.addr >= dnoisy.layout.end));
+            // The descriptor backend injects the same store train,
+            // placed past its table region.
+            let dopts = CompileOptions {
+                launch: LaunchMode::Descriptor,
+                ..opts
+            };
+            let dnoisy = compile(&g, 0x2000_0000, &dopts).unwrap();
+            assert_eq!(dnoisy.host_stores, 6, "{bytes} B");
+            assert!(dnoisy.tables.iter().all(|t| t.addr >= dnoisy.layout.end));
+        }
     }
 
     #[test]

@@ -51,9 +51,9 @@ mod plan;
 mod run;
 pub mod suite;
 
-pub use arcane_fabric::HostTraffic;
 pub use arcane_isa::launch::LaunchMode;
-pub use compile::{compile, split_rows, CompileError, CompileOptions, DescriptorTable, NnProgram};
+pub use arcane_system::programs::split_rows;
+pub use compile::{compile, CompileError, CompileOptions, DescriptorTable, HostTraffic, NnProgram};
 pub use graph::{LayerGraph, Node, Tensor, TensorId, TensorKind};
 pub use plan::{GraphLayout, Placement};
 pub use run::{run_graph_with_engine, GraphRunReport, RunError};

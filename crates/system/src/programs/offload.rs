@@ -6,6 +6,7 @@
 //! first result element — which the Address Table stalls until the
 //! kernel writeback completes.
 
+use super::split_rows;
 use crate::layout::{ConvLayerParams, Layout};
 use arcane_isa::asm::Asm;
 use arcane_isa::reg::{T0, T1};
@@ -19,8 +20,14 @@ use arcane_isa::xmnmc::{self, kernel_id, MatReg};
 ///
 /// # Panics
 ///
-/// Panics if `instances` cannot receive an even, non-zero row share.
+/// Panics if `instances` cannot receive an even, non-zero row share
+/// (each instance takes whole pooled rows, two conv rows each).
 pub fn conv_layer(p: &ConvLayerParams, l: &Layout, instances: usize) -> Asm {
+    assert!(instances >= 1, "at least one instance");
+    assert!(
+        instances <= p.pooled_h(),
+        "not enough row pairs for {instances} instances"
+    );
     let mut a = Asm::new();
     let m = |i: u8| MatReg::new(i).expect("matrix register");
     let esz = p.sew.bytes() as u32;
@@ -36,28 +43,26 @@ pub fn conv_layer(p: &ConvLayerParams, l: &Layout, instances: usize) -> Asm {
         xmr,
     );
 
-    let slices = split_rows(p.conv_h_even(), instances);
-    let mut y0 = 0usize;
     let mut sync_addrs = Vec::new();
-    for (i, rows) in slices.iter().enumerate() {
-        let dest = l.r + (y0 as u32 / 2) * p.pooled_w() as u32 * esz;
+    for (i, (py0, prows)) in split_rows(p.pooled_h(), instances).into_iter().enumerate() {
+        let dest = l.r + (py0 * p.pooled_w()) as u32 * esz;
         let md = m(2 + i as u8);
         a.offload(
-            xmnmc::pack_xmr(dest, 1, md, p.pooled_w() as u16, (rows / 2) as u16),
+            xmnmc::pack_xmr(dest, 1, md, p.pooled_w() as u16, prows as u16),
             xmr,
         );
-        // xmk4 md, m0, m1 with the row-slice extension in alpha/beta.
+        // xmk4 md, m0, m1 with the row-slice extension in alpha/beta
+        // (in conv rows, two per pooled row).
         let (alpha, beta) = if instances == 1 {
             (0, 0)
         } else {
-            (y0 as i16, *rows as i16)
+            ((2 * py0) as i16, (2 * prows) as i16)
         };
         a.offload(
             xmnmc::pack_kernel(alpha, beta, md, m(0), m(1), m(0)),
             |r1, r2, r3| xmnmc::xmk_instr(kernel_id::CONV_LAYER_3CH, p.sew, r1, r2, r3),
         );
         sync_addrs.push(dest);
-        y0 += rows;
     }
 
     // Synchronise: read the first element of each destination slice.
@@ -69,36 +74,25 @@ pub fn conv_layer(p: &ConvLayerParams, l: &Layout, instances: usize) -> Asm {
     a
 }
 
-/// Splits `total` conv rows into `n` even-sized, even-aligned chunks.
-///
-/// # Panics
-///
-/// Panics when a chunk would be empty or odd.
-pub fn split_rows(total: usize, n: usize) -> Vec<usize> {
-    assert!(n >= 1, "at least one instance");
-    let pairs = total / 2;
-    assert!(pairs >= n, "not enough row pairs for {n} instances");
-    let base = pairs / n;
-    let extra = pairs % n;
-    (0..n)
-        .map(|i| 2 * (base + usize::from(i < extra)))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use arcane_sim::Sew;
 
     #[test]
     fn split_is_even_and_total() {
-        let s = split_rows(250, 4);
-        assert_eq!(s.iter().sum::<usize>(), 250);
-        assert!(s.iter().all(|r| r % 2 == 0 && *r > 0));
+        // 250 conv rows are 125 pooled rows: four shares of whole row
+        // pairs that cover every conv row.
+        let s = split_rows(125, 4);
+        assert_eq!(s.iter().map(|&(_, n)| 2 * n).sum::<usize>(), 250);
+        assert!(s.iter().all(|&(_, n)| n > 0));
     }
 
     #[test]
     #[should_panic(expected = "not enough row pairs")]
     fn split_rejects_too_many_instances() {
-        split_rows(4, 3);
+        // 4 even conv rows: two pooled rows for three instances.
+        let p = ConvLayerParams::new(8, 8, 4, Sew::Word);
+        conv_layer(&p, &Layout::for_conv(&p), 3);
     }
 }

@@ -3,8 +3,8 @@
 //! One 7×7 int8 conv layer is split across 1, 2 and 4 VPU instances
 //! and run under the legacy `whole-phase` arbiter (entire DMA phases
 //! book contiguous windows, every vector instruction costs exclusive
-//! eCPU cycles) and under `round-robin-burst` (line-sized bursts
-//! interleave across ports, dispatch descriptors stream to per-VPU
+//! eCPU cycles) and under `round-robin-burst` (transactions fill the
+//! idle slices other ports leave, dispatch descriptors stream to per-VPU
 //! sequencers). Whole-phase reproduces the flat multi-instance plateau;
 //! the burst arbiter unlocks the 4-VPU gain the paper reports.
 //!

@@ -10,6 +10,9 @@
 //!   interleaved eCPU issue streams that preamble and packed trains
 //!   book into from earlier cycles, and under streams of inserts,
 //!   merges and appends at random places of the calendar;
+//! * a packed booking lands exactly where the oracle's lands when the
+//!   oracle books it in chunks of a random size: no chunk (burst) size
+//!   changes a grant, which is why the fabric takes none;
 //! * a train of packed bookings ([`ResourceChannel::reserve_packed_train`],
 //!   [`Fabric::issue_train`]) books exactly what its bookings made one
 //!   by one book;
@@ -97,10 +100,9 @@ proptest! {
                     prop_assert!(s >= earliest && e >= s + total);
                     booked += total;
                 }
-                Req::Packed { earliest, total, burst } => {
-                    let (s, e, bursts) = chan.reserve_packed(earliest, total, burst);
+                Req::Packed { earliest, total, .. } => {
+                    let (s, e) = chan.reserve_packed(earliest, total);
                     prop_assert!(s >= earliest && e >= s + total);
-                    prop_assert!(bursts >= total.div_ceil(burst));
                     booked += total;
                 }
             }
@@ -121,7 +123,7 @@ proptest! {
             let g = fabric.request(port, 0x2000_0000, earliest, dur);
             let (s, e) = direct.reserve(earliest, dur);
             prop_assert_eq!((g.start, g.end), (s, e));
-            prop_assert_eq!(g.bursts, 1, "whole-phase never splits");
+            prop_assert_eq!(g.end - g.start, dur, "whole-phase never splits");
         }
         prop_assert_eq!(
             fabric.bank_channels()[0].windows(),
@@ -152,7 +154,7 @@ proptest! {
             };
             let (s, e) = direct.reserve(earliest, dur);
             prop_assert_eq!((g.start, g.end), (s, e));
-            prop_assert_eq!(g.bursts, 1, "whole-phase never splits");
+            prop_assert_eq!(g.end - g.start, dur, "whole-phase never splits");
         }
         prop_assert_eq!(
             fabric.bank_channels()[0].windows(),
@@ -177,8 +179,7 @@ proptest! {
             prop_assert!(g.start >= earliest);
             prop_assert!(g.end >= g.start + dur, "span covers the service time");
             if kind == ArbiterKind::PriorityHost && port == HOST_PORT {
-                prop_assert_eq!(g.bursts, 1, "host transactions stay whole");
-                prop_assert_eq!(g.end - g.start, dur);
+                prop_assert_eq!(g.end - g.start, dur, "host transactions stay whole");
             }
             booked += dur;
         }
@@ -192,9 +193,8 @@ proptest! {
         pre in prop::collection::vec((0u64..1500, 1u64..60), 0..30),
         earliest in 0u64..1500,
         total in 1u64..300,
-        burst in 1u64..64,
     ) {
-        // Against any pre-booked calendar, filling gaps burst-by-burst
+        // Against any pre-booked calendar, filling gaps slice by slice
         // completes no later than waiting for one contiguous window.
         let mut a = ResourceChannel::new();
         let mut b = ResourceChannel::new();
@@ -202,7 +202,7 @@ proptest! {
             a.reserve(t, d);
             b.reserve(t, d);
         }
-        let (_, packed_end, _) = a.reserve_packed(earliest, total, burst);
+        let (_, packed_end) = a.reserve_packed(earliest, total);
         let (_, whole_end) = b.reserve(earliest, total);
         prop_assert!(
             packed_end <= whole_end,
@@ -213,7 +213,9 @@ proptest! {
 
 /// The calendar as it stood before the locality-hinted search: every
 /// lookup binary-searches the whole window list. Kept verbatim as the
-/// grant oracle for [`ResourceChannel`].
+/// grant oracle for [`ResourceChannel`], except that its packed
+/// bookings still book in chunks of at most `burst` cycles, which
+/// production no longer takes.
 #[derive(Default)]
 struct FullSearchChannel {
     windows: Vec<(u64, u64)>,
@@ -279,14 +281,13 @@ impl FullSearchChannel {
         (t, u64::MAX)
     }
 
-    fn reserve_packed(&mut self, earliest: u64, total: u64, burst: u64) -> (u64, u64, u64) {
+    fn reserve_packed(&mut self, earliest: u64, total: u64, burst: u64) -> (u64, u64) {
         if total == 0 {
-            return (earliest, earliest, 0);
+            return (earliest, earliest);
         }
         let mut remaining = total;
         let mut t = earliest;
         let mut first = None;
-        let mut bursts = 0;
         while remaining > 0 {
             let (gap_start, gap_len) = self.next_gap(t);
             let d = remaining.min(burst).min(gap_len);
@@ -294,11 +295,10 @@ impl FullSearchChannel {
             if first.is_none() {
                 first = Some(s);
             }
-            bursts += 1;
             remaining -= d;
             t = e;
         }
-        (first.unwrap_or(earliest), t, bursts)
+        (first.unwrap_or(earliest), t)
     }
 }
 
@@ -344,16 +344,14 @@ proptest! {
             };
             let (got, want) = match r {
                 Req::Whole { dur, .. } => {
-                    let (g, w) = (chan.reserve(earliest, dur), oracle.reserve(earliest, dur));
-                    ((g.0, g.1, 0), (w.0, w.1, 0))
+                    (chan.reserve(earliest, dur), oracle.reserve(earliest, dur))
                 }
-                Req::Fragmented { total, chunk, .. } => {
-                    let g = chan.reserve_fragmented(earliest, total, chunk);
-                    let w = oracle.reserve_fragmented(earliest, total, chunk);
-                    ((g.0, g.1, 0), (w.0, w.1, 0))
-                }
+                Req::Fragmented { total, chunk, .. } => (
+                    chan.reserve_fragmented(earliest, total, chunk),
+                    oracle.reserve_fragmented(earliest, total, chunk),
+                ),
                 Req::Packed { total, burst, .. } => (
-                    chan.reserve_packed(earliest, total, burst),
+                    chan.reserve_packed(earliest, total),
                     oracle.reserve_packed(earliest, total, burst),
                 ),
             };
@@ -404,15 +402,18 @@ fn gemm_comb(
 proptest! {
     /// Calendars shaped like the legacy launch path's eCPU issue comb
     /// ([`gemm_comb`]). Fragmented preamble trains (chunk 16) and
-    /// packed trains (burst 256) then start from random earlier cycles,
-    /// mixed with single slots that search for shorter gaps. Every
-    /// grant, burst count, window list and horizon matches the
-    /// full-search oracle.
+    /// packed trains then start from random earlier cycles, mixed with
+    /// single slots that search for shorter gaps. Every grant, window
+    /// list and horizon matches the full-search oracle, which books the
+    /// packed trains in chunks of a random size.
     #[test]
     fn comb_grants_match_full_search_oracle(
         offsets in prop::collection::vec(0u64..64, 4..5),
         turns in prop::collection::vec((1usize..48, 0u64..400), 16..64),
-        trains in prop::collection::vec((0u8..3, 0u64..1000, 1u64..1200), 1..40),
+        trains in prop::collection::vec(
+            (0u8..3, 0u64..1000, 1u64..1200, 1u64..512),
+            1..40,
+        ),
     ) {
         let mut chan = ResourceChannel::new();
         let mut oracle = FullSearchChannel::default();
@@ -423,22 +424,20 @@ proptest! {
         })?;
         prop_assert!(chan.len() >= 1000, "a comb of {} windows", chan.len());
         prop_assert_eq!(chan.windows(), oracle.windows);
-        for (kind, frac, total) in trains {
+        for (kind, frac, total, burst) in trains {
             let earliest = chan.horizon() * frac / 1000;
             let (got, want) = match kind {
-                0 => {
-                    let g = chan.reserve_fragmented(earliest, total, 16);
-                    let w = oracle.reserve_fragmented(earliest, total, 16);
-                    ((g.0, g.1, 0), (w.0, w.1, 0))
-                }
+                0 => (
+                    chan.reserve_fragmented(earliest, total, 16),
+                    oracle.reserve_fragmented(earliest, total, 16),
+                ),
                 1 => (
-                    chan.reserve_packed(earliest, total, 256),
-                    oracle.reserve_packed(earliest, total, 256),
+                    chan.reserve_packed(earliest, total),
+                    oracle.reserve_packed(earliest, total, burst),
                 ),
                 _ => {
                     let d = GEMM_SLOTS[total as usize % 3];
-                    let (g, w) = (chan.reserve(earliest, d), oracle.reserve(earliest, d));
-                    ((g.0, g.1, 0), (w.0, w.1, 0))
+                    (chan.reserve(earliest, d), oracle.reserve(earliest, d))
                 }
             };
             prop_assert_eq!(got, want, "train {} of {} from {}", kind, total, earliest);
@@ -451,11 +450,11 @@ proptest! {
 proptest! {
     /// GeMM tap trains on the dispatch path: one
     /// [`ResourceChannel::reserve_packed_train`] books exactly what its
-    /// packed bookings made one by one book (each `pre` cycles after
-    /// the previous one's end plus `post`) — the same final cursor,
-    /// bursts, waits, window list and horizon — on 1,000+-window
-    /// [`gemm_comb`] calendars, from random earlier cycles, with bursts
-    /// short enough to split a slice.
+    /// packed bookings made one by one on the full-search oracle book
+    /// (each `pre` cycles after the previous one's end plus `post`) —
+    /// the same final cursor, waits, window list and horizon — on
+    /// 1,000+-window [`gemm_comb`] calendars, from random earlier
+    /// cycles, with oracle chunks short enough to split a slice.
     #[test]
     fn packed_train_matches_single_bookings(
         offsets in prop::collection::vec(0u64..64, 4..5),
@@ -465,27 +464,26 @@ proptest! {
             1..24,
         ),
     ) {
-        let mut single = ResourceChannel::new();
-        gemm_comb(&offsets, &turns, |t, d| Ok(single.reserve(t, d)))?;
-        prop_assert!(single.len() >= 1000, "a comb of {} windows", single.len());
-        let mut trained = single.clone();
+        let mut trained = ResourceChannel::new();
+        gemm_comb(&offsets, &turns, |t, d| Ok(trained.reserve(t, d)))?;
+        prop_assert!(trained.len() >= 1000, "a comb of {} windows", trained.len());
+        let mut single = FullSearchChannel { windows: trained.windows() };
         for (frac, n, pre, total, burst, post) in trains {
-            let earliest = single.horizon() * frac / 1000;
-            let (mut cursor, mut bursts, mut wait) = (earliest, 0, 0);
+            let earliest = trained.horizon() * frac / 1000;
+            let (mut cursor, mut wait) = (earliest, 0);
             for _ in 0..n {
                 cursor += pre;
-                let (_, end, b) = single.reserve_packed(cursor, total, burst);
-                bursts += b;
+                let (_, end) = single.reserve_packed(cursor, total, burst);
                 wait += end - cursor - total;
                 cursor = end + post;
             }
             prop_assert_eq!(
-                trained.reserve_packed_train(earliest, n, pre, total, burst, post),
-                (cursor, bursts, wait),
+                trained.reserve_packed_train(earliest, n, pre, total, post),
+                (cursor, wait),
                 "train of {} from {}", n, earliest
             );
-            prop_assert_eq!(trained.windows(), single.windows(), "identical calendars");
-            prop_assert_eq!(trained.horizon(), single.horizon());
+            prop_assert_eq!(trained.windows(), single.windows, "identical calendars");
+            prop_assert_eq!(trained.horizon(), single.windows.last().map_or(0, |w| w.1));
         }
     }
 
@@ -581,24 +579,18 @@ proptest! {
             let (got, want) = match (edit, gap) {
                 (Edit::Insert, Some((g, len))) if len >= 3 => {
                     let d = 1 + d % (len - 2);
-                    let (a, b) = (chan.reserve(g + 1, d), oracle.reserve(g + 1, d));
-                    ((a.0, a.1, 0), (b.0, b.1, 0))
+                    (chan.reserve(g + 1, d), oracle.reserve(g + 1, d))
                 }
                 (Edit::Insert | Edit::Merge, Some((g, len))) => {
-                    let (a, b) = (chan.reserve(g, len), oracle.reserve(g, len));
-                    ((a.0, a.1, 0), (b.0, b.1, 0))
+                    (chan.reserve(g, len), oracle.reserve(g, len))
                 }
                 (Edit::Packed, Some((g, len))) => {
                     let (t, burst) = (g + pick as u64 % len, 1 + pick as u64 % 7);
-                    (
-                        chan.reserve_packed(t, d, burst),
-                        oracle.reserve_packed(t, d, burst),
-                    )
+                    (chan.reserve_packed(t, d), oracle.reserve_packed(t, d, burst))
                 }
                 _ => {
                     let t = chan.horizon() + d % 3;
-                    let (a, b) = (chan.reserve(t, d), oracle.reserve(t, d));
-                    ((a.0, a.1, 0), (b.0, b.1, 0))
+                    (chan.reserve(t, d), oracle.reserve(t, d))
                 }
             };
             prop_assert_eq!(got, want, "{:?} at {:?}", edit, gap);
