@@ -5,16 +5,17 @@
 //!    cost?
 //! 2. **DMA bandwidth** — the allocation phase is bus-width bound; how
 //!    does the phase split move with the DMA's bytes/cycle?
-//! 3. **VPU count** — multi-instance scaling against the shared DMA
-//!    channel and eCPU (the §V-C sub-linearity).
 //! 4. **Scheduler policy** — least-dirty vs round-robin placement
 //!    (DESIGN.md §4.4) across 1/2/4 VPUs, on both the conv workload
 //!    and an `arcane-nn` graph chain with mixed host traffic.
+//!
+//! Ablation 3 (VPU count) is the whole-phase block of `fabric_scaling`'s
+//! arbitration table, which simulates the same points.
 
 use arcane_core::{ArcaneConfig, SchedulerKind};
-use arcane_nn::suite;
+use arcane_nn::suite::{self, BuiltGraph};
 use arcane_sim::{Phase, Sew};
-use arcane_system::driver::{run_arcane_conv_with, run_scalar_conv};
+use arcane_system::driver::run_arcane_conv_with;
 use arcane_system::ConvLayerParams;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -48,12 +49,12 @@ fn queue_depth_ablation() {
 
 fn dma_bandwidth_ablation() {
     println!("\n== Ablation 2: DMA bandwidth (8-lane, 64x64 int32, 3x3) ==");
-    arcane_bench::rule(72);
+    arcane_bench::rule(86);
     println!(
-        "{:>14} {:>14} {:>12} {:>12} {:>12}",
-        "bytes/cycle", "total cyc", "alloc %", "compute %", "writeback %"
+        "{:>14} {:>14} {:>18} {:>18} {:>18}",
+        "bytes/cycle", "total cyc", "alloc", "compute", "writeback"
     );
-    arcane_bench::rule(72);
+    arcane_bench::rule(86);
     let p = ConvLayerParams::new(64, 64, 3, Sew::Word);
     for bw in [2u64, 4, 8, 16] {
         let mut cfg = ArcaneConfig::with_lanes(8);
@@ -63,39 +64,15 @@ fn dma_bandwidth_ablation() {
         let r = run_arcane_conv_with(cfg, &p, 1);
         let ph = r.phases.unwrap();
         println!(
-            "{bw:>14} {:>14} {:>11.1}% {:>11.1}% {:>11.1}%",
+            "{bw:>14} {:>14} {} {} {}",
             arcane_bench::fmt_cycles(ph.total()),
-            100.0 * ph.share(Phase::Allocation),
-            100.0 * ph.share(Phase::Compute),
-            100.0 * ph.share(Phase::Writeback),
+            arcane_bench::phase_cell(&ph, Phase::Allocation),
+            arcane_bench::phase_cell(&ph, Phase::Compute),
+            arcane_bench::phase_cell(&ph, Phase::Writeback),
         );
     }
     println!("expectation: the allocation share collapses as the bus widens; compute");
     println!("becomes the ceiling (why the paper pairs wide VPUs with a 2-D DMA).");
-}
-
-fn vpu_count_ablation() {
-    let size = if arcane_bench::fast_mode() { 32 } else { 128 };
-    println!("\n== Ablation 3: VPU count (multi-instance, {size}x{size} int8, 7x7) ==");
-    arcane_bench::rule(64);
-    println!("{:>10} {:>16} {:>14}", "VPUs", "total cycles", "vs scalar");
-    arcane_bench::rule(64);
-    let p = ConvLayerParams::new(size, size, 7, Sew::Byte);
-    let s = run_scalar_conv(&p);
-    for n_vpus in [1usize, 2, 4] {
-        let mut cfg = ArcaneConfig::with_lanes(8);
-        cfg.n_vpus = n_vpus;
-        let r = run_arcane_conv_with(cfg, &p, n_vpus.min(4));
-        println!(
-            "{n_vpus:>10} {:>16} {:>13.1}x",
-            arcane_bench::fmt_cycles(r.cycles),
-            r.speedup_over(&s)
-        );
-    }
-    println!("expectation: gains appear once per-kernel compute outweighs the shared");
-    println!("DMA/eCPU work, and stay sub-linear — the paper's 120x multi-instance vs");
-    println!("84x single-instance shows the same bound.");
-    println!();
 }
 
 fn scheduler_policy_ablation() {
@@ -140,7 +117,7 @@ fn scheduler_policy_ablation() {
     println!("earliest-available rotation (no host store ever dirties a line), so the");
     println!("columns agree; the policies only diverge under mixed host/kernel");
     println!("traffic — see the mixed-traffic table below.");
-    scheduler_mixed_traffic_ablation();
+    scheduler_mixed_traffic_ablation(&graph);
 }
 
 /// Mixed host/kernel traffic, generated from a graph program: the
@@ -149,15 +126,9 @@ fn scheduler_policy_ablation() {
 /// placement policy changes how many forced writebacks each kernel's
 /// allocation pays — the scenario the paper's least-dirty heuristic
 /// was designed for (§IV-B2), previously hand-rolled here.
-fn scheduler_mixed_traffic_ablation() {
+fn scheduler_mixed_traffic_ablation(graph: &BuiltGraph) {
     use arcane_nn::{CompileOptions, HostTraffic};
 
-    let (t, d, f) = if arcane_bench::fast_mode() {
-        (12, 16, 24)
-    } else {
-        (16, 24, 32)
-    };
-    let graph = suite::transformer_block(t, d, f, Sew::Byte, 44);
     let traffic = HostTraffic::new(2, 24 * 1024);
     let opts = CompileOptions {
         instances: 1,
@@ -198,7 +169,6 @@ fn scheduler_mixed_traffic_ablation() {
 fn bench(c: &mut Criterion) {
     queue_depth_ablation();
     dma_bandwidth_ablation();
-    vpu_count_ablation();
     scheduler_policy_ablation();
     let p = ConvLayerParams::new(32, 32, 3, Sew::Byte);
     c.bench_function("arcane_queue_depth_1", |b| {

@@ -11,35 +11,34 @@ use std::hint::black_box;
 
 fn print_fig3() {
     println!("\n== Figure 3: non-compute phase overhead (3-ch conv, 3x3 filter, int32) ==");
-    arcane_bench::rule(88);
+    arcane_bench::rule(101);
     println!(
-        "{:<6} {:>5} {:>12} {:>10} {:>11} {:>9} {:>10}",
+        "{:<6} {:>5} {:>12} {:>18} {:>18} {:>18} {:>18}",
         "lanes", "input", "total cyc", "preamble", "allocation", "compute", "writeback"
     );
-    arcane_bench::rule(88);
+    arcane_bench::rule(101);
     let mut sizes = vec![8usize];
     sizes.extend(arcane_bench::sweep_sizes());
-    // The 8-lane largest-size report doubles as the channel table
-    // below — keep it instead of re-simulating the slowest point.
+    // The last report (8 lanes, largest size) doubles as the channel
+    // table below — keep it instead of re-simulating the slowest point.
     let mut largest8 = None;
     for lanes in [2usize, 4, 8] {
         for &size in &sizes {
             let p = ConvLayerParams::new(size, size, 3, Sew::Word);
             let r = run_arcane_conv(lanes, &p, 1);
             let ph = r.phases.expect("ARCANE runs report phases");
-            if lanes == 8 && size == *sizes.last().expect("sweep has sizes") {
-                largest8 = Some((size, r.channels.clone()));
-            }
+            let cells: Vec<_> = Phase::ALL
+                .iter()
+                .map(|&phase| arcane_bench::phase_cell(&ph, phase))
+                .collect();
             println!(
-                "{lanes:<6} {size:>5} {:>12} {:>9.1}% {:>10.1}% {:>8.1}% {:>9.1}%",
+                "{lanes:<6} {size:>5} {:>12} {}",
                 arcane_bench::fmt_cycles(ph.total()),
-                100.0 * ph.share(Phase::Preamble),
-                100.0 * ph.share(Phase::Allocation),
-                100.0 * ph.share(Phase::Compute),
-                100.0 * ph.share(Phase::Writeback),
+                cells.join(" ")
             );
+            largest8 = Some((size, r.channels));
         }
-        arcane_bench::rule(88);
+        arcane_bench::rule(101);
     }
     println!("paper shape: preamble 60% (small) -> 2.89% (large); allocation grows with");
     println!("lane count and saturates (~15% globally); writeback falls to ~2%; compute");

@@ -3,6 +3,7 @@
 //! every filter size, input size and data width. Every number comes
 //! from executing the corresponding machine code on the simulator.
 
+use arcane_sim::Sew;
 use arcane_system::driver::{run_arcane_conv, run_scalar_conv, run_xcvpulp_conv};
 use arcane_system::ConvLayerParams;
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -10,33 +11,32 @@ use std::hint::black_box;
 
 fn print_fig4() {
     println!("\n== Figure 4: speedup over CV32E40X (3-ch conv layer) ==");
-    for sew in arcane_bench::sweep_widths() {
+    for sew in Sew::ALL {
         for k in arcane_bench::sweep_filters() {
             println!("\n-- {k}x{k} filter, {sew} --");
-            arcane_bench::rule(78);
+            arcane_bench::rule(117);
             println!(
-                "{:>6} {:>14} {:>10} {:>10} {:>10} {:>10}",
+                "{:>6} {:>14} {:>23} {:>23} {:>23} {:>23}",
                 "input", "scalar cyc", "XCVPULP", "ARCANE-2", "ARCANE-4", "ARCANE-8"
             );
-            arcane_bench::rule(78);
+            arcane_bench::rule(117);
             for size in arcane_bench::sweep_sizes() {
                 if size <= k {
                     continue;
                 }
                 let p = ConvLayerParams::new(size, size, k, sew);
                 let s = run_scalar_conv(&p);
-                let v = run_xcvpulp_conv(&p);
-                let a2 = run_arcane_conv(2, &p, 1);
-                let a4 = run_arcane_conv(4, &p, 1);
-                let a8 = run_arcane_conv(8, &p, 1);
-                println!(
-                    "{size:>6} {:>14} {:>9.2}x {:>9.2}x {:>9.2}x {:>9.2}x",
-                    arcane_bench::fmt_cycles(s.cycles),
-                    v.speedup_over(&s),
-                    a2.speedup_over(&s),
-                    a4.speedup_over(&s),
-                    a8.speedup_over(&s),
-                );
+                let mut row = format!("{size:>6} {:>14}", arcane_bench::fmt_cycles(s.cycles));
+                for r in [
+                    run_xcvpulp_conv(&p),
+                    run_arcane_conv(2, &p, 1),
+                    run_arcane_conv(4, &p, 1),
+                    run_arcane_conv(8, &p, 1),
+                ] {
+                    let cyc = arcane_bench::fmt_cycles(r.cycles);
+                    row += &format!(" {cyc:>13} {:>8.2}x", r.speedup_over(&s));
+                }
+                println!("{row}");
             }
         }
     }
@@ -48,7 +48,7 @@ fn print_fig4() {
 
 fn bench(c: &mut Criterion) {
     print_fig4();
-    let p = arcane_bench::probe_params();
+    let p = ConvLayerParams::new(32, 32, 3, Sew::Byte);
     c.bench_function("scalar_conv_32x32_int8", |b| {
         b.iter(|| run_scalar_conv(black_box(&p)).cycles)
     });

@@ -58,27 +58,32 @@ fn print_multi_instance() {
     let v = run_xcvpulp_conv(&p);
     let single = run_arcane_conv(8, &p, 1);
     let multi = run_arcane_conv(8, &p, 4);
-    arcane_bench::rule(70);
+    let scalar = arcane_bench::fmt_cycles(s.cycles);
+    arcane_bench::rule(94);
     for r in [&s, &v, &single, &multi] {
         println!(
-            "{:<24} {:>14} cycles  {:>8.1}x vs scalar",
+            "{:<24} {:>14} cycles  {:>8.1}x vs scalar ({scalar} cycles)",
             r.label,
             arcane_bench::fmt_cycles(r.cycles),
             r.speedup_over(&s)
         );
     }
-    arcane_bench::rule(70);
+    arcane_bench::rule(94);
     println!(
-        "multi-instance gain over single: {:.2}x (paper: 120x/84x = 1.43x; both",
-        single.cycles as f64 / multi.cycles as f64
+        "multi-instance gain over single: {:.2}x = {} / {} cycles (paper: 120x/84x = 1.43x; both",
+        single.cycles as f64 / multi.cycles as f64,
+        arcane_bench::fmt_cycles(single.cycles),
+        arcane_bench::fmt_cycles(multi.cycles)
     );
     println!("sub-linear — the shared DMA channel and eCPU bound the scaling).");
     println!(
-        "conclusion anchors: ARCANE-8 7x7 int8 = {:.1}x vs scalar (paper 84x), {:.1}x vs",
+        "conclusion anchors: ARCANE-8 7x7 int8 = {:.1}x vs scalar (paper 84x), {:.1}x vs XCVPULP \
+         (paper 16x), from {scalar} scalar, {} XCVPULP and {} ARCANE-8 cycles.\n",
         single.speedup_over(&s),
-        s.cycles as f64 / single.cycles as f64 / (s.cycles as f64 / v.cycles as f64)
+        single.speedup_over(&v),
+        arcane_bench::fmt_cycles(v.cycles),
+        arcane_bench::fmt_cycles(single.cycles)
     );
-    println!("XCVPULP (paper 16x).\n");
 }
 
 fn bench(c: &mut Criterion) {

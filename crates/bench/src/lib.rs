@@ -11,8 +11,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use arcane_sim::Sew;
-use arcane_system::ConvLayerParams;
+use arcane_sim::{Phase, PhaseBreakdown};
 
 /// `true` when the abbreviated sweep is requested.
 pub fn fast_mode() -> bool {
@@ -37,17 +36,6 @@ pub fn sweep_filters() -> Vec<usize> {
     }
 }
 
-/// Data widths of Figure 4.
-pub fn sweep_widths() -> Vec<Sew> {
-    Sew::ALL.to_vec()
-}
-
-/// The conv-layer workload used for criterion measurements (small, so
-/// `cargo bench` stays quick).
-pub fn probe_params() -> ConvLayerParams {
-    ConvLayerParams::new(32, 32, 3, Sew::Byte)
-}
-
 /// Prints a horizontal rule sized to `width`.
 pub fn rule(width: usize) {
     println!("{}", "-".repeat(width));
@@ -66,6 +54,16 @@ pub fn fmt_cycles(c: u64) -> String {
     out
 }
 
+/// One phase cell of a phase-split row: the phase's cycles and its
+/// share of the phase total, in 18 columns.
+pub fn phase_cell(ph: &PhaseBreakdown, phase: Phase) -> String {
+    format!(
+        "{:>11} {:>5.1}%",
+        fmt_cycles(ph.get(phase)),
+        100.0 * ph.share(phase)
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -81,6 +79,5 @@ mod tests {
     fn sweeps_nonempty() {
         assert!(!sweep_sizes().is_empty());
         assert!(!sweep_filters().is_empty());
-        assert_eq!(sweep_widths().len(), 3);
     }
 }

@@ -11,7 +11,9 @@
 /// lock.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct LockWindows {
-    /// Non-overlapping, sorted `(start, end)` windows.
+    /// `(start, end)` windows sorted by start. Windows booked by
+    /// different kernels may overlap, e.g. (62884, 62960) and
+    /// (62892, 62938) on the mixed-traffic transformer block.
     windows: Vec<(u64, u64)>,
 }
 
@@ -43,6 +45,11 @@ impl LockWindows {
 
     /// If the host touches the cache at `now` while a window is open,
     /// returns the cycle at which the lock releases.
+    ///
+    /// Open defect (ROADMAP item 8): the backward scan stops at the
+    /// first window that ended at or before `now`, which is only right
+    /// for disjoint windows. An access inside an earlier, longer window
+    /// hidden behind a shorter, later-starting one goes unstalled.
     pub(crate) fn stall_until(&self, now: u64) -> Option<u64> {
         // Scan from the most recent windows backwards: accesses arrive
         // in roughly increasing time order.

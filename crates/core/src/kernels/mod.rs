@@ -21,7 +21,7 @@ use relu::LeakyRelu;
 
 use crate::runtime::ctx::KernelCtx;
 use crate::runtime::map::MatView;
-use arcane_isa::launch::LaunchDecodeError;
+use arcane_isa::launch::{LaunchDecodeError, FUNC5_XMB};
 use arcane_isa::vector::{Sr, Vr};
 use arcane_isa::xmnmc::{kernel_id, MatReg};
 use arcane_sim::Sew;
@@ -199,9 +199,10 @@ impl KernelLib {
     ///
     /// # Panics
     ///
-    /// Panics if `id > 30` (`31` encodes `xmr`).
+    /// Panics if `id >= 30`: [`FUNC5_XMB`] (`30`) launches descriptor
+    /// batches and `31` encodes `xmr`.
     pub fn register(&mut self, id: u8, kernel: Box<dyn Kernel>) {
-        assert!(id <= 30, "kernel ids are 0..=30");
+        assert!(id < FUNC5_XMB, "kernel ids are 0..=29");
         self.slots[id as usize] = Some(kernel);
     }
 
@@ -311,8 +312,14 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "kernel ids are 0..=30")]
+    #[should_panic(expected = "kernel ids are 0..=29")]
     fn registering_reserved_id_panics() {
         KernelLib::empty().register(31, Box::new(Gemm));
+    }
+
+    #[test]
+    #[should_panic(expected = "kernel ids are 0..=29")]
+    fn registering_the_xmb_id_panics() {
+        KernelLib::empty().register(FUNC5_XMB, Box::new(Gemm));
     }
 }

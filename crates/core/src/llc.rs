@@ -153,7 +153,8 @@ impl ArcaneLlc {
     ///
     /// # Panics
     ///
-    /// Panics if `id > 30`.
+    /// Panics if `id >= 30`: [`FUNC5_XMB`] (`30`) launches descriptor
+    /// batches and `31` encodes `xmr`.
     pub fn register_kernel(&mut self, id: u8, kernel: Box<dyn crate::kernels::Kernel>) {
         self.lib.register(id, kernel);
     }

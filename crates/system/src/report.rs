@@ -75,26 +75,31 @@ pub struct PhaseSplitRow {
 
 /// Formats preamble/compute/decode split rows as an aligned table.
 ///
-/// Columns: label, kernels, total cycles, preamble share, compute
-/// share, allocation+writeback share, and the batch-decode cycles of
-/// the descriptor launch pipeline.
+/// Columns: label, kernels, total cycles, then the preamble, compute and
+/// allocation+writeback cycles each beside its share of their sum (the
+/// kernels' phase total, not the run's cycles), and the batch-decode
+/// cycles of the descriptor launch pipeline.
 pub fn format_phase_split_table(rows: &[PhaseSplitRow]) -> String {
     use arcane_sim::Phase;
     let mut out = String::new();
     out.push_str(&format!(
-        "{:<34} {:>8} {:>13} {:>10} {:>10} {:>10} {:>11}\n",
+        "{:<34} {:>8} {:>13} {:>17} {:>17} {:>17} {:>11}\n",
         "workload", "kernels", "cycles", "preamble", "compute", "alloc+wb", "decode cyc"
     ));
     for r in rows {
         let ph = r.phases;
+        let cell = |cycles: u64, share: f64| format!("{cycles:>10} {:>5.1}%", 100.0 * share);
         out.push_str(&format!(
-            "{:<34} {:>8} {:>13} {:>9.1}% {:>9.1}% {:>9.1}% {:>11}\n",
+            "{:<34} {:>8} {:>13} {} {} {} {:>11}\n",
             r.label,
             r.kernels,
             r.cycles,
-            100.0 * ph.share(Phase::Preamble),
-            100.0 * ph.share(Phase::Compute),
-            100.0 * (ph.share(Phase::Allocation) + ph.share(Phase::Writeback)),
+            cell(ph.preamble, ph.share(Phase::Preamble)),
+            cell(ph.compute, ph.share(Phase::Compute)),
+            cell(
+                ph.allocation + ph.writeback,
+                ph.share(Phase::Allocation) + ph.share(Phase::Writeback)
+            ),
             r.decode_cycles,
         ));
     }
@@ -102,22 +107,24 @@ pub fn format_phase_split_table(rows: &[PhaseSplitRow]) -> String {
 }
 
 /// Formats per-channel utilisation as an aligned table (one line per
-/// channel: busy cycles, wait cycles, requests, occupancy), ready to
-/// print under a run report.
+/// channel: busy cycles, wait cycles, requests, and occupancy beside
+/// the horizon it is measured against), ready to print under a run
+/// report.
 pub fn format_channel_table(channels: &[ChannelUtil]) -> String {
     let mut out = String::new();
     out.push_str(&format!(
-        "{:>8} {:>12} {:>12} {:>9} {:>10}\n",
-        "channel", "busy cyc", "wait cyc", "requests", "occupancy"
+        "{:>8} {:>12} {:>12} {:>9} {:>10} {:>12}\n",
+        "channel", "busy cyc", "wait cyc", "requests", "occupancy", "horizon"
     ));
     for u in channels {
         out.push_str(&format!(
-            "{:>8} {:>12} {:>12} {:>9} {:>9.1}%\n",
+            "{:>8} {:>12} {:>12} {:>9} {:>9.1}% {:>12}\n",
             u.label,
             u.busy_cycles,
             u.wait_cycles,
             u.requests,
-            100.0 * u.occupancy()
+            100.0 * u.occupancy(),
+            u.horizon
         ));
     }
     out
@@ -159,6 +166,9 @@ mod tests {
         assert!(t.contains("25.0%") && t.contains("50.0%"));
         assert!(t.contains("9000"));
         assert_eq!(t.lines().count(), 2);
+        // Each share sits beside the exact phase cycles it is taken from.
+        assert!(t.contains("        25  25.0%") && t.contains("        50  50.0%"));
+        assert!(t.contains("123456"));
     }
 
     #[test]
@@ -182,6 +192,10 @@ mod tests {
         let t = format_channel_table(&rows);
         assert!(t.contains("ecpu") && t.contains("vpu0"));
         assert!(t.contains("50.0%") && t.contains("25.0%"));
+        assert!(
+            t.ends_with("25.0%         1000\n"),
+            "horizon beside occupancy"
+        );
         assert_eq!(t.lines().count(), 3, "header + one line per channel");
     }
 

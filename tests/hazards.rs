@@ -14,7 +14,7 @@ use arcane::nn::{compile, suite, CompileOptions, LaunchMode};
 use arcane::rv32::{Coprocessor, Cpu, StopReason, XifResponse};
 use arcane::sim::{EngineMode, Sew};
 use arcane::system::{EXT_BASE, IMEM_SIZE};
-use arcane::workloads::Matrix;
+use arcane::workloads::{conv_layer_3ch, Matrix};
 use proptest::prelude::*;
 use std::cell::RefCell;
 
@@ -40,6 +40,14 @@ fn m(i: u8) -> MatReg {
 /// Seeds an all-ones 3x(16x16) input and 3x(3x3) filter and launches
 /// one conv-layer kernel at time `t0`. Pooled output value is 27.
 fn launch_conv(llc: &mut ArcaneLlc, t0: u64) -> u64 {
+    bind_conv(llc, t0);
+    xmk4(llc, t0 + 6);
+    llc.records()[0].end
+}
+
+/// Seeds the all-ones input and filter of `launch_conv` and binds them
+/// and the 7x7 result to m0-m2 with `xmr`s from `t0`.
+fn bind_conv(llc: &mut ArcaneLlc, t0: u64) {
     for i in 0..(3 * 16 * 16) {
         llc.ext_mut().write_u32(A_ADDR + i * 4, 1).unwrap();
     }
@@ -56,9 +64,40 @@ fn launch_conv(llc: &mut ArcaneLlc, t0: u64) -> u64 {
     llc.offload(x(FUNC5_XMR, sew), r1, r2, r3, t0 + 2);
     let (r1, r2, r3) = xmnmc::pack_xmr(R_ADDR, 1, m(2), 7, 7);
     llc.offload(x(FUNC5_XMR, sew), r1, r2, r3, t0 + 4);
+}
+
+/// Offloads the conv-layer kernel over the bindings `launch_conv` made.
+fn xmk4(llc: &mut ArcaneLlc, t: u64) -> XifResponse {
     let (r1, r2, r3) = xmnmc::pack_kernel(0, 0, m(2), m(0), m(1), m(0));
-    llc.offload(x(kernel_id::CONV_LAYER_3CH, sew), r1, r2, r3, t0 + 6);
-    llc.records()[0].end
+    llc.offload(x(kernel_id::CONV_LAYER_3CH, Sew::Word), r1, r2, r3, t)
+}
+
+/// Word `i` of `launch_conv`'s operands in one flat index space: the
+/// 768 input words of A, the 27 filter words of F, the 49 result words
+/// of R.
+fn operand_word(i: usize) -> u32 {
+    let i = i as u32;
+    match i {
+        ..768 => A_ADDR + 4 * i,
+        768..795 => F_ADDR + 4 * (i - 768),
+        _ => R_ADDR + 4 * (i - 795),
+    }
+}
+
+/// Runs the conv kernel atomically on a flat copy of its operands.
+fn flat_conv(flat: &mut [u32]) {
+    let words = |w: &[u32], rows, cols| {
+        let bytes: Vec<u8> = w.iter().flat_map(|w| w.to_le_bytes()).collect();
+        Matrix::from_bytes(rows, cols, Sew::Word, &bytes)
+    };
+    let r = conv_layer_3ch(
+        &words(&flat[..768], 48, 16),
+        &words(&flat[768..795], 9, 3),
+        Sew::Word,
+    );
+    for (w, b) in flat[795..].iter_mut().zip(r.to_bytes(Sew::Word).chunks(4)) {
+        *w = u32::from_le_bytes(b.try_into().unwrap());
+    }
 }
 
 #[test]
@@ -384,8 +423,7 @@ fn launch_conv_with_input_at(llc: &mut ArcaneLlc, a_addr: u32, launch: LaunchMod
         let resp = llc.offload(x(FUNC5_XMR, sew), r1, r2, r3, 2 * t as u64);
         assert!(matches!(resp, XifResponse::Accept { .. }));
     }
-    let (r1, r2, r3) = xmnmc::pack_kernel(0, 0, m(2), m(0), m(1), m(0));
-    llc.offload(x(kernel_id::CONV_LAYER_3CH, sew), r1, r2, r3, 6)
+    xmk4(llc, 6)
 }
 
 #[test]
@@ -457,23 +495,10 @@ fn kernel_queue_backpressure_stalls_the_host() {
     let mut cfg = ArcaneConfig::with_lanes(2);
     cfg.kernel_queue_capacity = 2;
     let mut llc = ArcaneLlc::new(cfg);
-    for i in 0..(3 * 16 * 16) {
-        llc.ext_mut().write_u32(A_ADDR + i * 4, 1).unwrap();
-    }
-    for i in 0..27 {
-        llc.ext_mut().write_u32(F_ADDR + i * 4, 1).unwrap();
-    }
-    let sew = Sew::Word;
-    let (r1, r2, r3) = xmnmc::pack_xmr(A_ADDR, 1, m(0), 16, 48);
-    llc.offload(x(FUNC5_XMR, sew), r1, r2, r3, 0);
-    let (r1, r2, r3) = xmnmc::pack_xmr(F_ADDR, 1, m(1), 3, 9);
-    llc.offload(x(FUNC5_XMR, sew), r1, r2, r3, 1);
-    let (r1, r2, r3) = xmnmc::pack_xmr(R_ADDR, 1, m(2), 7, 7);
-    llc.offload(x(FUNC5_XMR, sew), r1, r2, r3, 2);
-    let (k1, k2, k3) = xmnmc::pack_kernel(0, 0, m(2), m(0), m(1), m(0));
+    bind_conv(&mut llc, 0);
     let mut handshakes = Vec::new();
     for i in 0..4u64 {
-        match llc.offload(x(kernel_id::CONV_LAYER_3CH, sew), k1, k2, k3, 10 + i) {
+        match xmk4(&mut llc, 10 + i) {
             XifResponse::Accept { cycles, .. } => handshakes.push(cycles),
             XifResponse::Reject => panic!("offload {i} rejected: {:?}", llc.last_error()),
         }
@@ -562,6 +587,46 @@ impl Coprocessor for LogXif<'_> {
 }
 
 proptest! {
+    /// Host word loads and stores race `xmk4` launches, issued after
+    /// random idle gaps, on the conv's own operands. Every load, and the
+    /// memory left at the end, match a flat memory where each kernel
+    /// runs atomically at its launch: the hazard rules make the
+    /// near-memory kernels a drop-in for in-order execution.
+    #[test]
+    fn racing_host_accesses_see_kernels_run_atomically_at_launch(
+        steps in prop::collection::vec((0u8..3, 0usize..844, any::<u32>(), 0u64..3001), 60..61),
+    ) {
+        let mut llc = ArcaneLlc::new(ArcaneConfig::with_lanes(4));
+        let mut flat = vec![1u32; 795];
+        flat.resize(844, 0);
+        launch_conv(&mut llc, 0);
+        flat_conv(&mut flat);
+        let mut t = 10;
+        for (kind, i, value, gap) in steps {
+            if kind == 0 {
+                t += gap;
+                match xmk4(&mut llc, t) {
+                    XifResponse::Accept { cycles, .. } => t += cycles,
+                    XifResponse::Reject => prop_assert!(false, "{:?}", llc.last_error()),
+                }
+                flat_conv(&mut flat);
+                continue;
+            }
+            let a = llc.host_access(operand_word(i), kind == 1, value, AccessSize::Word, t).unwrap();
+            t += a.cycles;
+            if kind == 1 {
+                flat[i] = value;
+            } else {
+                prop_assert_eq!(a.data, flat[i], "load of word {} at {}", i, t);
+            }
+        }
+        for (i, &want) in flat.iter().enumerate() {
+            let a = llc.host_access(operand_word(i), false, 0, AccessSize::Word, t).unwrap();
+            t += a.cycles;
+            prop_assert_eq!(a.data, want, "word {} at the end", i);
+        }
+    }
+
     /// Kernel-queue back-pressure never lets a kernel decode before its
     /// launch (`xmkN` or the `xmb` carrying it) was issued, at any queue
     /// depth, VPU count and launch mode, and the outputs stay bit-exact.
